@@ -19,7 +19,6 @@ import sys
 import tempfile
 from typing import Optional
 
-from .algebra import AlgebraElement
 from .derivations import DerivationTableError
 from .grading import GradingSetup, TrivialGradingError, decompose
 from .groups import (
@@ -35,6 +34,7 @@ from .groups import (
 )
 from .serialization import (
     SpecError,
+    algebra_element_from_json,
     arrow_from_json,
     decomposition_to_json,
     derivation_from_json,
@@ -145,7 +145,7 @@ def _cmd_apply(args, group: Group) -> int:
     if not isinstance(data, dict) or "derivation" not in data or "element" not in data:
         raise SpecError("apply input must be {'derivation': <spec>, 'element': <algebra>}")
     d = derivation_from_json(data["derivation"], group)
-    x = AlgebraElement.from_json(group, data["element"])
+    x = algebra_element_from_json(group, data["element"])
     _write_output(args.outfile, dumps(d.apply(x).to_json()))
     return EXIT_OK
 
@@ -161,6 +161,8 @@ def _cmd_character(args, group: Group) -> int:
 
 
 def _cmd_verify(args, group: Group) -> int:
+    if args.samples <= 0:
+        raise SpecError(f"--samples must be positive, got {args.samples}")
     quotient = _resolve_quotient(group, args.quotient)
     results = run_all(
         group,

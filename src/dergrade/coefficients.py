@@ -55,6 +55,8 @@ class GaussianRational:
     @staticmethod
     def from_json(data) -> "GaussianRational":
         rn, rd, imn, imd = data
+        if rd == 0 or imd == 0:
+            raise ValueError(f"coefficient {data} has a zero denominator")
         return GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
 
     def __str__(self) -> str:

@@ -15,7 +15,6 @@ the payload *is* the normal form, so equality is payload equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -159,14 +158,15 @@ class Group:
         of a generator.  The empty list is the identity."""
         raise NotImplementedError
 
-    def relators(self) -> Optional[List[List[GroupElement]]]:
-        """Defining relators as letter lists multiplying to the identity, or
-        None when the kernel validates derivation tables by enumeration."""
-        return None
+    def relators(self) -> List[List[GroupElement]]:
+        """Relators: letter lists, each multiplying to the identity, whose
+        normal closure in the free group on the generators is the kernel of
+        its map onto G.
 
-    def finite_elements(self) -> Optional[List[GroupElement]]:
-        """All elements for finite kernels, None for infinite ones."""
-        return None
+        The elements of that kernel on which the Leibniz extension of a
+        generator table vanishes form a normal subgroup, so the table is a
+        derivation exactly when every relator maps to 0."""
+        raise NotImplementedError
 
     # -- conjugacy / center oracles -------------------------------------------
 
@@ -468,7 +468,8 @@ class PermutationGroup(Group):
         self._generator_payloads = [tuple(p) for p in generator_payloads]
         for p in self._generator_payloads:
             self._validate_payload(p)
-        self._elements, self._words = self._close()
+        self._letters, self._elements, self._words = self._close()
+        self._relators: Optional[List[List[GroupElement]]] = None
         self._derived: Optional[FrozenSet[tuple]] = None
 
     @staticmethod
@@ -522,7 +523,7 @@ class PermutationGroup(Group):
                         nxt.append(prod)
             frontier = nxt
         elements = sorted(words)
-        return elements, words
+        return letters, elements, words
 
     def element(self, payload: Sequence) -> GroupElement:
         p = tuple(payload)
@@ -549,15 +550,40 @@ class PermutationGroup(Group):
         self._check(g)
         return [GroupElement(self, p) for p in self._words[g.payload]]
 
+    def relators(self) -> List[List[GroupElement]]:
+        # Schreier relators: each edge w -> w*l of the closure's BFS that is
+        # off the word tree gives word(w) * l * word(w*l)^-1.  That inverse is
+        # taken letter by letter, which a table honours because the edges
+        # from each letter l back to e give the relators l * l^-1.
+        if self._relators is None:
+            relators = []
+            for w, word in self._words.items():
+                for letter in self._letters:
+                    target = self._words[_perm_mul(w, letter)]
+                    if target and target[-1] == letter:
+                        continue  # tree edge: target's word is word + [letter]
+                    back = [_perm_inv(p) for p in reversed(target)]
+                    relators.append(
+                        [GroupElement(self, p) for p in word + [letter] + back]
+                    )
+            self._relators = relators
+        return self._relators
+
     def finite_elements(self) -> List[GroupElement]:
         return [GroupElement(self, p) for p in self._elements]
 
+    def _commutes_with_generators(self, z: tuple) -> bool:
+        return all(_perm_mul(z, g) == _perm_mul(g, z) for g in self._generator_payloads)
+
+    def _generator_commutators(self) -> List[tuple]:
+        gens = self._generator_payloads
+        return [
+            _perm_mul(_perm_mul(g, h), _perm_inv(_perm_mul(h, g))) for g in gens for h in gens
+        ]
+
     def is_central(self, z: GroupElement) -> bool:
         self._check(z)
-        return all(
-            _perm_mul(z.payload, g) == _perm_mul(g, z.payload)
-            for g in self._generator_payloads
-        )
+        return self._commutes_with_generators(z.payload)
 
     def is_conjugate(self, a: GroupElement, b: GroupElement) -> bool:
         self._check(a, b)
@@ -577,29 +603,25 @@ class PermutationGroup(Group):
         return GroupElement(self, min(self._class_payloads(a.payload)))
 
     def center_payloads(self) -> FrozenSet[tuple]:
-        return frozenset(
-            z for z in self._elements
-            if all(_perm_mul(z, g) == _perm_mul(g, z) for g in self._elements)
-        )
+        return frozenset(z for z in self._elements if self._commutes_with_generators(z))
 
     def derived_payloads(self) -> FrozenSet[tuple]:
+        # G' is the normal closure of the generator commutators: in a finite
+        # group, the closure of {e} under right multiplication by them and
+        # conjugation by the generators
         if self._derived is None:
-            comms = {
-                _perm_mul(_perm_mul(g, h), _perm_inv(_perm_mul(h, g)))
-                for g in self._elements
-                for h in self._elements
-            }
-            closure = set(comms)
-            closure.add(tuple(range(1, self.degree + 1)))
-            changed = True
-            while changed:
-                changed = False
-                for a in list(closure):
-                    for b in comms:
-                        prod = _perm_mul(a, b)
-                        if prod not in closure:
-                            closure.add(prod)
-                            changed = True
+            comms = self._generator_commutators()
+            gens = [(s, _perm_inv(s)) for s in self._generator_payloads]
+            closure = {tuple(range(1, self.degree + 1))}
+            stack = list(closure)
+            while stack:
+                a = stack.pop()
+                moves = [_perm_mul(a, c) for c in comms]
+                moves += [_perm_mul(_perm_mul(s, a), si) for s, si in gens]
+                for b in moves:
+                    if b not in closure:
+                        closure.add(b)
+                        stack.append(b)
             self._derived = frozenset(closure)
         return self._derived
 
@@ -700,10 +722,12 @@ class FiniteQuotient(QuotientSpec):
         super().__init__(group, f"normal subgroup of order {len(set(subgroup_payloads))}")
         self._n = frozenset(tuple(p) for p in subgroup_payloads)
         self._validate()
+        # _elements is sorted, so the first unkeyed element is its coset's minimum
         self._keys: Dict[tuple, tuple] = {}
         for g in group._elements:
-            coset = [_perm_mul(g, n) for n in self._n]
-            self._keys[g] = min(coset)
+            if g not in self._keys:
+                for n in self._n:
+                    self._keys[_perm_mul(g, n)] = g
         even = frozenset(p for p in group._elements if _perm_parity(p) == 0)
         self._sign_quotient = self._n == even and len(group._elements) == 2 * len(even)
 
@@ -720,20 +744,18 @@ class FiniteQuotient(QuotientSpec):
             for q in self._n:
                 if _perm_mul(p, q) not in self._n:
                     raise QuotientError(f"not closed under products at {p} * {q}")
-        for g in group._elements:
+        # G is finite: N is normal once each generator's conjugation maps N into N
+        for g in group._generator_payloads:
             gi = _perm_inv(g)
             for n in self._n:
                 if _perm_mul(_perm_mul(g, n), gi) not in self._n:
                     raise QuotientError(f"subgroup is not normal: conjugating {n} by {g} escapes")
-        # abelian quotient <=> every commutator lies in N
-        for g in group._elements:
-            for h in group._elements:
-                comm = _perm_mul(_perm_mul(g, h), _perm_inv(_perm_mul(h, g)))
-                if comm not in self._n:
-                    raise QuotientError(
-                        "quotient is not abelian (a commutator escapes the subgroup)",
-                        diagnostic=self._class_vs_coset_counterexample(),
-                    )
+        # with N normal, G/N is abelian <=> the generators commute modulo N
+        if not all(c in self._n for c in group._generator_commutators()):
+            raise QuotientError(
+                "quotient is not abelian (a commutator escapes the subgroup)",
+                diagnostic=self._class_vs_coset_counterexample(),
+            )
 
     def _class_vs_coset_counterexample(self) -> dict:
         """An element whose conjugacy class is not contained in its coset.
@@ -743,13 +765,14 @@ class FiniteQuotient(QuotientSpec):
         """
         group: PermutationGroup = self.group  # type: ignore[assignment]
         for a in group._elements:
-            cls = group._class_payloads(a)
-            coset = frozenset(_perm_mul(a, n) for n in self._n)
-            if not cls <= coset:
+            # N is normal, so [a] lies in aN iff a commutes with each generator modulo N
+            ai = _perm_inv(a)
+            if any(_perm_mul(_perm_mul(ai, s), _perm_mul(a, _perm_inv(s))) not in self._n
+                   for s in group._generator_payloads):
                 return {
                     "element": a,
-                    "conjugacy_class": sorted(cls),
-                    "coset": sorted(coset),
+                    "conjugacy_class": sorted(group._class_payloads(a)),
+                    "coset": sorted(_perm_mul(a, n) for n in self._n),
                 }
         return {}
 
@@ -760,9 +783,6 @@ class FiniteQuotient(QuotientSpec):
     def combine(self, k1: tuple, k2: tuple) -> tuple:
         return self._keys[_perm_mul(k1, k2)]
 
-    def subgroup_elements(self) -> FrozenSet[GroupElement]:
-        return frozenset(GroupElement(self.group, p) for p in self._n)
-
     def key_name(self, k: tuple) -> str:
         if self._sign_quotient:
             return "even" if k == self.identity_key() else "odd"
@@ -770,6 +790,10 @@ class FiniteQuotient(QuotientSpec):
 
 
 _PERM_CACHE: Dict[str, PermutationGroup] = {}
+
+# Largest degree group_from_name builds: closure stores every element with a
+# word, and an explicit quotient's product-closure check is O(|N|^2).
+MAX_PERM_DEGREE = 6
 
 
 def group_from_name(name: str) -> Group:
@@ -781,7 +805,12 @@ def group_from_name(name: str) -> Group:
     if name.startswith("perm:"):
         short = name.split(":", 1)[1]
         if short not in _PERM_CACHE:
-            kind, degree = short[0], int(short[1:])
+            kind, degree = short[:1], int(short[1:])
+            if kind in ("s", "a") and degree > MAX_PERM_DEGREE:
+                raise ValueError(
+                    f"permutation degree {degree} exceeds the limit "
+                    f"MAX_PERM_DEGREE = {MAX_PERM_DEGREE}"
+                )
             if kind == "s":
                 _PERM_CACHE[short] = PermutationGroup.symmetric(degree)
             elif kind == "a":

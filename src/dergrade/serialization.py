@@ -32,6 +32,13 @@ def arrow_from_json(group: Group, data) -> Arrow:
         raise SpecError(f"bad arrow spec: {exc}") from exc
 
 
+def algebra_element_from_json(group: Group, data) -> AlgebraElement:
+    try:
+        return AlgebraElement.from_json(group, data)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad algebra element: {exc}") from exc
+
+
 def derivation_to_json(d: Derivation) -> dict:
     if d.spec is not None:
         return d.spec

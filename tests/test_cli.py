@@ -129,6 +129,36 @@ class TestErrorPaths:
         assert main(["decompose", "--group", "zn:2", "--in", spec]) == 2
 
 
+MALFORMED = {
+    "zero-samples": (
+        ["verify", "--group", "heisenberg", "--samples", "0"], None, "--samples"),
+    "non-integer-entry": (
+        ["apply", "--group", "heisenberg"],
+        {"derivation": {"group": "heisenberg", "kind": "inner",
+                        "a": [[[1, 1, 0, 1], [1, 0, 0]]]},
+         "element": [[[1, 1, 0, 1], [1, 0.5, 0]]]},
+        "integers"),
+    "zero-denominator": (
+        ["apply", "--group", "heisenberg"],
+        {"derivation": {"group": "heisenberg", "kind": "inner",
+                        "a": [[[1, 0, 0, 1], [1, 0, 0]]]},
+         "element": [[[1, 1, 0, 1], [0, 1, 0]]]},
+        "zero denominator"),
+    "empty-perm-name": (["info", "--group", "perm:"], None, "int()"),
+}
+
+
+@pytest.mark.parametrize("argv, job, reason", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_malformed_input_exit_2(tmp_path, capsys, argv, job, reason):
+    if job is not None:
+        argv = argv + ["--in", write(tmp_path / "job.json", job)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and reason in captured.err
+
+
 class TestRoundTrips:
     def test_derivation_json_round_trip(self):
         from dergrade.sampling import Sampler

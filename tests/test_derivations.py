@@ -16,6 +16,7 @@ from dergrade import (
     char_inner_formula,
     commutator,
     find_inner_witness,
+    group_from_name,
     verify_char_composition,
     verify_leibniz,
 )
@@ -289,6 +290,43 @@ class TestLeibniz:
         images[s] = images[s] + mono(S4.element((2, 3, 4, 1)))
         with pytest.raises(DerivationTableError):
             Derivation.from_table(S4, images)
+
+
+def leibniz_pair_scan(d):
+    """The Leibniz rule on every element pair of a finite kernel: the
+    brute-force table check that relator-based validation replaces."""
+    elements = d.group.finite_elements()
+    return all(
+        d.apply_element(g * h)
+        == d.apply_element(g) * mono(h) + mono(g) * d.apply_element(h)
+        for g in elements
+        for h in elements
+    )
+
+
+class TestRelatorValidationOracle:
+    @pytest.mark.parametrize("name", ["perm:s3", "perm:a4", "perm:s4"])
+    def test_from_table_accepts_what_pair_scan_accepts(self, name):
+        group = group_from_name(name)
+        sampler = Sampler(group, seed=31)
+        verdicts = []
+        for _ in range(5):
+            valid = dict(sampler.derivation(allow_table=False).images)
+            s = sampler.rng.choice(group.generators())
+            perturbed = dict(valid)
+            perturbed[s] = valid[s] + mono(
+                sampler.element(), sampler.nonzero_coefficient()
+            )
+            for images in (valid, perturbed):
+                expected = leibniz_pair_scan(Derivation(group, images, validate=False))
+                try:
+                    Derivation.from_table(group, images)
+                    accepted = True
+                except DerivationTableError:
+                    accepted = False
+                assert accepted == expected
+                verdicts.append(expected)
+        assert True in verdicts and False in verdicts
 
 
 class TestInnerWitness:

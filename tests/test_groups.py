@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -13,7 +14,10 @@ from dergrade import (
     PermutationGroup,
     QuotientError,
     conjugate,
+    group_from_name,
 )
+from dergrade.cli import main
+from dergrade.groups import MAX_PERM_DEGREE
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -245,6 +249,75 @@ class TestQuotients:
         S4 = PermutationGroup.symmetric(4)
         with pytest.raises(QuotientError):
             S4.quotient_by([(1, 2, 3, 4), (2, 1, 3, 4), (2, 3, 1, 4)])
+
+
+PERM_NAMES = ["perm:s3", "perm:s4", "perm:s5", "perm:s6",
+              "perm:a4", "perm:a5", "perm:a6"]
+
+
+def sympy_group(generator_payloads):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    return combinatorics.PermutationGroup([
+        combinatorics.Permutation([i - 1 for i in p]) for p in generator_payloads
+    ])
+
+
+def payloads(sym_group):
+    return frozenset(tuple(i + 1 for i in p.array_form)
+                     for p in sym_group.generate())
+
+
+class TestSympyOracle:
+    @pytest.mark.parametrize("name", PERM_NAMES)
+    def test_derived_subgroup_and_center(self, name):
+        group = group_from_name(name)
+        oracle = sympy_group(s.payload for s in group.generators())
+        assert oracle.order() == len(group.finite_elements())
+        assert group.derived_payloads() == payloads(oracle.derived_subgroup())
+        assert group.center_payloads() == payloads(oracle.center())
+
+    def test_normality_verdicts_in_s4(self):
+        S4 = PermutationGroup.symmetric(4)
+        oracle = sympy_group(s.payload for s in S4.generators())
+        candidates = {
+            "transposition": [(2, 1, 3, 4)],
+            "4-cycle": [(2, 3, 4, 1)],
+            "v4": [(2, 1, 4, 3), (3, 4, 1, 2)],
+            "a4": [(2, 3, 1, 4), (2, 1, 4, 3)],
+        }
+        for gens in candidates.values():
+            sub = sympy_group(gens)
+            try:
+                S4.quotient_by(payloads(sub))
+                rejected_as_not_normal = False
+            except QuotientError as err:
+                rejected_as_not_normal = "not normal" in str(err)
+            assert rejected_as_not_normal == (not sub.is_normal(oracle))
+
+    def test_s3_non_normal_subgroup_rejected(self):
+        S3 = PermutationGroup.symmetric(3)
+        with pytest.raises(QuotientError, match="not normal") as err:
+            S3.quotient_by([(1, 2, 3), (2, 1, 3)])
+        generators = [str(s.payload) for s in S3.generators()]
+        assert any(f"by {g} escapes" in str(err.value) for g in generators)
+
+
+class TestDegreeLimit:
+    @pytest.mark.parametrize("name", ["perm:s10", "perm:a12"])
+    def test_rejected_before_enumeration(self, name, monkeypatch, capsys):
+        def enumerate_group(self):
+            raise AssertionError("group enumerated above the degree limit")
+
+        monkeypatch.setattr(PermutationGroup, "_close", enumerate_group)
+        with pytest.raises(ValueError, match=f"MAX_PERM_DEGREE = {MAX_PERM_DEGREE}"):
+            group_from_name(name)
+        assert main(["info", "--group", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "MAX_PERM_DEGREE" in captured.err
+
+    def test_limit_degree_still_builds(self):
+        group = group_from_name(f"perm:s{MAX_PERM_DEGREE}")
+        assert len(group.finite_elements()) == math.factorial(MAX_PERM_DEGREE)
 
 
 class TestStem:
