@@ -27,7 +27,6 @@ from .groups import (
     CompositionError,
     Group,
     GroupMismatchError,
-    PermutationGroup,
     QuotientError,
     QuotientSpec,
     group_from_name,
@@ -109,9 +108,7 @@ def _resolve_quotient(group: Group, selector: str) -> QuotientSpec:
     data = _load_json(_read_input(selector))
     if not isinstance(data, dict) or "subgroup" not in data:
         raise SpecError("quotient spec must be an object with a 'subgroup' list")
-    if not isinstance(group, PermutationGroup):
-        raise SpecError("explicit subgroup quotients are only supported for perm groups")
-    return group.quotient_by([tuple(p) for p in data["subgroup"]])
+    return group.quotient_by(data["subgroup"])
 
 
 def _cmd_decompose(args, group: Group) -> int:

@@ -18,11 +18,9 @@ from .coefficients import CoeffLike
 from .derivations import Derivation
 from .groups import (
     CentralityError,
-    FreeAbelian,
     Group,
     GroupElement,
     GroupMismatchError,
-    Heisenberg,
     QuotientSpec,
 )
 
@@ -168,11 +166,6 @@ def check_bracket_closure(
     return ClosureReport(tuple(checks))
 
 
-def is_stem(group: Group) -> bool:
-    """True iff the center is contained in the commutator subgroup."""
-    return group.is_stem()
-
-
 def central_component_key(
     tau: Sequence[CoeffLike], z: GroupElement, setup: GradingSetup
 ) -> CosetKey:
@@ -189,21 +182,13 @@ def zder_grading_demo(group: Group) -> dict:
 
     Stem groups localise everything at the identity key; non-stem groups
     (e.g. Z^n) exhibit central derivations at distinct nonzero keys, which is
-    the induced grading of the central-derivation subalgebra.
+    the induced grading of the central-derivation subalgebra.  The family is
+    the kernel's `central_family()`.
     """
     setup = GradingSetup.default(group)
-    basis = group.abelian_basis()
-    if isinstance(group, Heisenberg):
-        picks = [([1, 0], group.element((0, 0, 1))), ([0, 1], group.element((0, 0, 1)))]
-    elif isinstance(group, FreeAbelian):
-        picks = [([1] + [0] * (group.n - 1), b) for b in basis]
-    else:
-        raise CentralityError(
-            f"no canonical central-derivation family for {group.name}"
-        )
     entries = []
     nonzero_keys = set()
-    for tau, z in picks:
+    for tau, z in group.central_family():
         d = Derivation.central(group, tau, z)
         dec = decompose(d, setup)
         keys = dec.keys()

@@ -15,6 +15,7 @@ the payload *is* the normal form, so equality is payload equality.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -65,9 +66,6 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         return self.group.inv(self)
-
-    def is_identity(self) -> bool:
-        return self.payload == self.group.identity().payload
 
     def __repr__(self) -> str:
         return f"{self.group.name}{self.payload}"
@@ -192,8 +190,33 @@ class Group:
     # -- quotients -------------------------------------------------------------
 
     def derived_quotient(self) -> "QuotientSpec":
-        """Quotient by the commutator subgroup (the default grading quotient)."""
-        raise NotImplementedError
+        """Quotient by the commutator subgroup (the default grading quotient):
+        by default the abelianization, keyed by `abelian_coords`."""
+        return QuotientSpec(self)
+
+    def quotient_by(self, subgroup_payloads: Iterable[Sequence]) -> "QuotientSpec":
+        """Quotient by an explicit normal subgroup, listed element by element."""
+        raise CapabilityError("explicit subgroup quotients are only supported for perm groups")
+
+    # -- sampling and central derivations ---------------------------------------
+
+    def random_element(self, rng: random.Random, box: int) -> GroupElement:
+        """An element whose payload entries are drawn from [-box, box] in turn."""
+        return self.element(tuple(rng.randint(-box, box) for _ in self.identity().payload))
+
+    def has_central_derivations(self) -> bool:
+        """Whether `random_central` can draw a nonzero central derivation."""
+        return False
+
+    def random_central(self, rng: random.Random, box: int) -> Tuple[List[int], GroupElement]:
+        """(tau, z) of a random central derivation g -> tau(g) * g * z, with
+        tau given on the generators and z central."""
+        raise TypeError(f"no central derivations sampled for {self.name}")
+
+    def central_family(self) -> List[Tuple[List[int], GroupElement]]:
+        """A canonical list of (tau, z) central derivations, one per
+        abelianization direction."""
+        raise CapabilityError(f"{self.name} has no free abelianization basis")
 
     # -- descriptions -----------------------------------------------------------
 
@@ -318,8 +341,16 @@ class Heisenberg(Group):
         a, b, _ = g.payload
         return (a, b)
 
-    def derived_quotient(self) -> "QuotientSpec":
-        return HeisenbergDerivedQuotient(self)
+    def has_central_derivations(self) -> bool:
+        return True
+
+    def random_central(self, rng: random.Random, box: int) -> Tuple[List[int], GroupElement]:
+        tau = [rng.randint(-2, 2), rng.randint(-2, 2)]
+        return tau, self.element((0, 0, rng.randint(-2, 2)))
+
+    def central_family(self) -> List[Tuple[List[int], GroupElement]]:
+        z = self.element((0, 0, 1))
+        return [([1, 0], z), ([0, 1], z)]
 
     def center_description(self) -> str:
         return "{(0, 0, c) : c in Z} (the c-axis)"
@@ -409,8 +440,15 @@ class FreeAbelian(Group):
         self._check(g)
         return g.payload
 
-    def derived_quotient(self) -> "QuotientSpec":
-        return FreeAbelianTrivialQuotient(self)
+    def has_central_derivations(self) -> bool:
+        return True
+
+    def random_central(self, rng: random.Random, box: int) -> Tuple[List[int], GroupElement]:
+        tau = [rng.randint(-2, 2) for _ in range(self.n)]
+        return tau, self.random_element(rng, box)
+
+    def central_family(self) -> List[Tuple[List[int], GroupElement]]:
+        return [([1] + [0] * (self.n - 1), b) for b in self.abelian_basis()]
 
     def center_description(self) -> str:
         return "the whole group (abelian)"
@@ -546,6 +584,9 @@ class PermutationGroup(Group):
     def generators(self) -> List[GroupElement]:
         return [GroupElement(self, p) for p in self._generator_payloads]
 
+    def random_element(self, rng: random.Random, box: int) -> GroupElement:
+        return self.element(rng.choice(self._elements))
+
     def word(self, g: GroupElement) -> List[GroupElement]:
         self._check(g)
         return [GroupElement(self, p) for p in self._words[g.payload]]
@@ -653,21 +694,22 @@ class QuotientSpec:
     """A normal subgroup N of G with abelian G/N, exposed as a key map.
 
     Keys are canonical coset labels: the key map is constant on cosets,
-    injective across cosets, and composes with the group operation.
+    injective across cosets, and composes with the group operation.  This
+    base class is the abelianization G/G' of a kernel whose abelianization
+    is free abelian: the key of g is `group.abelian_coords(g)`, and keys add.
     """
 
-    def __init__(self, group: Group, description: str):
+    def __init__(self, group: Group):
         self.group = group
-        self.description = description
 
     def key(self, g: GroupElement) -> tuple:
-        raise NotImplementedError
+        return self.group.abelian_coords(g)
 
     def identity_key(self) -> tuple:
         return self.key(self.group.identity())
 
     def combine(self, k1: tuple, k2: tuple) -> tuple:
-        raise NotImplementedError
+        return tuple(a + b for a, b in zip(k1, k2))
 
     def contains(self, g: GroupElement) -> bool:
         """Membership in N."""
@@ -680,35 +722,6 @@ class QuotientSpec:
         return str(tuple(k))
 
 
-class HeisenbergDerivedQuotient(QuotientSpec):
-    """H / H' with H' the c-axis; keys are (a, b) in Z + Z."""
-
-    def __init__(self, group: Heisenberg):
-        super().__init__(group, "derived subgroup (= center, the c-axis)")
-
-    def key(self, g: GroupElement) -> tuple:
-        self.group._check(g)
-        a, b, _ = g.payload
-        return (a, b)
-
-    def combine(self, k1: tuple, k2: tuple) -> tuple:
-        return (k1[0] + k2[0], k1[1] + k2[1])
-
-
-class FreeAbelianTrivialQuotient(QuotientSpec):
-    """Z^n / {0}: the key is the vector itself."""
-
-    def __init__(self, group: FreeAbelian):
-        super().__init__(group, "trivial subgroup (derived subgroup of Z^n)")
-
-    def key(self, g: GroupElement) -> tuple:
-        self.group._check(g)
-        return g.payload
-
-    def combine(self, k1: tuple, k2: tuple) -> tuple:
-        return tuple(a + b for a, b in zip(k1, k2))
-
-
 class FiniteQuotient(QuotientSpec):
     """Quotient of a finite permutation group by an explicit normal subgroup.
 
@@ -719,7 +732,7 @@ class FiniteQuotient(QuotientSpec):
     """
 
     def __init__(self, group: PermutationGroup, subgroup_payloads: Sequence[tuple]):
-        super().__init__(group, f"normal subgroup of order {len(set(subgroup_payloads))}")
+        super().__init__(group)
         self._n = frozenset(tuple(p) for p in subgroup_payloads)
         self._validate()
         # _elements is sorted, so the first unkeyed element is its coset's minimum
@@ -741,9 +754,25 @@ class FiniteQuotient(QuotientSpec):
                 raise QuotientError(f"{p} is not an element of {group.name}")
             if _perm_inv(p) not in self._n:
                 raise QuotientError(f"not closed under inverses at {p}")
-            for q in self._n:
-                if _perm_mul(p, q) not in self._n:
-                    raise QuotientError(f"not closed under products at {p} * {q}")
+        # A finite set closed under products is a subgroup.  Grow <N> from
+        # generators chosen greedily, each the least element of N not yet
+        # reached, and multiply every reached element by every generator:
+        # O(|N| log |N|) products, where checking all pairs would take |N|^2.
+        reached = {identity}
+        gens: List[tuple] = []
+        for q in sorted(self._n):
+            if q in reached:
+                continue
+            gens.append(q)
+            stack = [(a, q) for a in sorted(reached)]
+            while stack:
+                a, s = stack.pop()
+                b = _perm_mul(a, s)
+                if b not in self._n:
+                    raise QuotientError(f"not closed under products at {a} * {s}")
+                if b not in reached:
+                    reached.add(b)
+                    stack.extend((b, t) for t in gens)
         # G is finite: N is normal once each generator's conjugation maps N into N
         for g in group._generator_payloads:
             gi = _perm_inv(g)
@@ -792,7 +821,7 @@ class FiniteQuotient(QuotientSpec):
 _PERM_CACHE: Dict[str, PermutationGroup] = {}
 
 # Largest degree group_from_name builds: closure stores every element with a
-# word, and an explicit quotient's product-closure check is O(|N|^2).
+# word.
 MAX_PERM_DEGREE = 6
 
 

@@ -6,19 +6,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import AlgebraElement
 from .coefficients import GaussianRational
 from .derivations import Derivation
-from .groups import (
-    Arrow,
-    FreeAbelian,
-    Group,
-    GroupElement,
-    Heisenberg,
-    PermutationGroup,
-)
+from .groups import Arrow, Group, GroupElement
 
 
 class Sampler:
@@ -56,14 +49,7 @@ class Sampler:
     # -- group elements --------------------------------------------------------
 
     def element(self) -> GroupElement:
-        g = self.group
-        if isinstance(g, Heisenberg):
-            return g.element(tuple(self.rng.randint(-self.box, self.box) for _ in range(3)))
-        if isinstance(g, FreeAbelian):
-            return g.element(tuple(self.rng.randint(-self.box, self.box) for _ in range(g.n)))
-        if isinstance(g, PermutationGroup):
-            return g.element(self.rng.choice(g._elements))
-        raise TypeError(f"no sampler for {g.name}")
+        return self.group.random_element(self.rng, self.box)
 
     def word_element(self, length: Optional[int] = None) -> GroupElement:
         if length is None:
@@ -89,23 +75,9 @@ class Sampler:
     def inner_derivation(self) -> Derivation:
         return Derivation.inner(self.algebra_element(max_terms=2))
 
-    def _central_pick(self) -> Tuple[List[int], GroupElement]:
-        g = self.group
-        if isinstance(g, Heisenberg):
-            tau = [self.rng.randint(-2, 2), self.rng.randint(-2, 2)]
-            z = g.element((0, 0, self.rng.randint(-2, 2)))
-            return tau, z
-        if isinstance(g, FreeAbelian):
-            tau = [self.rng.randint(-2, 2) for _ in range(g.n)]
-            return tau, self.element()
-        raise TypeError(f"no central derivations sampled for {g.name}")
-
     def central_derivation(self) -> Derivation:
-        tau, z = self._central_pick()
+        tau, z = self.group.random_central(self.rng, self.box)
         return Derivation.central(self.group, tau, z)
-
-    def has_central(self) -> bool:
-        return isinstance(self.group, (Heisenberg, FreeAbelian))
 
     def tabular_derivation(self) -> Derivation:
         # a valid combination re-entered through the validated table path
@@ -114,7 +86,7 @@ class Sampler:
 
     def derivation(self, allow_table: bool = True) -> Derivation:
         choices = ["inner", "sum"]
-        if self.has_central():
+        if self.group.has_central_derivations():
             choices += ["central", "mixed"]
         if allow_table:
             choices.append("table")

@@ -7,7 +7,7 @@ pass/fail; the CLI `verify` command and the acceptance tests both run these.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Iterator, List, Optional
 
 from .derivations import (
     char_bracket_value,
@@ -20,7 +20,7 @@ from .grading import (
     decompose,
     support_cosets,
 )
-from .groups import Arrow, Group, QuotientSpec
+from .groups import Group, QuotientSpec
 from .sampling import Sampler
 
 
@@ -35,82 +35,55 @@ class PropertyResult:
         return self.failed == 0
 
 
-def check_leibniz(sampler: Sampler, samples: int) -> PropertyResult:
-    passed = failed = 0
-    for _ in range(samples):
-        d = sampler.derivation()
-        x = sampler.algebra_element()
-        y = sampler.algebra_element()
-        if verify_leibniz(d, x, y):
-            passed += 1
-        else:
-            failed += 1
-    return PropertyResult("leibniz", passed, failed)
+ARROWS_PER_PAIR = 10
 
 
-def check_char_composition(sampler: Sampler, samples: int) -> PropertyResult:
-    passed = failed = 0
-    for _ in range(samples):
-        d = sampler.derivation()
-        phi, psi = sampler.composable_arrows()
-        if verify_char_composition(d, phi, psi):
-            passed += 1
-        else:
-            failed += 1
-    return PropertyResult("char-composition", passed, failed)
+# Each check draws one sample's inputs and yields one verdict per check made.
+
+def _leibniz(sampler: Sampler, setup: GradingSetup) -> Iterator[bool]:
+    d = sampler.derivation()
+    x = sampler.algebra_element()
+    y = sampler.algebra_element()
+    yield verify_leibniz(d, x, y)
 
 
-def check_bracket_equivalence(
-    sampler: Sampler, samples: int, arrows_per_pair: int = 10
-) -> PropertyResult:
-    passed = failed = 0
-    for _ in range(samples):
-        d = sampler.derivation()
-        p = sampler.derivation()
-        bracket = d.bracket(p)
-        for _ in range(arrows_per_pair):
-            arrow = sampler.arrow(bracket)
-            if char_bracket_value(d, p, arrow) == bracket.character(arrow):
-                passed += 1
-            else:
-                failed += 1
-    return PropertyResult("bracket-equivalence", passed, failed)
+def _char_composition(sampler: Sampler, setup: GradingSetup) -> Iterator[bool]:
+    d = sampler.derivation()
+    phi, psi = sampler.composable_arrows()
+    yield verify_char_composition(d, phi, psi)
 
 
-def check_closure(
-    sampler: Sampler, setup: GradingSetup, samples: int
-) -> PropertyResult:
-    passed = failed = 0
-    for _ in range(samples):
-        report = check_bracket_closure(
-            sampler.derivation(), sampler.derivation(), setup
-        )
-        if report.passed:
-            passed += 1
-        else:
-            failed += 1
-    return PropertyResult("closure", passed, failed)
+def _bracket_equivalence(sampler: Sampler, setup: GradingSetup) -> Iterator[bool]:
+    d = sampler.derivation()
+    p = sampler.derivation()
+    bracket = d.bracket(p)
+    for _ in range(ARROWS_PER_PAIR):
+        arrow = sampler.arrow(bracket)
+        yield char_bracket_value(d, p, arrow) == bracket.character(arrow)
 
 
-def check_direct_sum(
-    sampler: Sampler, setup: GradingSetup, samples: int
-) -> PropertyResult:
-    passed = failed = 0
-    for _ in range(samples):
-        d = sampler.derivation()
-        dec = decompose(d, setup)
-        ok = dec.total() == d
-        seen = set()
-        for key, comp in dec.components.items():
-            cosets = support_cosets(comp, setup)
-            if not cosets <= {key} or key in seen:
-                ok = False
-            seen.add(key)
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-    return PropertyResult("direct-sum", passed, failed)
+def _closure(sampler: Sampler, setup: GradingSetup) -> Iterator[bool]:
+    d = sampler.derivation()
+    p = sampler.derivation()
+    yield check_bracket_closure(d, p, setup).passed
+
+
+def _direct_sum(sampler: Sampler, setup: GradingSetup) -> Iterator[bool]:
+    d = sampler.derivation()
+    dec = decompose(d, setup)
+    yield dec.total() == d and all(
+        support_cosets(comp, setup) <= {key} for key, comp in dec.components.items()
+    )
+
+
+# Suites in run order; the suite at index i draws from Sampler(group, seed + i).
+SUITES = (
+    ("leibniz", _leibniz),
+    ("char-composition", _char_composition),
+    ("bracket-equivalence", _bracket_equivalence),
+    ("closure", _closure),
+    ("direct-sum", _direct_sum),
+)
 
 
 def run_all(
@@ -122,13 +95,10 @@ def run_all(
     word_len: int = 4,
 ) -> List[PropertyResult]:
     setup = GradingSetup(group, quotient or group.derived_quotient())
-    results = [
-        check_leibniz(Sampler(group, seed, word_len=word_len), samples),
-        check_char_composition(Sampler(group, seed + 1, word_len=word_len), samples),
-        check_bracket_equivalence(
-            Sampler(group, seed + 2, word_len=word_len), samples
-        ),
-        check_closure(Sampler(group, seed + 3, word_len=word_len), setup, samples),
-        check_direct_sum(Sampler(group, seed + 4, word_len=word_len), setup, samples),
-    ]
+    results = []
+    for offset, (name, check) in enumerate(SUITES):
+        sampler = Sampler(group, seed + offset, word_len=word_len)
+        verdicts = [ok for _ in range(samples) for ok in check(sampler, setup)]
+        passed = sum(verdicts)
+        results.append(PropertyResult(name, passed, len(verdicts) - passed))
     return results

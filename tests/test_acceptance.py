@@ -24,7 +24,6 @@ from dergrade import (
     check_bracket_closure,
     decompose,
     inner_graded_decomposition,
-    is_stem,
     support_cosets,
     verify_leibniz,
     zder_grading_demo,
@@ -193,7 +192,7 @@ def test_criterion_6_rejection_paths(tmp_path, capsys):
 
 
 def test_criterion_7_stem_localisation():
-    ok = is_stem(H) and not is_stem(Z2)
+    ok = H.is_stem() and not Z2.is_stem()
     sampler = Sampler(H, seed=701)
     for _ in range(50):
         d = sampler.central_derivation()

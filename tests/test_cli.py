@@ -100,6 +100,16 @@ class TestOtherCommands:
             assert f"PASS {name}" in out
         assert "FAIL" not in out
 
+    def test_verify_failing_suite_exit_4(self, monkeypatch, capsys):
+        import dergrade.verification
+
+        monkeypatch.setattr(dergrade.verification, "verify_leibniz",
+                            lambda d, x, y: False)
+        assert main(["verify", "--group", "heisenberg", "--samples", "3"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "FAIL leibniz (0 passed, 3 failed)"
+        assert all(line.startswith("PASS ") for line in lines[1:])
+
     def test_info(self, capsys):
         assert main(["info", "--group", "heisenberg"]) == 0
         out = capsys.readouterr().out
@@ -127,6 +137,17 @@ class TestErrorPaths:
     def test_group_mismatch_exit_2(self, tmp_path):
         spec = write(tmp_path / "d.json", inner_spec((1, 0, 0)))
         assert main(["decompose", "--group", "zn:2", "--in", spec]) == 2
+
+    @pytest.mark.parametrize("group", ["heisenberg", "zn:2"])
+    def test_explicit_quotient_needs_perm_group(self, tmp_path, capsys, group):
+        quotient = write(tmp_path / "q.json", {"subgroup": [[0, 0, 1]]})
+        spec = write(tmp_path / "d.json", {"kind": "inner", "a": []})
+        assert main(["decompose", "--group", group, "--quotient", quotient,
+                     "--in", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: explicit subgroup quotients are only supported for perm groups\n")
 
 
 MALFORMED = {

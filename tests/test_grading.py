@@ -15,7 +15,6 @@ from dergrade import (
     check_bracket_closure,
     decompose,
     inner_graded_decomposition,
-    is_stem,
     project,
     support_classes,
     support_cosets,
@@ -175,11 +174,6 @@ class TestSetupRejection:
 
 
 class TestStemLocalisation:
-    def test_verdicts(self):
-        assert is_stem(H)
-        assert not is_stem(Z2)
-        assert is_stem(PermutationGroup.symmetric(4))
-
     def test_central_component_key(self):
         assert central_component_key([2, 3], h(0, 0, 5), SETUP_H) == (0, 0)
         assert central_component_key([1, 0], Z2.element((0, 1)), SETUP_Z2) == (0, 1)

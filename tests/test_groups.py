@@ -302,6 +302,65 @@ class TestSympyOracle:
         assert any(f"by {g} escapes" in str(err.value) for g in generators)
 
 
+def pair_scan_is_subgroup(group, subset):
+    # the O(|N|^2) check, kept as an oracle: a finite set is a subgroup iff
+    # it holds the identity and is closed under all pairwise products
+    elems = {group.element(p) for p in subset}
+    return group.identity() in elems and all(a * b in elems for a in elems for b in elems)
+
+
+def generated(group, gens):
+    out = {group.identity()}
+    frontier = list(out)
+    while frontier:
+        frontier = [a * s for a in frontier for s in gens if a * s not in out]
+        out.update(frontier)
+    return out
+
+
+class TestSubgroupCheck:
+    SUBSET_ERRORS = ("must contain the identity", "not closed under")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_pair_scan_on_s4_subsets(self, seed):
+        S4 = group_from_name("perm:s4")
+        elements = S4.finite_elements()
+        rng = random.Random(seed)
+        verdicts = []
+        for i in range(40):
+            subset = generated(S4, rng.sample(elements, rng.randint(1, 2)))
+            x = rng.choice(elements)
+            if i % 4 == 1:
+                # x with x^-1, so that only the product check can fail
+                subset |= {x, x.inverse()}
+            elif i % 4 == 2:
+                subset |= {h * x for h in subset}
+            elif i % 4 == 3:
+                subset = {S4.identity(), *rng.sample(elements, rng.randint(1, 8))}
+            payload_set = sorted(g.payload for g in subset)
+            try:
+                S4.quotient_by(payload_set)
+                accepted = True
+            except QuotientError as err:
+                accepted = not any(m in str(err) for m in self.SUBSET_ERRORS)
+            expected = pair_scan_is_subgroup(S4, payload_set)
+            assert accepted == expected, payload_set
+            verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
+    def test_product_escape_named(self):
+        S4 = group_from_name("perm:s4")
+        with pytest.raises(QuotientError, match=r"not closed under products at \(.*\) \* \("):
+            S4.quotient_by([(1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3)])
+
+    @pytest.mark.parametrize("name", PERM_NAMES)
+    def test_derived_quotients_accepted(self, name):
+        group = group_from_name(name)
+        quotient = group.derived_quotient()
+        keys = {quotient.key(g) for g in group.finite_elements()}
+        assert len(keys) * len(group.derived_payloads()) == len(group.finite_elements())
+
+
 class TestDegreeLimit:
     @pytest.mark.parametrize("name", ["perm:s10", "perm:a12"])
     def test_rejected_before_enumeration(self, name, monkeypatch, capsys):
