@@ -18,16 +18,10 @@ class AlgebraElement:
     __slots__ = ("group", "_terms")
 
     def __init__(self, group: Group, terms: Dict[GroupElement, GaussianRational]):
-        clean: Dict[GroupElement, GaussianRational] = {}
-        for g, c in terms.items():
-            if g.group != group:
-                raise GroupMismatchError(
-                    f"term from {g.group.name} in an algebra over {group.name}"
-                )
-            if c:
-                clean[g] = c
+        # terms come from operands already over `group`; from_terms checks
+        # outside terms
         self.group = group
-        self._terms = clean
+        self._terms = {g: c for g, c in terms.items() if c}
 
     # -- constructors --------------------------------------------------------
 
@@ -45,6 +39,7 @@ class AlgebraElement:
     ) -> "AlgebraElement":
         acc: Dict[GroupElement, GaussianRational] = {}
         for g, c in pairs:
+            group._check(g)
             acc[g] = acc.get(g, ZERO) + as_coefficient(c)
         return AlgebraElement(group, acc)
 

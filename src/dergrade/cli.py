@@ -106,8 +106,13 @@ def _resolve_quotient(group: Group, selector: str) -> QuotientSpec:
     if selector == "derived":
         return group.derived_quotient()
     data = _load_json(_read_input(selector))
-    if not isinstance(data, dict) or "subgroup" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("subgroup"), list):
         raise SpecError("quotient spec must be an object with a 'subgroup' list")
+    for entry in data["subgroup"]:
+        if not isinstance(entry, list) or not all(isinstance(v, int) for v in entry):
+            raise SpecError(
+                f"quotient subgroup entry {json.dumps(entry)} is not a list of integers"
+            )
     return group.quotient_by(data["subgroup"])
 
 

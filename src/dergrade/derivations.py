@@ -9,7 +9,7 @@ value of the character on an arrow (u, v) is the coefficient of u in d(v).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .algebra import AlgebraElement, commutator
 from .coefficients import CoeffLike, GaussianRational, ZERO, as_coefficient
@@ -34,33 +34,26 @@ class Derivation:
         group: Group,
         images: Dict[GroupElement, AlgebraElement],
         *,
-        validate: bool = True,
         spec: Optional[dict] = None,
     ):
-        gens = group.generators()
-        if set(images) != set(gens):
-            raise DerivationTableError(
-                "images must be given on exactly the generating set"
-            )
-        for s, img in images.items():
-            if img.group != group:
-                raise GroupMismatchError("generator image over the wrong group")
+        """The derivation with the given generator images, which must
+        already be known to define one: an image over `group` for every
+        generator, consistent with the relators.  Nothing is checked here;
+        `from_table` is the constructor for images from outside."""
         self.group = group
-        self.images = {s: images[s] for s in gens}
+        self.images = {s: images[s] for s in group.generators()}
         self.spec = spec
         self._cache: Dict[GroupElement, AlgebraElement] = {
             group.identity(): AlgebraElement.zero(group)
         }
         self._letter_cache: Dict[GroupElement, AlgebraElement] = {}
-        if validate:
-            self._validate_table()
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(group: Group) -> "Derivation":
         images = {s: AlgebraElement.zero(group) for s in group.generators()}
-        return Derivation(group, images, validate=False)
+        return Derivation(group, images)
 
     @staticmethod
     def inner(a: AlgebraElement) -> "Derivation":
@@ -70,7 +63,7 @@ class Derivation:
             s: commutator(AlgebraElement.monomial(s), a) for s in group.generators()
         }
         spec = {"group": group.name, "kind": "inner", "a": a.to_json()}
-        return Derivation(group, images, validate=False, spec=spec)
+        return Derivation(group, images, spec=spec)
 
     @staticmethod
     def central(
@@ -81,6 +74,7 @@ class Derivation:
         tau is given by its values on the free basis of the abelianization, so
         it automatically vanishes on the commutator subgroup.
         """
+        group._check(z)
         if not group.is_central(z):
             raise CentralityError(f"{z!r} is not central in {group.name}")
         basis = group.abelian_basis()
@@ -102,13 +96,24 @@ class Derivation:
             "tau": [t.to_json() for t in coeffs],
             "z": group.element_to_json(z),
         }
-        return Derivation(group, images, validate=False, spec=spec)
+        return Derivation(group, images, spec=spec)
 
     @staticmethod
     def from_table(
         group: Group, images: Dict[GroupElement, AlgebraElement]
     ) -> "Derivation":
-        return Derivation(group, images, validate=True)
+        """The derivation with generator images from outside, checked to be
+        over `group`, on exactly the generating set, and consistent with
+        every relator."""
+        if set(images) != set(group.generators()):
+            raise DerivationTableError(
+                "images must be given on exactly the generating set"
+            )
+        if any(img.group != group for img in images.values()):
+            raise GroupMismatchError("generator image over the wrong group")
+        d = Derivation(group, images)
+        d._validate_table()
+        return d
 
     # -- table validation ----------------------------------------------------
 
@@ -161,6 +166,8 @@ class Derivation:
         """d(g) for a single group element, via a word in the generators."""
         cached = self._cache.get(g)
         if cached is None:
+            # an element of another group never equals a cached key
+            self.group._check(g)
             cached = self._apply_word(self.group.word(g))
             self._cache[g] = cached
         return cached
@@ -177,8 +184,8 @@ class Derivation:
         return self.apply(x)
 
     def character(self, arrow: Arrow) -> GaussianRational:
-        """chi^d(u, v): the coefficient of u in d(v)."""
-        self.group._check(arrow.u, arrow.v)
+        """chi^d(u, v): the coefficient of u in d(v).  The arrow's endpoints
+        share a group, which `apply_element` checks."""
         return self.apply_element(arrow.v).coefficient(arrow.u)
 
     # -- Lie algebra structure -------------------------------------------------
@@ -190,14 +197,14 @@ class Derivation:
     def __add__(self, other: "Derivation") -> "Derivation":
         self._check_group(other)
         images = {s: self.images[s] + other.images[s] for s in self.images}
-        return Derivation(self.group, images, validate=False)
+        return Derivation(self.group, images)
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + other.scale(-1)
 
     def scale(self, coeff: CoeffLike) -> "Derivation":
         images = {s: img.scale(coeff) for s, img in self.images.items()}
-        return Derivation(self.group, images, validate=False)
+        return Derivation(self.group, images)
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """[d, other] as operator commutator on the generator images."""
@@ -206,7 +213,7 @@ class Derivation:
             s: self.apply(other.images[s]) - other.apply(self.images[s])
             for s in self.images
         }
-        return Derivation(self.group, images, validate=False)
+        return Derivation(self.group, images)
 
     def is_zero(self) -> bool:
         return not any(self.images.values())
@@ -247,7 +254,7 @@ def char_inner_formula(a: GroupElement, arrow: Arrow) -> GaussianRational:
     """Closed form for the character of the inner derivation at a:
     [a == source] - [a == target].  When source == target == a the indicator
     difference is 0, matching d_a vanishing on commuting elements."""
-    a.group._check(arrow.u, arrow.v)
+    a.group._check(arrow.u)
     value = ZERO
     if arrow.source() == a:
         value = value + GaussianRational.of(1)
@@ -266,8 +273,6 @@ def char_bracket_value(
     a right factor that vanishes elsewhere.
     """
     d._check_group(p)
-    group = d.group
-    group._check(arrow.u, arrow.v)
     a, b = arrow.u, arrow.v
     middle = d.apply_element(b).support() | p.apply_element(b).support()
     total = ZERO

@@ -10,8 +10,8 @@ exercised on top of the same machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .algebra import AlgebraElement
 from .coefficients import CoeffLike
@@ -91,15 +91,15 @@ def project(d: Derivation, key: CosetKey, setup: GradingSetup) -> Derivation:
     images: Dict[GroupElement, AlgebraElement] = {}
     for s in d.group.generators():
         s_inv = s.inverse()
-        images[s] = AlgebraElement.from_terms(
+        images[s] = AlgebraElement(
             d.group,
-            [
-                (k, c)
+            {
+                k: c
                 for k, c in d.images[s].items()
                 if setup.quotient.key(s_inv * k) == key
-            ],
+            },
         )
-    return Derivation(d.group, images, validate=False)
+    return Derivation(d.group, images)
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,7 @@ def central_component_key(
 ) -> CosetKey:
     """The single coset key of a central derivation: the coset of z (every
     support arrow has source z).  For stem groups this is the identity key."""
+    setup.group._check(z)
     if not setup.group.is_central(z):
         raise CentralityError(f"{z!r} is not central in {setup.group.name}")
     return setup.quotient.key(z)

@@ -62,6 +62,7 @@ class GroupElement:
     payload: tuple
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
+        self.group._check(other)
         return self.group.mul(self, other)
 
     def inverse(self) -> "GroupElement":
@@ -105,7 +106,14 @@ class Arrow:
 
 
 class Group:
-    """Base interface of a group kernel."""
+    """Base interface of a group kernel.
+
+    Kernel methods (`mul`, `inv`, `word` and the conjugacy, centre and
+    abelianization oracles) take elements of this group and do not check
+    them.  Membership is checked once where outside values meet: products of
+    `GroupElement`s, `Arrow`, and the algebra, derivation and grading entry
+    points, each through `_check`.
+    """
 
     def __init__(self, name: str, key: tuple):
         self.name = name
@@ -128,12 +136,9 @@ class Group:
     def identity(self) -> GroupElement:
         raise NotImplementedError
 
-    def _check(self, *elems: GroupElement) -> None:
-        for g in elems:
-            if g.group != self:
-                raise GroupMismatchError(
-                    f"element of {g.group.name} used with {self.name}"
-                )
+    def _check(self, g: GroupElement) -> None:
+        if g.group != self:
+            raise GroupMismatchError(f"element of {g.group.name} used with {self.name}")
 
     # -- group operations ----------------------------------------------------
 
@@ -266,13 +271,11 @@ class Heisenberg(Group):
         return GroupElement(self, (0, 0, 0))
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        self._check(g, h)
         a, b, c = g.payload
         x, y, z = h.payload
         return GroupElement(self, (a + x, b + y, c + z + a * y))
 
     def inv(self, g: GroupElement) -> GroupElement:
-        self._check(g)
         a, b, c = g.payload
         return GroupElement(self, (-a, -b, a * b - c))
 
@@ -308,7 +311,6 @@ class Heisenberg(Group):
         ]
 
     def is_central(self, z: GroupElement) -> bool:
-        self._check(z)
         a, b, _ = z.payload
         return a == 0 and b == 0
 
@@ -317,7 +319,6 @@ class Heisenberg(Group):
         # of a non-central element is {(a, b, c + k*gcd(a,b))}; central
         # elements form singleton classes.  Validated against the brute-force
         # oracle in the test suite.
-        self._check(a, b)
         a1, b1, c1 = a.payload
         a2, b2, c2 = b.payload
         if (a1, b1) != (a2, b2):
@@ -327,7 +328,6 @@ class Heisenberg(Group):
         return (c1 - c2) % gcd(a1, b1) == 0
 
     def class_representative(self, a: GroupElement) -> GroupElement:
-        self._check(a)
         p, q, c = a.payload
         if p == 0 and q == 0:
             return a
@@ -337,7 +337,6 @@ class Heisenberg(Group):
         return self.generators()
 
     def abelian_coords(self, g: GroupElement) -> Tuple[int, ...]:
-        self._check(g)
         a, b, _ = g.payload
         return (a, b)
 
@@ -387,11 +386,9 @@ class FreeAbelian(Group):
         return GroupElement(self, (0,) * self.n)
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        self._check(g, h)
         return GroupElement(self, tuple(a + b for a, b in zip(g.payload, h.payload)))
 
     def inv(self, g: GroupElement) -> GroupElement:
-        self._check(g)
         return GroupElement(self, tuple(-a for a in g.payload))
 
     def generators(self) -> List[GroupElement]:
@@ -422,22 +419,18 @@ class FreeAbelian(Group):
         return rels
 
     def is_central(self, z: GroupElement) -> bool:
-        self._check(z)
         return True
 
     def is_conjugate(self, a: GroupElement, b: GroupElement) -> bool:
-        self._check(a, b)
         return a == b
 
     def class_representative(self, a: GroupElement) -> GroupElement:
-        self._check(a)
         return a
 
     def abelian_basis(self) -> List[GroupElement]:
         return self.generators()
 
     def abelian_coords(self, g: GroupElement) -> Tuple[int, ...]:
-        self._check(g)
         return g.payload
 
     def has_central_derivations(self) -> bool:
@@ -502,7 +495,6 @@ class PermutationGroup(Group):
     def __init__(self, name: str, degree: int, generator_payloads: Sequence[tuple]):
         super().__init__(f"perm:{name}", ("perm", name, degree, tuple(generator_payloads)))
         self.degree = degree
-        self.short_name = name
         self._generator_payloads = [tuple(p) for p in generator_payloads]
         for p in self._generator_payloads:
             self._validate_payload(p)
@@ -574,11 +566,9 @@ class PermutationGroup(Group):
         return GroupElement(self, tuple(range(1, self.degree + 1)))
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        self._check(g, h)
         return GroupElement(self, _perm_mul(g.payload, h.payload))
 
     def inv(self, g: GroupElement) -> GroupElement:
-        self._check(g)
         return GroupElement(self, _perm_inv(g.payload))
 
     def generators(self) -> List[GroupElement]:
@@ -588,7 +578,6 @@ class PermutationGroup(Group):
         return self.element(rng.choice(self._elements))
 
     def word(self, g: GroupElement) -> List[GroupElement]:
-        self._check(g)
         return [GroupElement(self, p) for p in self._words[g.payload]]
 
     def relators(self) -> List[List[GroupElement]]:
@@ -623,11 +612,9 @@ class PermutationGroup(Group):
         ]
 
     def is_central(self, z: GroupElement) -> bool:
-        self._check(z)
         return self._commutes_with_generators(z.payload)
 
     def is_conjugate(self, a: GroupElement, b: GroupElement) -> bool:
-        self._check(a, b)
         return b.payload in self._class_payloads(a.payload)
 
     def _class_payloads(self, a: tuple) -> FrozenSet[tuple]:
@@ -636,11 +623,9 @@ class PermutationGroup(Group):
         )
 
     def conjugacy_class(self, a: GroupElement) -> FrozenSet[GroupElement]:
-        self._check(a)
         return frozenset(GroupElement(self, p) for p in self._class_payloads(a.payload))
 
     def class_representative(self, a: GroupElement) -> GroupElement:
-        self._check(a)
         return GroupElement(self, min(self._class_payloads(a.payload)))
 
     def center_payloads(self) -> FrozenSet[tuple]:
@@ -697,6 +682,9 @@ class QuotientSpec:
     injective across cosets, and composes with the group operation.  This
     base class is the abelianization G/G' of a kernel whose abelianization
     is free abelian: the key of g is `group.abelian_coords(g)`, and keys add.
+
+    `key` and `combine` take elements and keys of `group` and do not check
+    them; callers check membership first.
     """
 
     def __init__(self, group: Group):
@@ -806,7 +794,6 @@ class FiniteQuotient(QuotientSpec):
         return {}
 
     def key(self, g: GroupElement) -> tuple:
-        self.group._check(g)
         return self._keys[g.payload]
 
     def combine(self, k1: tuple, k2: tuple) -> tuple:

@@ -107,13 +107,13 @@ class Sampler:
 
     # -- arrows ----------------------------------------------------------------------
 
-    def arrow(self, d: Optional[Derivation] = None, on_support_bias: float = 0.5) -> Arrow:
+    def arrow(self, d: Optional[Derivation] = None) -> Arrow:
         """A random arrow (u, v); when a derivation is given, u is drawn from
-        the support of d(v) with the given probability so that nonzero
-        character values actually occur."""
+        the support of d(v) with probability 1/2 so that nonzero character
+        values actually occur."""
         v = self.word_element()
         u: Optional[GroupElement] = None
-        if d is not None and self.rng.random() < on_support_bias:
+        if d is not None and self.rng.random() < 0.5:
             supp = sorted(d.apply_element(v).support(), key=self.group.sort_key)
             if supp:
                 u = self.rng.choice(supp)

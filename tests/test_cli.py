@@ -180,6 +180,19 @@ def test_malformed_input_exit_2(tmp_path, capsys, argv, job, reason):
     assert captured.err.startswith("error: ") and reason in captured.err
 
 
+@pytest.mark.parametrize(
+    "subgroup", [[1], 5, [[1, 2, [3], 4]], [["a"]]],
+    ids=["int-entry", "not-a-list", "nested-entry", "string-entry"])
+def test_malformed_quotient_exit_2(tmp_path, capsys, subgroup):
+    quotient = write(tmp_path / "q.json", {"subgroup": subgroup})
+    spec = write(tmp_path / "d.json", {"kind": "inner", "a": []})
+    assert main(["decompose", "--group", "perm:s4", "--quotient", quotient,
+                 "--in", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 class TestRoundTrips:
     def test_derivation_json_round_trip(self):
         from dergrade.sampling import Sampler

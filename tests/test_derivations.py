@@ -89,7 +89,7 @@ class TestConstructors:
         base = Derivation.inner(mono(h(1, 0, 0)))
         images = dict(base.images)
         images[h(1, 0, 0)] = images[h(1, 0, 0)] + mono(h(2, 0, 0))
-        bad = Derivation(H, images, validate=False)
+        bad = Derivation(H, images)
         sampler = Sampler(H, seed=2)
         assert any(
             not verify_leibniz(bad, sampler.algebra_element(), sampler.algebra_element())
@@ -318,7 +318,7 @@ class TestRelatorValidationOracle:
                 sampler.element(), sampler.nonzero_coefficient()
             )
             for images in (valid, perturbed):
-                expected = leibniz_pair_scan(Derivation(group, images, validate=False))
+                expected = leibniz_pair_scan(Derivation(group, images))
                 try:
                     Derivation.from_table(group, images)
                     accepted = True

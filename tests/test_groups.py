@@ -6,15 +6,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dergrade import (
+    AlgebraElement,
     Arrow,
     CompositionError,
+    Derivation,
     FreeAbelian,
+    GradingSetup,
     GroupMismatchError,
     Heisenberg,
     PermutationGroup,
     QuotientError,
+    central_component_key,
+    char_bracket_value,
+    char_inner_formula,
+    check_bracket_closure,
     conjugate,
+    decompose,
     group_from_name,
+    inner_graded_decomposition,
+    project,
+    support_cosets,
 )
 from dergrade.cli import main
 from dergrade.groups import MAX_PERM_DEGREE
@@ -65,6 +76,57 @@ class TestHeisenberg:
             for letter in H.word(g):
                 prod = prod * letter
             assert prod == g
+
+
+# Every checked entry point, fed one value from another group.  Heisenberg and
+# zn:3 payloads have the same length, so only the membership check can raise.
+Z3 = FreeAbelian(3)
+_X, _FOREIGN = h(1, 0, 0), Z3.element((1, 0, 0))
+_A, _FA = AlgebraElement.monomial(_X), AlgebraElement.monomial(_FOREIGN)
+_D, _FD = Derivation.inner(_A), Derivation.inner(_FA)
+_SETUP = GradingSetup.default(H)
+Z1 = FreeAbelian(1)
+MIXED = {
+    "element-mul-heisenberg-zn3": lambda: _X * _FOREIGN,
+    "element-mul-s4-a4": lambda: (
+        group_from_name("perm:s4").generators()[0]
+        * group_from_name("perm:a4").generators()[0]
+    ),
+    "arrow": lambda: Arrow(_X, _FOREIGN),
+    "algebra-add": lambda: _A + _FA,
+    "algebra-sub": lambda: _A - _FA,
+    "algebra-mul": lambda: _A * _FA,
+    "algebra-from-terms": lambda: AlgebraElement.from_terms(H, [(_FOREIGN, 1)]),
+    "derivation-add": lambda: _D + _FD,
+    "derivation-sub": lambda: _D - _FD,
+    "derivation-bracket": lambda: _D.bracket(_FD),
+    # zn:1 has no relators, so only the image check sees the foreign group
+    "derivation-from-table": lambda: Derivation.from_table(
+        Z1, {Z1.generators()[0]: AlgebraElement.zero(Z3)}
+    ),
+    "derivation-apply": lambda: _D.apply(_FA),
+    "derivation-apply-element": lambda: _D.apply_element(_FOREIGN),
+    "derivation-character": lambda: _D.character(Arrow(_FOREIGN, _FOREIGN)),
+    "derivation-central": lambda: Derivation.central(H, [1, 0], _FOREIGN),
+    "inner-witness": lambda: _D.is_inner_witness(_FA),
+    "char-inner-formula": lambda: char_inner_formula(_X, Arrow(_FOREIGN, _FOREIGN)),
+    "char-bracket-value": lambda: char_bracket_value(_D, _FD, Arrow(_X, _X)),
+    "grading-setup": lambda: GradingSetup(H, Z3.derived_quotient()),
+    "support-cosets": lambda: support_cosets(_FD, _SETUP),
+    "project": lambda: project(_FD, (1, 0), _SETUP),
+    "decompose": lambda: decompose(_FD, _SETUP),
+    "bracket-closure": lambda: check_bracket_closure(_D, _FD, _SETUP),
+    "central-component-key": lambda: central_component_key([1, 0], _FOREIGN, _SETUP),
+    "inner-graded-decomposition": lambda: inner_graded_decomposition(
+        [1], [_FOREIGN], _SETUP
+    ),
+}
+
+
+@pytest.mark.parametrize("call", MIXED.values(), ids=MIXED.keys())
+def test_entry_point_rejects_foreign_group(call):
+    with pytest.raises(GroupMismatchError):
+        call()
 
 
 class TestArrows:
