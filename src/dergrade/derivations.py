@@ -1,9 +1,12 @@
 """Derivations of the group algebra and their groupoid characters.
 
 A derivation is stored by its images on the kernel's generating set and
-extended to the whole algebra through the Leibniz rule, expanding each group
-element along a word in the generators.  The character view is derived: the
-value of the character on an arrow (u, v) is the coefficient of u in d(v).
+extended to the whole algebra through the Leibniz rule.  A group element g is
+first split by its kernel as g = h * c1^k1 * ... with each c central
+(`Group.central_split`); h and each c are expanded along words in the
+generators, and the powers are evaluated in closed form, since
+d(c^k) = k * c^(k-1) * d(c) for a central c.  The character view is derived:
+the value of the character on an arrow (u, v) is the coefficient of u in d(v).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ class Derivation:
         self._cache: Dict[GroupElement, AlgebraElement] = {
             group.identity(): AlgebraElement.zero(group)
         }
+        # images of inverse letters and of the kernel's central elements
         self._letter_cache: Dict[GroupElement, AlgebraElement] = {}
 
     # -- constructors --------------------------------------------------------
@@ -143,6 +147,13 @@ class Derivation:
         self._letter_cache[letter] = img
         return img
 
+    def _central_image(self, c: GroupElement) -> AlgebraElement:
+        img = self._letter_cache.get(c)
+        if img is None:
+            img = self._apply_word(self.group.word(c))
+            self._letter_cache[c] = img
+        return img
+
     def _apply_word(self, letters: List[GroupElement]) -> AlgebraElement:
         # d(l1 ... ln) = sum_i prefix_i * d(l_i) * suffix_i; terms are
         # accumulated by translating each image's support directly
@@ -163,12 +174,30 @@ class Derivation:
         return AlgebraElement(group, acc)
 
     def apply_element(self, g: GroupElement) -> AlgebraElement:
-        """d(g) for a single group element, via a word in the generators."""
+        """d(g) for a single group element.  With g = h * c1^k1 * ... split
+        by the kernel, d(g) = d(h) * h^-1 g + sum_j k_j * g c_j^-1 * d(c_j),
+        where d(h) and each d(c_j) come from words in the generators."""
         cached = self._cache.get(g)
         if cached is None:
+            group = self.group
             # an element of another group never equals a cached key
-            self.group._check(g)
-            cached = self._apply_word(self.group.word(g))
+            group._check(g)
+            h, powers = group.central_split(g)
+            cached = self._apply_word(group.word(h))
+            if powers:
+                shift = h.inverse() * g
+                # right translation is injective, so these terms are distinct
+                acc = {t * shift: c for t, c in cached._terms.items()}
+                for central, k in powers:
+                    if not k:
+                        continue
+                    left = g * central.inverse()
+                    coeff = GaussianRational.of(k)
+                    for t, c in self._central_image(central)._terms.items():
+                        shifted = left * t
+                        value = acc.get(shifted)
+                        acc[shifted] = coeff * c if value is None else value + coeff * c
+                cached = AlgebraElement(group, acc)
             self._cache[g] = cached
         return cached
 

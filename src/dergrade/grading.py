@@ -2,8 +2,8 @@
 
 Support localisation works on generator images: collecting the cosets of
 s^-1 k over all generators s and support elements k of d(s) bounds the
-character's support, and projecting the generator images coset by coset
-yields the direct-sum decomposition.  Bracket closure, the stem-group
+character's support, and sorting the terms of the generator images by that
+coset yields the direct-sum decomposition.  Bracket closure, the stem-group
 localisation of central derivations, and per-coset inner witnesses are
 exercised on top of the same machinery.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .algebra import AlgebraElement
-from .coefficients import CoeffLike
+from .coefficients import CoeffLike, GaussianRational
 from .derivations import Derivation
 from .groups import (
     CentralityError,
@@ -120,12 +120,26 @@ class GradedDecomposition:
 
 def decompose(d: Derivation, setup: GradingSetup) -> GradedDecomposition:
     """Split d into its nonzero graded components; they sum back to d exactly
-    and their support cosets are pairwise disjoint singletons."""
-    components: Dict[CosetKey, Derivation] = {}
-    for key in sorted(support_cosets(d, setup)):
-        component = project(d, key, setup)
-        if not component.is_zero():
-            components[key] = component
+    and their support cosets are pairwise disjoint singletons.
+
+    One pass over the generator images: each term k of d(s) goes to the
+    component at key(s^-1 k), so every component holds a nonzero term."""
+    if d.group != setup.group:
+        raise GroupMismatchError("derivation over a different group")
+    generators = d.group.generators()
+    buckets: Dict[CosetKey, Dict[GroupElement, Dict[GroupElement, GaussianRational]]] = {}
+    for s in generators:
+        s_inv = s.inverse()
+        for k, c in d.images[s].items():
+            key = setup.quotient.key(s_inv * k)
+            buckets.setdefault(key, {}).setdefault(s, {})[k] = c
+    components = {
+        key: Derivation(
+            d.group,
+            {s: AlgebraElement(d.group, buckets[key].get(s, {})) for s in generators},
+        )
+        for key in sorted(buckets)
+    }
     return GradedDecomposition(d, setup, components)
 
 

@@ -161,6 +161,18 @@ class Group:
         of a generator.  The empty list is the identity."""
         raise NotImplementedError
 
+    def central_split(
+        self, g: GroupElement
+    ) -> Tuple[GroupElement, List[Tuple[GroupElement, int]]]:
+        """(h, [(c1, k1), (c2, k2), ...]) with g = h * c1^k1 * c2^k2 * ...,
+        each c central in G and with a short `word`.
+
+        A central c is central in C[G] too, so a derivation takes c^k to
+        k * c^(k-1) * d(c) for every integer k, and `Derivation.apply_element`
+        spells out only h and each c, whatever the exponents.  The default
+        splits off nothing: (g, [])."""
+        return g, []
+
     def relators(self) -> List[List[GroupElement]]:
         """Relators: letter lists, each multiplying to the identity, whose
         normal closure in the free group on the generators is the kernel of
@@ -299,6 +311,14 @@ class Heisenberg(Group):
         letters += z_word * m if m >= 0 else z_inv_word * (-m)
         return letters
 
+    def central_split(
+        self, g: GroupElement
+    ) -> Tuple[GroupElement, List[Tuple[GroupElement, int]]]:
+        # g = x^a y^b z^(c-ab), and x^a y^b = (a, b, ab)
+        a, b, c = g.payload
+        z = GroupElement(self, (0, 0, 1))
+        return GroupElement(self, (a, b, a * b)), [(z, c - a * b)]
+
     def relators(self) -> List[List[GroupElement]]:
         # z is central: [x, z] = [y, z] = e, with z spelled out as [x, y]
         x, y = self.generators()
@@ -409,6 +429,12 @@ class FreeAbelian(Group):
             letters += [basis] * coord if coord >= 0 else [self.inv(basis)] * (-coord)
         return letters
 
+    def central_split(
+        self, g: GroupElement
+    ) -> Tuple[GroupElement, List[Tuple[GroupElement, int]]]:
+        # every generator is central: g = e1^k1 ... en^kn
+        return self.identity(), list(zip(self.generators(), g.payload))
+
     def relators(self) -> List[List[GroupElement]]:
         rels = []
         gens = self.generators()
@@ -501,6 +527,8 @@ class PermutationGroup(Group):
         self._letters, self._elements, self._words = self._close()
         self._relators: Optional[List[List[GroupElement]]] = None
         self._derived: Optional[FrozenSet[tuple]] = None
+        # conjugacy class of each element whose class has been built
+        self._classes: Dict[tuple, FrozenSet[tuple]] = {}
 
     @staticmethod
     def symmetric(n: int) -> "PermutationGroup":
@@ -618,9 +646,15 @@ class PermutationGroup(Group):
         return b.payload in self._class_payloads(a.payload)
 
     def _class_payloads(self, a: tuple) -> FrozenSet[tuple]:
-        return frozenset(
-            _perm_mul(_perm_mul(t, a), _perm_inv(t)) for t in self._elements
-        )
+        # each class is built once, on first use, and recorded for every member
+        cls = self._classes.get(a)
+        if cls is None:
+            cls = frozenset(
+                _perm_mul(_perm_mul(t, a), _perm_inv(t)) for t in self._elements
+            )
+            for b in cls:
+                self._classes[b] = cls
+        return cls
 
     def conjugacy_class(self, a: GroupElement) -> FrozenSet[GroupElement]:
         return frozenset(GroupElement(self, p) for p in self._class_payloads(a.payload))

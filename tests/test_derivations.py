@@ -133,6 +133,106 @@ class TestApply:
             assert d.apply_element(g.inverse()) == -(gi * d.apply_element(g) * gi)
 
 
+def _kinds(group, seed):
+    """One derivation of each kind over `group`, drawn with a fixed seed."""
+    sampler = Sampler(group, seed=seed)
+    inner = sampler.inner_derivation()
+    central = sampler.central_derivation()
+    mixed = inner + central.scale(sampler.nonzero_coefficient())
+    other = sampler.inner_derivation() + sampler.central_derivation()
+    return {
+        "inner": inner,
+        "central": central,
+        "sum": inner + sampler.inner_derivation().scale(sampler.coefficient()),
+        "mixed": mixed,
+        "table": Derivation.from_table(group, dict(mixed.images)),
+        "bracket": mixed.bracket(other),
+    }
+
+
+# exponents: zero, negative and about 10^3; Heisenberg triples are (a, b, m)
+# for x^a y^b z^m = (a, b, ab + m)
+_EXPONENTS = [
+    (0, 0, 0), (1, 0, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (2, -3, 5),
+    (-4, -1, -7), (0, 0, 1000), (3, 2, -999), (-1000, 1, 0), (999, -1000, 2),
+]
+_ORACLE_GROUPS = ["heisenberg", "zn:1", "zn:2", "zn:3"]
+_ORACLE_KINDS = ["inner", "central", "sum", "mixed", "table", "bracket"]
+
+
+class TestClosedFormOracle:
+    """`apply_element` evaluates central powers in closed form; expanding
+    the whole element along its word is the oracle."""
+
+    @pytest.mark.parametrize("kind", _ORACLE_KINDS)
+    @pytest.mark.parametrize("name", _ORACLE_GROUPS)
+    def test_matches_word_expansion(self, name, kind):
+        group = group_from_name(name)
+        d = _kinds(group, seed=61)[kind]
+        oracle = Derivation(group, dict(d.images))
+        for a, b, m in _EXPONENTS:
+            if name == "heisenberg":
+                g = group.element((a, b, a * b + m))
+            else:
+                g = group.element((a, b, m)[: group.n])
+            assert d.apply_element(g) == oracle._apply_word(group.word(g))
+
+    def test_central_letters_have_nonzero_images_on_zn(self):
+        # the sum over central letters carries the whole value on Z^n
+        d = _kinds(group_from_name("zn:3"), seed=61)["central"]
+        assert any(d.images.values())
+
+
+class TestBoundedCost:
+    """Elements far outside any word one could spell out: `word` is only
+    allowed on a small box, and the values match the closed forms."""
+
+    BIG = 10**12
+
+    @pytest.fixture
+    def guarded(self, monkeypatch):
+        def install(group):
+            spell = type(group).word
+
+            def word(self, g):
+                if any(abs(v) > 10 for v in g.payload):
+                    raise AssertionError(f"word of {g!r} spelled out")
+                return spell(self, g)
+
+            monkeypatch.setattr(type(group), "word", word)
+            return group
+
+        return install
+
+    def test_heisenberg_inner(self, guarded):
+        guarded(H)
+        a = mono(h(1, 0, 0)) + mono(h(-1, 2, 3), 5) + mono(h(0, 0, 1), -2)
+        d = Derivation.inner(a)
+        for g in [h(2, -1, self.BIG), h(-3, 1, -self.BIG), h(0, 0, self.BIG)]:
+            assert d.apply_element(g) == mono(g) * a - a * mono(g)
+
+    def test_heisenberg_central(self, guarded):
+        guarded(H)
+        z = h(0, 0, 3)
+        d = Derivation.central(H, [2, -3], z)
+        for g in [h(2, -1, self.BIG), h(-3, 1, -self.BIG), h(0, 0, self.BIG)]:
+            a, b, _ = g.payload
+            assert d.apply_element(g) == mono(g * z, 2 * a - 3 * b)
+
+    def test_zn_inner_and_central(self, guarded):
+        Z3 = guarded(FreeAbelian(3))
+        a = mono(Z3.element((1, 2, 3))) + mono(Z3.element((0, -1, 0)), 4)
+        z = Z3.element((1, -1, 2))
+        tau = [2, -1, 5]
+        inner = Derivation.inner(a)
+        central = Derivation.central(Z3, tau, z)
+        for coords in [(self.BIG, -self.BIG, 3), (0, 0, -self.BIG), (7, self.BIG, 1)]:
+            g = Z3.element(coords)
+            assert inner.apply_element(g) == mono(g) * a - a * mono(g)
+            value = sum(t * k for t, k in zip(tau, coords))
+            assert central.apply_element(g) == mono(g * z, value)
+
+
 class TestCharacter:
     def test_inner_source_case(self):
         d = Derivation.inner(mono(h(1, 0, 0)))

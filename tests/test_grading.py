@@ -124,6 +124,27 @@ class TestDecomposition:
                 assert support_cosets(comp, setup) <= {key}
                 assert not comp.is_zero()
 
+    def test_one_key_per_image_term(self, monkeypatch):
+        # an inner derivation of 30 elements in distinct cosets
+        setup = GradingSetup.default(H)
+        a = AlgebraElement.from_terms(
+            H, [(h(i, j, i + j), 1) for i in range(1, 7) for j in range(1, 6)]
+        )
+        d = Derivation.inner(a)
+        calls = []
+        key = setup.quotient.key
+
+        def counting(g):
+            calls.append(g)
+            return key(g)
+
+        monkeypatch.setattr(setup.quotient, "key", counting)
+        dec = decompose(d, setup)
+        terms = sum(len(img) for img in d.images.values())
+        assert len(dec.components) == 30
+        assert len(calls) == terms == 120
+        assert dec.total() == d
+
 
 class TestBracketClosure:
     def test_hand_derived_instance(self):

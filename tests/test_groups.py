@@ -27,6 +27,7 @@ from dergrade import (
     project,
     support_cosets,
 )
+from dergrade import groups
 from dergrade.cli import main
 from dergrade.groups import MAX_PERM_DEGREE
 
@@ -76,6 +77,28 @@ class TestHeisenberg:
             for letter in H.word(g):
                 prod = prod * letter
             assert prod == g
+
+
+def _power(c, k):
+    out = c.group.identity()
+    for _ in range(abs(k)):
+        out = out * c
+    return out if k >= 0 else out.inverse()
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "zn:1", "zn:3", "perm:s4"])
+def test_central_split_reassembles(name):
+    # g = h * c1^k1 * ..., each c central with a word of at most 4 letters
+    group = group_from_name(name)
+    rng = random.Random(11)
+    for _ in range(100):
+        g = group.random_element(rng, 4)
+        h_part, powers = group.central_split(g)
+        prod = h_part
+        for c, k in powers:
+            assert group.is_central(c) and len(group.word(c)) <= 4
+            prod = prod * _power(c, k)
+        assert prod == g
 
 
 # Every checked entry point, fed one value from another group.  Heisenberg and
@@ -232,6 +255,27 @@ class TestConjugacy:
             for v in elements:
                 phi = Arrow(u, v)
                 assert S4.is_conjugate(phi.source(), phi.target())
+
+    def test_class_built_once_for_all_members(self, monkeypatch):
+        S6 = PermutationGroup.symmetric(6)
+        calls = []
+        perm_mul = groups._perm_mul
+
+        def counting(g, h):
+            calls.append(1)
+            return perm_mul(g, h)
+
+        monkeypatch.setattr(groups, "_perm_mul", counting)
+        first = S6.element((2, 1, 3, 4, 5, 6))
+        rep = S6.class_representative(first)
+        assert len(calls) == 2 * 720
+        calls.clear()
+        other = S6.element((1, 2, 3, 4, 6, 5))
+        assert S6.class_representative(other) == rep
+        assert S6.is_conjugate(other, first)
+        assert not S6.is_conjugate(other, S6.identity())
+        assert len(S6.conjugacy_class(other)) == 15
+        assert calls == []
 
 
 class TestCentrality:
