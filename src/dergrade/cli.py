@@ -30,6 +30,7 @@ from .groups import (
     QuotientError,
     QuotientSpec,
     group_from_name,
+    integer_entries,
 )
 from .serialization import (
     SpecError,
@@ -109,7 +110,7 @@ def _resolve_quotient(group: Group, selector: str) -> QuotientSpec:
     if not isinstance(data, dict) or not isinstance(data.get("subgroup"), list):
         raise SpecError("quotient spec must be an object with a 'subgroup' list")
     for entry in data["subgroup"]:
-        if not isinstance(entry, list) or not all(isinstance(v, int) for v in entry):
+        if not isinstance(entry, list) or not integer_entries(entry):
             raise SpecError(
                 f"quotient subgroup entry {json.dumps(entry)} is not a list of integers"
             )

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .groups import integer_entries
+
 RatLike = Union[int, Fraction]
 CoeffLike = Union["GaussianRational", int, Fraction]
 
@@ -55,6 +57,8 @@ class GaussianRational:
     @staticmethod
     def from_json(data) -> "GaussianRational":
         rn, rd, imn, imd = data
+        if not integer_entries(data):
+            raise TypeError(f"coefficient {data} must have integer entries")
         if rd == 0 or imd == 0:
             raise ValueError(f"coefficient {data} has a zero denominator")
         return GaussianRational(Fraction(rn, rd), Fraction(imn, imd))

@@ -2,17 +2,18 @@
 
 A derivation is stored by its images on the kernel's generating set and
 extended to the whole algebra through the Leibniz rule.  A group element g is
-first split by its kernel as g = h * c1^k1 * ... with each c central
-(`Group.central_split`); h and each c are expanded along words in the
-generators, and the powers are evaluated in closed form, since
-d(c^k) = k * c^(k-1) * d(c) for a central c.  The character view is derived:
-the value of the character on an arrow (u, v) is the coefficient of u in d(v).
+evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ... with each w a
+short list of letters (`Group.syllables`).  Everything is combined by one
+join, (g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)): each w^k is built from
+d(w) or d(w^-1) by binary powering, in O(log |k|) joins, and the powers are
+then joined in order.  The character view is derived: the value of the
+character on an arrow (u, v) is the coefficient of u in d(v).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, commutator
 from .coefficients import CoeffLike, GaussianRational, ZERO, as_coefficient
@@ -23,6 +24,13 @@ from .groups import (
     GroupElement,
     GroupMismatchError,
 )
+
+
+# Most elements `Derivation._cache` holds; it is emptied when full.
+CACHE_LIMIT = 4096
+
+# A group element with its image under a derivation.
+Evaluated = Tuple[GroupElement, AlgebraElement]
 
 
 class DerivationTableError(ValueError):
@@ -46,11 +54,11 @@ class Derivation:
         self.group = group
         self.images = {s: images[s] for s in group.generators()}
         self.spec = spec
-        self._cache: Dict[GroupElement, AlgebraElement] = {
-            group.identity(): AlgebraElement.zero(group)
-        }
-        # images of inverse letters and of the kernel's central elements
-        self._letter_cache: Dict[GroupElement, AlgebraElement] = {}
+        self._cache: Dict[GroupElement, AlgebraElement] = {}
+        # images of the generators, the inverse letters and each syllable's
+        # w and w^-1, keyed by the element: a few on an infinite kernel, at
+        # most |G| on a finite one
+        self._letter_cache: Dict[GroupElement, AlgebraElement] = dict(self.images)
 
     # -- constructors --------------------------------------------------------
 
@@ -131,9 +139,6 @@ class Derivation:
     # -- evaluation ----------------------------------------------------------
 
     def _letter_image(self, letter: GroupElement) -> AlgebraElement:
-        img = self.images.get(letter)
-        if img is not None:
-            return img
         img = self._letter_cache.get(letter)
         if img is not None:
             return img
@@ -141,17 +146,11 @@ class Derivation:
         base = self.images.get(s)
         if base is None:
             raise ValueError(f"{letter!r} is not a generator letter")
-        # d(s^-1) = -s^-1 d(s) s^-1, forced by the Leibniz rule
-        li = AlgebraElement.monomial(letter)
-        img = -(li * base * li)
-        self._letter_cache[letter] = img
-        return img
-
-    def _central_image(self, c: GroupElement) -> AlgebraElement:
-        img = self._letter_cache.get(c)
-        if img is None:
-            img = self._apply_word(self.group.word(c))
-            self._letter_cache[c] = img
+        # d(s^-1) = -s^-1 d(s) s^-1, forced by the Leibniz rule; translation
+        # is injective, so these terms are distinct
+        mul = self.group.mul
+        terms = {mul(mul(letter, t), letter): -c for t, c in base._terms.items()}
+        img = self._letter_cache[letter] = AlgebraElement(self.group, terms)
         return img
 
     def _apply_word(self, letters: List[GroupElement]) -> AlgebraElement:
@@ -173,31 +172,59 @@ class Derivation:
             prefix = prefix_next
         return AlgebraElement(group, acc)
 
+    def _join(self, left: Evaluated, right: Evaluated) -> Evaluated:
+        """(g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)), the Leibniz rule,
+        with one group product per term."""
+        g, dg = left
+        h, dh = right
+        mul = self.group.mul
+        # right translation is injective, so these terms are distinct
+        acc = {mul(t, h): c for t, c in dg._terms.items()}
+        for t, c in dh._terms.items():
+            shifted = mul(g, t)
+            value = acc.get(shifted)
+            acc[shifted] = c if value is None else value + c
+        return mul(g, h), AlgebraElement(self.group, acc)
+
+    def _power(self, letters: List[GroupElement], k: int) -> Evaluated:
+        """(w^k, d(w^k)) for the product w of `letters` and k != 0, by
+        binary powering: O(log |k|) joins."""
+        if k < 0:
+            # w^k = (w^-1)^|k|, and w^-1 is spelled by the inverse letters reversed
+            letters, k = [s.inverse() for s in reversed(letters)], -k
+        mul = self.group.mul
+        w = self.group.identity()
+        for letter in letters:
+            w = mul(w, letter)
+        img = self._letter_cache.get(w)
+        if img is None:
+            img = self._letter_cache[w] = self._apply_word(letters)
+        base: Evaluated = (w, img)
+        result: Optional[Evaluated] = None
+        while True:
+            if k & 1:
+                result = base if result is None else self._join(result, base)
+            k >>= 1
+            if not k:
+                return result
+            base = self._join(base, base)
+
     def apply_element(self, g: GroupElement) -> AlgebraElement:
-        """d(g) for a single group element.  With g = h * c1^k1 * ... split
-        by the kernel, d(g) = d(h) * h^-1 g + sum_j k_j * g c_j^-1 * d(c_j),
-        where d(h) and each d(c_j) come from words in the generators."""
+        """d(g) for a single group element: the kernel's syllables w^k of g,
+        each evaluated by `_power` and joined left to right."""
         cached = self._cache.get(g)
         if cached is None:
             group = self.group
             # an element of another group never equals a cached key
             group._check(g)
-            h, powers = group.central_split(g)
-            cached = self._apply_word(group.word(h))
-            if powers:
-                shift = h.inverse() * g
-                # right translation is injective, so these terms are distinct
-                acc = {t * shift: c for t, c in cached._terms.items()}
-                for central, k in powers:
-                    if not k:
-                        continue
-                    left = g * central.inverse()
-                    coeff = GaussianRational.of(k)
-                    for t, c in self._central_image(central)._terms.items():
-                        shifted = left * t
-                        value = acc.get(shifted)
-                        acc[shifted] = coeff * c if value is None else value + coeff * c
-                cached = AlgebraElement(group, acc)
+            acc: Optional[Evaluated] = None
+            for letters, k in group.syllables(g):
+                if k:
+                    power = self._power(letters, k)
+                    acc = power if acc is None else self._join(acc, power)
+            cached = AlgebraElement.zero(group) if acc is None else acc[1]
+            if len(self._cache) >= CACHE_LIMIT:
+                self._cache.clear()
             self._cache[g] = cached
         return cached
 

@@ -21,6 +21,12 @@ from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
+def integer_entries(values: Iterable) -> bool:
+    """Whether every value is an int.  JSON true/false load as bool, a
+    subclass of int, and are not integer entries."""
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+
 class GroupMismatchError(TypeError):
     """An operation mixed elements of different groups."""
 
@@ -108,7 +114,7 @@ class Arrow:
 class Group:
     """Base interface of a group kernel.
 
-    Kernel methods (`mul`, `inv`, `word` and the conjugacy, centre and
+    Kernel methods (`mul`, `inv`, `syllables` and the conjugacy, centre and
     abelianization oracles) take elements of this group and do not check
     them.  Membership is checked once where outside values meet: products of
     `GroupElement`s, `Arrow`, and the algebra, derivation and grading entry
@@ -156,22 +162,28 @@ class Group:
     def generator_names(self) -> List[str]:
         return [f"g{i + 1}" for i in range(len(self.generators()))]
 
-    def word(self, g: GroupElement) -> List[GroupElement]:
-        """Express g as a product of letters, each a generator or the inverse
-        of a generator.  The empty list is the identity."""
+    def syllables(self, g: GroupElement) -> List[Tuple[List[GroupElement], int]]:
+        """[(w1, k1), (w2, k2), ...] with g = w1^k1 * w2^k2 * ..., where each
+        w is a list of letters (generators or inverses of generators) read as
+        their product, and each k is an integer of any sign or size.
+
+        On the infinite kernels every list has at most 4 letters and the
+        exponents carry the size, so `Derivation.apply_element` evaluates g
+        in O(log |k|) steps per syllable.  The lists multiply to a few fixed
+        elements there (x, y and [x, y] on `heisenberg`), and to g itself on
+        a finite kernel; a derivation builds the image of each once."""
         raise NotImplementedError
 
-    def central_split(
-        self, g: GroupElement
-    ) -> Tuple[GroupElement, List[Tuple[GroupElement, int]]]:
-        """(h, [(c1, k1), (c2, k2), ...]) with g = h * c1^k1 * c2^k2 * ...,
-        each c central in G and with a short `word`.
-
-        A central c is central in C[G] too, so a derivation takes c^k to
-        k * c^(k-1) * d(c) for every integer k, and `Derivation.apply_element`
-        spells out only h and each c, whatever the exponents.  The default
-        splits off nothing: (g, [])."""
-        return g, []
+    def word(self, g: GroupElement) -> List[GroupElement]:
+        """g spelled out letter by letter, each syllable w^k as |k| copies of
+        w, or of its letter-wise inverse when k < 0; the empty list is the
+        identity.  Its length grows with |k|: the tests use it as an oracle."""
+        letters: List[GroupElement] = []
+        for w, k in self.syllables(g):
+            if k < 0:
+                w = [self.inv(s) for s in reversed(w)]
+            letters += w * abs(k)
+        return letters
 
     def relators(self) -> List[List[GroupElement]]:
         """Relators: letter lists, each multiplying to the identity, whose
@@ -275,7 +287,7 @@ class Heisenberg(Group):
 
     def element(self, payload: Sequence) -> GroupElement:
         a, b, c = payload
-        if not all(isinstance(v, int) for v in (a, b, c)):
+        if not integer_entries((a, b, c)):
             raise TypeError("Heisenberg entries must be integers")
         return GroupElement(self, (a, b, c))
 
@@ -297,27 +309,11 @@ class Heisenberg(Group):
     def generator_names(self) -> List[str]:
         return ["x", "y"]
 
-    def word(self, g: GroupElement) -> List[GroupElement]:
+    def syllables(self, g: GroupElement) -> List[Tuple[List[GroupElement], int]]:
         # g = x^a y^b z^(c-ab), with z = x y x^-1 y^-1
         a, b, c = g.payload
         x, y = self.generators()
-        xi, yi = self.inv(x), self.inv(y)
-        letters: List[GroupElement] = []
-        letters += [x] * a if a >= 0 else [xi] * (-a)
-        letters += [y] * b if b >= 0 else [yi] * (-b)
-        m = c - a * b
-        z_word = [x, y, xi, yi]
-        z_inv_word = [y, x, yi, xi]
-        letters += z_word * m if m >= 0 else z_inv_word * (-m)
-        return letters
-
-    def central_split(
-        self, g: GroupElement
-    ) -> Tuple[GroupElement, List[Tuple[GroupElement, int]]]:
-        # g = x^a y^b z^(c-ab), and x^a y^b = (a, b, ab)
-        a, b, c = g.payload
-        z = GroupElement(self, (0, 0, 1))
-        return GroupElement(self, (a, b, a * b)), [(z, c - a * b)]
+        return [([x], a), ([y], b), ([x, y, self.inv(x), self.inv(y)], c - a * b)]
 
     def relators(self) -> List[List[GroupElement]]:
         # z is central: [x, z] = [y, z] = e, with z spelled out as [x, y]
@@ -398,7 +394,7 @@ class FreeAbelian(Group):
 
     def element(self, payload: Sequence) -> GroupElement:
         vec = tuple(payload)
-        if len(vec) != self.n or not all(isinstance(v, int) for v in vec):
+        if len(vec) != self.n or not integer_entries(vec):
             raise TypeError(f"expected an integer vector of length {self.n}")
         return GroupElement(self, vec)
 
@@ -422,18 +418,8 @@ class FreeAbelian(Group):
     def generator_names(self) -> List[str]:
         return [f"e{i + 1}" for i in range(self.n)]
 
-    def word(self, g: GroupElement) -> List[GroupElement]:
-        letters: List[GroupElement] = []
-        for i, coord in enumerate(g.payload):
-            basis = self.generators()[i]
-            letters += [basis] * coord if coord >= 0 else [self.inv(basis)] * (-coord)
-        return letters
-
-    def central_split(
-        self, g: GroupElement
-    ) -> Tuple[GroupElement, List[Tuple[GroupElement, int]]]:
-        # every generator is central: g = e1^k1 ... en^kn
-        return self.identity(), list(zip(self.generators(), g.payload))
+    def syllables(self, g: GroupElement) -> List[Tuple[List[GroupElement], int]]:
+        return [([e], k) for e, k in zip(self.generators(), g.payload)]
 
     def relators(self) -> List[List[GroupElement]]:
         rels = []
@@ -556,7 +542,7 @@ class PermutationGroup(Group):
         return group
 
     def _validate_payload(self, p: tuple) -> None:
-        if sorted(p) != list(range(1, self.degree + 1)):
+        if sorted(p) != list(range(1, self.degree + 1)) or not integer_entries(p):
             raise TypeError(f"not a permutation of 1..{self.degree}: {p}")
 
     def _close(self):
@@ -605,8 +591,9 @@ class PermutationGroup(Group):
     def random_element(self, rng: random.Random, box: int) -> GroupElement:
         return self.element(rng.choice(self._elements))
 
-    def word(self, g: GroupElement) -> List[GroupElement]:
-        return [GroupElement(self, p) for p in self._words[g.payload]]
+    def syllables(self, g: GroupElement) -> List[Tuple[List[GroupElement], int]]:
+        # the word along the closure's BFS tree, taken once
+        return [([GroupElement(self, p) for p in self._words[g.payload]], 1)]
 
     def relators(self) -> List[List[GroupElement]]:
         # Schreier relators: each edge w -> w*l of the closure's BFS that is

@@ -166,6 +166,36 @@ MALFORMED = {
          "element": [[[1, 1, 0, 1], [0, 1, 0]]]},
         "zero denominator"),
     "empty-perm-name": (["info", "--group", "perm:"], None, "int()"),
+    # JSON true/false load as bool, which is an int subclass
+    "bool-heisenberg-entry": (
+        ["apply", "--group", "heisenberg"],
+        {"derivation": {"group": "heisenberg", "kind": "inner",
+                        "a": [[[1, 1, 0, 1], [1, 0, 0]]]},
+         "element": [[[1, 1, 0, 1], [True, 0, 0]]]},
+        "integers"),
+    "bool-zn-entry": (
+        ["apply", "--group", "zn:2"],
+        {"derivation": {"group": "zn:2", "kind": "central",
+                        "tau": [[1, 1, 0, 1], [1, 1, 0, 1]], "z": [True, False]},
+         "element": [[[1, 1, 0, 1], [1, 0]]]},
+        "integer vector"),
+    "bool-perm-entry": (
+        ["apply", "--group", "perm:s3"],
+        {"derivation": {"group": "perm:s3", "kind": "inner",
+                        "a": [[[1, 1, 0, 1], [2, True, 3]]]},
+         "element": [[[1, 1, 0, 1], [1, 3, 2]]]},
+        "not a permutation"),
+    "bool-decompose-entry": (
+        ["decompose", "--group", "heisenberg"],
+        {"group": "heisenberg", "kind": "inner",
+         "a": [[[1, 1, 0, 1], [True, 1, 0]]]},
+        "integers"),
+    "bool-coefficient": (
+        ["apply", "--group", "heisenberg"],
+        {"derivation": {"group": "heisenberg", "kind": "inner",
+                        "a": [[[1, 1, 0, 1], [1, 0, 0]]]},
+         "element": [[[True, 1, 0, 1], [0, 1, 0]]]},
+        "integer entries"),
 }
 
 
@@ -181,8 +211,8 @@ def test_malformed_input_exit_2(tmp_path, capsys, argv, job, reason):
 
 
 @pytest.mark.parametrize(
-    "subgroup", [[1], 5, [[1, 2, [3], 4]], [["a"]]],
-    ids=["int-entry", "not-a-list", "nested-entry", "string-entry"])
+    "subgroup", [[1], 5, [[1, 2, [3], 4]], [["a"]], [[True, 2, 3, 4]]],
+    ids=["int-entry", "not-a-list", "nested-entry", "string-entry", "bool-entry"])
 def test_malformed_quotient_exit_2(tmp_path, capsys, subgroup):
     quotient = write(tmp_path / "q.json", {"subgroup": subgroup})
     spec = write(tmp_path / "d.json", {"kind": "inner", "a": []})

@@ -20,6 +20,7 @@ from dergrade import (
     verify_char_composition,
     verify_leibniz,
 )
+from dergrade import derivations
 from dergrade.sampling import Sampler
 
 H = Heisenberg()
@@ -231,6 +232,68 @@ class TestBoundedCost:
             assert inner.apply_element(g) == mono(g) * a - a * mono(g)
             value = sum(t * k for t, k in zip(tau, coords))
             assert central.apply_element(g) == mono(g * z, value)
+
+
+class TestSyllableCost:
+    """x^a y^b with a and b at +-10^12: `word` is barred outside a small box,
+    `syllables` may return no letter list longer than 4, and the values
+    match the closed forms."""
+
+    BIG = 10**12
+    ELEMENTS = [(BIG, -BIG, 7), (-BIG, BIG, BIG), (BIG, BIG, -BIG), (-BIG, -3, 0)]
+
+    @pytest.fixture(autouse=True)
+    def guarded(self, monkeypatch):
+        spell, split = Heisenberg.word, Heisenberg.syllables
+        calls = []
+
+        def word(self, g):
+            if any(abs(v) > 10 for v in g.payload):
+                raise AssertionError(f"word of {g!r} spelled out")
+            return spell(self, g)
+
+        def syllables(self, g):
+            out = split(self, g)
+            if any(len(letters) > 4 for letters, _ in out):
+                raise AssertionError(f"syllables of {g!r}: {out!r}")
+            calls.append(g)
+            return out
+
+        monkeypatch.setattr(Heisenberg, "word", word)
+        monkeypatch.setattr(Heisenberg, "syllables", syllables)
+        yield
+        assert calls, "apply_element never asked for syllables"
+
+    def _check_inner(self, d, a):
+        for payload in self.ELEMENTS:
+            g = h(*payload)
+            assert d.apply_element(g) == mono(g) * a - a * mono(g)
+
+    def test_inner(self):
+        a = mono(h(1, 0, 0)) + mono(h(-1, 2, 3), 5) + mono(h(0, 0, 1), -2)
+        self._check_inner(Derivation.inner(a), a)
+
+    def test_table(self):
+        a = mono(h(1, 1, 0)) + mono(h(2, -1, 0), 3)
+        self._check_inner(Derivation.from_table(H, dict(Derivation.inner(a).images)), a)
+
+    def test_central(self):
+        z = h(0, 0, 3)
+        d = Derivation.central(H, [2, -3], z)
+        for payload in self.ELEMENTS:
+            g = h(*payload)
+            a, b, _ = payload
+            assert d.apply_element(g) == mono(g * z, 2 * a - 3 * b)
+
+
+def test_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(derivations, "CACHE_LIMIT", 8)
+    a = mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3)
+    d = Derivation.inner(a)
+    for i in range(100):
+        g = h(i, -i, 2 * i)
+        assert d.apply_element(g) == mono(g) * a - a * mono(g)
+        assert len(d._cache) <= 8
 
 
 class TestCharacter:

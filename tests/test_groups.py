@@ -86,18 +86,27 @@ def _power(c, k):
     return out if k >= 0 else out.inverse()
 
 
-@pytest.mark.parametrize("name", ["heisenberg", "zn:1", "zn:3", "perm:s4"])
-def test_central_split_reassembles(name):
-    # g = h * c1^k1 * ..., each c central with a word of at most 4 letters
+@pytest.mark.parametrize(
+    "name, max_letters",
+    [("heisenberg", 4), ("zn:1", 1), ("zn:3", 1), ("perm:s4", None)],
+    ids=["heisenberg", "zn:1", "zn:3", "perm:s4"])
+def test_syllables_reassemble(name, max_letters):
+    # g = w1^k1 * w2^k2 * ..., each w a list of generator letters, at most 4
+    # long on the infinite kernels
     group = group_from_name(name)
+    gens = group.generators()
     rng = random.Random(11)
     for _ in range(100):
         g = group.random_element(rng, 4)
-        h_part, powers = group.central_split(g)
-        prod = h_part
-        for c, k in powers:
-            assert group.is_central(c) and len(group.word(c)) <= 4
-            prod = prod * _power(c, k)
+        prod = group.identity()
+        for letters, k in group.syllables(g):
+            assert all(s in gens or s.inverse() in gens for s in letters)
+            if max_letters is not None:
+                assert len(letters) <= max_letters
+            w = group.identity()
+            for s in letters:
+                w = w * s
+            prod = prod * _power(w, k)
         assert prod == g
 
 
