@@ -13,6 +13,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,7 +50,9 @@ EXIT_SETUP = 3
 EXIT_PROPERTY = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="dergrade",
         description="Compute with derivations of group algebras and their grading",

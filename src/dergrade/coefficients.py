@@ -6,8 +6,8 @@ support/grading computation in this package relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .groups import integer_entries
@@ -15,44 +15,87 @@ from .groups import integer_entries
 RatLike = Union[int, Fraction]
 CoeffLike = Union["GaussianRational", int, Fraction]
 
+_new = object.__new__
 
-@dataclass(frozen=True)
+
 class GaussianRational:
-    """A complex number a + b*i with rational a, b."""
+    """A complex number a + b*i with rational a, b.
 
-    re: Fraction
-    im: Fraction
+    Stored as one integer triple (p + q*i)/d with d > 0 and
+    gcd(p, q, d) == 1, so each value has exactly one triple (zero is
+    (0, 0, 1)) and equality and hashing compare triples.  `re` and `im` are
+    the Fractions p/d and q/d.
+    """
+
+    __slots__ = ("_p", "_q", "_d")
+
+    def __new__(cls, re: RatLike = 0, im: RatLike = 0) -> "GaussianRational":
+        rd, imd = re.denominator, im.denominator
+        return _reduced(re.numerator * imd, im.numerator * rd, rd * imd)
 
     @staticmethod
     def of(re: RatLike = 0, im: RatLike = 0) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._q, self._d)
+
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, od = self._d, other._d
+        if d == od:
+            p, q = self._p + other._p, self._q + other._q
+        else:
+            p, q = self._p * od + other._p * d, self._q * od + other._q * d
+            d *= od
+        if d == 1:
+            return _triple(p, q, 1)
+        return _reduced(p, q, d)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, od = self._d, other._d
+        if d == od:
+            p, q = self._p - other._p, self._q - other._q
+        else:
+            p, q = self._p * od - other._p * d, self._q * od - other._q * d
+            d *= od
+        if d == 1:
+            return _triple(p, q, 1)
+        return _reduced(p, q, d)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._p, -self._q, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._p, self._q, other._p, other._q
+        p, q, d = a * c - b * e, a * e + b * c, self._d * other._d
+        if d == 1:
+            return _triple(p, q, 1)
+        return _reduced(p, q, d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._p or self._q)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self._p == other._p and self._q == other._q and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._p, self._q, self._d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def to_json(self) -> list:
         # [re_num, re_den, im_num, im_den], always in lowest terms
-        return [
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        ]
+        p, q, d = self._p, self._q, self._d
+        gp, gq = gcd(p, d), gcd(q, d)
+        return [p // gp, d // gp, q // gq, d // gq]
 
     @staticmethod
     def from_json(data) -> "GaussianRational":
@@ -61,15 +104,34 @@ class GaussianRational:
             raise TypeError(f"coefficient {data} must have integer entries")
         if rd == 0 or imd == 0:
             raise ValueError(f"coefficient {data} has a zero denominator")
-        return GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
+        return _reduced(rn * imd, imn * rd, rd * imd)
 
     def __str__(self) -> str:
-        if not self.im:
+        if not self._q:
             return str(self.re)
-        if not self.re:
+        if not self._p:
             return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self._q > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+def _reduced(p: int, q: int, d: int) -> GaussianRational:
+    """The value (p + q*i)/d for any integers p, q and d != 0."""
+    g = gcd(p, q, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _triple(p, q, d)
+
+
+def _triple(p: int, q: int, d: int) -> GaussianRational:
+    """The value (p + q*i)/d from a triple that already meets the invariants."""
+    r = _new(GaussianRational)
+    r._p = p
+    r._q = q
+    r._d = d
+    return r
 
 
 ZERO = GaussianRational.of(0)

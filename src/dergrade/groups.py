@@ -62,10 +62,38 @@ class QuotientError(ValueError):
         self.diagnostic = diagnostic or {}
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    group: "Group"
-    payload: tuple
+    """An immutable element: its group and its normal-form payload.
+
+    The hash is the payload's, computed once: equal elements have equal
+    payloads, and an element's group is compared only when payloads match.
+    """
+
+    __slots__ = ("group", "payload", "_hash")
+
+    def __init__(self, group: "Group", payload: tuple):
+        _set_group(self, group)
+        _set_payload(self, payload)
+        _set_hash(self, hash(payload))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable GroupElement")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable GroupElement")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self.payload == other.payload and (
+            self.group is other.group or self.group == other.group
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GroupElement, (self.group, self.payload)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         self.group._check(other)
@@ -76,6 +104,11 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"{self.group.name}{self.payload}"
+
+
+_set_group = GroupElement.group.__set__
+_set_payload = GroupElement.payload.__set__
+_set_hash = GroupElement._hash.__set__
 
 
 def conjugate(t: GroupElement, a: GroupElement) -> GroupElement:
@@ -143,7 +176,7 @@ class Group:
         raise NotImplementedError
 
     def _check(self, g: GroupElement) -> None:
-        if g.group != self:
+        if g.group is not self and g.group != self:
             raise GroupMismatchError(f"element of {g.group.name} used with {self.name}")
 
     # -- group operations ----------------------------------------------------
@@ -284,6 +317,7 @@ class Heisenberg(Group):
 
     def __init__(self):
         super().__init__("heisenberg", ("heisenberg",))
+        self._generators = [self.element((1, 0, 0)), self.element((0, 1, 0))]
 
     def element(self, payload: Sequence) -> GroupElement:
         a, b, c = payload
@@ -304,7 +338,7 @@ class Heisenberg(Group):
         return GroupElement(self, (-a, -b, a * b - c))
 
     def generators(self) -> List[GroupElement]:
-        return [self.element((1, 0, 0)), self.element((0, 1, 0))]
+        return list(self._generators)
 
     def generator_names(self) -> List[str]:
         return ["x", "y"]
@@ -312,12 +346,12 @@ class Heisenberg(Group):
     def syllables(self, g: GroupElement) -> List[Tuple[List[GroupElement], int]]:
         # g = x^a y^b z^(c-ab), with z = x y x^-1 y^-1
         a, b, c = g.payload
-        x, y = self.generators()
+        x, y = self._generators
         return [([x], a), ([y], b), ([x, y, self.inv(x), self.inv(y)], c - a * b)]
 
     def relators(self) -> List[List[GroupElement]]:
         # z is central: [x, z] = [y, z] = e, with z spelled out as [x, y]
-        x, y = self.generators()
+        x, y = self._generators
         xi, yi = self.inv(x), self.inv(y)
         z_word = [x, y, xi, yi]
         z_inv_word = [y, x, yi, xi]
@@ -387,10 +421,15 @@ class FreeAbelian(Group):
     """Z^n with componentwise addition."""
 
     def __init__(self, n: int):
+        if n > MAX_ZN_RANK:
+            raise ValueError(f"rank {n} exceeds the limit MAX_ZN_RANK = {MAX_ZN_RANK}")
         if n < 1:
             raise ValueError("rank must be >= 1")
         super().__init__(f"zn:{n}", ("zn", n))
         self.n = n
+        self._generators = [
+            self.element([1 if j == i else 0 for j in range(n)]) for i in range(n)
+        ]
 
     def element(self, payload: Sequence) -> GroupElement:
         vec = tuple(payload)
@@ -408,22 +447,17 @@ class FreeAbelian(Group):
         return GroupElement(self, tuple(-a for a in g.payload))
 
     def generators(self) -> List[GroupElement]:
-        gens = []
-        for i in range(self.n):
-            vec = [0] * self.n
-            vec[i] = 1
-            gens.append(self.element(vec))
-        return gens
+        return list(self._generators)
 
     def generator_names(self) -> List[str]:
         return [f"e{i + 1}" for i in range(self.n)]
 
     def syllables(self, g: GroupElement) -> List[Tuple[List[GroupElement], int]]:
-        return [([e], k) for e, k in zip(self.generators(), g.payload)]
+        return [([e], k) for e, k in zip(self._generators, g.payload)]
 
     def relators(self) -> List[List[GroupElement]]:
         rels = []
-        gens = self.generators()
+        gens = self._generators
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 a, b = gens[i], gens[j]
@@ -831,6 +865,10 @@ _PERM_CACHE: Dict[str, PermutationGroup] = {}
 # Largest degree group_from_name builds: closure stores every element with a
 # word.
 MAX_PERM_DEGREE = 6
+
+# Largest rank FreeAbelian builds: it stores n generators of length n and
+# checks n(n-1)/2 commutator relators, and `info` prints every generator.
+MAX_ZN_RANK = 64
 
 
 def group_from_name(name: str) -> Group:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dergrade import AlgebraElement, Derivation, Heisenberg
-from dergrade.cli import main
+from dergrade.cli import build_parser, main
 from dergrade.serialization import (
     derivation_from_json,
     derivation_to_json,
@@ -261,3 +261,27 @@ class TestDeterminism:
             assert main(["verify", "--group", "heisenberg", "--seed", "9",
                          "--samples", "8", "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestParserBuiltOnce:
+    def test_cached(self):
+        assert build_parser() is build_parser()
+
+    def test_runs_around_a_rejected_argument_identical(self, tmp_path, capsys):
+        spec = write(tmp_path / "d.json", inner_spec((1, 0, 0), (0, 1, 0)))
+        good = ["decompose", "--group", "heisenberg", "--in", spec]
+        bad = ["decompose", "--group", "heisenberg", "--samples", "many"]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first, rejected, second, rejected_again = map(run, [good, bad, good, bad])
+        assert first[0] == 0 and first[1] and first[2]
+        assert rejected[0] == 2 and "invalid int value" in rejected[2]
+        assert second == first
+        assert rejected_again == rejected

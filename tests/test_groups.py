@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from dergrade import (
 )
 from dergrade import groups
 from dergrade.cli import main
-from dergrade.groups import MAX_PERM_DEGREE
+from dergrade.groups import MAX_PERM_DEGREE, MAX_ZN_RANK
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -492,6 +493,69 @@ class TestDegreeLimit:
     def test_limit_degree_still_builds(self):
         group = group_from_name(f"perm:s{MAX_PERM_DEGREE}")
         assert len(group.finite_elements()) == math.factorial(MAX_PERM_DEGREE)
+
+
+class TestRankLimit:
+    @pytest.mark.parametrize("name", ["zn:65", "zn:1000000000"])
+    def test_rejected_before_construction(self, name, monkeypatch, capsys):
+        def build_vector(self, payload):
+            raise AssertionError("vector built above the rank limit")
+
+        monkeypatch.setattr(FreeAbelian, "element", build_vector)
+        with pytest.raises(ValueError, match=f"MAX_ZN_RANK = {MAX_ZN_RANK}"):
+            group_from_name(name)
+        assert main(["info", "--group", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "MAX_ZN_RANK" in captured.err
+
+    def test_limit_rank_still_builds(self):
+        group = group_from_name(f"zn:{MAX_ZN_RANK}")
+        gens = group.generators()
+        assert len(gens) == MAX_ZN_RANK
+        assert gens[-1].payload == (0,) * (MAX_ZN_RANK - 1) + (1,)
+
+
+class TestGroupElementValue:
+    @pytest.mark.parametrize("field, value", [("payload", (0, 0, 0)), ("group", Z2)])
+    def test_fields_cannot_be_assigned(self, field, value):
+        g = h(1, 2, 3)
+        with pytest.raises(AttributeError):
+            setattr(g, field, value)
+        with pytest.raises(AttributeError):
+            delattr(g, field)
+        assert g.group is H and g.payload == (1, 2, 3)
+
+    def test_pickle_round_trip(self):
+        g = h(1, 2, 3)
+        assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_separately_built_groups_share_elements(self):
+        first, second = Heisenberg(), Heisenberg()
+        a, b = first.element((1, -2, 3)), second.element((1, -2, 3))
+        assert a.group is not b.group
+        assert a == b and hash(a) == hash(b)
+        assert {a: "first"}[b] == "first"
+        assert a * b.inverse() == second.identity()
+
+    def test_equal_payloads_of_different_groups(self):
+        x, e1 = h(1, 0, 0), FreeAbelian(3).element((1, 0, 0))
+        assert x != e1 and e1 != x
+        keys = {x: "heisenberg", e1: "zn:3"}
+        assert len(keys) == 2
+        assert keys[h(1, 0, 0)] == "heisenberg"
+        assert keys[FreeAbelian(3).element((1, 0, 0))] == "zn:3"
+
+    def test_generators_built_once(self, monkeypatch):
+        group = FreeAbelian(3)
+
+        def build(self, payload):
+            raise AssertionError("generator rebuilt")
+
+        monkeypatch.setattr(FreeAbelian, "element", build)
+        gens = group.generators()
+        gens.append(group.identity())
+        assert len(group.generators()) == 3
+        assert [k for _, k in group.syllables(group.identity())] == [0, 0, 0]
 
 
 class TestStem:
