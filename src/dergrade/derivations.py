@@ -2,12 +2,14 @@
 
 A derivation is stored by its images on the kernel's generating set and
 extended to the whole algebra through the Leibniz rule.  A group element g is
-evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ... with each w a
-short list of letters (`Group.syllables`).  Everything is combined by one
-join, (g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)): each w^k is built from
-d(w) or d(w^-1) by binary powering, in O(log |k|) joins, and the powers are
-then joined in order.  The character view is derived: the value of the
-character on an arrow (u, v) is the coefficient of u in d(v).
+evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ... with each base
+w named together with a short spelling in letters (`Group.syllables`).
+Everything is combined by one join, (g, d(g)), (h, d(h)) -> (gh, d(g)*h +
+g*d(h)): relators and syllable bases are their letters joined in order, each
+w^k is built from d(w) or d(w^-1) by binary powering, in O(log |k|) joins,
+and the powers are then joined in order.  The character view is derived:
+the value of the character on an arrow (u, v) is the coefficient of u in
+d(v).
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .groups import (
 )
 
 
-# Most elements `Derivation._cache` holds; it is emptied when full.
+# Most elements `Derivation._cache` holds; when full it is reset to the
+# generator images.
 CACHE_LIMIT = 4096
 
 # A group element with its image under a derivation.
@@ -38,7 +41,7 @@ class DerivationTableError(ValueError):
 
 
 class Derivation:
-    __slots__ = ("group", "images", "spec", "_cache", "_letter_cache")
+    __slots__ = ("group", "images", "spec", "_cache")
 
     def __init__(
         self,
@@ -54,11 +57,9 @@ class Derivation:
         self.group = group
         self.images = {s: images[s] for s in group.generators()}
         self.spec = spec
-        self._cache: Dict[GroupElement, AlgebraElement] = {}
-        # images of the generators, the inverse letters and each syllable's
-        # w and w^-1, keyed by the element: a few on an infinite kernel, at
-        # most |G| on a finite one
-        self._letter_cache: Dict[GroupElement, AlgebraElement] = dict(self.images)
+        # d(g) by element g: the generator images, the inverse letters and
+        # syllable bases met so far, and every evaluated element
+        self._cache: Dict[GroupElement, AlgebraElement] = dict(self.images)
 
     # -- constructors --------------------------------------------------------
 
@@ -89,10 +90,10 @@ class Derivation:
         group._check(z)
         if not group.is_central(z):
             raise CentralityError(f"{z!r} is not central in {group.name}")
-        basis = group.abelian_basis()
-        if len(tau) != len(basis):
+        rank = len(group.abelian_coords(z))
+        if len(tau) != rank:
             raise ValueError(
-                f"tau must list {len(basis)} values (one per abelianization basis element)"
+                f"tau must list {rank} values (one per abelianization basis element)"
             )
         coeffs = [as_coefficient(t) for t in tau]
         images: Dict[GroupElement, AlgebraElement] = {}
@@ -131,46 +132,12 @@ class Derivation:
 
     def _validate_table(self) -> None:
         for rel in self.group.relators():
-            if self._apply_word(rel):
+            if self._word(rel):
                 raise DerivationTableError(
                     "generator images violate a defining relation"
                 )
 
     # -- evaluation ----------------------------------------------------------
-
-    def _letter_image(self, letter: GroupElement) -> AlgebraElement:
-        img = self._letter_cache.get(letter)
-        if img is not None:
-            return img
-        s = letter.inverse()
-        base = self.images.get(s)
-        if base is None:
-            raise ValueError(f"{letter!r} is not a generator letter")
-        # d(s^-1) = -s^-1 d(s) s^-1, forced by the Leibniz rule; translation
-        # is injective, so these terms are distinct
-        mul = self.group.mul
-        terms = {mul(mul(letter, t), letter): -c for t, c in base._terms.items()}
-        img = self._letter_cache[letter] = AlgebraElement(self.group, terms)
-        return img
-
-    def _apply_word(self, letters: List[GroupElement]) -> AlgebraElement:
-        # d(l1 ... ln) = sum_i prefix_i * d(l_i) * suffix_i; terms are
-        # accumulated by translating each image's support directly
-        group = self.group
-        total = group.identity()
-        for letter in letters:
-            total = total * letter
-        acc: Dict[GroupElement, GaussianRational] = {}
-        prefix = group.identity()
-        for letter in letters:
-            prefix_next = prefix * letter
-            suffix = prefix_next.inverse() * total
-            for g, c in self._letter_image(letter)._terms.items():
-                shifted = prefix * g * suffix
-                value = acc.get(shifted)
-                acc[shifted] = c if value is None else value + c
-            prefix = prefix_next
-        return AlgebraElement(group, acc)
 
     def _join(self, left: Evaluated, right: Evaluated) -> Evaluated:
         """(g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)), the Leibniz rule,
@@ -186,20 +153,41 @@ class Derivation:
             acc[shifted] = c if value is None else value + c
         return mul(g, h), AlgebraElement(self.group, acc)
 
-    def _power(self, letters: List[GroupElement], k: int) -> Evaluated:
+    def _inverse(self, evaluated: Evaluated) -> Evaluated:
+        """(w, d(w)) -> (w^-1, -w^-1*d(w)*w^-1), the image forced by the
+        Leibniz rule, kept in `_cache`."""
+        w, dw = evaluated
+        wi = self.group.inv(w)
+        img = self._cache.get(wi)
+        if img is None:
+            mul = self.group.mul
+            # translation is injective, so these terms are distinct
+            terms = {mul(mul(wi, t), wi): -c for t, c in dw._terms.items()}
+            img = self._cache[wi] = AlgebraElement(self.group, terms)
+        return wi, img
+
+    def _word(self, letters: List[GroupElement]) -> AlgebraElement:
+        """d(l1 * ... * ln) for letters that are generators or their
+        inverses: the letter images joined left to right."""
+        acc: Optional[Evaluated] = None
+        for letter in letters:
+            img = self._cache.get(letter)
+            if img is None:
+                # not a generator, so the inverse s^-1 of one
+                s = self.group.inv(letter)
+                img = self._inverse((s, self._cache[s]))[1]
+            acc = (letter, img) if acc is None else self._join(acc, (letter, img))
+        return AlgebraElement.zero(self.group) if acc is None else acc[1]
+
+    def _power(self, w: GroupElement, letters: List[GroupElement], k: int) -> Evaluated:
         """(w^k, d(w^k)) for the product w of `letters` and k != 0, by
         binary powering: O(log |k|) joins."""
-        if k < 0:
-            # w^k = (w^-1)^|k|, and w^-1 is spelled by the inverse letters reversed
-            letters, k = [s.inverse() for s in reversed(letters)], -k
-        mul = self.group.mul
-        w = self.group.identity()
-        for letter in letters:
-            w = mul(w, letter)
-        img = self._letter_cache.get(w)
+        img = self._cache.get(w)
         if img is None:
-            img = self._letter_cache[w] = self._apply_word(letters)
+            img = self._cache[w] = self._word(letters)
         base: Evaluated = (w, img)
+        if k < 0:
+            base, k = self._inverse(base), -k
         result: Optional[Evaluated] = None
         while True:
             if k & 1:
@@ -218,13 +206,13 @@ class Derivation:
             # an element of another group never equals a cached key
             group._check(g)
             acc: Optional[Evaluated] = None
-            for letters, k in group.syllables(g):
+            for w, letters, k in group.syllables(g):
                 if k:
-                    power = self._power(letters, k)
+                    power = self._power(w, letters, k)
                     acc = power if acc is None else self._join(acc, power)
             cached = AlgebraElement.zero(group) if acc is None else acc[1]
             if len(self._cache) >= CACHE_LIMIT:
-                self._cache.clear()
+                self._cache = dict(self.images)
             self._cache[g] = cached
         return cached
 

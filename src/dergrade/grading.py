@@ -55,6 +55,33 @@ class GradingSetup:
             )
 
 
+# per generator s, terms k of d(s) with their coefficients
+Terms = Dict[GroupElement, Dict[GroupElement, GaussianRational]]
+
+
+def _buckets(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Terms]:
+    """The terms of d's generator images by coset: each term k of d(s), with
+    its coefficient, goes to buckets[key(s^-1 k)][s].  Only keys with a term
+    appear."""
+    if d.group != setup.group:
+        raise GroupMismatchError("derivation over a different group")
+    buckets: Dict[CosetKey, Terms] = {}
+    for s in d.group.generators():
+        s_inv = s.inverse()
+        for k, c in d.images[s].items():
+            key = setup.quotient.key(s_inv * k)
+            buckets.setdefault(key, {}).setdefault(s, {})[k] = c
+    return buckets
+
+
+def _component(d: Derivation, terms: Terms) -> Derivation:
+    """The derivation whose image of each generator s is `terms[s]`, or 0."""
+    return Derivation(
+        d.group,
+        {s: AlgebraElement(d.group, terms.get(s, {})) for s in d.group.generators()},
+    )
+
+
 def support_cosets(d: Derivation, setup: GradingSetup) -> FrozenSet[CosetKey]:
     """Coset keys that can carry support of d's character.
 
@@ -62,14 +89,7 @@ def support_cosets(d: Derivation, setup: GradingSetup) -> FrozenSet[CosetKey]:
     any arrow with a nonzero character value has its source's coset in this
     set, which the property tests check against random arrows.
     """
-    if d.group != setup.group:
-        raise GroupMismatchError("derivation over a different group")
-    keys = set()
-    for s in d.group.generators():
-        s_inv = s.inverse()
-        for k in d.images[s].support():
-            keys.add(setup.quotient.key(s_inv * k))
-    return frozenset(keys)
+    return frozenset(_buckets(d, setup))
 
 
 def support_classes(d: Derivation) -> FrozenSet[GroupElement]:
@@ -86,20 +106,7 @@ def support_classes(d: Derivation) -> FrozenSet[GroupElement]:
 def project(d: Derivation, key: CosetKey, setup: GradingSetup) -> Derivation:
     """The component of d at one coset key: per generator s, the sub-sum of
     d(s) over terms k with key(s^-1 k) == key."""
-    if d.group != setup.group:
-        raise GroupMismatchError("derivation over a different group")
-    images: Dict[GroupElement, AlgebraElement] = {}
-    for s in d.group.generators():
-        s_inv = s.inverse()
-        images[s] = AlgebraElement(
-            d.group,
-            {
-                k: c
-                for k, c in d.images[s].items()
-                if setup.quotient.key(s_inv * k) == key
-            },
-        )
-    return Derivation(d.group, images)
+    return _component(d, _buckets(d, setup).get(key, {}))
 
 
 @dataclass(frozen=True)
@@ -124,22 +131,8 @@ def decompose(d: Derivation, setup: GradingSetup) -> GradedDecomposition:
 
     One pass over the generator images: each term k of d(s) goes to the
     component at key(s^-1 k), so every component holds a nonzero term."""
-    if d.group != setup.group:
-        raise GroupMismatchError("derivation over a different group")
-    generators = d.group.generators()
-    buckets: Dict[CosetKey, Dict[GroupElement, Dict[GroupElement, GaussianRational]]] = {}
-    for s in generators:
-        s_inv = s.inverse()
-        for k, c in d.images[s].items():
-            key = setup.quotient.key(s_inv * k)
-            buckets.setdefault(key, {}).setdefault(s, {})[k] = c
-    components = {
-        key: Derivation(
-            d.group,
-            {s: AlgebraElement(d.group, buckets[key].get(s, {})) for s in generators},
-        )
-        for key in sorted(buckets)
-    }
+    buckets = _buckets(d, setup)
+    components = {key: _component(d, buckets[key]) for key in sorted(buckets)}
     return GradedDecomposition(d, setup, components)
 
 

@@ -111,6 +111,10 @@ _set_payload = GroupElement.payload.__set__
 _set_hash = GroupElement._hash.__set__
 
 
+# (w, letters, k): the power w^k of a base w spelled by `letters`.
+Syllable = Tuple[GroupElement, List[GroupElement], int]
+
+
 def conjugate(t: GroupElement, a: GroupElement) -> GroupElement:
     """t * a * t^-1."""
     return t * a * t.inverse()
@@ -190,32 +194,35 @@ class Group:
     # -- generating set and words --------------------------------------------
 
     def generators(self) -> List[GroupElement]:
-        raise NotImplementedError
+        """The generating set, built once by the kernel; a fresh list."""
+        return list(self._generators)
 
     def generator_names(self) -> List[str]:
         return [f"g{i + 1}" for i in range(len(self.generators()))]
 
-    def syllables(self, g: GroupElement) -> List[Tuple[List[GroupElement], int]]:
-        """[(w1, k1), (w2, k2), ...] with g = w1^k1 * w2^k2 * ..., where each
-        w is a list of letters (generators or inverses of generators) read as
-        their product, and each k is an integer of any sign or size.
+    def syllables(self, g: GroupElement) -> List[Syllable]:
+        """[(w1, l1, k1), (w2, l2, k2), ...] with g = w1^k1 * w2^k2 * ...,
+        where each base w is an element, l spells it as a list of letters
+        (generators or inverses of generators) whose product is w, and each
+        k is an integer of any sign or size.  Callers must not change l.
 
-        On the infinite kernels every list has at most 4 letters and the
+        On the infinite kernels every spelling has at most 4 letters and the
         exponents carry the size, so `Derivation.apply_element` evaluates g
-        in O(log |k|) steps per syllable.  The lists multiply to a few fixed
-        elements there (x, y and [x, y] on `heisenberg`), and to g itself on
-        a finite kernel; a derivation builds the image of each once."""
+        in O(log |k|) steps per syllable.  The bases are a few fixed elements
+        there (x, y and [x, y] on `heisenberg`), and g itself on a finite
+        kernel; a derivation builds the image of each once."""
         raise NotImplementedError
 
     def word(self, g: GroupElement) -> List[GroupElement]:
         """g spelled out letter by letter, each syllable w^k as |k| copies of
-        w, or of its letter-wise inverse when k < 0; the empty list is the
-        identity.  Its length grows with |k|: the tests use it as an oracle."""
+        w's spelling, or of its letter-wise inverse when k < 0; the empty
+        list is the identity.  Its length grows with |k|: the tests use it as
+        an oracle."""
         letters: List[GroupElement] = []
-        for w, k in self.syllables(g):
+        for _, spelling, k in self.syllables(g):
             if k < 0:
-                w = [self.inv(s) for s in reversed(w)]
-            letters += w * abs(k)
+                spelling = [self.inv(s) for s in reversed(spelling)]
+            letters += spelling * abs(k)
         return letters
 
     def relators(self) -> List[List[GroupElement]]:
@@ -242,11 +249,9 @@ class Group:
 
     # -- abelianization -------------------------------------------------------
 
-    def abelian_basis(self) -> List[GroupElement]:
-        """Free basis of G/G', when the abelianization is free abelian."""
-        raise CapabilityError(f"{self.name} has no free abelianization basis")
-
     def abelian_coords(self, g: GroupElement) -> Tuple[int, ...]:
+        """Coordinates of g in a free basis of G/G', when the abelianization
+        is free abelian."""
         raise CapabilityError(f"{self.name} has no free abelianization basis")
 
     # -- quotients -------------------------------------------------------------
@@ -317,7 +322,10 @@ class Heisenberg(Group):
 
     def __init__(self):
         super().__init__("heisenberg", ("heisenberg",))
-        self._generators = [self.element((1, 0, 0)), self.element((0, 1, 0))]
+        x, y = self._generators = [self.element((1, 0, 0)), self.element((0, 1, 0))]
+        # z = [x, y] spans the centre; the last syllable of every element
+        self._z_word = [x, y, self.inv(x), self.inv(y)]
+        self._z = self.element((0, 0, 1))
 
     def element(self, payload: Sequence) -> GroupElement:
         a, b, c = payload
@@ -337,23 +345,18 @@ class Heisenberg(Group):
         a, b, c = g.payload
         return GroupElement(self, (-a, -b, a * b - c))
 
-    def generators(self) -> List[GroupElement]:
-        return list(self._generators)
-
     def generator_names(self) -> List[str]:
         return ["x", "y"]
 
-    def syllables(self, g: GroupElement) -> List[Tuple[List[GroupElement], int]]:
-        # g = x^a y^b z^(c-ab), with z = x y x^-1 y^-1
+    def syllables(self, g: GroupElement) -> List[Syllable]:
+        # g = x^a y^b z^(c-ab)
         a, b, c = g.payload
         x, y = self._generators
-        return [([x], a), ([y], b), ([x, y, self.inv(x), self.inv(y)], c - a * b)]
+        return [(x, [x], a), (y, [y], b), (self._z, self._z_word, c - a * b)]
 
     def relators(self) -> List[List[GroupElement]]:
         # z is central: [x, z] = [y, z] = e, with z spelled out as [x, y]
-        x, y = self._generators
-        xi, yi = self.inv(x), self.inv(y)
-        z_word = [x, y, xi, yi]
+        x, y, xi, yi = z_word = self._z_word
         z_inv_word = [y, x, yi, xi]
         return [
             [x] + z_word + [xi] + z_inv_word,
@@ -382,9 +385,6 @@ class Heisenberg(Group):
         if p == 0 and q == 0:
             return a
         return GroupElement(self, (p, q, c % gcd(p, q)))
-
-    def abelian_basis(self) -> List[GroupElement]:
-        return self.generators()
 
     def abelian_coords(self, g: GroupElement) -> Tuple[int, ...]:
         a, b, _ = g.payload
@@ -446,14 +446,11 @@ class FreeAbelian(Group):
     def inv(self, g: GroupElement) -> GroupElement:
         return GroupElement(self, tuple(-a for a in g.payload))
 
-    def generators(self) -> List[GroupElement]:
-        return list(self._generators)
-
     def generator_names(self) -> List[str]:
         return [f"e{i + 1}" for i in range(self.n)]
 
-    def syllables(self, g: GroupElement) -> List[Tuple[List[GroupElement], int]]:
-        return [([e], k) for e, k in zip(self._generators, g.payload)]
+    def syllables(self, g: GroupElement) -> List[Syllable]:
+        return [(e, [e], k) for e, k in zip(self._generators, g.payload)]
 
     def relators(self) -> List[List[GroupElement]]:
         rels = []
@@ -473,9 +470,6 @@ class FreeAbelian(Group):
     def class_representative(self, a: GroupElement) -> GroupElement:
         return a
 
-    def abelian_basis(self) -> List[GroupElement]:
-        return self.generators()
-
     def abelian_coords(self, g: GroupElement) -> Tuple[int, ...]:
         return g.payload
 
@@ -487,7 +481,7 @@ class FreeAbelian(Group):
         return tau, self.random_element(rng, box)
 
     def central_family(self) -> List[Tuple[List[int], GroupElement]]:
-        return [([1] + [0] * (self.n - 1), b) for b in self.abelian_basis()]
+        return [([1] + [0] * (self.n - 1), b) for b in self._generators]
 
     def center_description(self) -> str:
         return "the whole group (abelian)"
@@ -544,6 +538,7 @@ class PermutationGroup(Group):
         self._generator_payloads = [tuple(p) for p in generator_payloads]
         for p in self._generator_payloads:
             self._validate_payload(p)
+        self._generators = [GroupElement(self, p) for p in self._generator_payloads]
         self._letters, self._elements, self._words = self._close()
         self._relators: Optional[List[List[GroupElement]]] = None
         self._derived: Optional[FrozenSet[tuple]] = None
@@ -619,15 +614,12 @@ class PermutationGroup(Group):
     def inv(self, g: GroupElement) -> GroupElement:
         return GroupElement(self, _perm_inv(g.payload))
 
-    def generators(self) -> List[GroupElement]:
-        return [GroupElement(self, p) for p in self._generator_payloads]
-
     def random_element(self, rng: random.Random, box: int) -> GroupElement:
         return self.element(rng.choice(self._elements))
 
-    def syllables(self, g: GroupElement) -> List[Tuple[List[GroupElement], int]]:
-        # the word along the closure's BFS tree, taken once
-        return [([GroupElement(self, p) for p in self._words[g.payload]], 1)]
+    def syllables(self, g: GroupElement) -> List[Syllable]:
+        # g itself, spelled along the closure's BFS tree
+        return [(g, [GroupElement(self, p) for p in self._words[g.payload]], 1)]
 
     def relators(self) -> List[List[GroupElement]]:
         # Schreier relators: each edge w -> w*l of the closure's BFS that is

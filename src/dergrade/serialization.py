@@ -20,11 +20,6 @@ class SpecError(ValueError):
     """A malformed derivation / job specification."""
 
 
-def arrow_to_json(arrow: Arrow) -> dict:
-    group = arrow.u.group
-    return {"u": group.element_to_json(arrow.u), "v": group.element_to_json(arrow.v)}
-
-
 def arrow_from_json(group: Group, data) -> Arrow:
     try:
         return Arrow(group.element_from_json(data["u"]), group.element_from_json(data["v"]))

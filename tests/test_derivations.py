@@ -135,9 +135,19 @@ class TestApply:
 
 
 def _kinds(group, seed):
-    """One derivation of each kind over `group`, drawn with a fixed seed."""
+    """One derivation of each kind over `group`, drawn with a fixed seed.  A
+    group without central derivations has no "central" or "mixed" kind, and
+    its "table" and "bracket" kinds are built from inner derivations."""
     sampler = Sampler(group, seed=seed)
     inner = sampler.inner_derivation()
+    if not group.has_central_derivations():
+        total = inner + sampler.inner_derivation().scale(sampler.coefficient())
+        return {
+            "inner": inner,
+            "sum": total,
+            "table": Derivation.from_table(group, dict(total.images)),
+            "bracket": total.bracket(sampler.inner_derivation()),
+        }
     central = sampler.central_derivation()
     mixed = inner + central.scale(sampler.nonzero_coefficient())
     other = sampler.inner_derivation() + sampler.central_derivation()
@@ -151,6 +161,31 @@ def _kinds(group, seed):
     }
 
 
+def _expand(d, letters):
+    """d(l1 * ... * ln) = sum_i (l1 ... l(i-1)) * d(li) * (l(i+1) ... ln),
+    with d(s^-1) = -s^-1 * d(s) * s^-1 for an inverse letter: the Leibniz
+    rule expanded along the whole word, apart from `Derivation`'s join."""
+    group = d.group
+    total = group.identity()
+    for letter in letters:
+        total = total * letter
+    acc = {}
+    prefix = group.identity()
+    for letter in letters:
+        prefix_next = prefix * letter
+        suffix = prefix_next.inverse() * total
+        if letter in d.images:
+            terms = d.images[letter].items()
+        else:
+            s = letter.inverse()
+            terms = [(letter * t * letter, -c) for t, c in d.images[s].items()]
+        for t, c in terms:
+            shifted = prefix * t * suffix
+            acc[shifted] = acc[shifted] + c if shifted in acc else c
+        prefix = prefix_next
+    return AlgebraElement.from_terms(group, list(acc.items()))
+
+
 # exponents: zero, negative and about 10^3; Heisenberg triples are (a, b, m)
 # for x^a y^b z^m = (a, b, ab + m)
 _EXPONENTS = [
@@ -159,24 +194,31 @@ _EXPONENTS = [
 ]
 _ORACLE_GROUPS = ["heisenberg", "zn:1", "zn:2", "zn:3"]
 _ORACLE_KINDS = ["inner", "central", "sum", "mixed", "table", "bracket"]
+# (group, kind); permutation groups have no central derivations
+_ORACLE_CASES = [(name, kind) for name in _ORACLE_GROUPS for kind in _ORACLE_KINDS] + [
+    (name, kind)
+    for name in ["perm:a4", "perm:s4"]
+    for kind in ["inner", "sum", "table", "bracket"]
+]
 
 
 class TestClosedFormOracle:
-    """`apply_element` evaluates central powers in closed form; expanding
-    the whole element along its word is the oracle."""
+    """`apply_element` joins syllable powers built by binary powering;
+    expanding the Leibniz rule along the element's whole word, letter by
+    letter (`_expand`), is the oracle."""
 
-    @pytest.mark.parametrize("kind", _ORACLE_KINDS)
-    @pytest.mark.parametrize("name", _ORACLE_GROUPS)
+    @pytest.mark.parametrize("name, kind", _ORACLE_CASES)
     def test_matches_word_expansion(self, name, kind):
         group = group_from_name(name)
         d = _kinds(group, seed=61)[kind]
-        oracle = Derivation(group, dict(d.images))
-        for a, b, m in _EXPONENTS:
-            if name == "heisenberg":
-                g = group.element((a, b, a * b + m))
-            else:
-                g = group.element((a, b, m)[: group.n])
-            assert d.apply_element(g) == oracle._apply_word(group.word(g))
+        if name.startswith("perm:"):
+            elements = group.finite_elements()
+        elif name == "heisenberg":
+            elements = [group.element((a, b, a * b + m)) for a, b, m in _EXPONENTS]
+        else:
+            elements = [group.element((a, b, m)[: group.n]) for a, b, m in _EXPONENTS]
+        for g in elements:
+            assert d.apply_element(g) == _expand(d, group.word(g))
 
     def test_central_letters_have_nonzero_images_on_zn(self):
         # the sum over central letters carries the whole value on Z^n
@@ -254,7 +296,7 @@ class TestSyllableCost:
 
         def syllables(self, g):
             out = split(self, g)
-            if any(len(letters) > 4 for letters, _ in out):
+            if any(len(letters) > 4 for _, letters, _ in out):
                 raise AssertionError(f"syllables of {g!r}: {out!r}")
             calls.append(g)
             return out
@@ -284,6 +326,25 @@ class TestSyllableCost:
             g = h(*payload)
             a, b, _ = payload
             assert d.apply_element(g) == mono(g * z, 2 * a - 3 * b)
+
+
+def test_syllable_bases_not_rebuilt(monkeypatch):
+    # once x, y and z = [x, y] have images, an element with a, b and c - ab
+    # all positive needs no inverse at all
+    a = mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3)
+    d = Derivation.inner(a)
+    d.apply_element(h(1, 1, 2))
+    g = h(1000, 2000, 2_003_000)
+    expected = mono(g) * a - a * mono(g)
+    inv, calls = Heisenberg.inv, []
+
+    def counting(self, x):
+        calls.append(x)
+        return inv(self, x)
+
+    monkeypatch.setattr(Heisenberg, "inv", counting)
+    assert d.apply_element(g) == expected
+    assert calls == []
 
 
 def test_cache_is_bounded(monkeypatch):

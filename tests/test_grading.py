@@ -14,6 +14,7 @@ from dergrade import (
     central_component_key,
     check_bracket_closure,
     decompose,
+    group_from_name,
     inner_graded_decomposition,
     project,
     support_classes,
@@ -144,6 +145,26 @@ class TestDecomposition:
         assert len(dec.components) == 30
         assert len(calls) == terms == 120
         assert dec.total() == d
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "zn:3", "perm:a4", "perm:s4"])
+def test_project_and_support_cosets_match_decompose(name):
+    group = group_from_name(name)
+    setup = GradingSetup.default(group)
+    sampler = Sampler(group, seed=23)
+    # a key of the right length that no sampled derivation reaches
+    absent = (10**9,) * len(setup.quotient.identity_key())
+    keys_seen = 0
+    for _ in range(8):
+        d = sampler.derivation()
+        components = decompose(d, setup).components
+        assert support_cosets(d, setup) == frozenset(components)
+        for key, component in components.items():
+            assert project(d, key, setup) == component
+        assert absent not in components
+        assert project(d, absent, setup).is_zero()
+        keys_seen += len(components)
+    assert keys_seen
 
 
 class TestBracketClosure:

@@ -92,21 +92,22 @@ def _power(c, k):
     [("heisenberg", 4), ("zn:1", 1), ("zn:3", 1), ("perm:s4", None)],
     ids=["heisenberg", "zn:1", "zn:3", "perm:s4"])
 def test_syllables_reassemble(name, max_letters):
-    # g = w1^k1 * w2^k2 * ..., each w a list of generator letters, at most 4
-    # long on the infinite kernels
+    # g = w1^k1 * w2^k2 * ..., each base w spelled by a list of generator
+    # letters, at most 4 long on the infinite kernels
     group = group_from_name(name)
     gens = group.generators()
     rng = random.Random(11)
     for _ in range(100):
         g = group.random_element(rng, 4)
         prod = group.identity()
-        for letters, k in group.syllables(g):
+        for base, letters, k in group.syllables(g):
             assert all(s in gens or s.inverse() in gens for s in letters)
             if max_letters is not None:
                 assert len(letters) <= max_letters
             w = group.identity()
             for s in letters:
                 w = w * s
+            assert base == w
             prod = prod * _power(w, k)
         assert prod == g
 
@@ -555,7 +556,11 @@ class TestGroupElementValue:
         gens = group.generators()
         gens.append(group.identity())
         assert len(group.generators()) == 3
-        assert [k for _, k in group.syllables(group.identity())] == [0, 0, 0]
+        assert [k for _, _, k in group.syllables(group.identity())] == [0, 0, 0]
+
+    def test_perm_generators_built_once(self):
+        S4 = group_from_name("perm:s4")
+        assert S4.generators()[0] is S4.generators()[0]
 
 
 class TestStem:
