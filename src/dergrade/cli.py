@@ -20,12 +20,9 @@ import sys
 import tempfile
 from typing import Optional
 
-from .derivations import DerivationTableError
 from .grading import GradingSetup, TrivialGradingError, decompose
 from .groups import (
     CapabilityError,
-    CentralityError,
-    CompositionError,
     Group,
     GroupMismatchError,
     QuotientError,
@@ -226,16 +223,7 @@ def main(argv: Optional[list] = None) -> int:
                 file=sys.stderr,
             )
         return EXIT_SETUP
-    except (
-        SpecError,
-        DerivationTableError,
-        GroupMismatchError,
-        CompositionError,
-        CentralityError,
-        CapabilityError,
-        ValueError,
-        FileNotFoundError,
-    ) as exc:
+    except (ValueError, GroupMismatchError, CapabilityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

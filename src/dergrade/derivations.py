@@ -5,11 +5,12 @@ extended to the whole algebra through the Leibniz rule.  A group element g is
 evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ... with each base
 w named together with a short spelling in letters (`Group.syllables`).
 Everything is combined by one join, (g, d(g)), (h, d(h)) -> (gh, d(g)*h +
-g*d(h)): relators and syllable bases are their letters joined in order, each
-w^k is built from d(w) or d(w^-1) by binary powering, in O(log |k|) joins,
-and the powers are then joined in order.  The character view is derived:
-the value of the character on an arrow (u, v) is the coefficient of u in
-d(v).
+g*d(h)): syllable bases are their letters joined in order, each w^k is built
+from d(w) or d(w^-1) by binary powering, in O(log |k|) joins, and the powers
+are then joined in order.  A table from outside is checked by the same join:
+on each of the kernel's pairs (g, h) (`Group.leibniz_pairs`), d(g) joined
+with d(h) must equal d(gh).  The character view is derived: the value of the
+character on an arrow (u, v) is the coefficient of u in d(v).
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ class Derivation:
     ):
         """The derivation with the given generator images, which must
         already be known to define one: an image over `group` for every
-        generator, consistent with the relators.  Nothing is checked here;
-        `from_table` is the constructor for images from outside."""
+        generator, satisfying the Leibniz rule on the group's pairs.
+        Nothing is checked here; `from_table` is the constructor for images
+        from outside."""
         self.group = group
         self.images = {s: images[s] for s in group.generators()}
         self.spec = spec
@@ -116,8 +118,8 @@ class Derivation:
         group: Group, images: Dict[GroupElement, AlgebraElement]
     ) -> "Derivation":
         """The derivation with generator images from outside, checked to be
-        over `group`, on exactly the generating set, and consistent with
-        every relator."""
+        over `group`, on exactly the generating set, and satisfying the
+        Leibniz rule on every pair of `group.leibniz_pairs()`."""
         if set(images) != set(group.generators()):
             raise DerivationTableError(
                 "images must be given on exactly the generating set"
@@ -131,8 +133,9 @@ class Derivation:
     # -- table validation ----------------------------------------------------
 
     def _validate_table(self) -> None:
-        for rel in self.group.relators():
-            if self._word(rel):
+        for g, h in self.group.leibniz_pairs():
+            gh, joined = self._join((g, self.apply_element(g)), (h, self.apply_element(h)))
+            if joined != self.apply_element(gh):
                 raise DerivationTableError(
                     "generator images violate a defining relation"
                 )

@@ -225,14 +225,10 @@ class Group:
             letters += spelling * abs(k)
         return letters
 
-    def relators(self) -> List[List[GroupElement]]:
-        """Relators: letter lists, each multiplying to the identity, whose
-        normal closure in the free group on the generators is the kernel of
-        its map onto G.
-
-        The elements of that kernel on which the Leibniz extension of a
-        generator table vanishes form a normal subgroup, so the table is a
-        derivation exactly when every relator maps to 0."""
+    def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
+        """Element pairs (g, h) on which a generator table is checked: the
+        table is a derivation exactly when its syllable evaluation d
+        satisfies d(gh) = d(g)*h + g*d(h) on every pair."""
         raise NotImplementedError
 
     # -- conjugacy / center oracles -------------------------------------------
@@ -241,7 +237,7 @@ class Group:
         raise NotImplementedError
 
     def is_conjugate(self, a: GroupElement, b: GroupElement) -> bool:
-        raise NotImplementedError
+        return self.class_representative(a) == self.class_representative(b)
 
     def class_representative(self, a: GroupElement) -> GroupElement:
         """Canonical representative of [a]."""
@@ -354,33 +350,21 @@ class Heisenberg(Group):
         x, y = self._generators
         return [(x, [x], a), (y, [y], b), (self._z, self._z_word, c - a * b)]
 
-    def relators(self) -> List[List[GroupElement]]:
-        # z is central: [x, z] = [y, z] = e, with z spelled out as [x, y]
-        x, y, xi, yi = z_word = self._z_word
-        z_inv_word = [y, x, yi, xi]
-        return [
-            [x] + z_word + [xi] + z_inv_word,
-            [y] + z_word + [yi] + z_inv_word,
-        ]
+    def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
+        # z = [x, y] is central, and that is all the presentation asks:
+        # each pair says d(zs) = d(sz)
+        x, y = self._generators
+        return [(self._z, x), (self._z, y)]
 
     def is_central(self, z: GroupElement) -> bool:
         a, b, _ = z.payload
         return a == 0 and b == 0
 
-    def is_conjugate(self, a: GroupElement, b: GroupElement) -> bool:
+    def class_representative(self, a: GroupElement) -> GroupElement:
         # Conjugating (a,b,c) by (p,q,r) shifts c by p*b - q*a, so the class
         # of a non-central element is {(a, b, c + k*gcd(a,b))}; central
         # elements form singleton classes.  Validated against the brute-force
         # oracle in the test suite.
-        a1, b1, c1 = a.payload
-        a2, b2, c2 = b.payload
-        if (a1, b1) != (a2, b2):
-            return False
-        if a1 == 0 and b1 == 0:
-            return c1 == c2
-        return (c1 - c2) % gcd(a1, b1) == 0
-
-    def class_representative(self, a: GroupElement) -> GroupElement:
         p, q, c = a.payload
         if p == 0 and q == 0:
             return a
@@ -452,20 +436,12 @@ class FreeAbelian(Group):
     def syllables(self, g: GroupElement) -> List[Syllable]:
         return [(e, [e], k) for e, k in zip(self._generators, g.payload)]
 
-    def relators(self) -> List[List[GroupElement]]:
-        rels = []
-        gens = self._generators
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                a, b = gens[i], gens[j]
-                rels.append([a, b, self.inv(a), self.inv(b)])
-        return rels
+    def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
+        # C[Z^n] is commutative, so every generator table is a derivation
+        return []
 
     def is_central(self, z: GroupElement) -> bool:
         return True
-
-    def is_conjugate(self, a: GroupElement, b: GroupElement) -> bool:
-        return a == b
 
     def class_representative(self, a: GroupElement) -> GroupElement:
         return a
@@ -539,8 +515,7 @@ class PermutationGroup(Group):
         for p in self._generator_payloads:
             self._validate_payload(p)
         self._generators = [GroupElement(self, p) for p in self._generator_payloads]
-        self._letters, self._elements, self._words = self._close()
-        self._relators: Optional[List[List[GroupElement]]] = None
+        self._elements, self._words = self._close()
         self._derived: Optional[FrozenSet[tuple]] = None
         # conjugacy class of each element whose class has been built
         self._classes: Dict[tuple, FrozenSet[tuple]] = {}
@@ -595,8 +570,7 @@ class PermutationGroup(Group):
                         words[prod] = words[w] + [letter]
                         nxt.append(prod)
             frontier = nxt
-        elements = sorted(words)
-        return letters, elements, words
+        return sorted(words), words
 
     def element(self, payload: Sequence) -> GroupElement:
         p = tuple(payload)
@@ -621,24 +595,18 @@ class PermutationGroup(Group):
         # g itself, spelled along the closure's BFS tree
         return [(g, [GroupElement(self, p) for p in self._words[g.payload]], 1)]
 
-    def relators(self) -> List[List[GroupElement]]:
-        # Schreier relators: each edge w -> w*l of the closure's BFS that is
-        # off the word tree gives word(w) * l * word(w*l)^-1.  That inverse is
-        # taken letter by letter, which a table honours because the edges
-        # from each letter l back to e give the relators l * l^-1.
-        if self._relators is None:
-            relators = []
-            for w, word in self._words.items():
-                for letter in self._letters:
-                    target = self._words[_perm_mul(w, letter)]
-                    if target and target[-1] == letter:
-                        continue  # tree edge: target's word is word + [letter]
-                    back = [_perm_inv(p) for p in reversed(target)]
-                    relators.append(
-                        [GroupElement(self, p) for p in word + [letter] + back]
-                    )
-            self._relators = relators
-        return self._relators
+    def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
+        # Each Cayley edge w -> w*s off the closure's BFS tree, s a generator;
+        # on a tree edge d(ws) is d(w) joined with d(s) by construction.
+        # Every element of a finite group is a positive word in the
+        # generators, so Leibniz on every (g, s) gives it on every (g, h)
+        # by induction on the length of h.
+        return [
+            (GroupElement(self, w), s)
+            for w in self._elements
+            for s in self._generators
+            if self._words[_perm_mul(w, s.payload)][-1:] != [s.payload]
+        ]
 
     def finite_elements(self) -> List[GroupElement]:
         return [GroupElement(self, p) for p in self._elements]
@@ -858,8 +826,8 @@ _PERM_CACHE: Dict[str, PermutationGroup] = {}
 # word.
 MAX_PERM_DEGREE = 6
 
-# Largest rank FreeAbelian builds: it stores n generators of length n and
-# checks n(n-1)/2 commutator relators, and `info` prints every generator.
+# Largest rank FreeAbelian builds: it stores n generators of length n, and
+# `info` prints every generator.
 MAX_ZN_RANK = 64
 
 

@@ -516,10 +516,9 @@ class TestLeibniz:
             Derivation.from_table(S4, images)
 
 
-def leibniz_pair_scan(d):
-    """The Leibniz rule on every element pair of a finite kernel: the
-    brute-force table check that relator-based validation replaces."""
-    elements = d.group.finite_elements()
+def leibniz_pair_scan(d, elements):
+    """The Leibniz rule on every pair of `elements`: the brute-force table
+    check that `from_table`'s pair list replaces."""
     return all(
         d.apply_element(g * h)
         == d.apply_element(g) * mono(h) + mono(g) * d.apply_element(h)
@@ -528,21 +527,55 @@ def leibniz_pair_scan(d):
     )
 
 
+def scan_elements(group):
+    """Every element of a finite kernel; the box [-1, 1]^3 otherwise, which
+    holds the generators and, on heisenberg, z = [x, y], so it sees every
+    failing pair."""
+    if isinstance(group, PermutationGroup):
+        return group.finite_elements()
+    return [group.element(p) for p in itertools.product(range(-1, 2), repeat=3)]
+
+
+def rank_mod_prime(rows, prime=2**61 - 1):
+    """The rank of an integer matrix modulo `prime`, by row reduction."""
+    rows = [[v % prime for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        scale = pow(rows[rank][c], -1, prime)
+        top = [v * scale % prime for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % prime for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
 class TestRelatorValidationOracle:
-    @pytest.mark.parametrize("name", ["perm:s3", "perm:a4", "perm:s4"])
+    @pytest.mark.parametrize(
+        "name",
+        ["perm:s3", "perm:a4", "perm:s4", "perm:a5", "heisenberg", "zn:3"],
+    )
     def test_from_table_accepts_what_pair_scan_accepts(self, name):
         group = group_from_name(name)
+        elements = scan_elements(group)
         sampler = Sampler(group, seed=31)
         verdicts = []
         for _ in range(5):
             valid = dict(sampler.derivation(allow_table=False).images)
             s = sampler.rng.choice(group.generators())
-            perturbed = dict(valid)
-            perturbed[s] = valid[s] + mono(
-                sampler.element(), sampler.nonzero_coefficient()
-            )
-            for images in (valid, perturbed):
-                expected = leibniz_pair_scan(Derivation(group, images))
+            one = dict(valid)
+            one[s] = valid[s] + mono(sampler.element(), sampler.nonzero_coefficient())
+            every = {
+                t: img + mono(sampler.element(), sampler.nonzero_coefficient())
+                for t, img in valid.items()
+            }
+            for images in (valid, one, every):
+                expected = leibniz_pair_scan(Derivation(group, images), elements)
                 try:
                     Derivation.from_table(group, images)
                     accepted = True
@@ -550,7 +583,53 @@ class TestRelatorValidationOracle:
                     accepted = False
                 assert accepted == expected
                 verdicts.append(expected)
-        assert True in verdicts and False in verdicts
+        if name == "zn:3":
+            # C[Z^n] is commutative: every table is a derivation
+            assert all(verdicts)
+        else:
+            assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("name, classes", [("perm:s3", 3), ("perm:a4", 4), ("perm:s4", 5)])
+    def test_pairs_cut_out_exactly_the_derivations(self, name, classes):
+        # C[G] is semisimple, so every derivation is inner and they span
+        # |G| - k(G) dimensions, k(G) the number of classes.  A table's
+        # defects on the pairs are linear in it, so the tables the pairs
+        # admit are exactly the derivations when the defects of the 2|G|
+        # unit tables have rank 2|G| - (|G| - k(G)).  The rank mod a prime
+        # is at most the rank over Q.
+        group = group_from_name(name)
+        elements = group.finite_elements()
+        zero = AlgebraElement.zero(group)
+        defects = []
+        for s in group.generators():
+            for e in elements:
+                images = {t: mono(e) if t == s else zero for t in group.generators()}
+                d = Derivation(group, images)
+                row = []
+                for g, h in group.leibniz_pairs():
+                    defect = (
+                        d.apply_element(g * h)
+                        - d.apply_element(g) * mono(h)
+                        - mono(g) * d.apply_element(h)
+                    )
+                    row += [int(defect.coefficient(k).re) for k in elements]
+                defects.append(row)
+        assert rank_mod_prime(defects) == len(elements) + classes
+
+
+def test_table_validation_cost(monkeypatch):
+    # s5 has 159 Leibniz pairs; this table takes about 3,400 products
+    S5 = group_from_name("perm:s5")
+    images = dict(Sampler(S5, seed=1).derivation(allow_table=False).images)
+    mul, calls = PermutationGroup.mul, []
+
+    def counting(self, g, h):
+        calls.append(g)
+        return mul(self, g, h)
+
+    monkeypatch.setattr(PermutationGroup, "mul", counting)
+    Derivation.from_table(S5, images)
+    assert len(calls) < 6000
 
 
 class TestInnerWitness:

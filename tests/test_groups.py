@@ -134,7 +134,7 @@ MIXED = {
     "derivation-add": lambda: _D + _FD,
     "derivation-sub": lambda: _D - _FD,
     "derivation-bracket": lambda: _D.bracket(_FD),
-    # zn:1 has no relators, so only the image check sees the foreign group
+    # zn:1 has no Leibniz pairs, so only the image check sees the foreign group
     "derivation-from-table": lambda: Derivation.from_table(
         Z1, {Z1.generators()[0]: AlgebraElement.zero(Z3)}
     ),
