@@ -5,8 +5,8 @@
         [--quotient derived|<spec.json>] [--in <file|->] [--out <file|->]
         [--seed <int>] [--samples N] [--word-len L]
 
-Exit codes: 0 success, 2 spec/parse error, 3 setup rejection, 4 property
-failure.  All randomness is seeded, so identical jobs produce byte-identical
+Exit codes: 0 success, 2 spec/parse error or an --in, --out or --quotient
+path that cannot be read or written, 3 setup rejection, 4 property failure.  All randomness is seeded, so identical jobs produce byte-identical
 output.
 """
 
@@ -223,7 +223,7 @@ def main(argv: Optional[list] = None) -> int:
                 file=sys.stderr,
             )
         return EXIT_SETUP
-    except (ValueError, GroupMismatchError, CapabilityError, FileNotFoundError) as exc:
+    except (ValueError, GroupMismatchError, CapabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

@@ -2,15 +2,16 @@
 
 A derivation is stored by its images on the kernel's generating set and
 extended to the whole algebra through the Leibniz rule.  A group element g is
-evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ... with each base
-w named together with a short spelling in letters (`Group.syllables`).
+evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ...
+(`Group.syllables`), where each base w is a generator or an element whose own
+syllables lie nearer the generators; a base is evaluated like any element.
 Everything is combined by one join, (g, d(g)), (h, d(h)) -> (gh, d(g)*h +
-g*d(h)): syllable bases are their letters joined in order, each w^k is built
-from d(w) or d(w^-1) by binary powering, in O(log |k|) joins, and the powers
-are then joined in order.  A table from outside is checked by the same join:
-on each of the kernel's pairs (g, h) (`Group.leibniz_pairs`), d(g) joined
-with d(h) must equal d(gh).  The character view is derived: the value of the
-character on an arrow (u, v) is the coefficient of u in d(v).
+g*d(h)): each w^k is built from d(w) or d(w^-1) by binary powering, in
+O(log |k|) joins, and the powers are then joined in order.  A table from
+outside is checked by the same join: on each of the kernel's pairs (g, h)
+(`Group.leibniz_pairs`), d(g) joined with d(h) must equal d(gh).  The
+character view is derived: the value of the character on an arrow (u, v) is
+the coefficient of u in d(v).
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class Derivation:
         self.group = group
         self.images = {s: images[s] for s in group.generators()}
         self.spec = spec
-        # d(g) by element g: the generator images, the inverse letters and
-        # syllable bases met so far, and every evaluated element
+        # d(g) by element g: the generator images, the inverses of syllable
+        # bases met so far, and every evaluated element
         self._cache: Dict[GroupElement, AlgebraElement] = dict(self.images)
 
     # -- constructors --------------------------------------------------------
@@ -169,26 +170,9 @@ class Derivation:
             img = self._cache[wi] = AlgebraElement(self.group, terms)
         return wi, img
 
-    def _word(self, letters: List[GroupElement]) -> AlgebraElement:
-        """d(l1 * ... * ln) for letters that are generators or their
-        inverses: the letter images joined left to right."""
-        acc: Optional[Evaluated] = None
-        for letter in letters:
-            img = self._cache.get(letter)
-            if img is None:
-                # not a generator, so the inverse s^-1 of one
-                s = self.group.inv(letter)
-                img = self._inverse((s, self._cache[s]))[1]
-            acc = (letter, img) if acc is None else self._join(acc, (letter, img))
-        return AlgebraElement.zero(self.group) if acc is None else acc[1]
-
-    def _power(self, w: GroupElement, letters: List[GroupElement], k: int) -> Evaluated:
-        """(w^k, d(w^k)) for the product w of `letters` and k != 0, by
-        binary powering: O(log |k|) joins."""
-        img = self._cache.get(w)
-        if img is None:
-            img = self._cache[w] = self._word(letters)
-        base: Evaluated = (w, img)
+    def _power(self, base: Evaluated, k: int) -> Evaluated:
+        """(w^k, d(w^k)) from (w, d(w)) and k != 0, by binary powering:
+        O(log |k|) joins."""
         if k < 0:
             base, k = self._inverse(base), -k
         result: Optional[Evaluated] = None
@@ -202,16 +186,21 @@ class Derivation:
 
     def apply_element(self, g: GroupElement) -> AlgebraElement:
         """d(g) for a single group element: the kernel's syllables w^k of g,
-        each evaluated by `_power` and joined left to right."""
+        each evaluated by `_power` from d(w) and joined left to right.  A
+        base missing from `_cache` is evaluated by this method in turn."""
         cached = self._cache.get(g)
         if cached is None:
             group = self.group
             # an element of another group never equals a cached key
             group._check(g)
             acc: Optional[Evaluated] = None
-            for w, letters, k in group.syllables(g):
+            for w, k in group.syllables(g):
                 if k:
-                    power = self._power(w, letters, k)
+                    # most bases are cached, and a lookup costs less than a call
+                    dw = self._cache.get(w)
+                    if dw is None:
+                        dw = self.apply_element(w)
+                    power = self._power((w, dw), k)
                     acc = power if acc is None else self._join(acc, power)
             cached = AlgebraElement.zero(group) if acc is None else acc[1]
             if len(self._cache) >= CACHE_LIMIT:

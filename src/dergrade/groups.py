@@ -111,8 +111,8 @@ _set_payload = GroupElement.payload.__set__
 _set_hash = GroupElement._hash.__set__
 
 
-# (w, letters, k): the power w^k of a base w spelled by `letters`.
-Syllable = Tuple[GroupElement, List[GroupElement], int]
+# (w, k): the power w^k of a base element w.
+Syllable = Tuple[GroupElement, int]
 
 
 def conjugate(t: GroupElement, a: GroupElement) -> GroupElement:
@@ -201,25 +201,29 @@ class Group:
         return [f"g{i + 1}" for i in range(len(self.generators()))]
 
     def syllables(self, g: GroupElement) -> List[Syllable]:
-        """[(w1, l1, k1), (w2, l2, k2), ...] with g = w1^k1 * w2^k2 * ...,
-        where each base w is an element, l spells it as a list of letters
-        (generators or inverses of generators) whose product is w, and each
-        k is an integer of any sign or size.  Callers must not change l.
+        """[(w1, k1), (w2, k2), ...] with g = w1^k1 * w2^k2 * ..., where each
+        base w is a generator or an element whose own syllables lie nearer
+        the generators, and each k is an integer of any sign or size.
 
-        On the infinite kernels every spelling has at most 4 letters and the
+        On the infinite kernels the bases are a few fixed elements (x, y and
+        z = [x, y] on `heisenberg`, whose syllables are generators) and the
         exponents carry the size, so `Derivation.apply_element` evaluates g
-        in O(log |k|) steps per syllable.  The bases are a few fixed elements
-        there (x, y and [x, y] on `heisenberg`), and g itself on a finite
-        kernel; a derivation builds the image of each once."""
+        in O(log |k|) steps per syllable.  On a permutation group they are
+        g's parent in the closure's BFS tree and one generator, so evaluating
+        a base recurses as deep as the tree (15 on s6, 10 on a6); a
+        derivation builds the image of each base once."""
         raise NotImplementedError
 
     def word(self, g: GroupElement) -> List[GroupElement]:
-        """g spelled out letter by letter, each syllable w^k as |k| copies of
-        w's spelling, or of its letter-wise inverse when k < 0; the empty
-        list is the identity.  Its length grows with |k|: the tests use it as
-        an oracle."""
+        """g spelled out letter by letter: a generator is itself, any other
+        element is each syllable w^k as |k| copies of w's word, or of its
+        letter-wise inverse when k < 0; the empty list is the identity.  Its
+        length grows with |k|: the tests use it as an oracle."""
+        if g in self._generators:
+            return [g]
         letters: List[GroupElement] = []
-        for _, spelling, k in self.syllables(g):
+        for w, k in self.syllables(g):
+            spelling = self.word(w)
             if k < 0:
                 spelling = [self.inv(s) for s in reversed(spelling)]
             letters += spelling * abs(k)
@@ -318,9 +322,8 @@ class Heisenberg(Group):
 
     def __init__(self):
         super().__init__("heisenberg", ("heisenberg",))
-        x, y = self._generators = [self.element((1, 0, 0)), self.element((0, 1, 0))]
+        self._generators = [self.element((1, 0, 0)), self.element((0, 1, 0))]
         # z = [x, y] spans the centre; the last syllable of every element
-        self._z_word = [x, y, self.inv(x), self.inv(y)]
         self._z = self.element((0, 0, 1))
 
     def element(self, payload: Sequence) -> GroupElement:
@@ -345,10 +348,12 @@ class Heisenberg(Group):
         return ["x", "y"]
 
     def syllables(self, g: GroupElement) -> List[Syllable]:
-        # g = x^a y^b z^(c-ab)
-        a, b, c = g.payload
+        # g = x^a y^b z^(c-ab), where z itself is x y x^-1 y^-1
         x, y = self._generators
-        return [(x, [x], a), (y, [y], b), (self._z, self._z_word, c - a * b)]
+        if g.payload == (0, 0, 1):
+            return [(x, 1), (y, 1), (x, -1), (y, -1)]
+        a, b, c = g.payload
+        return [(x, a), (y, b), (self._z, c - a * b)]
 
     def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
         # z = [x, y] is central, and that is all the presentation asks:
@@ -434,7 +439,7 @@ class FreeAbelian(Group):
         return [f"e{i + 1}" for i in range(self.n)]
 
     def syllables(self, g: GroupElement) -> List[Syllable]:
-        return [(e, [e], k) for e, k in zip(self._generators, g.payload)]
+        return list(zip(self._generators, g.payload))
 
     def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
         # C[Z^n] is commutative, so every generator table is a derivation
@@ -505,7 +510,13 @@ class PermutationGroup(Group):
     """A finite permutation group generated by explicit permutations.
 
     Elements are enumerated by closure from the generating set at
-    construction time, which also records a word for every element.
+    construction time, which also records every element's parent in the
+    closure's BFS tree.  A derivation evaluates an element from its parent's
+    image, recursing as deep as the tree; no caller builds a tree deeper
+    than that of s6 (15 levels), the largest group `group_from_name` builds.
+    The tree depth must stay well below `sys.getrecursionlimit()`, so
+    generators of a large cyclic group (one permutation of order in the
+    thousands, with a tree as deep) are not supported; nothing checks this.
     """
 
     def __init__(self, name: str, degree: int, generator_payloads: Sequence[tuple]):
@@ -515,7 +526,7 @@ class PermutationGroup(Group):
         for p in self._generator_payloads:
             self._validate_payload(p)
         self._generators = [GroupElement(self, p) for p in self._generator_payloads]
-        self._elements, self._words = self._close()
+        self._elements, self._tree = self._close()
         self._derived: Optional[FrozenSet[tuple]] = None
         # conjugacy class of each element whose class has been built
         self._classes: Dict[tuple, FrozenSet[tuple]] = {}
@@ -550,32 +561,32 @@ class PermutationGroup(Group):
             raise TypeError(f"not a permutation of 1..{self.degree}: {p}")
 
     def _close(self):
-        gens = self._generator_payloads
-        letters = []
-        for p in gens:
-            letters.append(p)
-        for p in gens:
-            inv = _perm_inv(p)
-            if inv not in letters:
-                letters.append(inv)
+        # each letter with the syllable it stands for: a generator s is
+        # (s, 1), the inverse of s (s, -1) unless it is already a letter
+        letters = [(s.payload, s, 1) for s in self._generators]
+        for s in self._generators:
+            inv = _perm_inv(s.payload)
+            if all(inv != p for p, _, _ in letters):
+                letters.append((inv, s, -1))
         identity = tuple(range(1, self.degree + 1))
-        words: Dict[tuple, List[tuple]] = {identity: []}
+        # element -> (parent, s, k) with element = parent * s^k; None at the root
+        tree: Dict[tuple, Optional[Tuple[tuple, GroupElement, int]]] = {identity: None}
         frontier = [identity]
         while frontier:
             nxt = []
             for w in frontier:
-                for letter in letters:
+                for letter, s, k in letters:
                     prod = _perm_mul(w, letter)
-                    if prod not in words:
-                        words[prod] = words[w] + [letter]
+                    if prod not in tree:
+                        tree[prod] = (w, s, k)
                         nxt.append(prod)
             frontier = nxt
-        return sorted(words), words
+        return sorted(tree), tree
 
     def element(self, payload: Sequence) -> GroupElement:
         p = tuple(payload)
         self._validate_payload(p)
-        if p not in self._words:
+        if p not in self._tree:
             raise ValueError(f"{p} is not an element of {self.name}")
         return GroupElement(self, p)
 
@@ -592,8 +603,12 @@ class PermutationGroup(Group):
         return self.element(rng.choice(self._elements))
 
     def syllables(self, g: GroupElement) -> List[Syllable]:
-        # g itself, spelled along the closure's BFS tree
-        return [(g, [GroupElement(self, p) for p in self._words[g.payload]], 1)]
+        # g = parent * s^k, one step down the closure's BFS tree
+        edge = self._tree[g.payload]
+        if edge is None:
+            return []
+        parent, s, k = edge
+        return [(GroupElement(self, parent), 1), (s, k)]
 
     def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
         # Each Cayley edge w -> w*s off the closure's BFS tree, s a generator;
@@ -605,7 +620,7 @@ class PermutationGroup(Group):
             (GroupElement(self, w), s)
             for w in self._elements
             for s in self._generators
-            if self._words[_perm_mul(w, s.payload)][-1:] != [s.payload]
+            if self._tree[_perm_mul(w, s.payload)] != (w, s, 1)
         ]
 
     def finite_elements(self) -> List[GroupElement]:
@@ -753,7 +768,7 @@ class FiniteQuotient(QuotientSpec):
         if identity not in self._n:
             raise QuotientError("subgroup must contain the identity")
         for p in self._n:
-            if p not in group._words:
+            if p not in group._tree:
                 raise QuotientError(f"{p} is not an element of {group.name}")
             if _perm_inv(p) not in self._n:
                 raise QuotientError(f"not closed under inverses at {p}")
@@ -822,8 +837,8 @@ class FiniteQuotient(QuotientSpec):
 
 _PERM_CACHE: Dict[str, PermutationGroup] = {}
 
-# Largest degree group_from_name builds: closure stores every element with a
-# word.
+# Largest degree group_from_name builds: closure stores every element with
+# its BFS-tree parent.
 MAX_PERM_DEGREE = 6
 
 # Largest rank FreeAbelian builds: it stores n generators of length n, and

@@ -68,6 +68,8 @@ def derivation_from_json(data, group: Optional[Group] = None) -> Derivation:
             z = group.element_from_json(data["z"])
             return Derivation.central(group, tau, z)
         if kind == "table":
+            if not isinstance(data["images"], dict):
+                raise SpecError("table images must be a JSON object")
             by_name = dict(zip(group.generator_names(), group.generators()))
             images = {}
             for name, img in data["images"].items():

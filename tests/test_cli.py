@@ -196,6 +196,10 @@ MALFORMED = {
                         "a": [[[1, 1, 0, 1], [1, 0, 0]]]},
          "element": [[[True, 1, 0, 1], [0, 1, 0]]]},
         "integer entries"),
+    "table-images-not-object": (
+        ["decompose", "--group", "heisenberg"],
+        {"group": "heisenberg", "kind": "table", "images": [1]},
+        "JSON object"),
 }
 
 
@@ -208,6 +212,16 @@ def test_malformed_input_exit_2(tmp_path, capsys, argv, job, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and reason in captured.err
+
+
+@pytest.mark.parametrize("option", ["--in", "--out", "--quotient"])
+def test_directory_path_exit_2(tmp_path, capsys, option):
+    spec = write(tmp_path / "d.json", {"kind": "inner", "a": []})
+    argv = ["decompose", "--group", "perm:s4", "--in", spec]
+    assert main(argv + [option, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

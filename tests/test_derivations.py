@@ -197,7 +197,7 @@ _ORACLE_KINDS = ["inner", "central", "sum", "mixed", "table", "bracket"]
 # (group, kind); permutation groups have no central derivations
 _ORACLE_CASES = [(name, kind) for name in _ORACLE_GROUPS for kind in _ORACLE_KINDS] + [
     (name, kind)
-    for name in ["perm:a4", "perm:s4"]
+    for name in ["perm:a4", "perm:s4", "perm:s6"]
     for kind in ["inner", "sum", "table", "bracket"]
 ]
 
@@ -205,20 +205,26 @@ _ORACLE_CASES = [(name, kind) for name in _ORACLE_GROUPS for kind in _ORACLE_KIN
 class TestClosedFormOracle:
     """`apply_element` joins syllable powers built by binary powering;
     expanding the Leibniz rule along the element's whole word, letter by
-    letter (`_expand`), is the oracle."""
+    letter (`_expand`), is the oracle.  On a permutation group every element
+    is checked, deepest first, both on the derivation as built and on a copy
+    with a fresh cache, so that its first evaluation recurses through bases
+    down the whole BFS tree."""
 
     @pytest.mark.parametrize("name, kind", _ORACLE_CASES)
     def test_matches_word_expansion(self, name, kind):
         group = group_from_name(name)
         d = _kinds(group, seed=61)[kind]
+        derivations = [d]
         if name.startswith("perm:"):
-            elements = group.finite_elements()
+            derivations.append(Derivation(group, d.images))
+            elements = sorted(group.finite_elements(), key=lambda g: -len(group.word(g)))
         elif name == "heisenberg":
             elements = [group.element((a, b, a * b + m)) for a, b, m in _EXPONENTS]
         else:
             elements = [group.element((a, b, m)[: group.n]) for a, b, m in _EXPONENTS]
-        for g in elements:
-            assert d.apply_element(g) == _expand(d, group.word(g))
+        for dd in derivations:
+            for g in elements:
+                assert dd.apply_element(g) == _expand(dd, group.word(g))
 
     def test_central_letters_have_nonzero_images_on_zn(self):
         # the sum over central letters carries the whole value on Z^n
@@ -278,8 +284,8 @@ class TestBoundedCost:
 
 class TestSyllableCost:
     """x^a y^b with a and b at +-10^12: `word` is barred outside a small box,
-    `syllables` may return no letter list longer than 4, and the values
-    match the closed forms."""
+    `syllables` may return at most 4 syllables, each with a base among x, y
+    and z = [x, y], and the values match the closed forms."""
 
     BIG = 10**12
     ELEMENTS = [(BIG, -BIG, 7), (-BIG, BIG, BIG), (BIG, BIG, -BIG), (-BIG, -3, 0)]
@@ -287,6 +293,7 @@ class TestSyllableCost:
     @pytest.fixture(autouse=True)
     def guarded(self, monkeypatch):
         spell, split = Heisenberg.word, Heisenberg.syllables
+        bases = {h(1, 0, 0), h(0, 1, 0), h(0, 0, 1)}
         calls = []
 
         def word(self, g):
@@ -296,7 +303,7 @@ class TestSyllableCost:
 
         def syllables(self, g):
             out = split(self, g)
-            if any(len(letters) > 4 for _, letters, _ in out):
+            if len(out) > 4 or any(w not in bases for w, _ in out):
                 raise AssertionError(f"syllables of {g!r}: {out!r}")
             calls.append(g)
             return out
@@ -630,6 +637,22 @@ def test_table_validation_cost(monkeypatch):
     monkeypatch.setattr(PermutationGroup, "mul", counting)
     Derivation.from_table(S5, images)
     assert len(calls) < 6000
+
+
+def test_table_validation_joins(monkeypatch):
+    # one join per Leibniz pair, and at most one more per element: each
+    # element is its BFS-tree parent's image joined with one generator's
+    S6 = group_from_name("perm:s6")
+    images = dict(Sampler(S6, seed=1).derivation(allow_table=False).images)
+    join, calls = Derivation._join, []
+
+    def counting(self, left, right):
+        calls.append(left[0])
+        return join(self, left, right)
+
+    monkeypatch.setattr(Derivation, "_join", counting)
+    Derivation.from_table(S6, images)
+    assert len(calls) <= len(S6.leibniz_pairs()) + len(S6.finite_elements())
 
 
 class TestInnerWitness:

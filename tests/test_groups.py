@@ -87,27 +87,47 @@ def _power(c, k):
     return out if k >= 0 else out.inverse()
 
 
+def _cayley_depths(group):
+    """Each element's distance from the identity in the Cayley graph of the
+    generators and their inverses, by breadth-first search."""
+    letters = group.generators() + [s.inverse() for s in group.generators()]
+    depths = {group.identity(): 0}
+    frontier = [group.identity()]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in letters:
+                if w * s not in depths:
+                    depths[w * s] = depths[w] + 1
+                    nxt.append(w * s)
+        frontier = nxt
+    return depths
+
+
 @pytest.mark.parametrize(
-    "name, max_letters",
-    [("heisenberg", 4), ("zn:1", 1), ("zn:3", 1), ("perm:s4", None)],
+    "name, max_syllables",
+    [("heisenberg", 4), ("zn:1", 1), ("zn:3", 3), ("perm:s4", 2)],
     ids=["heisenberg", "zn:1", "zn:3", "perm:s4"])
-def test_syllables_reassemble(name, max_letters):
-    # g = w1^k1 * w2^k2 * ..., each base w spelled by a list of generator
-    # letters, at most 4 long on the infinite kernels
+def test_syllables_reassemble(name, max_syllables):
+    # g = w1^k1 * w2^k2 * ..., each base a generator or one step nearer the
+    # generators: on heisenberg z = [x, y], whose syllables are generators;
+    # on a permutation group g's BFS-tree parent, one Cayley step nearer
+    # the identity
     group = group_from_name(name)
     gens = group.generators()
+    depths = _cayley_depths(group) if name.startswith("perm:") else None
     rng = random.Random(11)
     for _ in range(100):
         g = group.random_element(rng, 4)
+        syllables = group.syllables(g)
+        assert len(syllables) <= max_syllables
         prod = group.identity()
-        for base, letters, k in group.syllables(g):
-            assert all(s in gens or s.inverse() in gens for s in letters)
-            if max_letters is not None:
-                assert len(letters) <= max_letters
-            w = group.identity()
-            for s in letters:
-                w = w * s
-            assert base == w
+        for w, k in syllables:
+            if w not in gens:
+                if depths is None:
+                    assert all(v in gens for v, _ in group.syllables(w))
+                else:
+                    assert depths[w] == depths[g] - 1
             prod = prod * _power(w, k)
         assert prod == g
 
@@ -556,7 +576,7 @@ class TestGroupElementValue:
         gens = group.generators()
         gens.append(group.identity())
         assert len(group.generators()) == 3
-        assert [k for _, _, k in group.syllables(group.identity())] == [0, 0, 0]
+        assert [k for _, k in group.syllables(group.identity())] == [0, 0, 0]
 
     def test_perm_generators_built_once(self):
         S4 = group_from_name("perm:s4")
