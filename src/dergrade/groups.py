@@ -10,7 +10,11 @@ Three kernels are supported, each with a trivially solvable word problem:
   generating set.
 
 Elements are immutable values in canonical normal form: for all three kernels
-the payload *is* the normal form, so equality is payload equality.
+the payload *is* the normal form, so equality is payload equality.  A
+permutation group holds one element object per member of its closure and
+hands out only those; its products are read from a table of at most |G|^2
+references, filled on first use.  Evaluating a permutation element recurses
+as deep as the closure's BFS tree (see `PermutationGroup`).
 """
 
 from __future__ import annotations
@@ -163,7 +167,7 @@ class Group:
         self._key = key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Group) and self._key == other._key
+        return self is other or (isinstance(other, Group) and self._key == other._key)
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -481,7 +485,7 @@ class FreeAbelian(Group):
 
 def _perm_mul(g: tuple, h: tuple) -> tuple:
     # (g h)(i) = g(h(i)), one-line 1-based
-    return tuple(g[h[i] - 1] for i in range(len(g)))
+    return tuple([g[i - 1] for i in h])
 
 
 def _perm_inv(g: tuple) -> tuple:
@@ -517,6 +521,14 @@ class PermutationGroup(Group):
     The tree depth must stay well below `sys.getrecursionlimit()`, so
     generators of a large cyclic group (one permutation of order in the
     thousands, with a tree as deep) are not supported; nothing checks this.
+
+    The group builds one `GroupElement` per member, in sorted order, and
+    every element it returns is one of those.  `mul` reads a product table
+    indexed by position in that order: a row is allocated the first time
+    its left factor is used and a cell is filled the first time it is read.
+    The table holds at most |G|^2 references (518,400 on s6, about 4 MB).
+    Factors are looked up by payload, so elements of an equal group built
+    separately, or unpickled, multiply too.
     """
 
     def __init__(self, name: str, degree: int, generator_payloads: Sequence[tuple]):
@@ -525,8 +537,20 @@ class PermutationGroup(Group):
         self._generator_payloads = [tuple(p) for p in generator_payloads]
         for p in self._generator_payloads:
             self._validate_payload(p)
-        self._generators = [GroupElement(self, p) for p in self._generator_payloads]
-        self._elements, self._tree = self._close()
+        tree = self._close()
+        # sorted, so the identity comes first
+        self._elements = sorted(tree)
+        self._index = {p: i for i, p in enumerate(self._elements)}
+        self._members = [GroupElement(self, p) for p in self._elements]
+        self._generators = [self._member(p) for p in self._generator_payloads]
+        # element = parent * s^k at each member's position; None at the identity
+        self._tree: List[Optional[Tuple[GroupElement, GroupElement, int]]] = [
+            None if edge is None else (self._member(edge[0]), self._member(edge[1]), edge[2])
+            for edge in map(tree.get, self._elements)
+        ]
+        # product rows by left factor's position, allocated on first use
+        self._products: List[Optional[List[Optional[GroupElement]]]] = [None] * len(self._members)
+        self._center: Optional[FrozenSet[tuple]] = None
         self._derived: Optional[FrozenSet[tuple]] = None
         # conjugacy class of each element whose class has been built
         self._classes: Dict[tuple, FrozenSet[tuple]] = {}
@@ -560,17 +584,17 @@ class PermutationGroup(Group):
         if sorted(p) != list(range(1, self.degree + 1)) or not integer_entries(p):
             raise TypeError(f"not a permutation of 1..{self.degree}: {p}")
 
-    def _close(self):
+    def _close(self) -> Dict[tuple, Optional[Tuple[tuple, tuple, int]]]:
         # each letter with the syllable it stands for: a generator s is
         # (s, 1), the inverse of s (s, -1) unless it is already a letter
-        letters = [(s.payload, s, 1) for s in self._generators]
-        for s in self._generators:
-            inv = _perm_inv(s.payload)
+        letters = [(s, s, 1) for s in self._generator_payloads]
+        for s in self._generator_payloads:
+            inv = _perm_inv(s)
             if all(inv != p for p, _, _ in letters):
                 letters.append((inv, s, -1))
         identity = tuple(range(1, self.degree + 1))
         # element -> (parent, s, k) with element = parent * s^k; None at the root
-        tree: Dict[tuple, Optional[Tuple[tuple, GroupElement, int]]] = {identity: None}
+        tree: Dict[tuple, Optional[Tuple[tuple, tuple, int]]] = {identity: None}
         frontier = [identity]
         while frontier:
             nxt = []
@@ -581,34 +605,46 @@ class PermutationGroup(Group):
                         tree[prod] = (w, s, k)
                         nxt.append(prod)
             frontier = nxt
-        return sorted(tree), tree
+        return tree
+
+    def _member(self, p: tuple) -> GroupElement:
+        return self._members[self._index[p]]
 
     def element(self, payload: Sequence) -> GroupElement:
         p = tuple(payload)
         self._validate_payload(p)
-        if p not in self._tree:
+        if p not in self._index:
             raise ValueError(f"{p} is not an element of {self.name}")
-        return GroupElement(self, p)
+        return self._member(p)
 
     def identity(self) -> GroupElement:
-        return GroupElement(self, tuple(range(1, self.degree + 1)))
+        return self._members[0]
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return GroupElement(self, _perm_mul(g.payload, h.payload))
+        index = self._index
+        i = index[g.payload]
+        row = self._products[i]
+        if row is None:
+            row = self._products[i] = [None] * len(self._members)
+        j = index[h.payload]
+        prod = row[j]
+        if prod is None:
+            prod = row[j] = self._member(_perm_mul(g.payload, h.payload))
+        return prod
 
     def inv(self, g: GroupElement) -> GroupElement:
-        return GroupElement(self, _perm_inv(g.payload))
+        return self._member(_perm_inv(g.payload))
 
     def random_element(self, rng: random.Random, box: int) -> GroupElement:
-        return self.element(rng.choice(self._elements))
+        return rng.choice(self._members)
 
     def syllables(self, g: GroupElement) -> List[Syllable]:
         # g = parent * s^k, one step down the closure's BFS tree
-        edge = self._tree[g.payload]
+        edge = self._tree[self._index[g.payload]]
         if edge is None:
             return []
         parent, s, k = edge
-        return [(GroupElement(self, parent), 1), (s, k)]
+        return [(parent, 1), (s, k)]
 
     def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
         # Each Cayley edge w -> w*s off the closure's BFS tree, s a generator;
@@ -617,14 +653,14 @@ class PermutationGroup(Group):
         # generators, so Leibniz on every (g, s) gives it on every (g, h)
         # by induction on the length of h.
         return [
-            (GroupElement(self, w), s)
-            for w in self._elements
+            (w, s)
+            for w in self._members
             for s in self._generators
-            if self._tree[_perm_mul(w, s.payload)] != (w, s, 1)
+            if self._tree[self._index[_perm_mul(w.payload, s.payload)]] != (w, s, 1)
         ]
 
     def finite_elements(self) -> List[GroupElement]:
-        return [GroupElement(self, p) for p in self._elements]
+        return list(self._members)
 
     def _commutes_with_generators(self, z: tuple) -> bool:
         return all(_perm_mul(z, g) == _perm_mul(g, z) for g in self._generator_payloads)
@@ -653,13 +689,17 @@ class PermutationGroup(Group):
         return cls
 
     def conjugacy_class(self, a: GroupElement) -> FrozenSet[GroupElement]:
-        return frozenset(GroupElement(self, p) for p in self._class_payloads(a.payload))
+        return frozenset(map(self._member, self._class_payloads(a.payload)))
 
     def class_representative(self, a: GroupElement) -> GroupElement:
-        return GroupElement(self, min(self._class_payloads(a.payload)))
+        return self._member(min(self._class_payloads(a.payload)))
 
     def center_payloads(self) -> FrozenSet[tuple]:
-        return frozenset(z for z in self._elements if self._commutes_with_generators(z))
+        if self._center is None:
+            self._center = frozenset(
+                z for z in self._elements if self._commutes_with_generators(z)
+            )
+        return self._center
 
     def derived_payloads(self) -> FrozenSet[tuple]:
         # G' is the normal closure of the generator commutators: in a finite
@@ -768,7 +808,7 @@ class FiniteQuotient(QuotientSpec):
         if identity not in self._n:
             raise QuotientError("subgroup must contain the identity")
         for p in self._n:
-            if p not in group._tree:
+            if p not in group._index:
                 raise QuotientError(f"{p} is not an element of {group.name}")
             if _perm_inv(p) not in self._n:
                 raise QuotientError(f"not closed under inverses at {p}")

@@ -31,6 +31,7 @@ from dergrade import (
 from dergrade import groups
 from dergrade.cli import main
 from dergrade.groups import MAX_PERM_DEGREE, MAX_ZN_RANK
+from dergrade.verification import run_all
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -318,6 +319,27 @@ class TestCentrality:
     def test_z2_all_central(self):
         assert Z2.is_central(Z2.element((4, -1)))
 
+    def test_info_builds_centre_once(self, monkeypatch, capsys):
+        calls = []
+        perm_mul = groups._perm_mul
+
+        def counting(g, h):
+            calls.append(1)
+            return perm_mul(g, h)
+
+        monkeypatch.setattr(groups, "_perm_mul", counting)
+        monkeypatch.setattr(groups, "_PERM_CACHE", {})
+        assert main(["info", "--group", "perm:s6"]) == 0
+        assert "stem group: yes" in capsys.readouterr().out
+        info_calls = len(calls)
+        calls.clear()
+        # a fresh s6, its centre and its commutator subgroup, each built once
+        S6 = PermutationGroup.symmetric(6)
+        S6.center_payloads()
+        S6.derived_payloads()
+        assert info_calls == len(calls)
+        assert S6.center_payloads() is S6.center_payloads()
+
 
 class TestQuotients:
     def test_heisenberg_keys(self):
@@ -453,6 +475,68 @@ def generated(group, gens):
         frontier = [a * s for a in frontier for s in gens if a * s not in out]
         out.update(frontier)
     return out
+
+
+class TestProductTable:
+    @pytest.mark.parametrize("name", ["perm:s4", "perm:a5"])
+    def test_every_pair_matches_perm_mul(self, name):
+        group = group_from_name(name)
+        elements = group.finite_elements()
+        for _ in range(2):  # the first pass fills the table, the second reads it
+            for g in elements:
+                for k in elements:
+                    prod = group.mul(g, k)
+                    assert prod.payload == groups._perm_mul(g.payload, k.payload)
+                    assert prod is group.element(prod.payload)
+
+    def test_s6_pairs_match_sympy(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+
+        def perm(g):
+            return combinatorics.Permutation([i - 1 for i in g.payload])
+
+        S6 = PermutationGroup.symmetric(6)
+        elements = S6.finite_elements()
+        rng = random.Random(20)
+        for _ in range(2000):
+            g, k = rng.choice(elements), rng.choice(elements)
+            # sympy composes left to right: (p * q)(i) = q(p(i))
+            oracle = perm(k) * perm(g)
+            assert S6.mul(g, k).payload == tuple(i + 1 for i in oracle.array_form)
+
+    def test_elements_are_interned(self):
+        S4 = PermutationGroup.symmetric(4)
+        members = {id(g) for g in S4.finite_elements()}
+        assert len(members) == 24
+        for a in S4.finite_elements():
+            assert id(S4.element(a.payload)) in members
+            assert id(S4.inv(a)) in members
+            assert S4.mul(a, S4.inv(a)) is S4.identity()
+            cls = S4.conjugacy_class(a)
+            assert {id(c) for c in cls} <= members
+            assert S4.class_representative(a) is S4.element(min(c.payload for c in cls))
+            assert {id(w) for w, _ in S4.syllables(a)} <= members
+        assert {id(w) for pair in S4.leibniz_pairs() for w in pair} <= members
+        assert {id(s) for s in S4.generators()} <= members
+
+    def test_foreign_and_unpickled_factors(self):
+        first, second = PermutationGroup.symmetric(4), PermutationGroup.symmetric(4)
+        a, b = first.element((2, 3, 4, 1)), second.element((2, 1, 3, 4))
+        assert first.mul(a, b) is first.element((3, 2, 4, 1))
+        assert second.mul(a, b) is second.element((3, 2, 4, 1))
+        assert a * b == b.group.element((3, 2, 4, 1))
+        c = pickle.loads(pickle.dumps(b))
+        assert c.group is not first and c.group is not second
+        assert first.mul(a, c) is first.element((3, 2, 4, 1))
+        assert first.mul(c, a) is first.element((1, 3, 4, 2))
+        assert first.inv(c) is first.element((2, 1, 3, 4))
+
+    def test_table_bounded_by_order_squared(self):
+        S5 = PermutationGroup.symmetric(5)
+        assert all(result.ok for result in run_all(S5, seed=0))
+        rows = [row for row in S5._products if row is not None]
+        assert 0 < len(rows) <= 120
+        assert all(len(row) == 120 for row in rows)
 
 
 class TestSubgroupCheck:
