@@ -3,7 +3,10 @@
 Elements are finite formal sums of group elements with Gaussian-rational
 coefficients, kept in canonical form: no stored coefficient is zero and term
 order is fixed by the kernel's normal-form order, so equality and
-serialization are deterministic.
+serialization are deterministic.  Terms are keyed by payload, the element's
+normal form, and products are computed with the kernel's payload product
+(`Group._mul`); `GroupElement`s are built only where a caller reads terms,
+in `support`, `items` and JSON.
 """
 
 from __future__ import annotations
@@ -13,47 +16,68 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 from .coefficients import CoeffLike, GaussianRational, ONE, ZERO, as_coefficient
 from .groups import Group, GroupElement, GroupMismatchError
 
+# Coefficient by payload: the terms of an algebra element.
+Terms = Dict[tuple, GaussianRational]
+
+_new = object.__new__
+
 
 class AlgebraElement:
     __slots__ = ("group", "_terms")
 
-    def __init__(self, group: Group, terms: Dict[GroupElement, GaussianRational]):
+    def __init__(self, group: Group, terms: Terms):
         # terms come from operands already over `group`; from_terms checks
         # outside terms
         self.group = group
-        self._terms = {g: c for g, c in terms.items() if c}
+        self._terms = {p: c for p, c in terms.items() if c}
+
+    @staticmethod
+    def _nonzero(group: Group, terms: Terms) -> "AlgebraElement":
+        """The element with `terms`, which must already hold only nonzero
+        coefficients: the zero filter of `__init__` is skipped."""
+        x = _new(AlgebraElement)
+        x.group = group
+        x._terms = terms
+        return x
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(group: Group) -> "AlgebraElement":
-        return AlgebraElement(group, {})
+        return AlgebraElement._nonzero(group, {})
 
     @staticmethod
     def monomial(g: GroupElement, coeff: CoeffLike = ONE) -> "AlgebraElement":
-        return AlgebraElement(g.group, {g: as_coefficient(coeff)})
+        c = as_coefficient(coeff)
+        return AlgebraElement._nonzero(g.group, {g.payload: c} if c else {})
 
     @staticmethod
     def from_terms(
         group: Group, pairs: Iterable[Tuple[GroupElement, CoeffLike]]
     ) -> "AlgebraElement":
-        acc: Dict[GroupElement, GaussianRational] = {}
+        acc: Terms = {}
         for g, c in pairs:
             group._check(g)
-            acc[g] = acc.get(g, ZERO) + as_coefficient(c)
+            p = g.payload
+            acc[p] = acc.get(p, ZERO) + as_coefficient(c)
         return AlgebraElement(group, acc)
 
     # -- views ---------------------------------------------------------------
 
     def support(self) -> FrozenSet[GroupElement]:
-        return frozenset(self._terms)
+        return frozenset(map(self.group._wrap, self._terms))
 
     def coefficient(self, g: GroupElement) -> GaussianRational:
-        return self._terms.get(g, ZERO)
+        """The coefficient of g; 0 for an element of another group."""
+        if g.group is not self.group and g.group != self.group:
+            return ZERO
+        return self._terms.get(g.payload, ZERO)
 
     def items(self) -> List[Tuple[GroupElement, GaussianRational]]:
-        """Terms sorted by the kernel's element order."""
-        return sorted(self._terms.items(), key=lambda kv: self.group.sort_key(kv[0]))
+        """Terms sorted by the kernel's element order, which is payload
+        order."""
+        wrap, terms = self.group._wrap, self._terms
+        return [(wrap(p), terms[p]) for p in sorted(terms)]
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -72,30 +96,36 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_group(other)
         acc = dict(self._terms)
-        for g, c in other._terms.items():
-            acc[g] = acc.get(g, ZERO) + c
+        for p, c in other._terms.items():
+            acc[p] = acc.get(p, ZERO) + c
         return AlgebraElement(self.group, acc)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.group, {g: -c for g, c in self._terms.items()})
+        return AlgebraElement._nonzero(
+            self.group, {p: -c for p, c in self._terms.items()}
+        )
 
     def scale(self, coeff: CoeffLike) -> "AlgebraElement":
         c = as_coefficient(coeff)
         if not c:
             return AlgebraElement.zero(self.group)
-        return AlgebraElement(self.group, {g: c * v for g, v in self._terms.items()})
+        # a product of nonzero Gaussian rationals is nonzero
+        return AlgebraElement._nonzero(
+            self.group, {p: c * v for p, v in self._terms.items()}
+        )
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Convolution product: the bilinear extension of the group product."""
         self._check_group(other)
-        acc: Dict[GroupElement, GaussianRational] = {}
-        for g, cg in self._terms.items():
-            for h, ch in other._terms.items():
-                prod = g * h
-                acc[prod] = acc.get(prod, ZERO) + cg * ch
+        mul = self.group._mul
+        acc: Terms = {}
+        for p, cp in self._terms.items():
+            for q, cq in other._terms.items():
+                prod = mul(p, q)
+                acc[prod] = acc.get(prod, ZERO) + cp * cq
         return AlgebraElement(self.group, acc)
 
     def __eq__(self, other) -> bool:
@@ -119,10 +149,17 @@ class AlgebraElement:
 
     @staticmethod
     def from_json(group: Group, data) -> "AlgebraElement":
-        pairs = [
-            (group.element_from_json(elem), GaussianRational.from_json(coeff))
-            for coeff, elem in data
-        ]
+        pairs = []
+        for i, term in enumerate(data):
+            try:
+                if not isinstance(term, (list, tuple)) or len(term) != 2:
+                    raise ValueError("a term must be [coefficient, element]")
+                coeff, elem = term
+                pairs.append(
+                    (group.element_from_json(elem), GaussianRational.from_json(coeff))
+                )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"term {i}: {exc}") from exc
         return AlgebraElement.from_terms(group, pairs)
 
 

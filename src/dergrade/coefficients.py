@@ -99,6 +99,10 @@ class GaussianRational:
 
     @staticmethod
     def from_json(data) -> "GaussianRational":
+        if not isinstance(data, (list, tuple)) or len(data) != 4:
+            raise ValueError(
+                f"coefficient {data} must have 4 entries [re_num, re_den, im_num, im_den]"
+            )
         rn, rd, imn, imd = data
         if not integer_entries(data):
             raise TypeError(f"coefficient {data} must have integer entries")

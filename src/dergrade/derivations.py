@@ -5,8 +5,9 @@ extended to the whole algebra through the Leibniz rule.  A group element g is
 evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ...
 (`Group.syllables`), where each base w is a generator or an element whose own
 syllables lie nearer the generators; a base is evaluated like any element.
-Everything is combined by one join, (g, d(g)), (h, d(h)) -> (gh, d(g)*h +
-g*d(h)): each w^k is built from d(w) or d(w^-1) by binary powering, in
+Everything is combined by one join on payloads, (g, d(g)), (h, d(h)) ->
+(gh, d(g)*h + g*d(h)), which refuses to combine more than `MAX_TERMS` terms:
+each w^k is built from d(w) or d(w^-1) by binary powering, in
 O(log |k|) joins, and the powers are then joined in order.  A table from
 outside is checked by the same join: on each of the kernel's pairs (g, h)
 (`Group.leibniz_pairs`), d(g) joined with d(h) must equal d(gh).  The
@@ -34,12 +35,20 @@ from .groups import (
 # generator images.
 CACHE_LIMIT = 4096
 
-# A group element with its image under a derivation.
-Evaluated = Tuple[GroupElement, AlgebraElement]
+# Most terms one join may combine: |d(g)| + |d(h)| bounds the size of
+# d(gh), so an image that would grow past this is refused before it is built.
+MAX_TERMS = 100_000
+
+# A group element's payload with its image under a derivation.
+Evaluated = Tuple[tuple, AlgebraElement]
 
 
 class DerivationTableError(ValueError):
     """A generator-image table is not consistent with the group's relations."""
+
+
+class TermBudgetError(ValueError):
+    """An image would have more terms than `MAX_TERMS` allows."""
 
 
 class Derivation:
@@ -60,9 +69,15 @@ class Derivation:
         self.group = group
         self.images = {s: images[s] for s in group.generators()}
         self.spec = spec
-        # d(g) by element g: the generator images, the inverses of syllable
-        # bases met so far, and every evaluated element
-        self._cache: Dict[GroupElement, AlgebraElement] = dict(self.images)
+        self._reset_cache()
+
+    def _reset_cache(self) -> None:
+        # d(g) by g's payload: the generator images, the inverses of syllable
+        # bases met so far, and every evaluated element.  Elements of equal
+        # groups share payloads, and so share cached images.
+        self._cache: Dict[tuple, AlgebraElement] = {
+            s.payload: img for s, img in self.images.items()
+        }
 
     # -- constructors --------------------------------------------------------
 
@@ -134,9 +149,11 @@ class Derivation:
     # -- table validation ----------------------------------------------------
 
     def _validate_table(self) -> None:
+        image = self._image
         for g, h in self.group.leibniz_pairs():
-            gh, joined = self._join((g, self.apply_element(g)), (h, self.apply_element(h)))
-            if joined != self.apply_element(gh):
+            p, q = g.payload, h.payload
+            pq, joined = self._join((p, image(p)), (q, image(q)))
+            if joined != image(pq):
                 raise DerivationTableError(
                     "generator images violate a defining relation"
                 )
@@ -145,29 +162,46 @@ class Derivation:
 
     def _join(self, left: Evaluated, right: Evaluated) -> Evaluated:
         """(g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)), the Leibniz rule,
-        with one group product per term."""
+        with one payload product per term."""
         g, dg = left
         h, dh = right
-        mul = self.group.mul
-        # right translation is injective, so these terms are distinct
-        acc = {mul(t, h): c for t, c in dg._terms.items()}
-        for t, c in dh._terms.items():
+        dg_terms, dh_terms = dg._terms, dh._terms
+        mul = self.group._mul
+        if len(dg_terms) + len(dh_terms) > MAX_TERMS:
+            raise TermBudgetError(
+                f"the image of {self.group._wrap(mul(g, h))!r} may have "
+                f"{len(dg_terms) + len(dh_terms)} terms, over the limit "
+                f"MAX_TERMS = {MAX_TERMS}"
+            )
+        # translation is injective, so the terms of each half are distinct
+        # and a term can vanish only where the two halves meet
+        acc = {mul(t, h): c for t, c in dg_terms.items()}
+        for t, c in dh_terms.items():
             shifted = mul(g, t)
             value = acc.get(shifted)
-            acc[shifted] = c if value is None else value + c
-        return mul(g, h), AlgebraElement(self.group, acc)
+            if value is None:
+                acc[shifted] = c
+            else:
+                value = value + c
+                if value:
+                    acc[shifted] = value
+                else:
+                    del acc[shifted]
+        return mul(g, h), AlgebraElement._nonzero(self.group, acc)
 
     def _inverse(self, evaluated: Evaluated) -> Evaluated:
         """(w, d(w)) -> (w^-1, -w^-1*d(w)*w^-1), the image forced by the
         Leibniz rule, kept in `_cache`."""
         w, dw = evaluated
-        wi = self.group.inv(w)
+        group = self.group
+        wi = group._inv(w)
         img = self._cache.get(wi)
         if img is None:
-            mul = self.group.mul
-            # translation is injective, so these terms are distinct
+            mul = group._mul
+            # translation is injective and negation keeps coefficients
+            # nonzero, so these terms are distinct and nonzero
             terms = {mul(mul(wi, t), wi): -c for t, c in dw._terms.items()}
-            img = self._cache[wi] = AlgebraElement(self.group, terms)
+            img = self._cache[wi] = AlgebraElement._nonzero(group, terms)
         return wi, img
 
     def _power(self, base: Evaluated, k: int) -> Evaluated:
@@ -185,35 +219,43 @@ class Derivation:
             base = self._join(base, base)
 
     def apply_element(self, g: GroupElement) -> AlgebraElement:
-        """d(g) for a single group element: the kernel's syllables w^k of g,
+        """d(g) for a single group element of this derivation's group."""
+        group = self.group
+        # checked before the cache is read: an element of another group may
+        # share a payload with a cached one
+        if g.group is not group:
+            group._check(g)
+        return self._image(g.payload)
+
+    def _image(self, p: tuple) -> AlgebraElement:
+        """d of the element with payload p: the kernel's syllables w^k of it,
         each evaluated by `_power` from d(w) and joined left to right.  A
         base missing from `_cache` is evaluated by this method in turn."""
-        cached = self._cache.get(g)
+        cached = self._cache.get(p)
         if cached is None:
             group = self.group
-            # an element of another group never equals a cached key
-            group._check(g)
             acc: Optional[Evaluated] = None
-            for w, k in group.syllables(g):
+            for w, k in group.syllables(group._wrap(p)):
                 if k:
+                    wp = w.payload
                     # most bases are cached, and a lookup costs less than a call
-                    dw = self._cache.get(w)
+                    dw = self._cache.get(wp)
                     if dw is None:
-                        dw = self.apply_element(w)
-                    power = self._power((w, dw), k)
+                        dw = self._image(wp)
+                    power = self._power((wp, dw), k)
                     acc = power if acc is None else self._join(acc, power)
             cached = AlgebraElement.zero(group) if acc is None else acc[1]
             if len(self._cache) >= CACHE_LIMIT:
-                self._cache = dict(self.images)
-            self._cache[g] = cached
+                self._reset_cache()
+            self._cache[p] = cached
         return cached
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if x.group != self.group:
             raise GroupMismatchError("argument over the wrong group")
         result = AlgebraElement.zero(self.group)
-        for g, c in x.items():
-            result = result + self.apply_element(g).scale(c)
+        for p, c in x._terms.items():
+            result = result + self._image(p).scale(c)
         return result
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:

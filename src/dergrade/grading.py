@@ -55,8 +55,8 @@ class GradingSetup:
             )
 
 
-# per generator s, terms k of d(s) with their coefficients
-Terms = Dict[GroupElement, Dict[GroupElement, GaussianRational]]
+# per generator s, terms of d(s): coefficient by payload k
+Terms = Dict[GroupElement, Dict[tuple, GaussianRational]]
 
 
 def _buckets(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Terms]:
@@ -65,12 +65,13 @@ def _buckets(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Terms]:
     appear."""
     if d.group != setup.group:
         raise GroupMismatchError("derivation over a different group")
+    group, key = d.group, setup.quotient.key
     buckets: Dict[CosetKey, Terms] = {}
-    for s in d.group.generators():
-        s_inv = s.inverse()
-        for k, c in d.images[s].items():
-            key = setup.quotient.key(s_inv * k)
-            buckets.setdefault(key, {}).setdefault(s, {})[k] = c
+    for s in group.generators():
+        s_inv = group._inv(s.payload)
+        for k, c in d.images[s]._terms.items():
+            coset = key(group._wrap(group._mul(s_inv, k)))
+            buckets.setdefault(coset, {}).setdefault(s, {})[k] = c
     return buckets
 
 

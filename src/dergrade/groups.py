@@ -10,11 +10,14 @@ Three kernels are supported, each with a trivially solvable word problem:
   generating set.
 
 Elements are immutable values in canonical normal form: for all three kernels
-the payload *is* the normal form, so equality is payload equality.  A
+the payload *is* the normal form, so equality is payload equality.  Each
+kernel multiplies and inverts payloads (`Group._mul`, `Group._inv`), and the
+algebra and derivation layers compute on payloads alone; `Group.mul` and
+`Group.inv` wrap those primitives for callers that hold `GroupElement`s.  A
 permutation group holds one element object per member of its closure and
-hands out only those; its products are read from a table of at most |G|^2
-references, filled on first use.  Evaluating a permutation element recurses
-as deep as the closure's BFS tree (see `PermutationGroup`).
+hands out only those; its payload products are read from a table of at most
+|G|^2 references, filled on first use.  Evaluating a permutation element
+recurses as deep as the closure's BFS tree (see `PermutationGroup`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
+from operator import add, neg
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -155,7 +159,9 @@ class Arrow:
 class Group:
     """Base interface of a group kernel.
 
-    Kernel methods (`mul`, `inv`, `syllables` and the conjugacy, centre and
+    A kernel defines its product and inverse on payloads (`_mul`, `_inv`),
+    and `mul` and `inv` lift them to elements through `_wrap`.  Kernel
+    methods (`mul`, `inv`, `syllables` and the conjugacy, centre and
     abelianization oracles) take elements of this group and do not check
     them.  Membership is checked once where outside values meet: products of
     `GroupElement`s, `Arrow`, and the algebra, derivation and grading entry
@@ -183,17 +189,29 @@ class Group:
     def identity(self) -> GroupElement:
         raise NotImplementedError
 
+    def _wrap(self, p: tuple) -> GroupElement:
+        """The element whose payload is the normal form p, unchecked."""
+        return GroupElement(self, p)
+
     def _check(self, g: GroupElement) -> None:
         if g.group is not self and g.group != self:
             raise GroupMismatchError(f"element of {g.group.name} used with {self.name}")
 
     # -- group operations ----------------------------------------------------
 
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
+    def _mul(self, p: tuple, q: tuple) -> tuple:
+        """The payload of the product of the elements with payloads p and q."""
         raise NotImplementedError
 
-    def inv(self, g: GroupElement) -> GroupElement:
+    def _inv(self, p: tuple) -> tuple:
+        """The payload of the inverse of the element with payload p."""
         raise NotImplementedError
+
+    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        return self._wrap(self._mul(g.payload, h.payload))
+
+    def inv(self, g: GroupElement) -> GroupElement:
+        return self._wrap(self._inv(g.payload))
 
     # -- generating set and words --------------------------------------------
 
@@ -331,22 +349,26 @@ class Heisenberg(Group):
         self._z = self.element((0, 0, 1))
 
     def element(self, payload: Sequence) -> GroupElement:
-        a, b, c = payload
-        if not integer_entries((a, b, c)):
+        entries = tuple(payload)
+        if len(entries) != 3:
+            raise ValueError(
+                f"heisenberg element {list(entries)} must have 3 entries [a, b, c]"
+            )
+        if not integer_entries(entries):
             raise TypeError("Heisenberg entries must be integers")
-        return GroupElement(self, (a, b, c))
+        return GroupElement(self, entries)
 
     def identity(self) -> GroupElement:
         return GroupElement(self, (0, 0, 0))
 
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        a, b, c = g.payload
-        x, y, z = h.payload
-        return GroupElement(self, (a + x, b + y, c + z + a * y))
+    def _mul(self, p: tuple, q: tuple) -> tuple:
+        a, b, c = p
+        x, y, z = q
+        return (a + x, b + y, c + z + a * y)
 
-    def inv(self, g: GroupElement) -> GroupElement:
-        a, b, c = g.payload
-        return GroupElement(self, (-a, -b, a * b - c))
+    def _inv(self, p: tuple) -> tuple:
+        a, b, c = p
+        return (-a, -b, a * b - c)
 
     def generator_names(self) -> List[str]:
         return ["x", "y"]
@@ -433,11 +455,11 @@ class FreeAbelian(Group):
     def identity(self) -> GroupElement:
         return GroupElement(self, (0,) * self.n)
 
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return GroupElement(self, tuple(a + b for a, b in zip(g.payload, h.payload)))
+    def _mul(self, p: tuple, q: tuple) -> tuple:
+        return tuple(map(add, p, q))
 
-    def inv(self, g: GroupElement) -> GroupElement:
-        return GroupElement(self, tuple(-a for a in g.payload))
+    def _inv(self, p: tuple) -> tuple:
+        return tuple(map(neg, p))
 
     def generator_names(self) -> List[str]:
         return [f"e{i + 1}" for i in range(self.n)]
@@ -523,12 +545,13 @@ class PermutationGroup(Group):
     thousands, with a tree as deep) are not supported; nothing checks this.
 
     The group builds one `GroupElement` per member, in sorted order, and
-    every element it returns is one of those.  `mul` reads a product table
-    indexed by position in that order: a row is allocated the first time
-    its left factor is used and a cell is filled the first time it is read.
-    The table holds at most |G|^2 references (518,400 on s6, about 4 MB).
-    Factors are looked up by payload, so elements of an equal group built
-    separately, or unpickled, multiply too.
+    every element it returns is one of those (`_wrap` looks the member up).
+    `_mul` reads a product table of payloads indexed by position in that
+    order: a row is allocated the first time its left factor is used and a
+    cell is filled the first time it is read.  The table holds at most
+    |G|^2 references (518,400 on s6, about 4 MB).  Factors are looked up by
+    payload, so elements of an equal group built separately, or unpickled,
+    multiply too.
     """
 
     def __init__(self, name: str, degree: int, generator_payloads: Sequence[tuple]):
@@ -542,14 +565,14 @@ class PermutationGroup(Group):
         self._elements = sorted(tree)
         self._index = {p: i for i, p in enumerate(self._elements)}
         self._members = [GroupElement(self, p) for p in self._elements]
-        self._generators = [self._member(p) for p in self._generator_payloads]
+        self._generators = [self._wrap(p) for p in self._generator_payloads]
         # element = parent * s^k at each member's position; None at the identity
         self._tree: List[Optional[Tuple[GroupElement, GroupElement, int]]] = [
-            None if edge is None else (self._member(edge[0]), self._member(edge[1]), edge[2])
+            None if edge is None else (self._wrap(edge[0]), self._wrap(edge[1]), edge[2])
             for edge in map(tree.get, self._elements)
         ]
-        # product rows by left factor's position, allocated on first use
-        self._products: List[Optional[List[Optional[GroupElement]]]] = [None] * len(self._members)
+        # product payload rows by left factor's position, allocated on first use
+        self._products: List[Optional[List[Optional[tuple]]]] = [None] * len(self._elements)
         self._center: Optional[FrozenSet[tuple]] = None
         self._derived: Optional[FrozenSet[tuple]] = None
         # conjugacy class of each element whose class has been built
@@ -607,7 +630,7 @@ class PermutationGroup(Group):
             frontier = nxt
         return tree
 
-    def _member(self, p: tuple) -> GroupElement:
+    def _wrap(self, p: tuple) -> GroupElement:
         return self._members[self._index[p]]
 
     def element(self, payload: Sequence) -> GroupElement:
@@ -615,25 +638,25 @@ class PermutationGroup(Group):
         self._validate_payload(p)
         if p not in self._index:
             raise ValueError(f"{p} is not an element of {self.name}")
-        return self._member(p)
+        return self._wrap(p)
 
     def identity(self) -> GroupElement:
         return self._members[0]
 
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
+    def _mul(self, p: tuple, q: tuple) -> tuple:
         index = self._index
-        i = index[g.payload]
+        i = index[p]
         row = self._products[i]
         if row is None:
-            row = self._products[i] = [None] * len(self._members)
-        j = index[h.payload]
+            row = self._products[i] = [None] * len(self._elements)
+        j = index[q]
         prod = row[j]
         if prod is None:
-            prod = row[j] = self._member(_perm_mul(g.payload, h.payload))
+            prod = row[j] = self._elements[index[_perm_mul(p, q)]]
         return prod
 
-    def inv(self, g: GroupElement) -> GroupElement:
-        return self._member(_perm_inv(g.payload))
+    def _inv(self, p: tuple) -> tuple:
+        return _perm_inv(p)
 
     def random_element(self, rng: random.Random, box: int) -> GroupElement:
         return rng.choice(self._members)
@@ -689,10 +712,10 @@ class PermutationGroup(Group):
         return cls
 
     def conjugacy_class(self, a: GroupElement) -> FrozenSet[GroupElement]:
-        return frozenset(map(self._member, self._class_payloads(a.payload)))
+        return frozenset(map(self._wrap, self._class_payloads(a.payload)))
 
     def class_representative(self, a: GroupElement) -> GroupElement:
-        return self._member(min(self._class_payloads(a.payload)))
+        return self._wrap(min(self._class_payloads(a.payload)))
 
     def center_payloads(self) -> FrozenSet[tuple]:
         if self._center is None:

@@ -11,6 +11,7 @@ from dergrade import (
     I,
     ONE,
     commutator,
+    group_from_name,
 )
 from dergrade.sampling import Sampler
 
@@ -130,6 +131,29 @@ class TestCanonicalForm:
             x = sampler.algebra_element() * sampler.algebra_element()
             again = AlgebraElement.from_terms(H, x.items())
             assert again == x
+
+    @pytest.mark.parametrize("name", ["heisenberg", "zn:3", "perm:s4"])
+    def test_items_round_trip(self, name):
+        group = group_from_name(name)
+        sampler = Sampler(group, seed=37)
+        for _ in range(10):
+            x = sampler.algebra_element() * sampler.algebra_element()
+            assert AlgebraElement.from_terms(group, x.items()) == x
+
+    def test_perm_views_hand_out_members(self):
+        # terms are kept by payload; the elements a caller reads are the
+        # group's own members, in the kernel's order
+        S4 = group_from_name("perm:s4")
+        members = {id(g) for g in S4.finite_elements()}
+        sampler = Sampler(S4, seed=41)
+        for _ in range(10):
+            x = sampler.algebra_element() * sampler.algebra_element()
+            assert {id(g) for g in x.support()} <= members
+            items = x.items()
+            assert {id(g) for g, _ in items} <= members
+            assert [g.payload for g, _ in items] == sorted(
+                g.payload for g in x.support()
+            )
 
     def test_json_round_trip_sorted(self):
         x = mono(H, (2, 0, 0), Fraction(1, 3)) + mono(H, (0, 1, 0), I)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dergrade import AlgebraElement, Derivation, Heisenberg
+from dergrade import AlgebraElement, Derivation, Heisenberg, derivations
 from dergrade.cli import build_parser, main
 from dergrade.serialization import (
     derivation_from_json,
@@ -212,6 +212,56 @@ def test_malformed_input_exit_2(tmp_path, capsys, argv, job, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and reason in captured.err
+
+
+# inputs whose message names the term and the expected shape
+PARSE_MESSAGES = {
+    "two-entry-heisenberg-element": (
+        [[[1, 1, 0, 1], [1, 0, 0]], [[1, 1, 0, 1], [1, 2]]],
+        "error: bad algebra element: term 1: heisenberg element [1, 2] must "
+        "have 3 entries [a, b, c]\n"),
+    "three-entry-coefficient": (
+        [[[1, 1, 0], [1, 0, 0]]],
+        "error: bad algebra element: term 0: coefficient [1, 1, 0] must have "
+        "4 entries [re_num, re_den, im_num, im_den]\n"),
+    "one-entry-term": (
+        [[[1, 1, 0, 1]]],
+        "error: bad algebra element: term 0: a term must be "
+        "[coefficient, element]\n"),
+}
+
+
+@pytest.mark.parametrize("element, message", PARSE_MESSAGES.values(),
+                         ids=PARSE_MESSAGES.keys())
+def test_parse_error_names_term_and_shape(tmp_path, capsys, element, message):
+    job = {"derivation": inner_spec((1, 0, 0)), "element": element}
+    argv = ["apply", "--group", "heisenberg", "--in", write(tmp_path / "j.json", job)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_term_budget_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(derivations, "MAX_TERMS", 1000)
+    join = Derivation._join
+
+    def bounded(self, left, right):
+        result = join(self, left, right)
+        # fails at once, rather than filling memory, if the budget is ignored
+        assert len(result[1]) <= 1000
+        return result
+
+    monkeypatch.setattr(Derivation, "_join", bounded)
+    job = {"derivation": {"group": "heisenberg", "kind": "table",
+                          "images": {"x": [[[1, 1, 0, 1], [1, 1, 0]]], "y": []}},
+           "element": [[[1, 1, 0, 1], [10**12, 0, 0]]]}
+    argv = ["apply", "--group", "heisenberg", "--in", write(tmp_path / "j.json", job)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "MAX_TERMS = 1000" in captured.err
 
 
 @pytest.mark.parametrize("option", ["--in", "--out", "--quotient"])

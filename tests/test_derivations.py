@@ -343,15 +343,57 @@ def test_syllable_bases_not_rebuilt(monkeypatch):
     d.apply_element(h(1, 1, 2))
     g = h(1000, 2000, 2_003_000)
     expected = mono(g) * a - a * mono(g)
-    inv, calls = Heisenberg.inv, []
+    inv, calls = Heisenberg._inv, []
 
-    def counting(self, x):
-        calls.append(x)
-        return inv(self, x)
+    def counting(self, p):
+        calls.append(p)
+        return inv(self, p)
 
-    monkeypatch.setattr(Heisenberg, "inv", counting)
+    monkeypatch.setattr(Heisenberg, "_inv", counting)
     assert d.apply_element(g) == expected
     assert calls == []
+    # the count sees evaluation: a negative exponent inverts its base
+    d.apply_element(h(-3, 0, 0))
+    assert calls == [(1, 0, 0)]
+
+
+def test_second_heisenberg_instance_reads_the_same_image():
+    # the cache is keyed by payload, and an equal group's element passes the
+    # membership check, so it finds the image cached for the first
+    d = Derivation.inner(mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3))
+    first = d.apply_element(h(5, -2, 7))
+    other = Heisenberg().element((5, -2, 7))
+    assert other.group is not H
+    assert d.apply_element(other) is first
+
+
+# d(x) = x*y, d(y) = 0: |supp d(x^a)| = a, so the image grows with a
+GROWING_TABLE = {"x": [[[1, 1, 0, 1], [1, 1, 0]]], "y": []}
+
+
+def growing_derivation():
+    x, y = H.generators()
+    return Derivation.from_table(H, {x: mono(x * y), y: AlgebraElement.zero(H)})
+
+
+def test_term_budget_rejects_growing_image(monkeypatch):
+    monkeypatch.setattr(derivations, "MAX_TERMS", 64)
+    d = growing_derivation()
+    assert len(d.apply_element(h(64, 0, 0))) == 64
+    built, join = [], Derivation._join
+
+    def recording(self, left, right):
+        result = join(self, left, right)
+        # fails at once, rather than filling memory, if the budget is ignored
+        assert len(result[1]) <= 64
+        built.append(len(result[1]))
+        return result
+
+    monkeypatch.setattr(Derivation, "_join", recording)
+    with pytest.raises(derivations.TermBudgetError, match="MAX_TERMS = 64"):
+        d.apply_element(h(10**12, 0, 0))
+    assert built
+    assert all(len(img) <= 64 for img in d._cache.values())
 
 
 def test_cache_is_bounded(monkeypatch):
@@ -625,18 +667,18 @@ class TestRelatorValidationOracle:
 
 
 def test_table_validation_cost(monkeypatch):
-    # s5 has 159 Leibniz pairs; this table takes about 3,400 products
+    # s5 has 159 Leibniz pairs; this table takes about 1,400 payload products
     S5 = group_from_name("perm:s5")
     images = dict(Sampler(S5, seed=1).derivation(allow_table=False).images)
-    mul, calls = PermutationGroup.mul, []
+    mul, calls = PermutationGroup._mul, []
 
-    def counting(self, g, h):
-        calls.append(g)
-        return mul(self, g, h)
+    def counting(self, p, q):
+        calls.append(p)
+        return mul(self, p, q)
 
-    monkeypatch.setattr(PermutationGroup, "mul", counting)
+    monkeypatch.setattr(PermutationGroup, "_mul", counting)
     Derivation.from_table(S5, images)
-    assert len(calls) < 6000
+    assert 0 < len(calls) < 6000
 
 
 def test_table_validation_joins(monkeypatch):
