@@ -33,10 +33,6 @@ class GaussianRational:
         rd, imd = re.denominator, im.denominator
         return _reduced(re.numerator * imd, im.numerator * rd, rd * imd)
 
-    @staticmethod
-    def of(re: RatLike = 0, im: RatLike = 0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
-
     @property
     def re(self) -> Fraction:
         return Fraction(self._p, self._d)
@@ -138,14 +134,14 @@ def _triple(p: int, q: int, d: int) -> GaussianRational:
     return r
 
 
-ZERO = GaussianRational.of(0)
-ONE = GaussianRational.of(1)
-MINUS_ONE = GaussianRational.of(-1)
-I = GaussianRational.of(0, 1)
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+MINUS_ONE = GaussianRational(-1)
+I = GaussianRational(0, 1)
 
 
 def as_coefficient(value: CoeffLike) -> GaussianRational:
     """Coerce an int or Fraction into a GaussianRational."""
     if isinstance(value, GaussianRational):
         return value
-    return GaussianRational.of(value)
+    return GaussianRational(Fraction(value))

@@ -119,7 +119,7 @@ class Derivation:
             coords = group.abelian_coords(s)
             tau_s = ZERO
             for t, c in zip(coeffs, coords):
-                tau_s = tau_s + t * GaussianRational.of(c)
+                tau_s = tau_s + t * GaussianRational(c)
             images[s] = AlgebraElement.monomial(s * z, tau_s)
         spec = {
             "group": group.name,
@@ -258,9 +258,6 @@ class Derivation:
             result = result + self._image(p).scale(c)
         return result
 
-    def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        return self.apply(x)
-
     def character(self, arrow: Arrow) -> GaussianRational:
         """chi^d(u, v): the coefficient of u in d(v).  The arrow's endpoints
         share a group, which `apply_element` checks."""
@@ -333,12 +330,7 @@ def char_inner_formula(a: GroupElement, arrow: Arrow) -> GaussianRational:
     [a == source] - [a == target].  When source == target == a the indicator
     difference is 0, matching d_a vanishing on commuting elements."""
     a.group._check(arrow.u)
-    value = ZERO
-    if arrow.source() == a:
-        value = value + GaussianRational.of(1)
-    if arrow.target() == a:
-        value = value - GaussianRational.of(1)
-    return value
+    return GaussianRational((arrow.source() == a) - (arrow.target() == a))
 
 
 def char_bracket_value(
@@ -347,16 +339,16 @@ def char_bracket_value(
     """Character of [d, p] at (a, b) via the matrix-product sum
     sum_k chi^d(a,k) chi^p(k,b) - chi^p(a,k) chi^d(k,b).
 
-    Only k in the supports of d(b) and p(b) can contribute: every summand has
-    a right factor that vanishes elsewhere.
+    The right factors chi^p(k,b) and chi^d(k,b) are the coefficients of k in
+    p(b) and d(b), so each sum runs over the terms of one of those images.
     """
     d._check_group(p)
     a, b = arrow.u, arrow.v
-    middle = d.apply_element(b).support() | p.apply_element(b).support()
     total = ZERO
-    for k in middle:
-        total = total + d.character(Arrow(a, k)) * p.character(Arrow(k, b))
-        total = total - p.character(Arrow(a, k)) * d.character(Arrow(k, b))
+    for k, c in p.apply_element(b)._terms.items():
+        total = total + d._image(k).coefficient(a) * c
+    for k, c in d.apply_element(b)._terms.items():
+        total = total - p._image(k).coefficient(a) * c
     return total
 
 
@@ -416,7 +408,7 @@ def find_inner_witness(
     decision procedure.
     """
     group = d.group
-    cands = sorted(set(candidates), key=group.sort_key)
+    cands = sorted(set(candidates), key=lambda g: g.payload)
     if not cands:
         return AlgebraElement.zero(group) if d.is_zero() else None
     # linear system over Q(i): for each generator s and each element h that can
@@ -430,7 +422,7 @@ def find_inner_witness(
         for g in cands:
             elements.add(s * g)
             elements.add(g * s)
-        for h in sorted(elements, key=group.sort_key):
+        for h in sorted(elements, key=lambda g: g.payload):
             row = []
             for g in cands:
                 coeff = 0

@@ -12,8 +12,8 @@ Three kernels are supported, each with a trivially solvable word problem:
 Elements are immutable values in canonical normal form: for all three kernels
 the payload *is* the normal form, so equality is payload equality.  Each
 kernel multiplies and inverts payloads (`Group._mul`, `Group._inv`), and the
-algebra and derivation layers compute on payloads alone; `Group.mul` and
-`Group.inv` wrap those primitives for callers that hold `GroupElement`s.  A
+algebra and derivation layers compute on payloads alone; `g * h` and
+`g.inverse()` wrap those primitives for callers that hold `GroupElement`s.  A
 permutation group holds one element object per member of its closure and
 hands out only those; its payload products are read from a table of at most
 |G|^2 references, filled on first use.  Evaluating a permutation element
@@ -104,11 +104,13 @@ class GroupElement:
         return GroupElement, (self.group, self.payload)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        self.group._check(other)
-        return self.group.mul(self, other)
+        group = self.group
+        group._check(other)
+        return group._wrap(group._mul(self.payload, other.payload))
 
     def inverse(self) -> "GroupElement":
-        return self.group.inv(self)
+        group = self.group
+        return group._wrap(group._inv(self.payload))
 
     def __repr__(self) -> str:
         return f"{self.group.name}{self.payload}"
@@ -160,10 +162,9 @@ class Group:
     """Base interface of a group kernel.
 
     A kernel defines its product and inverse on payloads (`_mul`, `_inv`),
-    and `mul` and `inv` lift them to elements through `_wrap`.  Kernel
-    methods (`mul`, `inv`, `syllables` and the conjugacy, centre and
-    abelianization oracles) take elements of this group and do not check
-    them.  Membership is checked once where outside values meet: products of
+    and `GroupElement` lifts them to elements through `_wrap`.  Kernel
+    methods (`syllables` and the conjugacy, centre and abelianization
+    oracles) take elements of this group and do not check them.  Membership is checked once where outside values meet: products of
     `GroupElement`s, `Arrow`, and the algebra, derivation and grading entry
     points, each through `_check`.
     """
@@ -207,13 +208,7 @@ class Group:
         """The payload of the inverse of the element with payload p."""
         raise NotImplementedError
 
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return self._wrap(self._mul(g.payload, h.payload))
-
-    def inv(self, g: GroupElement) -> GroupElement:
-        return self._wrap(self._inv(g.payload))
-
-    # -- generating set and words --------------------------------------------
+    # -- generating set and syllables ----------------------------------------
 
     def generators(self) -> List[GroupElement]:
         """The generating set, built once by the kernel; a fresh list."""
@@ -236,21 +231,6 @@ class Group:
         derivation builds the image of each base once."""
         raise NotImplementedError
 
-    def word(self, g: GroupElement) -> List[GroupElement]:
-        """g spelled out letter by letter: a generator is itself, any other
-        element is each syllable w^k as |k| copies of w's word, or of its
-        letter-wise inverse when k < 0; the empty list is the identity.  Its
-        length grows with |k|: the tests use it as an oracle."""
-        if g in self._generators:
-            return [g]
-        letters: List[GroupElement] = []
-        for w, k in self.syllables(g):
-            spelling = self.word(w)
-            if k < 0:
-                spelling = [self.inv(s) for s in reversed(spelling)]
-            letters += spelling * abs(k)
-        return letters
-
     def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
         """Element pairs (g, h) on which a generator table is checked: the
         table is a derivation exactly when its syllable evaluation d
@@ -261,9 +241,6 @@ class Group:
 
     def is_central(self, z: GroupElement) -> bool:
         raise NotImplementedError
-
-    def is_conjugate(self, a: GroupElement, b: GroupElement) -> bool:
-        return self.class_representative(a) == self.class_representative(b)
 
     def class_representative(self, a: GroupElement) -> GroupElement:
         """Canonical representative of [a]."""
@@ -308,9 +285,6 @@ class Group:
         raise CapabilityError(f"{self.name} has no free abelianization basis")
 
     # -- descriptions -----------------------------------------------------------
-
-    def sort_key(self, g: GroupElement) -> tuple:
-        return g.payload
 
     def element_to_json(self, g: GroupElement) -> list:
         return list(g.payload)
@@ -697,9 +671,6 @@ class PermutationGroup(Group):
     def is_central(self, z: GroupElement) -> bool:
         return self._commutes_with_generators(z.payload)
 
-    def is_conjugate(self, a: GroupElement, b: GroupElement) -> bool:
-        return b.payload in self._class_payloads(a.payload)
-
     def _class_payloads(self, a: tuple) -> FrozenSet[tuple]:
         # each class is built once, on first use, and recorded for every member
         cls = self._classes.get(a)
@@ -791,10 +762,6 @@ class QuotientSpec:
 
     def combine(self, k1: tuple, k2: tuple) -> tuple:
         return tuple(a + b for a, b in zip(k1, k2))
-
-    def contains(self, g: GroupElement) -> bool:
-        """Membership in N."""
-        return self.key(g) == self.identity_key()
 
     def key_to_json(self, k: tuple):
         return list(k)

@@ -22,19 +22,17 @@ class Sampler:
         *,
         box: int = 2,
         word_len: int = 4,
-        coeff_bound: int = 3,
     ):
         self.group = group
         self.rng = random.Random(seed)
         self.box = box
         self.word_len = word_len
-        self.coeff_bound = coeff_bound
 
     # -- scalars -------------------------------------------------------------
 
     def rational(self) -> Fraction:
-        num = self.rng.randint(-self.coeff_bound, self.coeff_bound)
-        den = self.rng.randint(1, self.coeff_bound)
+        num = self.rng.randint(-3, 3)
+        den = self.rng.randint(1, 3)
         return Fraction(num, den)
 
     def coefficient(self) -> GaussianRational:
@@ -114,7 +112,7 @@ class Sampler:
         v = self.word_element()
         u: Optional[GroupElement] = None
         if d is not None and self.rng.random() < 0.5:
-            supp = sorted(d.apply_element(v).support(), key=self.group.sort_key)
+            supp = [g for g, _ in d.apply_element(v).items()]
             if supp:
                 u = self.rng.choice(supp)
         if u is None:

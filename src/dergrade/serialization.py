@@ -20,7 +20,22 @@ class SpecError(ValueError):
     """A malformed derivation / job specification."""
 
 
+_TERMS = "a list of [coefficient, element] terms"
+
+
+def _list_field(value, field: str, expected: str) -> list:
+    """A derivation spec's field `field`, which must be a list."""
+    if not isinstance(value, list):
+        raise SpecError(f"bad derivation spec: field {field!r} must be {expected}")
+    return value
+
+
 def arrow_from_json(group: Group, data) -> Arrow:
+    if not isinstance(data, dict) or "u" not in data or "v" not in data:
+        raise SpecError(
+            "bad arrow spec: an arrow must be an object with fields 'u' and 'v', "
+            "each a group element"
+        )
     try:
         return Arrow(group.element_from_json(data["u"]), group.element_from_json(data["v"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -28,6 +43,8 @@ def arrow_from_json(group: Group, data) -> Arrow:
 
 
 def algebra_element_from_json(group: Group, data) -> AlgebraElement:
+    if not isinstance(data, list):
+        raise SpecError(f"bad algebra element: expected {_TERMS}")
     try:
         return AlgebraElement.from_json(group, data)
     except (TypeError, ValueError) as exc:
@@ -62,19 +79,23 @@ def derivation_from_json(data, group: Optional[Group] = None) -> Derivation:
             )
         kind = data.get("kind")
         if kind == "inner":
-            return Derivation.inner(AlgebraElement.from_json(group, data["a"]))
+            a = _list_field(data.get("a"), "a", _TERMS)
+            return Derivation.inner(AlgebraElement.from_json(group, a))
         if kind == "central":
-            tau = [GaussianRational.from_json(t) for t in data["tau"]]
-            z = group.element_from_json(data["z"])
+            tau = _list_field(data.get("tau"), "tau", "a list of coefficients")
+            tau = [GaussianRational.from_json(t) for t in tau]
+            z = _list_field(data.get("z"), "z", "a group element, a list of integers")
+            z = group.element_from_json(z)
             return Derivation.central(group, tau, z)
         if kind == "table":
-            if not isinstance(data["images"], dict):
+            if not isinstance(data.get("images"), dict):
                 raise SpecError("table images must be a JSON object")
             by_name = dict(zip(group.generator_names(), group.generators()))
             images = {}
             for name, img in data["images"].items():
                 if name not in by_name:
                     raise SpecError(f"unknown generator name {name!r}")
+                img = _list_field(img, f"images.{name}", _TERMS)
                 images[by_name[name]] = AlgebraElement.from_json(group, img)
             for name, s in by_name.items():
                 images.setdefault(s, AlgebraElement.zero(group))

@@ -119,7 +119,7 @@ def test_criterion_4_inner_character_formula():
         d = Derivation.inner(mono(a))
         for v in H.generators():
             arrows = [Arrow(u, v) for u in sorted(
-                d.apply_element(v).support(), key=H.sort_key)]
+                d.apply_element(v).support(), key=lambda g: g.payload)]
             arrows += [Arrow(sampler.element(), v) for _ in range(20)]
             for phi in arrows:
                 if d.character(phi) != char_inner_formula(a, phi):
@@ -129,7 +129,7 @@ def test_criterion_4_inner_character_formula():
     v = h(1, 1, 0)
     phi = Arrow(v * a, v)
     ok = ok and phi.source() == phi.target() == a
-    ok = ok and char_inner_formula(a, phi) == d.character(phi).__class__.of(0)
+    ok = ok and char_inner_formula(a, phi) == d.character(phi).__class__(0)
     ok = ok and not Derivation.inner(mono(a)).apply(mono(v))
     report("4 inner character indicator formula (exhaustive family + overlap)", ok)
 

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import signal
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dergrade import AlgebraElement, Derivation, Heisenberg, derivations
 from dergrade.cli import build_parser, main
@@ -214,28 +219,66 @@ def test_malformed_input_exit_2(tmp_path, capsys, argv, job, reason):
     assert captured.err.startswith("error: ") and reason in captured.err
 
 
-# inputs whose message names the term and the expected shape
+TERMS = "a list of [coefficient, element] terms"
+ARROW_SHAPE = ("error: bad arrow spec: an arrow must be an object with fields 'u' and "
+               "'v', each a group element\n")
+
+
+def _apply(element):
+    return "apply", {"derivation": inner_spec((1, 0, 0)), "element": element}
+
+
+def _apply_spec(spec):
+    return "apply", {"derivation": spec, "element": []}
+
+
+def _character(arrow):
+    return "character", {"derivation": inner_spec((1, 0, 0)), "arrow": arrow}
+
+
+# inputs whose message names the term or field and the expected shape
 PARSE_MESSAGES = {
     "two-entry-heisenberg-element": (
-        [[[1, 1, 0, 1], [1, 0, 0]], [[1, 1, 0, 1], [1, 2]]],
+        *_apply([[[1, 1, 0, 1], [1, 0, 0]], [[1, 1, 0, 1], [1, 2]]]),
         "error: bad algebra element: term 1: heisenberg element [1, 2] must "
         "have 3 entries [a, b, c]\n"),
     "three-entry-coefficient": (
-        [[[1, 1, 0], [1, 0, 0]]],
+        *_apply([[[1, 1, 0], [1, 0, 0]]]),
         "error: bad algebra element: term 0: coefficient [1, 1, 0] must have "
         "4 entries [re_num, re_den, im_num, im_den]\n"),
     "one-entry-term": (
-        [[[1, 1, 0, 1]]],
+        *_apply([[[1, 1, 0, 1]]]),
         "error: bad algebra element: term 0: a term must be "
         "[coefficient, element]\n"),
+    "int-element": (
+        *_apply(5), f"error: bad algebra element: expected {TERMS}\n"),
+    "missing-a": (
+        *_apply_spec({"kind": "inner"}),
+        f"error: bad derivation spec: field 'a' must be {TERMS}\n"),
+    "int-a": (
+        *_apply_spec({"kind": "inner", "a": 5}),
+        f"error: bad derivation spec: field 'a' must be {TERMS}\n"),
+    "missing-tau": (
+        *_apply_spec({"kind": "central", "z": [0, 0, 1]}),
+        "error: bad derivation spec: field 'tau' must be a list of coefficients\n"),
+    "missing-z": (
+        *_apply_spec({"kind": "central", "tau": [[1, 1, 0, 1]] * 2}),
+        "error: bad derivation spec: field 'z' must be a group element, a list of "
+        "integers\n"),
+    "int-image": (
+        *_apply_spec({"kind": "table", "images": {"x": 5}}),
+        f"error: bad derivation spec: field 'images.x' must be {TERMS}\n"),
+    "missing-images": (
+        *_apply_spec({"kind": "table"}), "error: table images must be a JSON object\n"),
+    "list-arrow": (*_character([[1, 1, 0], [0, 1, 0]]), ARROW_SHAPE),
+    "arrow-without-v": (*_character({"u": [1, 1, 0]}), ARROW_SHAPE),
 }
 
 
-@pytest.mark.parametrize("element, message", PARSE_MESSAGES.values(),
+@pytest.mark.parametrize("command, job, message", PARSE_MESSAGES.values(),
                          ids=PARSE_MESSAGES.keys())
-def test_parse_error_names_term_and_shape(tmp_path, capsys, element, message):
-    job = {"derivation": inner_spec((1, 0, 0)), "element": element}
-    argv = ["apply", "--group", "heisenberg", "--in", write(tmp_path / "j.json", job)]
+def test_parse_error_names_term_and_shape(tmp_path, capsys, command, job, message):
+    argv = [command, "--group", "heisenberg", "--in", write(tmp_path / "j.json", job)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -262,6 +305,77 @@ def test_term_budget_exit_2(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "MAX_TERMS = 1000" in captured.err
+
+
+# Heisenberg jobs built from valid spec skeletons, with entries up to 10^12
+BIG = 10**12
+_entries = st.one_of(st.integers(-2, 2), st.integers(-BIG, BIG))
+_elements = st.lists(_entries, min_size=3, max_size=3)
+_coefficients = st.tuples(
+    st.integers(-3, 3), st.integers(1, 3), st.integers(-3, 3), st.integers(1, 3)
+).map(list)
+_terms = st.lists(st.tuples(_coefficients, _elements).map(list), max_size=3)
+_specs = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("inner"), "a": _terms}),
+    st.fixed_dictionaries({
+        "kind": st.just("central"),
+        "tau": st.lists(_coefficients, min_size=2, max_size=2),
+        "z": _entries.map(lambda c: [0, 0, c]),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("table"),
+        "images": st.fixed_dictionaries({"x": _terms, "y": _terms}),
+    }),
+)
+_jobs = st.one_of(
+    st.tuples(st.just("apply"),
+              st.fixed_dictionaries({"derivation": _specs, "element": _terms})),
+    st.tuples(st.just("character"), st.fixed_dictionaries({
+        "derivation": _specs,
+        "arrow": st.fixed_dictionaries({"u": _elements, "v": _elements}),
+    })),
+    st.tuples(st.just("bracket"),
+              st.fixed_dictionaries({"left": _specs, "right": _specs})),
+)
+
+
+class JobTimeout(Exception):
+    """A job ran past its alarm; no handler in the CLI catches it."""
+
+
+def _alarm(signum, frame):
+    raise JobTimeout("job ran past 10 s")
+
+
+def _run_in_process(argv, text):
+    """(exit code, stdout, stderr) of `main(argv)` reading `text` from stdin,
+    stopped by SIGALRM after 10 s."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    out, err = io.StringIO(), io.StringIO()
+    handler = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_jobs)
+def test_fuzzed_jobs_end_cleanly(job):
+    command, data = job
+    code, out, err = _run_in_process([command, "--group", "heisenberg"], json.dumps(data))
+    assert code in (0, 2, 3)
+    if code:
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(("error: ", "setup rejected: "))
+    else:
+        json.loads(out)
 
 
 @pytest.mark.parametrize("option", ["--in", "--out", "--quotient"])

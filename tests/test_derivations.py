@@ -22,6 +22,7 @@ from dergrade import (
 )
 from dergrade import derivations
 from dergrade.sampling import Sampler
+from oracles import word
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -36,7 +37,7 @@ def mono(g, coeff=1):
 
 
 def gr(v):
-    return GaussianRational.of(v)
+    return GaussianRational(v)
 
 
 class TestConstructors:
@@ -217,14 +218,14 @@ class TestClosedFormOracle:
         derivations = [d]
         if name.startswith("perm:"):
             derivations.append(Derivation(group, d.images))
-            elements = sorted(group.finite_elements(), key=lambda g: -len(group.word(g)))
+            elements = sorted(group.finite_elements(), key=lambda g: -len(word(group, g)))
         elif name == "heisenberg":
             elements = [group.element((a, b, a * b + m)) for a, b, m in _EXPONENTS]
         else:
             elements = [group.element((a, b, m)[: group.n]) for a, b, m in _EXPONENTS]
         for dd in derivations:
             for g in elements:
-                assert dd.apply_element(g) == _expand(dd, group.word(g))
+                assert dd.apply_element(g) == _expand(dd, word(group, g))
 
     def test_central_letters_have_nonzero_images_on_zn(self):
         # the sum over central letters carries the whole value on Z^n
@@ -232,44 +233,58 @@ class TestClosedFormOracle:
         assert any(d.images.values())
 
 
+# Most joins one `apply_element` call may make under `_bar_long_evaluations`:
+# binary powering makes at most 2 log2|k| + 1 per syllable, about 330 for four
+# syllables with exponents near 10^12; spelling one out takes 10^12.
+_JOIN_LIMIT = 400
+
+
+def _bar_long_evaluations(monkeypatch):
+    """Fail any `apply_element` call that makes more than `_JOIN_LIMIT`
+    joins, as soon as it makes one more."""
+    join, apply_element = Derivation._join, Derivation.apply_element
+    joins = [0]
+
+    def counted_join(self, left, right):
+        joins[0] += 1
+        if joins[0] > _JOIN_LIMIT:
+            raise AssertionError(f"more than {_JOIN_LIMIT} joins in one evaluation")
+        return join(self, left, right)
+
+    def counted_apply_element(self, g):
+        joins[0] = 0
+        return apply_element(self, g)
+
+    monkeypatch.setattr(Derivation, "_join", counted_join)
+    monkeypatch.setattr(Derivation, "apply_element", counted_apply_element)
+
+
 class TestBoundedCost:
-    """Elements far outside any word one could spell out: `word` is only
-    allowed on a small box, and the values match the closed forms."""
+    """Elements far outside any word one could spell out: each evaluation
+    makes at most `_JOIN_LIMIT` joins, and the values match the closed
+    forms."""
 
     BIG = 10**12
 
-    @pytest.fixture
+    @pytest.fixture(autouse=True)
     def guarded(self, monkeypatch):
-        def install(group):
-            spell = type(group).word
+        _bar_long_evaluations(monkeypatch)
 
-            def word(self, g):
-                if any(abs(v) > 10 for v in g.payload):
-                    raise AssertionError(f"word of {g!r} spelled out")
-                return spell(self, g)
-
-            monkeypatch.setattr(type(group), "word", word)
-            return group
-
-        return install
-
-    def test_heisenberg_inner(self, guarded):
-        guarded(H)
+    def test_heisenberg_inner(self):
         a = mono(h(1, 0, 0)) + mono(h(-1, 2, 3), 5) + mono(h(0, 0, 1), -2)
         d = Derivation.inner(a)
         for g in [h(2, -1, self.BIG), h(-3, 1, -self.BIG), h(0, 0, self.BIG)]:
             assert d.apply_element(g) == mono(g) * a - a * mono(g)
 
-    def test_heisenberg_central(self, guarded):
-        guarded(H)
+    def test_heisenberg_central(self):
         z = h(0, 0, 3)
         d = Derivation.central(H, [2, -3], z)
         for g in [h(2, -1, self.BIG), h(-3, 1, -self.BIG), h(0, 0, self.BIG)]:
             a, b, _ = g.payload
             assert d.apply_element(g) == mono(g * z, 2 * a - 3 * b)
 
-    def test_zn_inner_and_central(self, guarded):
-        Z3 = guarded(FreeAbelian(3))
+    def test_zn_inner_and_central(self):
+        Z3 = FreeAbelian(3)
         a = mono(Z3.element((1, 2, 3))) + mono(Z3.element((0, -1, 0)), 4)
         z = Z3.element((1, -1, 2))
         tau = [2, -1, 5]
@@ -283,23 +298,20 @@ class TestBoundedCost:
 
 
 class TestSyllableCost:
-    """x^a y^b with a and b at +-10^12: `word` is barred outside a small box,
-    `syllables` may return at most 4 syllables, each with a base among x, y
-    and z = [x, y], and the values match the closed forms."""
+    """x^a y^b with a and b at +-10^12: each evaluation makes at most
+    `_JOIN_LIMIT` joins, `syllables` may return at most 4 syllables, each
+    with a base among x, y and z = [x, y], and the values match the closed
+    forms."""
 
     BIG = 10**12
     ELEMENTS = [(BIG, -BIG, 7), (-BIG, BIG, BIG), (BIG, BIG, -BIG), (-BIG, -3, 0)]
 
     @pytest.fixture(autouse=True)
     def guarded(self, monkeypatch):
-        spell, split = Heisenberg.word, Heisenberg.syllables
+        _bar_long_evaluations(monkeypatch)
+        split = Heisenberg.syllables
         bases = {h(1, 0, 0), h(0, 1, 0), h(0, 0, 1)}
         calls = []
-
-        def word(self, g):
-            if any(abs(v) > 10 for v in g.payload):
-                raise AssertionError(f"word of {g!r} spelled out")
-            return spell(self, g)
 
         def syllables(self, g):
             out = split(self, g)
@@ -308,7 +320,6 @@ class TestSyllableCost:
             calls.append(g)
             return out
 
-        monkeypatch.setattr(Heisenberg, "word", word)
         monkeypatch.setattr(Heisenberg, "syllables", syllables)
         yield
         assert calls, "apply_element never asked for syllables"
@@ -450,7 +461,7 @@ class TestCharacter:
             d = Derivation.inner(mono(a))
             for v in H.generators():
                 support = sorted(
-                    d.apply_element(v).support(), key=H.sort_key
+                    d.apply_element(v).support(), key=lambda g: g.payload
                 )
                 arrows = [Arrow(u, v) for u in support]
                 arrows += [Arrow(sampler.element(), v) for _ in range(20)]

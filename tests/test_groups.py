@@ -32,6 +32,7 @@ from dergrade import groups
 from dergrade.cli import main
 from dergrade.groups import MAX_PERM_DEGREE, MAX_ZN_RANK
 from dergrade.verification import run_all
+from oracles import word
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -76,7 +77,7 @@ class TestHeisenberg:
         for _ in range(200):
             g = h(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))
             prod = H.identity()
-            for letter in H.word(g):
+            for letter in word(H, g):
                 prod = prod * letter
             assert prod == g
 
@@ -241,9 +242,10 @@ class TestConjugacy:
             assert conjugate(t, h(0, 0, 5)) == h(0, 0, 5)
 
     def test_is_conjugate_examples(self):
-        assert H.is_conjugate(h(1, 0, 0), h(1, 0, -1))
-        assert not H.is_conjugate(h(0, 0, 1), h(0, 0, 2))
-        assert H.is_conjugate(h(2, 3, 1), h(2, 3, 1))
+        rep = H.class_representative
+        assert rep(h(1, 0, 0)) == rep(h(1, 0, -1))
+        assert rep(h(0, 0, 1)) != rep(h(0, 0, 2))
+        assert rep(h(2, 3, 1)) == rep(h(2, 3, 1))
 
     def test_closed_form_matches_brute_force(self):
         # conjugators in the box |p|,|q|,|r| <= 5 reach every class member of
@@ -258,7 +260,8 @@ class TestConjugacy:
         classes = {g: {conjugate(t, g) for t in conjugators} for g in box}
         for a in box:
             for b in box:
-                assert H.is_conjugate(a, b) == (b in classes[a])
+                same_class = H.class_representative(a) == H.class_representative(b)
+                assert same_class == (b in classes[a])
 
     def test_class_representative_consistent(self):
         rng = random.Random(3)
@@ -268,7 +271,8 @@ class TestConjugacy:
             assert H.class_representative(a) == H.class_representative(
                 conjugate(t, a)
             )
-            assert H.is_conjugate(a, H.class_representative(a))
+            rep = H.class_representative(a)
+            assert H.class_representative(rep) == rep
 
     def test_arrows_stay_in_class_heisenberg(self):
         # source and target of any arrow are conjugate
@@ -278,7 +282,9 @@ class TestConjugacy:
                 h(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)),
                 h(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)),
             )
-            assert H.is_conjugate(phi.source(), phi.target())
+            assert H.class_representative(phi.source()) == H.class_representative(
+                phi.target()
+            )
 
     def test_arrows_stay_in_class_s4_exhaustive(self):
         S4 = PermutationGroup.symmetric(4)
@@ -286,7 +292,7 @@ class TestConjugacy:
         for u in elements:
             for v in elements:
                 phi = Arrow(u, v)
-                assert S4.is_conjugate(phi.source(), phi.target())
+                assert phi.source() in S4.conjugacy_class(phi.target())
 
     def test_class_built_once_for_all_members(self, monkeypatch):
         S6 = PermutationGroup.symmetric(6)
@@ -304,8 +310,8 @@ class TestConjugacy:
         calls.clear()
         other = S6.element((1, 2, 3, 4, 6, 5))
         assert S6.class_representative(other) == rep
-        assert S6.is_conjugate(other, first)
-        assert not S6.is_conjugate(other, S6.identity())
+        assert first in S6.conjugacy_class(other)
+        assert S6.identity() not in S6.conjugacy_class(other)
         assert len(S6.conjugacy_class(other)) == 15
         assert calls == []
 
@@ -346,8 +352,8 @@ class TestQuotients:
         q = H.derived_quotient()
         assert q.key(h(3, -2, 17)) == (3, -2)
         assert q.key(h(0, 0, 9)) == q.identity_key() == (0, 0)
-        assert q.contains(h(0, 0, -4))
-        assert not q.contains(h(1, 0, 0))
+        assert q.key(h(0, 0, -4)) == q.identity_key()
+        assert q.key(h(1, 0, 0)) != q.identity_key()
 
     def test_s4_sign_key(self):
         S4 = PermutationGroup.symmetric(4)
@@ -485,7 +491,7 @@ class TestProductTable:
         for _ in range(2):  # the first pass fills the table, the second reads it
             for g in elements:
                 for k in elements:
-                    prod = group.mul(g, k)
+                    prod = g * k
                     assert prod.payload == groups._perm_mul(g.payload, k.payload)
                     assert prod is group.element(prod.payload)
 
@@ -502,7 +508,7 @@ class TestProductTable:
             g, k = rng.choice(elements), rng.choice(elements)
             # sympy composes left to right: (p * q)(i) = q(p(i))
             oracle = perm(k) * perm(g)
-            assert S6.mul(g, k).payload == tuple(i + 1 for i in oracle.array_form)
+            assert (g * k).payload == tuple(i + 1 for i in oracle.array_form)
 
     def test_elements_are_interned(self):
         S4 = PermutationGroup.symmetric(4)
@@ -510,8 +516,8 @@ class TestProductTable:
         assert len(members) == 24
         for a in S4.finite_elements():
             assert id(S4.element(a.payload)) in members
-            assert id(S4.inv(a)) in members
-            assert S4.mul(a, S4.inv(a)) is S4.identity()
+            assert id(a.inverse()) in members
+            assert a * a.inverse() is S4.identity()
             cls = S4.conjugacy_class(a)
             assert {id(c) for c in cls} <= members
             assert S4.class_representative(a) is S4.element(min(c.payload for c in cls))
@@ -522,14 +528,15 @@ class TestProductTable:
     def test_foreign_and_unpickled_factors(self):
         first, second = PermutationGroup.symmetric(4), PermutationGroup.symmetric(4)
         a, b = first.element((2, 3, 4, 1)), second.element((2, 1, 3, 4))
-        assert first.mul(a, b) is first.element((3, 2, 4, 1))
-        assert second.mul(a, b) is second.element((3, 2, 4, 1))
+        # the left factor's group multiplies, and returns its own member
+        assert a * b is first.element((3, 2, 4, 1))
+        assert b * a is second.element((1, 3, 4, 2))
         assert a * b == b.group.element((3, 2, 4, 1))
         c = pickle.loads(pickle.dumps(b))
         assert c.group is not first and c.group is not second
-        assert first.mul(a, c) is first.element((3, 2, 4, 1))
-        assert first.mul(c, a) is first.element((1, 3, 4, 2))
-        assert first.inv(c) is first.element((2, 1, 3, 4))
+        assert a * c is first.element((3, 2, 4, 1))
+        assert c * a is c.group.element((1, 3, 4, 2))
+        assert c.inverse() is c.group.element((2, 1, 3, 4))
 
     def test_table_bounded_by_order_squared(self):
         S5 = PermutationGroup.symmetric(5)
