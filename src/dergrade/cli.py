@@ -1,13 +1,14 @@
 """Command-line front door.
 
     dergrade <decompose|bracket|apply|character|verify|info>
-        --group <heisenberg|zn:<n>|perm:<name>>
+        --group <heisenberg|zn:<n>|perm:<sN|aN>>
         [--quotient derived|<spec.json>] [--in <file|->] [--out <file|->]
         [--seed <int>] [--samples N] [--word-len L]
 
-Exit codes: 0 success, 2 spec/parse error or an --in, --out or --quotient
-path that cannot be read or written, 3 setup rejection, 4 property failure.  All randomness is seeded, so identical jobs produce byte-identical
-output.
+Exit codes: 0 success, 2 spec/parse error, an option value out of range or
+an --in, --out or --quotient path that cannot be read or written, 3 setup
+rejection, 4 property failure.  All randomness is seeded, so identical jobs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_SETUP = 3
 EXIT_PROPERTY = 4
+
+# Longest --word-len `verify` accepts: every sampled word costs time linear in
+# its length.
+MAX_WORD_LEN = 1000
 
 
 @functools.cache
@@ -166,6 +171,11 @@ def _cmd_character(args, group: Group) -> int:
 def _cmd_verify(args, group: Group) -> int:
     if args.samples <= 0:
         raise SpecError(f"--samples must be positive, got {args.samples}")
+    if not 0 <= args.word_len <= MAX_WORD_LEN:
+        raise SpecError(
+            f"--word-len must be between 0 and MAX_WORD_LEN = {MAX_WORD_LEN}, "
+            f"got {args.word_len}"
+        )
     quotient = _resolve_quotient(group, args.quotient)
     results = run_all(
         group,

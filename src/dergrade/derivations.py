@@ -3,14 +3,14 @@
 A derivation is stored by its images on the kernel's generating set and
 extended to the whole algebra through the Leibniz rule.  A group element g is
 evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ...
-(`Group.syllables`), where each base w is a generator or an element whose own
-syllables lie nearer the generators; a base is evaluated like any element.
-Everything is combined by one join on payloads, (g, d(g)), (h, d(h)) ->
-(gh, d(g)*h + g*d(h)), which refuses to combine more than `MAX_TERMS` terms:
-each w^k is built from d(w) or d(w^-1) by binary powering, in
-O(log |k|) joins, and the powers are then joined in order.  A table from
-outside is checked by the same join: on each of the kernel's pairs (g, h)
-(`Group.leibniz_pairs`), d(g) joined with d(h) must equal d(gh).  The
+(`Group.syllables`, on payloads), where each base w is a generator or an
+element whose own syllables lie nearer the generators; a base is evaluated
+like any element.  Everything is combined by one join on payloads,
+(g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)), which refuses to combine more
+than `MAX_TERMS` terms: each w^k is built from d(w) or d(w^-1) by binary
+powering, in O(log |k|) joins, and the powers are then joined in order.  A table from
+outside is checked by the same join: on each of the kernel's payload pairs
+(g, h) (`Group.leibniz_pairs`), d(g) joined with d(h) must equal d(gh).  The
 character view is derived: the value of the character on an arrow (u, v) is
 the coefficient of u in d(v).
 """
@@ -106,9 +106,9 @@ class Derivation:
         it automatically vanishes on the commutator subgroup.
         """
         group._check(z)
-        if not group.is_central(z):
+        if not group.is_central(z.payload):
             raise CentralityError(f"{z!r} is not central in {group.name}")
-        rank = len(group.abelian_coords(z))
+        rank = len(group.abelian_coords(z.payload))
         if len(tau) != rank:
             raise ValueError(
                 f"tau must list {rank} values (one per abelianization basis element)"
@@ -116,7 +116,7 @@ class Derivation:
         coeffs = [as_coefficient(t) for t in tau]
         images: Dict[GroupElement, AlgebraElement] = {}
         for s in group.generators():
-            coords = group.abelian_coords(s)
+            coords = group.abelian_coords(s.payload)
             tau_s = ZERO
             for t, c in zip(coeffs, coords):
                 tau_s = tau_s + t * GaussianRational(c)
@@ -150,8 +150,7 @@ class Derivation:
 
     def _validate_table(self) -> None:
         image = self._image
-        for g, h in self.group.leibniz_pairs():
-            p, q = g.payload, h.payload
+        for p, q in self.group.leibniz_pairs():
             pq, joined = self._join((p, image(p)), (q, image(q)))
             if joined != image(pq):
                 raise DerivationTableError(
@@ -235,14 +234,13 @@ class Derivation:
         if cached is None:
             group = self.group
             acc: Optional[Evaluated] = None
-            for w, k in group.syllables(group._wrap(p)):
+            for w, k in group.syllables(p):
                 if k:
-                    wp = w.payload
                     # most bases are cached, and a lookup costs less than a call
-                    dw = self._cache.get(wp)
+                    dw = self._cache.get(w)
                     if dw is None:
-                        dw = self._image(wp)
-                    power = self._power((wp, dw), k)
+                        dw = self._image(w)
+                    power = self._power((w, dw), k)
                     acc = power if acc is None else self._join(acc, power)
             cached = AlgebraElement.zero(group) if acc is None else acc[1]
             if len(self._cache) >= CACHE_LIMIT:

@@ -47,7 +47,7 @@ class GradingSetup:
             raise GroupMismatchError("quotient belongs to a different group")
         identity_key = self.quotient.identity_key()
         if all(
-            self.quotient.key(s) == identity_key for s in self.group.generators()
+            self.quotient.key(s.payload) == identity_key for s in self.group.generators()
         ):
             raise TrivialGradingError(
                 f"quotient of {self.group.name} is trivial: every generator lands "
@@ -70,7 +70,7 @@ def _buckets(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Terms]:
     for s in group.generators():
         s_inv = group._inv(s.payload)
         for k, c in d.images[s]._terms.items():
-            coset = key(group._wrap(group._mul(s_inv, k)))
+            coset = key(group._mul(s_inv, k))
             buckets.setdefault(coset, {}).setdefault(s, {})[k] = c
     return buckets
 
@@ -96,12 +96,13 @@ def support_cosets(d: Derivation, setup: GradingSetup) -> FrozenSet[CosetKey]:
 def support_classes(d: Derivation) -> FrozenSet[GroupElement]:
     """Canonical representatives of the conjugacy classes that can carry
     support, at class rather than coset granularity."""
+    group = d.group
     reps = set()
-    for s in d.group.generators():
-        s_inv = s.inverse()
-        for k in d.images[s].support():
-            reps.add(d.group.class_representative(s_inv * k))
-    return frozenset(reps)
+    for s in group.generators():
+        s_inv = group._inv(s.payload)
+        for k in d.images[s]._terms:
+            reps.add(group.class_representative(group._mul(s_inv, k)))
+    return frozenset(map(group._wrap, reps))
 
 
 def project(d: Derivation, key: CosetKey, setup: GradingSetup) -> Derivation:
@@ -180,9 +181,9 @@ def central_component_key(
     """The single coset key of a central derivation: the coset of z (every
     support arrow has source z).  For stem groups this is the identity key."""
     setup.group._check(z)
-    if not setup.group.is_central(z):
+    if not setup.group.is_central(z.payload):
         raise CentralityError(f"{z!r} is not central in {setup.group.name}")
-    return setup.quotient.key(z)
+    return setup.quotient.key(z.payload)
 
 
 def zder_grading_demo(group: Group) -> dict:
@@ -253,7 +254,7 @@ def inner_graded_decomposition(
             [
                 (y, c)
                 for c, y in zip(coefficients, elements)
-                if setup.quotient.key(y) == key
+                if setup.quotient.key(y.payload) == key
             ],
         )
         witnesses[key] = witness

@@ -10,19 +10,24 @@ Three kernels are supported, each with a trivially solvable word problem:
   generating set.
 
 Elements are immutable values in canonical normal form: for all three kernels
-the payload *is* the normal form, so equality is payload equality.  Each
-kernel multiplies and inverts payloads (`Group._mul`, `Group._inv`), and the
-algebra and derivation layers compute on payloads alone; `g * h` and
-`g.inverse()` wrap those primitives for callers that hold `GroupElement`s.  A
-permutation group holds one element object per member of its closure and
-hands out only those; its payload products are read from a table of at most
-|G|^2 references, filled on first use.  Evaluating a permutation element
-recurses as deep as the closure's BFS tree (see `PermutationGroup`).
+the payload *is* the normal form, so equality is payload equality.  Every
+method a kernel or quotient offers the library's own layers takes and returns
+payloads: the product and inverse (`Group._mul`, `Group._inv`), syllables,
+Leibniz pairs, the conjugacy, centre and abelianization oracles, and quotient
+keys.  The algebra, derivation and grading layers compute on payloads alone;
+`g * h`, `g.inverse()` and the element-valued entry points (`element`,
+`generators`, sampling, JSON) wrap them for callers that hold
+`GroupElement`s.  A permutation group holds one element object per member of
+its closure and hands out only those; its payload products are read from a
+table of at most |G|^2 references, filled on first use.  Evaluating a
+permutation element recurses as deep as the closure's BFS tree (see
+`PermutationGroup`).
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from math import gcd
 from operator import add, neg
@@ -121,8 +126,8 @@ _set_payload = GroupElement.payload.__set__
 _set_hash = GroupElement._hash.__set__
 
 
-# (w, k): the power w^k of a base element w.
-Syllable = Tuple[GroupElement, int]
+# (w, k): the power w^k of the base element with payload w.
+Syllable = Tuple[tuple, int]
 
 
 def conjugate(t: GroupElement, a: GroupElement) -> GroupElement:
@@ -162,11 +167,14 @@ class Group:
     """Base interface of a group kernel.
 
     A kernel defines its product and inverse on payloads (`_mul`, `_inv`),
-    and `GroupElement` lifts them to elements through `_wrap`.  Kernel
-    methods (`syllables` and the conjugacy, centre and abelianization
-    oracles) take elements of this group and do not check them.  Membership is checked once where outside values meet: products of
-    `GroupElement`s, `Arrow`, and the algebra, derivation and grading entry
-    points, each through `_check`.
+    and `GroupElement` lifts them to elements through `_wrap`.  The other
+    kernel methods the library's layers call (`syllables`, `leibniz_pairs`
+    and the conjugacy, centre and abelianization oracles) take and return
+    payloads too, and do not check them: a payload is assumed to be a normal
+    form of this group.  Membership is checked once where outside values
+    meet: products of `GroupElement`s, `Arrow`, and the algebra, derivation
+    and grading entry points, each through `_check`, which then pass
+    `.payload` on.
     """
 
     def __init__(self, name: str, key: tuple):
@@ -217,10 +225,11 @@ class Group:
     def generator_names(self) -> List[str]:
         return [f"g{i + 1}" for i in range(len(self.generators()))]
 
-    def syllables(self, g: GroupElement) -> List[Syllable]:
-        """[(w1, k1), (w2, k2), ...] with g = w1^k1 * w2^k2 * ..., where each
-        base w is a generator or an element whose own syllables lie nearer
-        the generators, and each k is an integer of any sign or size.
+    def syllables(self, p: tuple) -> List[Syllable]:
+        """[(w1, k1), (w2, k2), ...] with g = w1^k1 * w2^k2 * ... for the
+        element g with payload p, where each base payload w is a generator's
+        or an element's whose own syllables lie nearer the generators, and
+        each k is an integer of any sign or size.
 
         On the infinite kernels the bases are a few fixed elements (x, y and
         z = [x, y] on `heisenberg`, whose syllables are generators) and the
@@ -231,26 +240,26 @@ class Group:
         derivation builds the image of each base once."""
         raise NotImplementedError
 
-    def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
-        """Element pairs (g, h) on which a generator table is checked: the
+    def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
+        """Payload pairs (g, h) on which a generator table is checked: the
         table is a derivation exactly when its syllable evaluation d
         satisfies d(gh) = d(g)*h + g*d(h) on every pair."""
         raise NotImplementedError
 
     # -- conjugacy / center oracles -------------------------------------------
 
-    def is_central(self, z: GroupElement) -> bool:
+    def is_central(self, z: tuple) -> bool:
         raise NotImplementedError
 
-    def class_representative(self, a: GroupElement) -> GroupElement:
-        """Canonical representative of [a]."""
+    def class_representative(self, a: tuple) -> tuple:
+        """The payload of the canonical representative of [a]."""
         raise CapabilityError(f"{self.name} has no conjugacy representative oracle")
 
     # -- abelianization -------------------------------------------------------
 
-    def abelian_coords(self, g: GroupElement) -> Tuple[int, ...]:
-        """Coordinates of g in a free basis of G/G', when the abelianization
-        is free abelian."""
+    def abelian_coords(self, g: tuple) -> Tuple[int, ...]:
+        """Coordinates of the element with payload g in a free basis of
+        G/G', when the abelianization is free abelian."""
         raise CapabilityError(f"{self.name} has no free abelianization basis")
 
     # -- quotients -------------------------------------------------------------
@@ -307,6 +316,10 @@ class Group:
 # Discrete Heisenberg group
 # ---------------------------------------------------------------------------
 
+# The generators x and y, and z = [x, y], which spans the centre and is the
+# last syllable of every element.
+_X, _Y, _Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
 
 class Heisenberg(Group):
     """Integer unitriangular matrices [[1,a,c],[0,1,b],[0,0,1]], stored (a,b,c).
@@ -318,9 +331,7 @@ class Heisenberg(Group):
 
     def __init__(self):
         super().__init__("heisenberg", ("heisenberg",))
-        self._generators = [self.element((1, 0, 0)), self.element((0, 1, 0))]
-        # z = [x, y] spans the centre; the last syllable of every element
-        self._z = self.element((0, 0, 1))
+        self._generators = [self.element(_X), self.element(_Y)]
 
     def element(self, payload: Sequence) -> GroupElement:
         entries = tuple(payload)
@@ -347,37 +358,33 @@ class Heisenberg(Group):
     def generator_names(self) -> List[str]:
         return ["x", "y"]
 
-    def syllables(self, g: GroupElement) -> List[Syllable]:
+    def syllables(self, p: tuple) -> List[Syllable]:
         # g = x^a y^b z^(c-ab), where z itself is x y x^-1 y^-1
-        x, y = self._generators
-        if g.payload == (0, 0, 1):
-            return [(x, 1), (y, 1), (x, -1), (y, -1)]
-        a, b, c = g.payload
-        return [(x, a), (y, b), (self._z, c - a * b)]
+        if p == _Z:
+            return [(_X, 1), (_Y, 1), (_X, -1), (_Y, -1)]
+        a, b, c = p
+        return [(_X, a), (_Y, b), (_Z, c - a * b)]
 
-    def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
+    def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
         # z = [x, y] is central, and that is all the presentation asks:
         # each pair says d(zs) = d(sz)
-        x, y = self._generators
-        return [(self._z, x), (self._z, y)]
+        return [(_Z, _X), (_Z, _Y)]
 
-    def is_central(self, z: GroupElement) -> bool:
-        a, b, _ = z.payload
-        return a == 0 and b == 0
+    def is_central(self, z: tuple) -> bool:
+        return z[0] == 0 and z[1] == 0
 
-    def class_representative(self, a: GroupElement) -> GroupElement:
+    def class_representative(self, a: tuple) -> tuple:
         # Conjugating (a,b,c) by (p,q,r) shifts c by p*b - q*a, so the class
         # of a non-central element is {(a, b, c + k*gcd(a,b))}; central
         # elements form singleton classes.  Validated against the brute-force
         # oracle in the test suite.
-        p, q, c = a.payload
+        p, q, c = a
         if p == 0 and q == 0:
             return a
-        return GroupElement(self, (p, q, c % gcd(p, q)))
+        return (p, q, c % gcd(p, q))
 
-    def abelian_coords(self, g: GroupElement) -> Tuple[int, ...]:
-        a, b, _ = g.payload
-        return (a, b)
+    def abelian_coords(self, g: tuple) -> Tuple[int, ...]:
+        return g[:2]
 
     def has_central_derivations(self) -> bool:
         return True
@@ -387,7 +394,7 @@ class Heisenberg(Group):
         return tau, self.element((0, 0, rng.randint(-2, 2)))
 
     def central_family(self) -> List[Tuple[List[int], GroupElement]]:
-        z = self.element((0, 0, 1))
+        z = self.element(_Z)
         return [([1, 0], z), ([0, 1], z)]
 
     def center_description(self) -> str:
@@ -438,21 +445,21 @@ class FreeAbelian(Group):
     def generator_names(self) -> List[str]:
         return [f"e{i + 1}" for i in range(self.n)]
 
-    def syllables(self, g: GroupElement) -> List[Syllable]:
-        return list(zip(self._generators, g.payload))
+    def syllables(self, p: tuple) -> List[Syllable]:
+        return [(s.payload, k) for s, k in zip(self._generators, p)]
 
-    def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
+    def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
         # C[Z^n] is commutative, so every generator table is a derivation
         return []
 
-    def is_central(self, z: GroupElement) -> bool:
+    def is_central(self, z: tuple) -> bool:
         return True
 
-    def class_representative(self, a: GroupElement) -> GroupElement:
+    def class_representative(self, a: tuple) -> tuple:
         return a
 
-    def abelian_coords(self, g: GroupElement) -> Tuple[int, ...]:
-        return g.payload
+    def abelian_coords(self, g: tuple) -> Tuple[int, ...]:
+        return g
 
     def has_central_derivations(self) -> bool:
         return True
@@ -520,6 +527,10 @@ class PermutationGroup(Group):
 
     The group builds one `GroupElement` per member, in sorted order, and
     every element it returns is one of those (`_wrap` looks the member up).
+    Its oracles work on payloads: `syllables` reads the BFS tree, a dict from
+    each payload to its (parent, generator, exponent) edge, and
+    `conjugacy_class`, `class_representative` and `is_central` return
+    payloads and verdicts, never elements.
     `_mul` reads a product table of payloads indexed by position in that
     order: a row is allocated the first time its left factor is used and a
     cell is filled the first time it is read.  The table holds at most
@@ -534,17 +545,13 @@ class PermutationGroup(Group):
         self._generator_payloads = [tuple(p) for p in generator_payloads]
         for p in self._generator_payloads:
             self._validate_payload(p)
-        tree = self._close()
+        # element -> (parent, s, k) with element = parent * s^k; None at the root
+        self._tree = self._close()
         # sorted, so the identity comes first
-        self._elements = sorted(tree)
+        self._elements = sorted(self._tree)
         self._index = {p: i for i, p in enumerate(self._elements)}
         self._members = [GroupElement(self, p) for p in self._elements]
         self._generators = [self._wrap(p) for p in self._generator_payloads]
-        # element = parent * s^k at each member's position; None at the identity
-        self._tree: List[Optional[Tuple[GroupElement, GroupElement, int]]] = [
-            None if edge is None else (self._wrap(edge[0]), self._wrap(edge[1]), edge[2])
-            for edge in map(tree.get, self._elements)
-        ]
         # product payload rows by left factor's position, allocated on first use
         self._products: List[Optional[List[Optional[tuple]]]] = [None] * len(self._elements)
         self._center: Optional[FrozenSet[tuple]] = None
@@ -635,15 +642,15 @@ class PermutationGroup(Group):
     def random_element(self, rng: random.Random, box: int) -> GroupElement:
         return rng.choice(self._members)
 
-    def syllables(self, g: GroupElement) -> List[Syllable]:
+    def syllables(self, p: tuple) -> List[Syllable]:
         # g = parent * s^k, one step down the closure's BFS tree
-        edge = self._tree[self._index[g.payload]]
+        edge = self._tree[p]
         if edge is None:
             return []
         parent, s, k = edge
         return [(parent, 1), (s, k)]
 
-    def leibniz_pairs(self) -> List[Tuple[GroupElement, GroupElement]]:
+    def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
         # Each Cayley edge w -> w*s off the closure's BFS tree, s a generator;
         # on a tree edge d(ws) is d(w) joined with d(s) by construction.
         # Every element of a finite group is a positive word in the
@@ -651,16 +658,13 @@ class PermutationGroup(Group):
         # by induction on the length of h.
         return [
             (w, s)
-            for w in self._members
-            for s in self._generators
-            if self._tree[self._index[_perm_mul(w.payload, s.payload)]] != (w, s, 1)
+            for w in self._elements
+            for s in self._generator_payloads
+            if self._tree[_perm_mul(w, s)] != (w, s, 1)
         ]
 
     def finite_elements(self) -> List[GroupElement]:
         return list(self._members)
-
-    def _commutes_with_generators(self, z: tuple) -> bool:
-        return all(_perm_mul(z, g) == _perm_mul(g, z) for g in self._generator_payloads)
 
     def _generator_commutators(self) -> List[tuple]:
         gens = self._generator_payloads
@@ -668,11 +672,12 @@ class PermutationGroup(Group):
             _perm_mul(_perm_mul(g, h), _perm_inv(_perm_mul(h, g))) for g in gens for h in gens
         ]
 
-    def is_central(self, z: GroupElement) -> bool:
-        return self._commutes_with_generators(z.payload)
+    def is_central(self, z: tuple) -> bool:
+        return all(_perm_mul(z, g) == _perm_mul(g, z) for g in self._generator_payloads)
 
-    def _class_payloads(self, a: tuple) -> FrozenSet[tuple]:
-        # each class is built once, on first use, and recorded for every member
+    def conjugacy_class(self, a: tuple) -> FrozenSet[tuple]:
+        """The payloads of the class of a, built once, on first use, and
+        recorded for every member."""
         cls = self._classes.get(a)
         if cls is None:
             cls = frozenset(
@@ -682,17 +687,12 @@ class PermutationGroup(Group):
                 self._classes[b] = cls
         return cls
 
-    def conjugacy_class(self, a: GroupElement) -> FrozenSet[GroupElement]:
-        return frozenset(map(self._wrap, self._class_payloads(a.payload)))
-
-    def class_representative(self, a: GroupElement) -> GroupElement:
-        return self._wrap(min(self._class_payloads(a.payload)))
+    def class_representative(self, a: tuple) -> tuple:
+        return min(self.conjugacy_class(a))
 
     def center_payloads(self) -> FrozenSet[tuple]:
         if self._center is None:
-            self._center = frozenset(
-                z for z in self._elements if self._commutes_with_generators(z)
-            )
+            self._center = frozenset(filter(self.is_central, self._elements))
         return self._center
 
     def derived_payloads(self) -> FrozenSet[tuple]:
@@ -747,18 +747,18 @@ class QuotientSpec:
     base class is the abelianization G/G' of a kernel whose abelianization
     is free abelian: the key of g is `group.abelian_coords(g)`, and keys add.
 
-    `key` and `combine` take elements and keys of `group` and do not check
+    `key` and `combine` take payloads and keys of `group` and do not check
     them; callers check membership first.
     """
 
     def __init__(self, group: Group):
         self.group = group
 
-    def key(self, g: GroupElement) -> tuple:
+    def key(self, g: tuple) -> tuple:
         return self.group.abelian_coords(g)
 
     def identity_key(self) -> tuple:
-        return self.key(self.group.identity())
+        return self.key(self.group.identity().payload)
 
     def combine(self, k1: tuple, k2: tuple) -> tuple:
         return tuple(a + b for a, b in zip(k1, k2))
@@ -848,13 +848,13 @@ class FiniteQuotient(QuotientSpec):
                    for s in group._generator_payloads):
                 return {
                     "element": a,
-                    "conjugacy_class": sorted(group._class_payloads(a)),
+                    "conjugacy_class": sorted(group.conjugacy_class(a)),
                     "coset": sorted(_perm_mul(a, n) for n in self._n),
                 }
         return {}
 
-    def key(self, g: GroupElement) -> tuple:
-        return self._keys[g.payload]
+    def key(self, g: tuple) -> tuple:
+        return self._keys[g]
 
     def combine(self, k1: tuple, k2: tuple) -> tuple:
         return self._keys[_perm_mul(k1, k2)]
@@ -865,6 +865,7 @@ class FiniteQuotient(QuotientSpec):
         return str(tuple(k))
 
 
+# Permutation groups by canonical short name, sN or aN
 _PERM_CACHE: Dict[str, PermutationGroup] = {}
 
 # Largest degree group_from_name builds: closure stores every element with
@@ -875,27 +876,32 @@ MAX_PERM_DEGREE = 6
 # `info` prints every generator.
 MAX_ZN_RANK = 64
 
+# The group selectors, with ASCII digits only: int() alone would also read
+# underscores and other scripts' digits.  A sign is read, so that a negative
+# rank or degree meets the kernel's own check.
+_SELECTOR = re.compile(r"heisenberg|zn:(-?[0-9]+)|perm:([sa])(-?[0-9]+)")
+
 
 def group_from_name(name: str) -> Group:
     """Resolve a CLI group selector: heisenberg | zn:<n> | perm:<sN|aN>."""
-    if name == "heisenberg":
+    match = _SELECTOR.fullmatch(name)
+    if match is None:
+        raise ValueError(
+            f"unknown group selector {name!r}: expected heisenberg, zn:<n> or perm:<sN|aN>"
+        )
+    rank, kind, digits = match.groups()
+    if rank is not None:
+        return FreeAbelian(int(rank))
+    if kind is None:
         return Heisenberg()
-    if name.startswith("zn:"):
-        return FreeAbelian(int(name.split(":", 1)[1]))
-    if name.startswith("perm:"):
-        short = name.split(":", 1)[1]
-        if short not in _PERM_CACHE:
-            kind, degree = short[:1], int(short[1:])
-            if kind in ("s", "a") and degree > MAX_PERM_DEGREE:
-                raise ValueError(
-                    f"permutation degree {degree} exceeds the limit "
-                    f"MAX_PERM_DEGREE = {MAX_PERM_DEGREE}"
-                )
-            if kind == "s":
-                _PERM_CACHE[short] = PermutationGroup.symmetric(degree)
-            elif kind == "a":
-                _PERM_CACHE[short] = PermutationGroup.alternating(degree)
-            else:
-                raise ValueError(f"unknown permutation group {short!r}")
-        return _PERM_CACHE[short]
-    raise ValueError(f"unknown group selector {name!r}")
+    degree = int(digits)
+    short = f"{kind}{degree}"
+    if short not in _PERM_CACHE:
+        if degree > MAX_PERM_DEGREE:
+            raise ValueError(
+                f"permutation degree {degree} exceeds the limit "
+                f"MAX_PERM_DEGREE = {MAX_PERM_DEGREE}"
+            )
+        build = PermutationGroup.symmetric if kind == "s" else PermutationGroup.alternating
+        _PERM_CACHE[short] = build(degree)
+    return _PERM_CACHE[short]

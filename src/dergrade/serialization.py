@@ -30,6 +30,15 @@ def _list_field(value, field: str, expected: str) -> list:
     return value
 
 
+def _parsed(field: str, parse):
+    """parse() for a derivation spec's field `field`; an error it raises is
+    prefixed with the field's name."""
+    try:
+        return parse()
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad derivation spec: field {field!r}: {exc}") from exc
+
+
 def arrow_from_json(group: Group, data) -> Arrow:
     if not isinstance(data, dict) or "u" not in data or "v" not in data:
         raise SpecError(
@@ -69,6 +78,11 @@ def derivation_from_json(data, group: Optional[Group] = None) -> Derivation:
         raise SpecError("derivation spec must be a JSON object")
     try:
         spec_group = data.get("group")
+        if spec_group is not None and not isinstance(spec_group, str):
+            raise SpecError(
+                "bad derivation spec: field 'group' must be a group selector string, "
+                f"got {spec_group!r}"
+            )
         if group is None:
             if spec_group is None:
                 raise SpecError("derivation spec is missing a group")
@@ -80,10 +94,10 @@ def derivation_from_json(data, group: Optional[Group] = None) -> Derivation:
         kind = data.get("kind")
         if kind == "inner":
             a = _list_field(data.get("a"), "a", _TERMS)
-            return Derivation.inner(AlgebraElement.from_json(group, a))
+            return Derivation.inner(_parsed("a", lambda: AlgebraElement.from_json(group, a)))
         if kind == "central":
             tau = _list_field(data.get("tau"), "tau", "a list of coefficients")
-            tau = [GaussianRational.from_json(t) for t in tau]
+            tau = _parsed("tau", lambda: [GaussianRational.from_json(t) for t in tau])
             z = _list_field(data.get("z"), "z", "a group element, a list of integers")
             z = group.element_from_json(z)
             return Derivation.central(group, tau, z)
@@ -95,12 +109,18 @@ def derivation_from_json(data, group: Optional[Group] = None) -> Derivation:
             for name, img in data["images"].items():
                 if name not in by_name:
                     raise SpecError(f"unknown generator name {name!r}")
-                img = _list_field(img, f"images.{name}", _TERMS)
-                images[by_name[name]] = AlgebraElement.from_json(group, img)
+                field = f"images.{name}"
+                img = _list_field(img, field, _TERMS)
+                images[by_name[name]] = _parsed(
+                    field, lambda: AlgebraElement.from_json(group, img)
+                )
             for name, s in by_name.items():
                 images.setdefault(s, AlgebraElement.zero(group))
             return Derivation.from_table(group, images)
-        raise SpecError(f"unknown derivation kind {kind!r}")
+        raise SpecError(
+            "bad derivation spec: field 'kind' must be 'inner', 'central' or 'table', "
+            f"got {kind!r}"
+        )
     except SpecError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -9,8 +9,8 @@ def word(group, g):
     if g in group.generators():
         return [g]
     letters = []
-    for w, k in group.syllables(g):
-        spelling = word(group, w)
+    for w, k in group.syllables(g.payload):
+        spelling = word(group, group.element(w))
         if k < 0:
             spelling = [s.inverse() for s in reversed(spelling)]
         letters += spelling * abs(k)

@@ -170,8 +170,8 @@ def test_criterion_6_rejection_paths(tmp_path, capsys):
             ok = False
     # the concrete enumeration: 6 transpositions vs a 4-element coset
     t = S4.element((2, 1, 3, 4))
-    cls = S4.conjugacy_class(t)
-    coset = {t * S4.element(n) for n in v4}
+    cls = S4.conjugacy_class(t.payload)
+    coset = {(t * S4.element(n)).payload for n in v4}
     ok = ok and len(cls) == 6 and len(coset) == 4 and not cls <= coset
     try:
         GradingSetup.default(PermutationGroup.alternating(5))
@@ -234,7 +234,7 @@ def test_criterion_9_support_soundness():
         cosets = support_cosets(d, SETUP_H)
         for _ in range(2000):
             phi = sampler.arrow(d)
-            if d.character(phi) and SETUP_H.quotient.key(phi.source()) not in cosets:
+            if d.character(phi) and SETUP_H.quotient.key(phi.source().payload) not in cosets:
                 ok = False
     report("9 support soundness (2000 random arrows per fixture)", ok)
 

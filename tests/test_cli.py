@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dergrade import AlgebraElement, Derivation, Heisenberg, derivations
+from dergrade import AlgebraElement, Derivation, Heisenberg, cli, derivations, group_from_name
 from dergrade.cli import build_parser, main
 from dergrade.serialization import (
     derivation_from_json,
@@ -170,7 +170,7 @@ MALFORMED = {
                         "a": [[[1, 0, 0, 1], [1, 0, 0]]]},
          "element": [[[1, 1, 0, 1], [0, 1, 0]]]},
         "zero denominator"),
-    "empty-perm-name": (["info", "--group", "perm:"], None, "int()"),
+    "empty-perm-name": (["info", "--group", "perm:"], None, "unknown group selector"),
     # JSON true/false load as bool, which is an int subclass
     "bool-heisenberg-entry": (
         ["apply", "--group", "heisenberg"],
@@ -205,6 +205,24 @@ MALFORMED = {
         ["decompose", "--group", "heisenberg"],
         {"group": "heisenberg", "kind": "table", "images": [1]},
         "JSON object"),
+    # selectors are read with ASCII digits only; the kernels' own range
+    # checks keep their messages
+    **{
+        f"selector-{name}": (
+            ["info", "--group", name], None,
+            f"unknown group selector {name!r}: expected heisenberg, zn:<n> or "
+            "perm:<sN|aN>\n")
+        for name in ["perm:s", "zn:", "zn:abc", "zn:1_0", "perm:s\u0663", "perm:x3", "zn: 3"]
+    },
+    "zn:0": (["info", "--group", "zn:0"], None, "error: rank must be >= 1\n"),
+    "perm:s1": (["info", "--group", "perm:s1"], None, "error: degree must be >= 2\n"),
+    "perm:a2": (["info", "--group", "perm:a2"], None, "error: degree must be >= 3\n"),
+    **{
+        f"word-len-{value}": (
+            ["verify", "--group", "heisenberg", "--samples", "1", "--word-len", value], None,
+            f"error: --word-len must be between 0 and MAX_WORD_LEN = 1000, got {value}\n")
+        for value in ["-1", "1001", "100000000"]
+    },
 }
 
 
@@ -220,6 +238,8 @@ def test_malformed_input_exit_2(tmp_path, capsys, argv, job, reason):
 
 
 TERMS = "a list of [coefficient, element] terms"
+KIND = ("error: bad derivation spec: field 'kind' must be 'inner', 'central' or "
+        "'table', got {}\n")
 ARROW_SHAPE = ("error: bad arrow spec: an arrow must be an object with fields 'u' and "
                "'v', each a group element\n")
 
@@ -270,6 +290,25 @@ PARSE_MESSAGES = {
         f"error: bad derivation spec: field 'images.x' must be {TERMS}\n"),
     "missing-images": (
         *_apply_spec({"kind": "table"}), "error: table images must be a JSON object\n"),
+    "missing-kind": (*_apply_spec({"a": []}), KIND.format("None")),
+    "int-kind": (*_apply_spec({"kind": 5, "a": []}), KIND.format("5")),
+    "unknown-kind": (*_apply_spec({"kind": "mystery"}), KIND.format("'mystery'")),
+    "int-group": (
+        *_apply_spec({"group": 5, "kind": "inner", "a": []}),
+        "error: bad derivation spec: field 'group' must be a group selector string, "
+        "got 5\n"),
+    "term-of-a": (
+        *_apply_spec({"kind": "inner", "a": [[1]]}),
+        "error: bad derivation spec: field 'a': term 0: a term must be "
+        "[coefficient, element]\n"),
+    "coefficient-of-tau": (
+        *_apply_spec({"kind": "central", "tau": [[1, 1, 0, 1], [1, 2, 3]], "z": [0, 0, 1]}),
+        "error: bad derivation spec: field 'tau': coefficient [1, 2, 3] must have "
+        "4 entries [re_num, re_den, im_num, im_den]\n"),
+    "term-of-image": (
+        *_apply_spec({"kind": "table", "images": {"y": [[[1, 1, 0, 1], [1, 2]]]}}),
+        "error: bad derivation spec: field 'images.y': term 0: heisenberg element "
+        "[1, 2] must have 3 entries [a, b, c]\n"),
     "list-arrow": (*_character([[1, 1, 0], [0, 1, 0]]), ARROW_SHAPE),
     "arrow-without-v": (*_character({"u": [1, 1, 0]}), ARROW_SHAPE),
 }
@@ -283,6 +322,18 @@ def test_parse_error_names_term_and_shape(tmp_path, capsys, command, job, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_word_len_limit_still_runs(capsys):
+    assert main(["verify", "--group", "zn:3", "--samples", "1",
+                 "--word-len", str(cli.MAX_WORD_LEN)]) == 0
+    assert capsys.readouterr().out.count("PASS ") == 5
+
+
+def test_selector_digits_are_canonical():
+    # a leading zero names the same cached group
+    assert group_from_name("perm:s03") is group_from_name("perm:s3")
+    assert group_from_name("zn:03") == group_from_name("zn:3")
 
 
 def test_term_budget_exit_2(tmp_path, capsys, monkeypatch):

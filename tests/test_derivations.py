@@ -10,11 +10,14 @@ from dergrade import (
     DerivationTableError,
     FreeAbelian,
     GaussianRational,
+    GradingSetup,
+    GroupElement,
     Heisenberg,
     PermutationGroup,
     char_bracket_value,
     char_inner_formula,
     commutator,
+    decompose,
     find_inner_witness,
     group_from_name,
     verify_char_composition,
@@ -310,14 +313,14 @@ class TestSyllableCost:
     def guarded(self, monkeypatch):
         _bar_long_evaluations(monkeypatch)
         split = Heisenberg.syllables
-        bases = {h(1, 0, 0), h(0, 1, 0), h(0, 0, 1)}
+        bases = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
         calls = []
 
-        def syllables(self, g):
-            out = split(self, g)
+        def syllables(self, p):
+            out = split(self, p)
             if len(out) > 4 or any(w not in bases for w, _ in out):
-                raise AssertionError(f"syllables of {g!r}: {out!r}")
-            calls.append(g)
+                raise AssertionError(f"syllables of {p!r}: {out!r}")
+            calls.append(p)
             return out
 
         monkeypatch.setattr(Heisenberg, "syllables", syllables)
@@ -344,6 +347,36 @@ class TestSyllableCost:
             g = h(*payload)
             a, b, _ = payload
             assert d.apply_element(g) == mono(g * z, 2 * a - 3 * b)
+
+
+def _cold_jobs():
+    """Jobs that compute on payloads from end to end, each on a derivation
+    built beforehand with a cold cache: no `GroupElement` is needed inside."""
+    Z3 = FreeAbelian(3)
+    inner = Derivation.inner(mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3))
+    central = Derivation.central(Z3, [2, -1, 5], Z3.element((1, -1, 2)))
+    g, e = h(10**6, 3, 7), Z3.element((10**6, -3, 7))
+    setup = GradingSetup.default(H)
+    return {
+        "apply-heisenberg": lambda: inner.apply_element(g),
+        "apply-zn:3": lambda: central.apply_element(e),
+        "decompose-inner": lambda: decompose(inner, setup),
+    }
+
+
+@pytest.mark.parametrize("job", _cold_jobs().values(), ids=_cold_jobs().keys())
+def test_kernels_build_no_elements(monkeypatch, job):
+    # syllables, Leibniz pairs and quotient keys are payload maps, so
+    # evaluating and grading never wrap a normal form into an element
+    init, built = GroupElement.__init__, []
+
+    def counting(self, group, payload):
+        built.append(payload)
+        init(self, group, payload)
+
+    monkeypatch.setattr(GroupElement, "__init__", counting)
+    assert job()
+    assert built == []
 
 
 def test_syllable_bases_not_rebuilt(monkeypatch):
@@ -666,11 +699,11 @@ class TestRelatorValidationOracle:
                 images = {t: mono(e) if t == s else zero for t in group.generators()}
                 d = Derivation(group, images)
                 row = []
-                for g, h in group.leibniz_pairs():
+                for p, q in group.leibniz_pairs():
                     defect = (
-                        d.apply_element(g * h)
-                        - d.apply_element(g) * mono(h)
-                        - mono(g) * d.apply_element(h)
+                        d._image(group._mul(p, q))
+                        - d._image(p) * AlgebraElement(group, {q: gr(1)})
+                        - AlgebraElement(group, {p: gr(1)}) * d._image(q)
                     )
                     row += [int(defect.coefficient(k).re) for k in elements]
                 defects.append(row)

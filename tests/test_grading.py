@@ -53,7 +53,7 @@ class TestSupport:
     def test_inner_support_class(self):
         a = h(1, 0, -1)
         d = Derivation.inner(mono(a))
-        assert support_classes(d) == {H.class_representative(a)}
+        assert support_classes(d) == {H.element(H.class_representative(a.payload))}
 
     def test_central_support_class_is_z(self):
         z = h(0, 0, 1)
@@ -71,7 +71,7 @@ class TestSupport:
             for _ in range(200):
                 phi = sampler.arrow(d)
                 if d.character(phi):
-                    assert setup.quotient.key(phi.source()) in cosets
+                    assert setup.quotient.key(phi.source().payload) in cosets
 
 
 class TestProjection:
