@@ -55,24 +55,26 @@ MAX_WORD_LEN = 1000
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; parsing does not change it."""
+    # the options every subcommand takes, defined once and copied into each
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--group", required=True, help="heisenberg | zn:<n> | perm:<sN|aN>")
+    common.add_argument(
+        "--quotient",
+        default="derived",
+        help="'derived' or a JSON file with {'subgroup': [elements]}",
+    )
+    common.add_argument("--in", dest="infile", default="-", help="input file or '-'")
+    common.add_argument("--out", dest="outfile", default="-", help="output file or '-'")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--samples", type=int, default=25)
+    common.add_argument("--word-len", type=int, default=4)
     parser = argparse.ArgumentParser(
         prog="dergrade",
         description="Compute with derivations of group algebras and their grading",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("decompose", "bracket", "apply", "character", "verify", "info"):
-        p = sub.add_parser(name)
-        p.add_argument("--group", required=True, help="heisenberg | zn:<n> | perm:<sN|aN>")
-        p.add_argument(
-            "--quotient",
-            default="derived",
-            help="'derived' or a JSON file with {'subgroup': [elements]}",
-        )
-        p.add_argument("--in", dest="infile", default="-", help="input file or '-'")
-        p.add_argument("--out", dest="outfile", default="-", help="output file or '-'")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=25)
-        p.add_argument("--word-len", type=int, default=4)
+    for name in _COMMANDS:
+        sub.add_parser(name, parents=[common])
     return parser
 
 

@@ -30,7 +30,7 @@ import random
 import re
 from dataclasses import dataclass
 from math import gcd
-from operator import add, neg
+from operator import add, itemgetter, neg
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -486,9 +486,17 @@ class FreeAbelian(Group):
 # ---------------------------------------------------------------------------
 
 
+# Products gather one-line tuples with `itemgetter`, which given one index
+# returns an entry, not a tuple; so a permutation group has degree >= 2.
 def _perm_mul(g: tuple, h: tuple) -> tuple:
-    # (g h)(i) = g(h(i)), one-line 1-based
-    return tuple([g[i - 1] for i in h])
+    # (g h)(i) = g(h(i)), one-line 1-based: g, shifted to 1-based, gathered at h
+    return itemgetter(*h)((0,) + g)
+
+
+def _right_mul(h: tuple):
+    """The map g -> g h on payloads, for loops whose right factor stays fixed;
+    a call costs about half of `_perm_mul`."""
+    return itemgetter(*[i - 1 for i in h])
 
 
 def _perm_inv(g: tuple) -> tuple:
@@ -537,14 +545,24 @@ class PermutationGroup(Group):
     |G|^2 references (518,400 on s6, about 4 MB).  Factors are looked up by
     payload, so elements of an equal group built separately, or unpickled,
     multiply too.
+
+    The set-up loops over all of G or N (closure, Leibniz pairs, centre,
+    commutator subgroup, conjugacy classes, the `quotient_by` check) multiply
+    by a fixed right factor through a map built once by `_right_mul`, a
+    C-level gather.  `quotient_by` checks a subgroup given from outside;
+    `derived_quotient` builds G' as a normal closure and skips that check.
     """
 
     def __init__(self, name: str, degree: int, generator_payloads: Sequence[tuple]):
+        if degree < 2:
+            raise ValueError("degree must be >= 2")
         super().__init__(f"perm:{name}", ("perm", name, degree, tuple(generator_payloads)))
         self.degree = degree
         self._generator_payloads = [tuple(p) for p in generator_payloads]
         for p in self._generator_payloads:
             self._validate_payload(p)
+        # (s, g -> g*s) for each generator s
+        self._generator_maps = [(s, _right_mul(s)) for s in self._generator_payloads]
         # element -> (parent, s, k) with element = parent * s^k; None at the root
         self._tree = self._close()
         # sorted, so the identity comes first
@@ -596,6 +614,7 @@ class PermutationGroup(Group):
             inv = _perm_inv(s)
             if all(inv != p for p, _, _ in letters):
                 letters.append((inv, s, -1))
+        moves = [(_right_mul(letter), s, k) for letter, s, k in letters]
         identity = tuple(range(1, self.degree + 1))
         # element -> (parent, s, k) with element = parent * s^k; None at the root
         tree: Dict[tuple, Optional[Tuple[tuple, tuple, int]]] = {identity: None}
@@ -603,8 +622,8 @@ class PermutationGroup(Group):
         while frontier:
             nxt = []
             for w in frontier:
-                for letter, s, k in letters:
-                    prod = _perm_mul(w, letter)
+                for times, s, k in moves:
+                    prod = times(w)
                     if prod not in tree:
                         tree[prod] = (w, s, k)
                         nxt.append(prod)
@@ -656,33 +675,37 @@ class PermutationGroup(Group):
         # Every element of a finite group is a positive word in the
         # generators, so Leibniz on every (g, s) gives it on every (g, h)
         # by induction on the length of h.
+        tree = self._tree
         return [
             (w, s)
             for w in self._elements
-            for s in self._generator_payloads
-            if self._tree[_perm_mul(w, s)] != (w, s, 1)
+            for s, times in self._generator_maps
+            if tree[times(w)] != (w, s, 1)
         ]
 
     def finite_elements(self) -> List[GroupElement]:
         return list(self._members)
 
     def _generator_commutators(self) -> List[tuple]:
+        # one [g, h] per unordered pair: [g, g] = e, and [h, g] = [g, h]^-1
+        # lies in every normal subgroup that holds [g, h]
         gens = self._generator_payloads
         return [
-            _perm_mul(_perm_mul(g, h), _perm_inv(_perm_mul(h, g))) for g in gens for h in gens
+            _perm_mul(_perm_mul(g, h), _perm_inv(_perm_mul(h, g)))
+            for i, g in enumerate(gens)
+            for h in gens[i + 1:]
         ]
 
     def is_central(self, z: tuple) -> bool:
-        return all(_perm_mul(z, g) == _perm_mul(g, z) for g in self._generator_payloads)
+        return all(times(z) == _perm_mul(s, z) for s, times in self._generator_maps)
 
     def conjugacy_class(self, a: tuple) -> FrozenSet[tuple]:
         """The payloads of the class of a, built once, on first use, and
         recorded for every member."""
         cls = self._classes.get(a)
         if cls is None:
-            cls = frozenset(
-                _perm_mul(_perm_mul(t, a), _perm_inv(t)) for t in self._elements
-            )
+            times_a = _right_mul(a)
+            cls = frozenset(_perm_mul(times_a(t), _perm_inv(t)) for t in self._elements)
             for b in cls:
                 self._classes[b] = cls
         return cls
@@ -700,14 +723,14 @@ class PermutationGroup(Group):
         # group, the closure of {e} under right multiplication by them and
         # conjugation by the generators
         if self._derived is None:
-            comms = self._generator_commutators()
-            gens = [(s, _perm_inv(s)) for s in self._generator_payloads]
+            comms = [_right_mul(c) for c in self._generator_commutators()]
+            conjugations = [(s, _right_mul(_perm_inv(s))) for s in self._generator_payloads]
             closure = {tuple(range(1, self.degree + 1))}
             stack = list(closure)
             while stack:
                 a = stack.pop()
-                moves = [_perm_mul(a, c) for c in comms]
-                moves += [_perm_mul(_perm_mul(s, a), si) for s, si in gens]
+                moves = [times(a) for times in comms]
+                moves += [times_si(_perm_mul(s, a)) for s, times_si in conjugations]
                 for b in moves:
                     if b not in closure:
                         closure.add(b)
@@ -716,10 +739,78 @@ class PermutationGroup(Group):
         return self._derived
 
     def quotient_by(self, subgroup_payloads: Iterable[tuple]) -> "FiniteQuotient":
-        return FiniteQuotient(self, [tuple(p) for p in subgroup_payloads])
+        subgroup = frozenset(tuple(p) for p in subgroup_payloads)
+        self._check_quotient(subgroup)
+        return FiniteQuotient(self, subgroup)
 
     def derived_quotient(self) -> "QuotientSpec":
-        return FiniteQuotient(self, sorted(self.derived_payloads()))
+        # G' is the normal closure of the generator commutators: normal, with
+        # G/G' abelian, by construction, so it is not checked again
+        return FiniteQuotient(self, self.derived_payloads())
+
+    def _check_quotient(self, subgroup: FrozenSet[tuple]) -> None:
+        """Raise `QuotientError` unless `subgroup` is a normal subgroup of
+        this group with abelian quotient (equivalently, G' <= N).  When only
+        the abelian check fails, the error carries a counterexample element
+        whose conjugacy class escapes its coset."""
+        identity = tuple(range(1, self.degree + 1))
+        if identity not in subgroup:
+            raise QuotientError("subgroup must contain the identity")
+        for p in subgroup:
+            if p not in self._index:
+                raise QuotientError(f"{p} is not an element of {self.name}")
+            if _perm_inv(p) not in subgroup:
+                raise QuotientError(f"not closed under inverses at {p}")
+        # A finite set closed under products is a subgroup.  Grow <N> from
+        # generators chosen greedily, each the least element of N not yet
+        # reached, and multiply every reached element by every generator:
+        # O(|N| log |N|) products, where checking all pairs would take |N|^2.
+        reached = {identity}
+        gens = []
+        for q in sorted(subgroup):
+            if q in reached:
+                continue
+            times_q = _right_mul(q)
+            gens.append((q, times_q))
+            stack = [(a, q, times_q) for a in sorted(reached)]
+            while stack:
+                a, s, times = stack.pop()
+                b = times(a)
+                if b not in subgroup:
+                    raise QuotientError(f"not closed under products at {a} * {s}")
+                if b not in reached:
+                    reached.add(b)
+                    stack.extend((b, t, times_t) for t, times_t in gens)
+        # G is finite: N is normal once each generator's conjugation maps N into N
+        for g in self._generator_payloads:
+            times_gi = _right_mul(_perm_inv(g))
+            for n in subgroup:
+                if times_gi(_perm_mul(g, n)) not in subgroup:
+                    raise QuotientError(f"subgroup is not normal: conjugating {n} by {g} escapes")
+        # with N normal, G/N is abelian <=> the generators commute modulo N
+        if not all(c in subgroup for c in self._generator_commutators()):
+            raise QuotientError(
+                "quotient is not abelian (a commutator escapes the subgroup)",
+                diagnostic=self._class_vs_coset_counterexample(subgroup),
+            )
+
+    def _class_vs_coset_counterexample(self, subgroup: FrozenSet[tuple]) -> dict:
+        """An element whose conjugacy class is not contained in its coset.
+
+        Such an element always exists when the quotient is non-abelian; the
+        enumeration makes the failure concrete in the error diagnostic.
+        """
+        for a in self._elements:
+            # N is normal, so [a] lies in aN iff a commutes with each generator modulo N
+            ai = _perm_inv(a)
+            if any(_perm_mul(_perm_mul(ai, s), _perm_mul(a, _perm_inv(s))) not in subgroup
+                   for s in self._generator_payloads):
+                return {
+                    "element": a,
+                    "conjugacy_class": sorted(self.conjugacy_class(a)),
+                    "coset": sorted(_perm_mul(a, n) for n in subgroup),
+                }
+        return {}
 
     def center_description(self) -> str:
         return "{" + ", ".join(map(str, sorted(self.center_payloads()))) + "}"
@@ -771,87 +862,30 @@ class QuotientSpec:
 
 
 class FiniteQuotient(QuotientSpec):
-    """Quotient of a finite permutation group by an explicit normal subgroup.
+    """Quotient of a finite permutation group by a normal subgroup N with
+    abelian G/N.
 
-    Validated at construction: N must be a subgroup, normal, and G/N must be
-    abelian (equivalently G' <= N).  When the abelian check fails the error
-    carries a counterexample element whose conjugacy class escapes its coset.
-    Keys are the lexicographically minimal coset member.
+    The constructor does not check N: `PermutationGroup.quotient_by` checks a
+    subgroup given from outside before building the quotient, and
+    `derived_quotient` passes G', which is normal with abelian quotient by
+    construction.  Keys are the lexicographically minimal coset member.
     """
 
-    def __init__(self, group: PermutationGroup, subgroup_payloads: Sequence[tuple]):
+    def __init__(self, group: PermutationGroup, subgroup: FrozenSet[tuple]):
         super().__init__(group)
-        self._n = frozenset(tuple(p) for p in subgroup_payloads)
-        self._validate()
         # _elements is sorted, so the first unkeyed element is its coset's minimum
         self._keys: Dict[tuple, tuple] = {}
         for g in group._elements:
             if g not in self._keys:
-                for n in self._n:
+                for n in subgroup:
                     self._keys[_perm_mul(g, n)] = g
-        even = frozenset(p for p in group._elements if _perm_parity(p) == 0)
-        self._sign_quotient = self._n == even and len(group._elements) == 2 * len(even)
-
-    def _validate(self) -> None:
-        group: PermutationGroup = self.group  # type: ignore[assignment]
-        identity = tuple(range(1, group.degree + 1))
-        if identity not in self._n:
-            raise QuotientError("subgroup must contain the identity")
-        for p in self._n:
-            if p not in group._index:
-                raise QuotientError(f"{p} is not an element of {group.name}")
-            if _perm_inv(p) not in self._n:
-                raise QuotientError(f"not closed under inverses at {p}")
-        # A finite set closed under products is a subgroup.  Grow <N> from
-        # generators chosen greedily, each the least element of N not yet
-        # reached, and multiply every reached element by every generator:
-        # O(|N| log |N|) products, where checking all pairs would take |N|^2.
-        reached = {identity}
-        gens: List[tuple] = []
-        for q in sorted(self._n):
-            if q in reached:
-                continue
-            gens.append(q)
-            stack = [(a, q) for a in sorted(reached)]
-            while stack:
-                a, s = stack.pop()
-                b = _perm_mul(a, s)
-                if b not in self._n:
-                    raise QuotientError(f"not closed under products at {a} * {s}")
-                if b not in reached:
-                    reached.add(b)
-                    stack.extend((b, t) for t in gens)
-        # G is finite: N is normal once each generator's conjugation maps N into N
-        for g in group._generator_payloads:
-            gi = _perm_inv(g)
-            for n in self._n:
-                if _perm_mul(_perm_mul(g, n), gi) not in self._n:
-                    raise QuotientError(f"subgroup is not normal: conjugating {n} by {g} escapes")
-        # with N normal, G/N is abelian <=> the generators commute modulo N
-        if not all(c in self._n for c in group._generator_commutators()):
-            raise QuotientError(
-                "quotient is not abelian (a commutator escapes the subgroup)",
-                diagnostic=self._class_vs_coset_counterexample(),
-            )
-
-    def _class_vs_coset_counterexample(self) -> dict:
-        """An element whose conjugacy class is not contained in its coset.
-
-        Such an element always exists when the quotient is non-abelian; the
-        enumeration makes the failure concrete in the error diagnostic.
-        """
-        group: PermutationGroup = self.group  # type: ignore[assignment]
-        for a in group._elements:
-            # N is normal, so [a] lies in aN iff a commutes with each generator modulo N
-            ai = _perm_inv(a)
-            if any(_perm_mul(_perm_mul(ai, s), _perm_mul(a, _perm_inv(s))) not in self._n
-                   for s in group._generator_payloads):
-                return {
-                    "element": a,
-                    "conjugacy_class": sorted(group.conjugacy_class(a)),
-                    "coset": sorted(_perm_mul(a, n) for n in self._n),
-                }
-        return {}
+        # N is the even elements of G, of index 2, iff |G| = 2|N|, N holds no
+        # odd element and some generator is odd
+        self._sign_quotient = (
+            len(group._elements) == 2 * len(subgroup)
+            and any(map(_perm_parity, group._generator_payloads))
+            and not any(map(_perm_parity, subgroup))
+        )
 
     def key(self, g: tuple) -> tuple:
         return self._keys[g]
@@ -882,6 +916,18 @@ MAX_ZN_RANK = 64
 _SELECTOR = re.compile(r"heisenberg|zn:(-?[0-9]+)|perm:([sa])(-?[0-9]+)")
 
 
+def _selector_int(digits: str, what: str, limit_name: str, limit: int) -> int:
+    """int(digits) for a selector's rank or degree.  A string with more
+    significant digits than `limit` is refused first, so that a long one
+    never meets int()'s own 4,300-digit limit or is echoed back."""
+    magnitude = digits.lstrip("-").lstrip("0") or "0"
+    if len(magnitude) > len(str(limit)):
+        raise ValueError(
+            f"{what} of {len(magnitude)} digits exceeds the limit {limit_name} = {limit}"
+        )
+    return -int(magnitude) if digits.startswith("-") else int(magnitude)
+
+
 def group_from_name(name: str) -> Group:
     """Resolve a CLI group selector: heisenberg | zn:<n> | perm:<sN|aN>."""
     match = _SELECTOR.fullmatch(name)
@@ -891,10 +937,10 @@ def group_from_name(name: str) -> Group:
         )
     rank, kind, digits = match.groups()
     if rank is not None:
-        return FreeAbelian(int(rank))
+        return FreeAbelian(_selector_int(rank, "zn: rank", "MAX_ZN_RANK", MAX_ZN_RANK))
     if kind is None:
         return Heisenberg()
-    degree = int(digits)
+    degree = _selector_int(digits, "perm: degree", "MAX_PERM_DEGREE", MAX_PERM_DEGREE)
     short = f"{kind}{degree}"
     if short not in _PERM_CACHE:
         if degree > MAX_PERM_DEGREE:

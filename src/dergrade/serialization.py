@@ -45,10 +45,13 @@ def arrow_from_json(group: Group, data) -> Arrow:
             "bad arrow spec: an arrow must be an object with fields 'u' and 'v', "
             "each a group element"
         )
-    try:
-        return Arrow(group.element_from_json(data["u"]), group.element_from_json(data["v"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"bad arrow spec: {exc}") from exc
+    ends = []
+    for field in ("u", "v"):
+        try:
+            ends.append(group.element_from_json(data[field]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"bad arrow spec: field {field!r}: {exc}") from exc
+    return Arrow(*ends)
 
 
 def algebra_element_from_json(group: Group, data) -> AlgebraElement:
@@ -99,7 +102,7 @@ def derivation_from_json(data, group: Optional[Group] = None) -> Derivation:
             tau = _list_field(data.get("tau"), "tau", "a list of coefficients")
             tau = _parsed("tau", lambda: [GaussianRational.from_json(t) for t in tau])
             z = _list_field(data.get("z"), "z", "a group element, a list of integers")
-            z = group.element_from_json(z)
+            z = _parsed("z", lambda: group.element_from_json(z))
             return Derivation.central(group, tau, z)
         if kind == "table":
             if not isinstance(data.get("images"), dict):

@@ -309,6 +309,17 @@ PARSE_MESSAGES = {
         *_apply_spec({"kind": "table", "images": {"y": [[[1, 1, 0, 1], [1, 2]]]}}),
         "error: bad derivation spec: field 'images.y': term 0: heisenberg element "
         "[1, 2] must have 3 entries [a, b, c]\n"),
+    "element-of-z": (
+        *_apply_spec({"kind": "central", "tau": [[1, 1, 0, 1]] * 2, "z": [1, 2]}),
+        "error: bad derivation spec: field 'z': heisenberg element [1, 2] must have "
+        "3 entries [a, b, c]\n"),
+    "element-of-u": (
+        *_character({"u": [1, True, 0], "v": [0, 1, 0]}),
+        "error: bad arrow spec: field 'u': Heisenberg entries must be integers\n"),
+    "element-of-v": (
+        *_character({"u": [1, 1, 0], "v": [1, 2]}),
+        "error: bad arrow spec: field 'v': heisenberg element [1, 2] must have "
+        "3 entries [a, b, c]\n"),
     "list-arrow": (*_character([[1, 1, 0], [0, 1, 0]]), ARROW_SHAPE),
     "arrow-without-v": (*_character({"u": [1, 1, 0]}), ARROW_SHAPE),
 }
@@ -334,6 +345,21 @@ def test_selector_digits_are_canonical():
     # a leading zero names the same cached group
     assert group_from_name("perm:s03") is group_from_name("perm:s3")
     assert group_from_name("zn:03") == group_from_name("zn:3")
+    assert group_from_name("zn:" + "0" * 5000 + "3") == group_from_name("zn:3")
+
+
+@pytest.mark.parametrize("selector, message", [
+    ("zn:" + "9" * 5000, "error: zn: rank of 5000 digits exceeds the limit MAX_ZN_RANK = 64\n"),
+    ("zn:-" + "9" * 5000, "error: zn: rank of 5000 digits exceeds the limit MAX_ZN_RANK = 64\n"),
+    ("perm:s" + "9" * 5000,
+     "error: perm: degree of 5000 digits exceeds the limit MAX_PERM_DEGREE = 6\n"),
+    ("perm:a" + "1" * 5000,
+     "error: perm: degree of 5000 digits exceeds the limit MAX_PERM_DEGREE = 6\n"),
+], ids=["zn", "negative-zn", "perm-s", "perm-a"])
+def test_long_selector_exit_2(capsys, selector, message):
+    # refused before int(), which would raise its own 4,300-digit error
+    assert main(["info", "--group", selector]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_term_budget_exit_2(tmp_path, capsys, monkeypatch):
@@ -514,3 +540,89 @@ class TestParserBuiltOnce:
         assert rejected[0] == 2 and "invalid int value" in rejected[2]
         assert second == first
         assert rejected_again == rejected
+
+
+# argparse's own text, recorded at 80 columns from the parser that defined the
+# seven options once per subcommand: name -> (argv, exit code, stdout, stderr)
+TOP_USAGE = "usage: dergrade [-h] {decompose,bracket,apply,character,verify,info} ...\n"
+SUBCOMMAND_USAGE = {
+    "decompose": """\
+usage: dergrade decompose [-h] --group GROUP [--quotient QUOTIENT]
+                          [--in INFILE] [--out OUTFILE] [--seed SEED]
+                          [--samples SAMPLES] [--word-len WORD_LEN]
+""",
+    "bracket": """\
+usage: dergrade bracket [-h] --group GROUP [--quotient QUOTIENT] [--in INFILE]
+                        [--out OUTFILE] [--seed SEED] [--samples SAMPLES]
+                        [--word-len WORD_LEN]
+""",
+    "apply": """\
+usage: dergrade apply [-h] --group GROUP [--quotient QUOTIENT] [--in INFILE]
+                      [--out OUTFILE] [--seed SEED] [--samples SAMPLES]
+                      [--word-len WORD_LEN]
+""",
+    "character": """\
+usage: dergrade character [-h] --group GROUP [--quotient QUOTIENT]
+                          [--in INFILE] [--out OUTFILE] [--seed SEED]
+                          [--samples SAMPLES] [--word-len WORD_LEN]
+""",
+    "verify": """\
+usage: dergrade verify [-h] --group GROUP [--quotient QUOTIENT] [--in INFILE]
+                       [--out OUTFILE] [--seed SEED] [--samples SAMPLES]
+                       [--word-len WORD_LEN]
+""",
+    "info": """\
+usage: dergrade info [-h] --group GROUP [--quotient QUOTIENT] [--in INFILE]
+                     [--out OUTFILE] [--seed SEED] [--samples SAMPLES]
+                     [--word-len WORD_LEN]
+""",
+}
+SUBCOMMAND_OPTIONS = """
+options:
+  -h, --help           show this help message and exit
+  --group GROUP        heisenberg | zn:<n> | perm:<sN|aN>
+  --quotient QUOTIENT  'derived' or a JSON file with {'subgroup': [elements]}
+  --in INFILE          input file or '-'
+  --out OUTFILE        output file or '-'
+  --seed SEED
+  --samples SAMPLES
+  --word-len WORD_LEN
+"""
+ARGPARSE_TEXT = {
+    "top-help": (["--help"], 0, TOP_USAGE + """
+Compute with derivations of group algebras and their grading
+
+positional arguments:
+  {decompose,bracket,apply,character,verify,info}
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    **{
+        f"{name}-help": ([name, "--help"], 0, usage + SUBCOMMAND_OPTIONS, "")
+        for name, usage in SUBCOMMAND_USAGE.items()
+    },
+    "no-command": ([], 2, "", TOP_USAGE
+                   + "dergrade: error: the following arguments are required: command\n"),
+    "unknown-command": (["frobnicate"], 2, "", TOP_USAGE
+                        + "dergrade: error: argument command: invalid choice: 'frobnicate' "
+                        "(choose from 'decompose', 'bracket', 'apply', 'character', "
+                        "'verify', 'info')\n"),
+    "missing-group": (["info"], 2, "", SUBCOMMAND_USAGE["info"]
+                      + "dergrade info: error: the following arguments are required: "
+                      "--group\n"),
+    "bad-seed": (["verify", "--group", "heisenberg", "--seed", "x"], 2, "",
+                 SUBCOMMAND_USAGE["verify"]
+                 + "dergrade verify: error: argument --seed: invalid int value: 'x'\n"),
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGPARSE_TEXT.values(),
+                         ids=ARGPARSE_TEXT.keys())
+def test_argparse_text_pinned(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)

@@ -235,6 +235,30 @@ class TestArrows:
             assert out.target() == phi.target()
 
 
+def count_products(monkeypatch) -> list:
+    """A list that grows by one on each permutation product: each call of
+    `groups._perm_mul` and of every map `groups._right_mul` builds."""
+    calls = []
+    perm_mul, right_mul = groups._perm_mul, groups._right_mul
+
+    def counting_mul(g, h):
+        calls.append(1)
+        return perm_mul(g, h)
+
+    def counting_right_mul(h):
+        times = right_mul(h)
+
+        def counting(g):
+            calls.append(1)
+            return times(g)
+
+        return counting
+
+    monkeypatch.setattr(groups, "_perm_mul", counting_mul)
+    monkeypatch.setattr(groups, "_right_mul", counting_right_mul)
+    return calls
+
+
 class TestConjugacy:
     def test_conjugate_examples(self):
         assert conjugate(h(0, 1, 0), h(1, 0, 0)) == h(1, 0, -1)
@@ -297,14 +321,7 @@ class TestConjugacy:
 
     def test_class_built_once_for_all_members(self, monkeypatch):
         S6 = PermutationGroup.symmetric(6)
-        calls = []
-        perm_mul = groups._perm_mul
-
-        def counting(g, h):
-            calls.append(1)
-            return perm_mul(g, h)
-
-        monkeypatch.setattr(groups, "_perm_mul", counting)
+        calls = count_products(monkeypatch)
         first = (2, 1, 3, 4, 5, 6)
         rep = S6.class_representative(first)
         assert len(calls) == 2 * 720
@@ -327,18 +344,12 @@ class TestCentrality:
         assert Z2.is_central((4, -1))
 
     def test_info_builds_centre_once(self, monkeypatch, capsys):
-        calls = []
-        perm_mul = groups._perm_mul
-
-        def counting(g, h):
-            calls.append(1)
-            return perm_mul(g, h)
-
-        monkeypatch.setattr(groups, "_perm_mul", counting)
+        calls = count_products(monkeypatch)
         monkeypatch.setattr(groups, "_PERM_CACHE", {})
         assert main(["info", "--group", "perm:s6"]) == 0
         assert "stem group: yes" in capsys.readouterr().out
         info_calls = len(calls)
+        assert info_calls > 0
         calls.clear()
         # a fresh s6, its centre and its commutator subgroup, each built once
         S6 = PermutationGroup.symmetric(6)
@@ -495,6 +506,18 @@ class TestProductTable:
                     assert prod.payload == groups._perm_mul(g.payload, k.payload)
                     assert prod is group.element(prod.payload)
 
+    def test_gather_matches_list_product(self):
+        # the product as a Python loop, kept as an oracle for the C-level
+        # gathers `_perm_mul` and `_right_mul`
+        def product(g, k):
+            return tuple([g[i - 1] for i in k])
+
+        elements = [g.payload for g in group_from_name("perm:s4").finite_elements()]
+        for k in elements:
+            times = groups._right_mul(k)
+            for g in elements:
+                assert groups._perm_mul(g, k) == times(g) == product(g, k)
+
     def test_s6_pairs_match_sympy(self):
         combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -591,6 +614,62 @@ class TestSubgroupCheck:
         assert len(keys) * len(group.derived_payloads()) == len(group.finite_elements())
 
 
+def brute_force_is_sign_quotient(group, subgroup):
+    # the rule FiniteQuotient once applied to all of G: N is exactly the even
+    # elements, and they are half of G
+    even = {p for p in (g.payload for g in group.finite_elements()) if parity(p) == 0}
+    return set(subgroup) == even and len(group.finite_elements()) == 2 * len(even)
+
+
+def parity(p):
+    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) % 2
+
+
+A4_IN_S4 = [(2, 3, 1, 4), (2, 1, 4, 3)]
+V4_IN_A4 = [(2, 1, 4, 3), (3, 4, 1, 2)]
+TRANSPOSITIONS = [(2, 1, 3, 4), (1, 2, 4, 3)]
+
+
+class TestDerivedQuotientOracle:
+    """`derived_quotient` builds G' unchecked; `quotient_by` checks it."""
+
+    @pytest.mark.parametrize("name", PERM_NAMES)
+    def test_keys_match_checked_quotient(self, name):
+        group = group_from_name(name)
+        derived = group.derived_quotient()
+        checked = group.quotient_by(sorted(group.derived_payloads()))
+        sign = brute_force_is_sign_quotient(group, group.derived_payloads())
+        for g in group.finite_elements():
+            k = derived.key(g.payload)
+            assert k == checked.key(g.payload)
+            expected = ("odd" if parity(g.payload) else "even") if sign else str(k)
+            assert derived.key_name(k) == checked.key_name(k) == expected
+
+    @pytest.mark.parametrize("group, generators, sign", [
+        (group_from_name("perm:s4"), A4_IN_S4, True),
+        (group_from_name("perm:s3"), [(2, 3, 1)], True),
+        (group_from_name("perm:a4"), V4_IN_A4, False),
+        # N of index 2 in a group of even permutations only
+        (PermutationGroup("v4", 4, V4_IN_A4), V4_IN_A4[:1], False),
+        # index 2 in <(1 2), (3 4)>: the even elements, or an odd one
+        (PermutationGroup("z2xz2", 4, TRANSPOSITIONS), [(2, 1, 4, 3)], True),
+        (PermutationGroup("z2xz2", 4, TRANSPOSITIONS), TRANSPOSITIONS[:1], False),
+    ], ids=["s4/a4", "s3/a3", "a4/v4", "v4/z2", "z2xz2/even", "z2xz2/odd"])
+    def test_key_names_match_sign_rule(self, group, generators, sign):
+        subgroup = payloads(sympy_group(generators))
+        assert brute_force_is_sign_quotient(group, subgroup) == sign
+        quotient = group.quotient_by(sorted(subgroup))
+        names = {quotient.key_name(quotient.key(g.payload)) for g in group.finite_elements()}
+        if sign:
+            assert names == {"even", "odd"}
+            for g in group.finite_elements():
+                expected = "odd" if parity(g.payload) else "even"
+                assert quotient.key_name(quotient.key(g.payload)) == expected
+        else:
+            assert len(names) == len(group.finite_elements()) // len(subgroup)
+            assert not names & {"even", "odd"}
+
+
 class TestDegreeLimit:
     @pytest.mark.parametrize("name", ["perm:s10", "perm:a12"])
     def test_rejected_before_enumeration(self, name, monkeypatch, capsys):
@@ -607,6 +686,11 @@ class TestDegreeLimit:
     def test_limit_degree_still_builds(self):
         group = group_from_name(f"perm:s{MAX_PERM_DEGREE}")
         assert len(group.finite_elements()) == math.factorial(MAX_PERM_DEGREE)
+
+    def test_degree_one_rejected(self):
+        # a one-index gather returns an entry, not a tuple
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            PermutationGroup("trivial", 1, [(1,)])
 
 
 class TestRankLimit:
