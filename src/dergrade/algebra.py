@@ -143,9 +143,7 @@ class AlgebraElement:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> list:
-        return [
-            [c.to_json(), self.group.element_to_json(g)] for g, c in self.items()
-        ]
+        return [[c.to_json(), list(p)] for p, c in sorted(self._terms.items())]
 
     @staticmethod
     def from_json(group: Group, data) -> "AlgebraElement":
@@ -155,9 +153,7 @@ class AlgebraElement:
                 if not isinstance(term, (list, tuple)) or len(term) != 2:
                     raise ValueError("a term must be [coefficient, element]")
                 coeff, elem = term
-                pairs.append(
-                    (group.element_from_json(elem), GaussianRational.from_json(coeff))
-                )
+                pairs.append((group.element(elem), GaussianRational.from_json(coeff)))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"term {i}: {exc}") from exc
         return AlgebraElement.from_terms(group, pairs)

@@ -140,32 +140,38 @@ def _cmd_decompose(args, group: Group) -> int:
     return EXIT_OK
 
 
-def _cmd_bracket(args, group: Group) -> int:
+def _read_pair(args, usage: str, first: str, second: str) -> tuple:
+    """The fields `first` and `second` of the JSON object read from --in;
+    `SpecError(usage)` unless the input is an object holding both."""
     data = _load_json(_read_input(args.infile))
-    if not isinstance(data, dict) or "left" not in data or "right" not in data:
-        raise SpecError("bracket input must be {'left': <spec>, 'right': <spec>}")
-    d = derivation_from_json(data["left"], group)
-    p = derivation_from_json(data["right"], group)
+    if not isinstance(data, dict) or first not in data or second not in data:
+        raise SpecError(usage)
+    return data[first], data[second]
+
+
+def _cmd_bracket(args, group: Group) -> int:
+    usage = "bracket input must be {'left': <spec>, 'right': <spec>}"
+    left, right = _read_pair(args, usage, "left", "right")
+    d = derivation_from_json(left, group)
+    p = derivation_from_json(right, group)
     _write_output(args.outfile, dumps(derivation_to_json(d.bracket(p))))
     return EXIT_OK
 
 
 def _cmd_apply(args, group: Group) -> int:
-    data = _load_json(_read_input(args.infile))
-    if not isinstance(data, dict) or "derivation" not in data or "element" not in data:
-        raise SpecError("apply input must be {'derivation': <spec>, 'element': <algebra>}")
-    d = derivation_from_json(data["derivation"], group)
-    x = algebra_element_from_json(group, data["element"])
+    usage = "apply input must be {'derivation': <spec>, 'element': <algebra>}"
+    spec, element = _read_pair(args, usage, "derivation", "element")
+    d = derivation_from_json(spec, group)
+    x = algebra_element_from_json(group, element)
     _write_output(args.outfile, dumps(d.apply(x).to_json()))
     return EXIT_OK
 
 
 def _cmd_character(args, group: Group) -> int:
-    data = _load_json(_read_input(args.infile))
-    if not isinstance(data, dict) or "derivation" not in data or "arrow" not in data:
-        raise SpecError("character input must be {'derivation': <spec>, 'arrow': {'u','v'}}")
-    d = derivation_from_json(data["derivation"], group)
-    arrow = arrow_from_json(group, data["arrow"])
+    usage = "character input must be {'derivation': <spec>, 'arrow': {'u','v'}}"
+    spec, ends = _read_pair(args, usage, "derivation", "arrow")
+    d = derivation_from_json(spec, group)
+    arrow = arrow_from_json(group, ends)
     _write_output(args.outfile, dumps(d.character(arrow).to_json()))
     return EXIT_OK
 
@@ -201,7 +207,7 @@ def _cmd_verify(args, group: Group) -> int:
 def _cmd_info(args, group: Group) -> int:
     lines = [f"group: {group.name}"]
     for name, s in zip(group.generator_names(), group.generators()):
-        lines.append(f"generator {name}: {group.element_to_json(s)}")
+        lines.append(f"generator {name}: {list(s.payload)}")
     lines.append(f"center: {group.center_description()}")
     lines.append(f"commutator subgroup: {group.commutator_description()}")
     lines.append(f"stem group: {'yes' if group.is_stem() else 'no'}")

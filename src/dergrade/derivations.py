@@ -17,8 +17,7 @@ the coefficient of u in d(v).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, commutator
 from .coefficients import CoeffLike, GaussianRational, ZERO, as_coefficient
@@ -125,7 +124,7 @@ class Derivation:
             "group": group.name,
             "kind": "central",
             "tau": [t.to_json() for t in coeffs],
-            "z": group.element_to_json(z),
+            "z": list(z.payload),
         }
         return Derivation(group, images, spec=spec)
 
@@ -358,90 +357,3 @@ def verify_char_composition(d: Derivation, phi: Arrow, psi: Arrow) -> bool:
     """chi(phi o psi) == chi(phi) + chi(psi) for composable arrows."""
     composite = phi.compose(psi)
     return d.character(composite) == d.character(phi) + d.character(psi)
-
-
-# ---------------------------------------------------------------------------
-# Bounded inner-witness search
-# ---------------------------------------------------------------------------
-
-
-def _solve_rational(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    """One solution of A x = b over Q by Gaussian elimination, or None."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    n_rows = len(m)
-    n_cols = len(rows[0]) if rows else 0
-    pivot_cols: List[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if m[i][n_cols]:
-            return None
-    solution = [Fraction(0)] * n_cols
-    for row_idx, c in enumerate(pivot_cols):
-        solution[c] = m[row_idx][n_cols]
-    return solution
-
-
-def find_inner_witness(
-    d: Derivation, candidates: Iterable[GroupElement]
-) -> Optional[AlgebraElement]:
-    """Search for w supported on ``candidates`` with d(x) = x*w - w*x.
-
-    Returns a verified witness or None when no witness exists within the
-    candidate support box.  This is a bounded search, not an innerness
-    decision procedure.
-    """
-    group = d.group
-    cands = sorted(set(candidates), key=lambda g: g.payload)
-    if not cands:
-        return AlgebraElement.zero(group) if d.is_zero() else None
-    # linear system over Q(i): for each generator s and each element h that can
-    # appear, sum_g c_g ([s*g == h] - [g*s == h]) == coeff of h in d(s)
-    rows: List[List[Fraction]] = []
-    rhs_re: List[Fraction] = []
-    rhs_im: List[Fraction] = []
-    for s in group.generators():
-        target = d.images[s]
-        elements = set(target.support())
-        for g in cands:
-            elements.add(s * g)
-            elements.add(g * s)
-        for h in sorted(elements, key=lambda g: g.payload):
-            row = []
-            for g in cands:
-                coeff = 0
-                if s * g == h:
-                    coeff += 1
-                if g * s == h:
-                    coeff -= 1
-                row.append(Fraction(coeff))
-            rows.append(row)
-            value = target.coefficient(h)
-            rhs_re.append(value.re)
-            rhs_im.append(value.im)
-    sol_re = _solve_rational(rows, rhs_re)
-    sol_im = _solve_rational(rows, rhs_im)
-    if sol_re is None or sol_im is None:
-        return None
-    witness = AlgebraElement.from_terms(
-        group,
-        [
-            (g, GaussianRational(re, im))
-            for g, re, im in zip(cands, sol_re, sol_im)
-        ],
-    )
-    return witness if d.is_inner_witness(witness) else None

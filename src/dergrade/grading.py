@@ -208,8 +208,8 @@ def zder_grading_demo(group: Group) -> dict:
         entries.append(
             {
                 "tau": tau,
-                "z": group.element_to_json(z),
-                "component_keys": [setup.quotient.key_to_json(k) for k in keys],
+                "z": list(z.payload),
+                "component_keys": [list(k) for k in keys],
             }
         )
     return {

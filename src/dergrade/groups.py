@@ -17,11 +17,11 @@ Leibniz pairs, the conjugacy, centre and abelianization oracles, and quotient
 keys.  The algebra, derivation and grading layers compute on payloads alone;
 `g * h`, `g.inverse()` and the element-valued entry points (`element`,
 `generators`, sampling, JSON) wrap them for callers that hold
-`GroupElement`s.  A permutation group holds one element object per member of
-its closure and hands out only those; its payload products are read from a
-table of at most |G|^2 references, filled on first use.  Evaluating a
-permutation element recurses as deep as the closure's BFS tree (see
-`PermutationGroup`).
+`GroupElement`s.  A permutation group keeps its members as payloads; its
+closure, commutator subgroup and conjugacy classes are orbits of one
+breadth-first search, and its payload products are read from a table of at
+most |G|^2 references, filled on first use.  Evaluating a permutation element
+recurses as deep as the closure's BFS tree (see `PermutationGroup`).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from operator import add, itemgetter, neg
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -295,12 +296,6 @@ class Group:
 
     # -- descriptions -----------------------------------------------------------
 
-    def element_to_json(self, g: GroupElement) -> list:
-        return list(g.payload)
-
-    def element_from_json(self, data) -> GroupElement:
-        return self.element(data)
-
     def center_description(self) -> str:
         raise NotImplementedError
 
@@ -506,6 +501,31 @@ def _perm_inv(g: tuple) -> tuple:
     return tuple(out)
 
 
+def _conjugate(s: tuple, times_si, g: tuple) -> tuple:
+    return times_si(_perm_mul(s, g))
+
+
+def _conjugation(s: tuple):
+    """The map g -> s g s^-1 on payloads.  A partial, not a closure, so that
+    a group keeping one per generator can still be pickled."""
+    return partial(_conjugate, s, _right_mul(_perm_inv(s)))
+
+
+def _orbit(start: tuple, moves: Sequence[tuple]) -> Dict[tuple, Optional[tuple]]:
+    """The orbit of `start` under the maps of `moves`, (label, map) pairs,
+    searched breadth first: each payload reached maps to (parent, label),
+    the first payload and move that reached it, and `start` to None."""
+    tree: Dict[tuple, Optional[tuple]] = {start: None}
+    queue = [start]
+    for w in queue:  # the list grows as it is read, so it is a FIFO queue
+        for label, move in moves:
+            b = move(w)
+            if b not in tree:
+                tree[b] = (w, label)
+                queue.append(b)
+    return tree
+
+
 def _perm_parity(g: tuple) -> int:
     seen = [False] * len(g)
     parity = 0
@@ -533,10 +553,10 @@ class PermutationGroup(Group):
     generators of a large cyclic group (one permutation of order in the
     thousands, with a tree as deep) are not supported; nothing checks this.
 
-    The group builds one `GroupElement` per member, in sorted order, and
-    every element it returns is one of those (`_wrap` looks the member up).
-    Its oracles work on payloads: `syllables` reads the BFS tree, a dict from
-    each payload to its (parent, generator, exponent) edge, and
+    The group keeps its members as payloads, in sorted order, and builds a
+    `GroupElement` only when it hands one out (the generators are built
+    once).  Its oracles work on payloads: `syllables` reads the BFS tree, a
+    dict from each payload to its (parent, (generator, exponent)) edge, and
     `conjugacy_class`, `class_representative` and `is_central` return
     payloads and verdicts, never elements.
     `_mul` reads a product table of payloads indexed by position in that
@@ -546,11 +566,16 @@ class PermutationGroup(Group):
     payload, so elements of an equal group built separately, or unpickled,
     multiply too.
 
-    The set-up loops over all of G or N (closure, Leibniz pairs, centre,
-    commutator subgroup, conjugacy classes, the `quotient_by` check) multiply
-    by a fixed right factor through a map built once by `_right_mul`, a
-    C-level gather.  `quotient_by` checks a subgroup given from outside;
-    `derived_quotient` builds G' as a normal closure and skips that check.
+    One breadth-first search, `_orbit`, builds the closure (the orbit of the
+    identity under right multiplication by the letters), G' (the orbit of
+    the identity under the generator commutators and the conjugations by
+    the generators) and each conjugacy class (the orbit of an element under
+    those conjugations, |class| * |generators| products).  Each generator's
+    conjugation is one map, built once (`_conjugation`); the centre and the
+    `quotient_by` check use the same maps.  Right multiplication by a fixed
+    factor is a C-level gather built by `_right_mul`.  `quotient_by` checks
+    a subgroup given from outside; `derived_quotient` builds G' as a normal
+    closure and skips that check.
     """
 
     def __init__(self, name: str, degree: int, generator_payloads: Sequence[tuple]):
@@ -561,14 +586,13 @@ class PermutationGroup(Group):
         self._generator_payloads = [tuple(p) for p in generator_payloads]
         for p in self._generator_payloads:
             self._validate_payload(p)
-        # (s, g -> g*s) for each generator s
-        self._generator_maps = [(s, _right_mul(s)) for s in self._generator_payloads]
-        # element -> (parent, s, k) with element = parent * s^k; None at the root
+        # (s, g -> s g s^-1) for each generator s
+        self._conjugations = [(s, _conjugation(s)) for s in self._generator_payloads]
+        # element -> (parent, (s, k)) with element = parent * s^k; None at the root
         self._tree = self._close()
         # sorted, so the identity comes first
         self._elements = sorted(self._tree)
         self._index = {p: i for i, p in enumerate(self._elements)}
-        self._members = [GroupElement(self, p) for p in self._elements]
         self._generators = [self._wrap(p) for p in self._generator_payloads]
         # product payload rows by left factor's position, allocated on first use
         self._products: List[Optional[List[Optional[tuple]]]] = [None] * len(self._elements)
@@ -606,32 +630,16 @@ class PermutationGroup(Group):
         if sorted(p) != list(range(1, self.degree + 1)) or not integer_entries(p):
             raise TypeError(f"not a permutation of 1..{self.degree}: {p}")
 
-    def _close(self) -> Dict[tuple, Optional[Tuple[tuple, tuple, int]]]:
+    def _close(self) -> Dict[tuple, Optional[Tuple[tuple, Syllable]]]:
         # each letter with the syllable it stands for: a generator s is
         # (s, 1), the inverse of s (s, -1) unless it is already a letter
-        letters = [(s, s, 1) for s in self._generator_payloads]
+        letters = [(s, (s, 1)) for s in self._generator_payloads]
         for s in self._generator_payloads:
             inv = _perm_inv(s)
-            if all(inv != p for p, _, _ in letters):
-                letters.append((inv, s, -1))
-        moves = [(_right_mul(letter), s, k) for letter, s, k in letters]
-        identity = tuple(range(1, self.degree + 1))
-        # element -> (parent, s, k) with element = parent * s^k; None at the root
-        tree: Dict[tuple, Optional[Tuple[tuple, tuple, int]]] = {identity: None}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for times, s, k in moves:
-                    prod = times(w)
-                    if prod not in tree:
-                        tree[prod] = (w, s, k)
-                        nxt.append(prod)
-            frontier = nxt
-        return tree
-
-    def _wrap(self, p: tuple) -> GroupElement:
-        return self._members[self._index[p]]
+            if all(inv != p for p, _ in letters):
+                letters.append((inv, (s, -1)))
+        moves = [(syllable, _right_mul(letter)) for letter, syllable in letters]
+        return _orbit(tuple(range(1, self.degree + 1)), moves)
 
     def element(self, payload: Sequence) -> GroupElement:
         p = tuple(payload)
@@ -641,7 +649,7 @@ class PermutationGroup(Group):
         return self._wrap(p)
 
     def identity(self) -> GroupElement:
-        return self._members[0]
+        return self._wrap(self._elements[0])
 
     def _mul(self, p: tuple, q: tuple) -> tuple:
         index = self._index
@@ -659,15 +667,15 @@ class PermutationGroup(Group):
         return _perm_inv(p)
 
     def random_element(self, rng: random.Random, box: int) -> GroupElement:
-        return rng.choice(self._members)
+        return self._wrap(rng.choice(self._elements))
 
     def syllables(self, p: tuple) -> List[Syllable]:
         # g = parent * s^k, one step down the closure's BFS tree
         edge = self._tree[p]
         if edge is None:
             return []
-        parent, s, k = edge
-        return [(parent, 1), (s, k)]
+        parent, syllable = edge
+        return [(parent, 1), syllable]
 
     def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
         # Each Cayley edge w -> w*s off the closure's BFS tree, s a generator;
@@ -676,15 +684,13 @@ class PermutationGroup(Group):
         # generators, so Leibniz on every (g, s) gives it on every (g, h)
         # by induction on the length of h.
         tree = self._tree
+        moves = [(s, _right_mul(s)) for s in self._generator_payloads]
         return [
-            (w, s)
-            for w in self._elements
-            for s, times in self._generator_maps
-            if tree[times(w)] != (w, s, 1)
+            (w, s) for w in self._elements for s, times in moves if tree[times(w)] != (w, (s, 1))
         ]
 
     def finite_elements(self) -> List[GroupElement]:
-        return list(self._members)
+        return list(map(self._wrap, self._elements))
 
     def _generator_commutators(self) -> List[tuple]:
         # one [g, h] per unordered pair: [g, g] = e, and [h, g] = [g, h]^-1
@@ -697,15 +703,14 @@ class PermutationGroup(Group):
         ]
 
     def is_central(self, z: tuple) -> bool:
-        return all(times(z) == _perm_mul(s, z) for s, times in self._generator_maps)
+        return all(conj(z) == z for _, conj in self._conjugations)
 
     def conjugacy_class(self, a: tuple) -> FrozenSet[tuple]:
         """The payloads of the class of a, built once, on first use, and
         recorded for every member."""
         cls = self._classes.get(a)
         if cls is None:
-            times_a = _right_mul(a)
-            cls = frozenset(_perm_mul(times_a(t), _perm_inv(t)) for t in self._elements)
+            cls = frozenset(_orbit(a, self._conjugations))
             for b in cls:
                 self._classes[b] = cls
         return cls
@@ -723,19 +728,8 @@ class PermutationGroup(Group):
         # group, the closure of {e} under right multiplication by them and
         # conjugation by the generators
         if self._derived is None:
-            comms = [_right_mul(c) for c in self._generator_commutators()]
-            conjugations = [(s, _right_mul(_perm_inv(s))) for s in self._generator_payloads]
-            closure = {tuple(range(1, self.degree + 1))}
-            stack = list(closure)
-            while stack:
-                a = stack.pop()
-                moves = [times(a) for times in comms]
-                moves += [times_si(_perm_mul(s, a)) for s, times_si in conjugations]
-                for b in moves:
-                    if b not in closure:
-                        closure.add(b)
-                        stack.append(b)
-            self._derived = frozenset(closure)
+            moves = [(c, _right_mul(c)) for c in self._generator_commutators()]
+            self._derived = frozenset(_orbit(self._elements[0], moves + self._conjugations))
         return self._derived
 
     def quotient_by(self, subgroup_payloads: Iterable[tuple]) -> "FiniteQuotient":
@@ -782,10 +776,9 @@ class PermutationGroup(Group):
                     reached.add(b)
                     stack.extend((b, t, times_t) for t, times_t in gens)
         # G is finite: N is normal once each generator's conjugation maps N into N
-        for g in self._generator_payloads:
-            times_gi = _right_mul(_perm_inv(g))
+        for g, conj in self._conjugations:
             for n in subgroup:
-                if times_gi(_perm_mul(g, n)) not in subgroup:
+                if conj(n) not in subgroup:
                     raise QuotientError(f"subgroup is not normal: conjugating {n} by {g} escapes")
         # with N normal, G/N is abelian <=> the generators commute modulo N
         if not all(c in subgroup for c in self._generator_commutators()):
@@ -803,8 +796,7 @@ class PermutationGroup(Group):
         for a in self._elements:
             # N is normal, so [a] lies in aN iff a commutes with each generator modulo N
             ai = _perm_inv(a)
-            if any(_perm_mul(_perm_mul(ai, s), _perm_mul(a, _perm_inv(s))) not in subgroup
-                   for s in self._generator_payloads):
+            if any(_perm_mul(ai, conj(a)) not in subgroup for _, conj in self._conjugations):
                 return {
                     "element": a,
                     "conjugacy_class": sorted(self.conjugacy_class(a)),
@@ -853,9 +845,6 @@ class QuotientSpec:
 
     def combine(self, k1: tuple, k2: tuple) -> tuple:
         return tuple(a + b for a, b in zip(k1, k2))
-
-    def key_to_json(self, k: tuple):
-        return list(k)
 
     def key_name(self, k: tuple) -> str:
         return str(tuple(k))

@@ -52,12 +52,13 @@ class Sampler:
     def word_element(self, length: Optional[int] = None) -> GroupElement:
         if length is None:
             length = self.rng.randint(0, self.word_len)
-        gens = self.group.generators()
-        letters = gens + [s.inverse() for s in gens]
-        out = self.group.identity()
+        group = self.group
+        gens = [s.payload for s in group.generators()]
+        letters = gens + [group._inv(s) for s in gens]
+        out = group.identity().payload
         for _ in range(length):
-            out = out * self.rng.choice(letters)
-        return out
+            out = group._mul(out, self.rng.choice(letters))
+        return group._wrap(out)
 
     # -- algebra elements --------------------------------------------------------
 

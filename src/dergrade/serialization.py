@@ -48,7 +48,7 @@ def arrow_from_json(group: Group, data) -> Arrow:
     ends = []
     for field in ("u", "v"):
         try:
-            ends.append(group.element_from_json(data[field]))
+            ends.append(group.element(data[field]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad arrow spec: field {field!r}: {exc}") from exc
     return Arrow(*ends)
@@ -102,7 +102,7 @@ def derivation_from_json(data, group: Optional[Group] = None) -> Derivation:
             tau = _list_field(data.get("tau"), "tau", "a list of coefficients")
             tau = _parsed("tau", lambda: [GaussianRational.from_json(t) for t in tau])
             z = _list_field(data.get("z"), "z", "a group element, a list of integers")
-            z = _parsed("z", lambda: group.element_from_json(z))
+            z = _parsed("z", lambda: group.element(z))
             return Derivation.central(group, tau, z)
         if kind == "table":
             if not isinstance(data.get("images"), dict):
@@ -136,7 +136,7 @@ def decomposition_to_json(dec: GradedDecomposition) -> dict:
         "base": derivation_to_json(dec.base),
         "components": [
             {
-                "key": quotient.key_to_json(key),
+                "key": list(key),
                 "derivation": derivation_to_json(dec.components[key]),
             }
             for key in dec.keys()

@@ -141,16 +141,17 @@ class TestCanonicalForm:
             assert AlgebraElement.from_terms(group, x.items()) == x
 
     def test_perm_views_hand_out_members(self):
-        # terms are kept by payload; the elements a caller reads are the
-        # group's own members, in the kernel's order
+        # terms are kept by payload; the elements a caller reads are members
+        # of the group itself, in the kernel's order
         S4 = group_from_name("perm:s4")
-        members = {id(g) for g in S4.finite_elements()}
+        members = set(S4.finite_elements())
         sampler = Sampler(S4, seed=41)
         for _ in range(10):
             x = sampler.algebra_element() * sampler.algebra_element()
-            assert {id(g) for g in x.support()} <= members
+            assert x.support() <= members
+            assert all(g.group is S4 for g in x.support())
             items = x.items()
-            assert {id(g) for g, _ in items} <= members
+            assert all(g in members and g.group is S4 for g, _ in items)
             assert [g.payload for g, _ in items] == sorted(
                 g.payload for g in x.support()
             )

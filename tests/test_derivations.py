@@ -18,14 +18,13 @@ from dergrade import (
     char_inner_formula,
     commutator,
     decompose,
-    find_inner_witness,
     group_from_name,
     verify_char_composition,
     verify_leibniz,
 )
 from dergrade import derivations
 from dergrade.sampling import Sampler
-from oracles import word
+from oracles import find_inner_witness, word
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)

@@ -13,6 +13,7 @@ from dergrade import (
     Derivation,
     FreeAbelian,
     GradingSetup,
+    GroupElement,
     GroupMismatchError,
     Heisenberg,
     PermutationGroup,
@@ -324,7 +325,9 @@ class TestConjugacy:
         calls = count_products(monkeypatch)
         first = (2, 1, 3, 4, 5, 6)
         rep = S6.class_representative(first)
-        assert len(calls) == 2 * 720
+        # the orbit of `first` under conjugation by the two generators:
+        # one product per member and generator, |class| * |gens|
+        assert len(calls) == 15 * 2
         calls.clear()
         other = (1, 2, 3, 4, 6, 5)
         assert S6.class_representative(other) == rep
@@ -443,6 +446,52 @@ def payloads(sym_group):
                      for p in sym_group.generate())
 
 
+def fresh_group(name):
+    """The group `name` newly built, with no class or table cached by
+    another test."""
+    kind, degree = name[len("perm:")], int(name[len("perm:") + 1:])
+    build = PermutationGroup.symmetric if kind == "s" else PermutationGroup.alternating
+    return build(degree)
+
+
+# Permutation products as Python loops, kept as oracles for the kernel's
+# gathers: (g k)(i) = g(k(i)), one-line and 1-based.
+def list_product(g, k):
+    return tuple([g[i - 1] for i in k])
+
+
+def list_inverse(t):
+    return tuple(sorted(range(1, len(t) + 1), key=lambda i: t[i - 1]))
+
+
+def scanned_class(a, elements):
+    """{t a t^-1 : t in G}, by a scan over all of G."""
+    return frozenset(list_product(list_product(t, a), list_inverse(t)) for t in elements)
+
+
+def frontier_tree(group):
+    """The closure's BFS tree as a frontier search builds it, level by
+    level: element -> (parent, (s, k)), None at the identity."""
+    gens = [s.payload for s in group.generators()]
+    letters = [(s, (s, 1)) for s in gens]
+    for s in gens:
+        if all(list_inverse(s) != p for p, _ in letters):
+            letters.append((list_inverse(s), (s, -1)))
+    identity = group.identity().payload
+    tree = {identity: None}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for letter, syllable in letters:
+                prod = list_product(w, letter)
+                if prod not in tree:
+                    tree[prod] = (w, syllable)
+                    nxt.append(prod)
+        frontier = nxt
+    return tree
+
+
 class TestSympyOracle:
     @pytest.mark.parametrize("name", PERM_NAMES)
     def test_derived_subgroup_and_center(self, name):
@@ -451,6 +500,23 @@ class TestSympyOracle:
         assert oracle.order() == len(group.finite_elements())
         assert group.derived_payloads() == payloads(oracle.derived_subgroup())
         assert group.center_payloads() == payloads(oracle.center())
+
+    @pytest.mark.parametrize("name", PERM_NAMES)
+    def test_conjugacy_classes(self, name):
+        # each class is an orbit under conjugation by the generators; sympy
+        # and a scan over all of G find the same classes
+        group = fresh_group(name)
+        elements = [g.payload for g in group.finite_elements()]
+        oracle = sympy_group(s.payload for s in group.generators())
+        expected = {
+            frozenset(tuple(i + 1 for i in p.array_form) for p in cls)
+            for cls in oracle.conjugacy_classes()
+        }
+        classes = {group.conjugacy_class(a) for a in elements}
+        assert classes == expected
+        for cls in classes:
+            assert all(scanned_class(a, elements) == cls for a in sorted(cls)[:3])
+            assert group.class_representative(max(cls)) == min(cls)
 
     def test_normality_verdicts_in_s4(self):
         S4 = PermutationGroup.symmetric(4)
@@ -504,7 +570,8 @@ class TestProductTable:
                 for k in elements:
                     prod = g * k
                     assert prod.payload == groups._perm_mul(g.payload, k.payload)
-                    assert prod is group.element(prod.payload)
+                    assert prod == group.element(prod.payload)
+                    assert prod.group is group
 
     def test_gather_matches_list_product(self):
         # the product as a Python loop, kept as an oracle for the C-level
@@ -534,34 +601,40 @@ class TestProductTable:
             assert (g * k).payload == tuple(i + 1 for i in oracle.array_form)
 
     def test_elements_are_interned(self):
+        # members are kept as payloads; every element handed out is a member
+        # of the group itself
         S4 = PermutationGroup.symmetric(4)
-        members = {id(g) for g in S4.finite_elements()}
+        members = set(S4.finite_elements())
         assert len(members) == 24
+        assert all(g.group is S4 for g in members)
         # the payload oracles return payloads of members
         payloads = {g.payload for g in S4.finite_elements()}
         for a in S4.finite_elements():
-            assert id(S4.element(a.payload)) in members
-            assert id(a.inverse()) in members
-            assert a * a.inverse() is S4.identity()
+            assert S4.element(a.payload) == a and S4.element(a.payload).group is S4
+            assert a.inverse() in members and a.inverse().group is S4
+            assert a * a.inverse() == S4.identity()
+            assert (a * a.inverse()).group is S4.identity().group is S4
             cls = S4.conjugacy_class(a.payload)
             assert cls <= payloads
             assert S4.class_representative(a.payload) == min(cls)
             assert {w for w, _ in S4.syllables(a.payload)} <= payloads
         assert {w for pair in S4.leibniz_pairs() for w in pair} <= payloads
-        assert {id(s) for s in S4.generators()} <= members
+        assert set(S4.generators()) <= members
+        assert all(s.group is S4 for s in S4.generators())
 
     def test_foreign_and_unpickled_factors(self):
         first, second = PermutationGroup.symmetric(4), PermutationGroup.symmetric(4)
         a, b = first.element((2, 3, 4, 1)), second.element((2, 1, 3, 4))
         # the left factor's group multiplies, and returns its own member
-        assert a * b is first.element((3, 2, 4, 1))
-        assert b * a is second.element((1, 3, 4, 2))
+        assert a * b == first.element((3, 2, 4, 1)) and (a * b).group is first
+        assert b * a == second.element((1, 3, 4, 2)) and (b * a).group is second
         assert a * b == b.group.element((3, 2, 4, 1))
         c = pickle.loads(pickle.dumps(b))
         assert c.group is not first and c.group is not second
-        assert a * c is first.element((3, 2, 4, 1))
-        assert c * a is c.group.element((1, 3, 4, 2))
-        assert c.inverse() is c.group.element((2, 1, 3, 4))
+        assert a * c == first.element((3, 2, 4, 1)) and (a * c).group is first
+        assert c * a == c.group.element((1, 3, 4, 2)) and (c * a).group is c.group
+        assert c.inverse() == c.group.element((2, 1, 3, 4))
+        assert c.inverse().group is c.group
 
     def test_table_bounded_by_order_squared(self):
         S5 = PermutationGroup.symmetric(5)
@@ -569,6 +642,37 @@ class TestProductTable:
         rows = [row for row in S5._products if row is not None]
         assert 0 < len(rows) <= 120
         assert all(len(row) == 120 for row in rows)
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("name, depth", [
+        ("perm:s3", 2), ("perm:s4", 6), ("perm:s5", 10), ("perm:s6", 15),
+        ("perm:a4", 3), ("perm:a5", 6), ("perm:a6", 10),
+    ])
+    def test_closure_tree_matches_frontier_search(self, name, depth):
+        # the same parents and syllables, found in the same order
+        group = fresh_group(name)
+        tree = frontier_tree(group)
+        assert list(group._close().items()) == list(tree.items())
+        assert group._tree == tree
+
+        def level(p):
+            return 0 if tree[p] is None else 1 + level(tree[p][0])
+
+        assert max(map(level, tree)) == depth
+
+    def test_symmetric_builds_only_generators(self, monkeypatch):
+        # members are payloads; an element is built when it is handed out
+        init, built = GroupElement.__init__, []
+
+        def counting(self, group, payload):
+            built.append(payload)
+            init(self, group, payload)
+
+        monkeypatch.setattr(GroupElement, "__init__", counting)
+        S6 = PermutationGroup.symmetric(6)
+        assert built == [(2, 1, 3, 4, 5, 6), (2, 3, 4, 5, 6, 1)]
+        assert [s.payload for s in S6.generators()] == built
 
 
 class TestSubgroupCheck:
