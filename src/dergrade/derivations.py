@@ -1,25 +1,36 @@
 """Derivations of the group algebra and their groupoid characters.
 
-A derivation is stored by its images on the kernel's generating set and
-extended to the whole algebra through the Leibniz rule.  A group element g is
-evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ...
-(`Group.syllables`, on payloads), where each base w is a generator or an
-element whose own syllables lie nearer the generators; a base is evaluated
-like any element.  Everything is combined by one join on payloads,
-(g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)), which refuses to combine more
-than `MAX_TERMS` terms: each w^k is built from d(w) or d(w^-1) by binary
-powering, in O(log |k|) joins, and the powers are then joined in order.  A table from
-outside is checked by the same join: on each of the kernel's payload pairs
-(g, h) (`Group.leibniz_pairs`), d(g) joined with d(h) must equal d(gh).  The
-character view is derived: the value of the character on an arrow (u, v) is
-the coefficient of u in d(v).
+A derivation is stored by its images on the kernel's generating set, and
+evaluated by one of two routes.
+
+* Inner and central derivations, and their sums, scalar multiples and
+  brackets, keep a closed form (`_Form`):
+  d(g) = g*a - a*g + sum over central z of tau_z(g) * g*z, with tau_z a
+  homomorphism to (C, +) read through `Group.abelian_coords`.  d(g) is then
+  built on payloads from a and the central parts, with no join.  `+`,
+  `scale` and `bracket` combine forms, and `grading.decompose` splits one by
+  coset, so each result keeps its form.
+* A table from outside (`from_table`) has no form.  A group element g is
+  evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ...
+  (`Group.syllables`, on payloads), where each base w is a generator or an
+  element whose own syllables lie nearer the generators; a base is
+  evaluated like any element.  Everything is combined by one join on
+  payloads, (g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)), which refuses to
+  combine more than `MAX_TERMS` terms: each w^k is built from d(w) or
+  d(w^-1) by binary powering, in O(log |k|) joins, and the powers are then
+  joined in order.  A table is checked by the same join: on each of the
+  kernel's payload pairs (g, h) (`Group.leibniz_pairs`), d(g) joined with
+  d(h) must equal d(gh).
+
+The character view is derived: the value of the character on an arrow
+(u, v) is the coefficient of u in d(v).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, commutator
+from .algebra import AlgebraElement, Terms, commutator
 from .coefficients import CoeffLike, GaussianRational, ZERO, as_coefficient
 from .groups import (
     Arrow,
@@ -50,24 +61,165 @@ class TermBudgetError(ValueError):
     """An image would have more terms than `MAX_TERMS` allows."""
 
 
+# tau of a central part: its values on the free basis of the abelianization
+Tau = Tuple[GaussianRational, ...]
+
+
+def _add_terms(acc: Terms, pairs: Iterable[Tuple[tuple, GaussianRational]]) -> None:
+    """Add each (payload, nonzero coefficient) pair into `acc`, whose
+    coefficients are nonzero and stay so: a term that cancels is deleted."""
+    for t, c in pairs:
+        value = acc.get(t)
+        if value is None:
+            acc[t] = c
+        else:
+            value = value + c
+            if value:
+                acc[t] = value
+            else:
+                del acc[t]
+
+
+def _tau_at(tau: Tau, coords: Sequence[int]) -> GaussianRational:
+    """tau(g), from the abelianization coordinates of g."""
+    value = ZERO
+    for t, k in zip(tau, coords):
+        value = value + t * GaussianRational(k)
+    return value
+
+
+def _add_central(central: Dict[tuple, Tau], z: tuple, tau: Tau) -> None:
+    """Add the central part (tau, z) into `central`, merging it with the part
+    at the same z; a part whose tau is 0 is dropped."""
+    old = central.get(z)
+    if old is not None:
+        tau = tuple(x + y for x, y in zip(old, tau))
+    if any(tau):
+        central[z] = tau
+    else:
+        central.pop(z, None)
+
+
+class _Form:
+    """The closed form of an inner-plus-central derivation,
+    g -> g*a - a*g + sum over z of tau_z(g) * g*z: the inner part a and the
+    central parts, each tau_z by the payload of its central z.  Parts are
+    merged by z and a zero tau is dropped, so repeated sums stay bounded."""
+
+    __slots__ = ("a", "central")
+
+    def __init__(self, a: AlgebraElement, central: Dict[tuple, Tau]):
+        self.a = a
+        self.central = central
+
+    def _central_terms(self, p: tuple) -> List[Tuple[tuple, GaussianRational]]:
+        """The nonzero terms tau_z(g) * g*z of the element g with payload p;
+        their payloads are distinct, as the z are."""
+        group = self.a.group
+        coords = group.abelian_coords(p)
+        mul = group._mul
+        terms = []
+        for z, tau in self.central.items():
+            value = _tau_at(tau, coords)
+            if value:
+                terms.append((mul(p, z), value))
+        return terms
+
+    def image(self, p: tuple) -> AlgebraElement:
+        """d of the element g with payload p: g*a - a*g plus the central
+        terms, one payload product per term."""
+        a = self.a
+        group = a.group
+        mul = group._mul
+        # translation is injective, so the terms of g*a are distinct and a
+        # term can vanish only where it meets one of -a*g or the central terms
+        acc = {mul(p, t): c for t, c in a._terms.items()}
+        _add_terms(acc, [(mul(t, p), -c) for t, c in a._terms.items()])
+        if self.central:
+            _add_terms(acc, self._central_terms(p))
+        return AlgebraElement._nonzero(group, acc)
+
+    def central_apply(self, x: AlgebraElement) -> AlgebraElement:
+        """The central parts alone applied to x."""
+        acc: Terms = {}
+        if self.central:
+            for t, c in x._terms.items():
+                _add_terms(acc, [(k, c * v) for k, v in self._central_terms(t)])
+        return AlgebraElement._nonzero(x.group, acc)
+
+    def __add__(self, other: "_Form") -> "_Form":
+        central = dict(self.central)
+        for z, tau in other.central.items():
+            _add_central(central, z, tau)
+        return _Form(self.a + other.a, central)
+
+    def scale(self, c: GaussianRational) -> "_Form":
+        # a product of nonzero Gaussian rationals is nonzero
+        central = {z: tuple(c * t for t in tau) for z, tau in self.central.items()} if c else {}
+        return _Form(self.a.scale(c), central)
+
+    def bracket(self, other: "_Form") -> "_Form":
+        """The form of d∘p - p∘d, for d of this form and p of `other`:
+        [inner(a), inner(b)] = inner(b*a - a*b); [c, inner(b)] = inner(c(b))
+        for a central derivation c; and [central(t1, z1), central(t2, z2)]
+        = central(t1(z2)*t2 - t2(z1)*t1, z1*z2)."""
+        a, b = self.a, other.a
+        group = a.group
+        inner = commutator(b, a) + self.central_apply(b) - other.central_apply(a)
+        central: Dict[tuple, Tau] = {}
+        for z1, t1 in self.central.items():
+            for z2, t2 in other.central.items():
+                s1 = _tau_at(t1, group.abelian_coords(z2))
+                s2 = _tau_at(t2, group.abelian_coords(z1))
+                tau = tuple(s1 * y - s2 * x for x, y in zip(t1, t2))
+                _add_central(central, group._mul(z1, z2), tau)
+        return _Form(inner, central)
+
+    def split(self, key: Callable[[tuple], tuple]) -> Dict[tuple, "_Form"]:
+        """The parts by coset key, one `key` call per term of a and per
+        central part: at k, inner(a_k), with a_k the terms t of a with
+        key(t) == k, plus the central parts with key(z) == k."""
+        group = self.a.group
+        parts: Dict[tuple, Tuple[Terms, Dict[tuple, Tau]]] = {}
+        for t, c in self.a._terms.items():
+            parts.setdefault(key(t), ({}, {}))[0][t] = c
+        for z, tau in self.central.items():
+            parts.setdefault(key(z), ({}, {}))[1][z] = tau
+        return {
+            k: _Form(AlgebraElement._nonzero(group, terms), central)
+            for k, (terms, central) in parts.items()
+        }
+
+
 class Derivation:
-    __slots__ = ("group", "images", "spec", "_cache")
+    """A derivation of C[G]: its generator images (`images`), the output
+    `spec` it was parsed from or None, and, for an inner-plus-central
+    derivation, its closed form.  Evaluation uses the form when there is
+    one and syllables with Leibniz joins otherwise; `==` compares images
+    only."""
+
+    __slots__ = ("group", "images", "spec", "_form", "_cache")
 
     def __init__(
         self,
         group: Group,
-        images: Dict[GroupElement, AlgebraElement],
+        images: Optional[Dict[GroupElement, AlgebraElement]],
         *,
         spec: Optional[dict] = None,
+        form: Optional[_Form] = None,
     ):
         """The derivation with the given generator images, which must
         already be known to define one: an image over `group` for every
-        generator, satisfying the Leibniz rule on the group's pairs.
-        Nothing is checked here; `from_table` is the constructor for images
-        from outside."""
+        generator, satisfying the Leibniz rule on the group's pairs.  With a
+        closed form, the images must be the form's, or None to read them
+        from it.  Nothing is checked here; `from_table` is the constructor
+        for images from outside."""
         self.group = group
-        self.images = {s: images[s] for s in group.generators()}
         self.spec = spec
+        self._form = form
+        if images is None:
+            images = {s: form.image(s.payload) for s in group.generators()}
+        self.images = {s: images[s] for s in group.generators()}
         self._reset_cache()
 
     def _reset_cache(self) -> None:
@@ -82,18 +234,14 @@ class Derivation:
 
     @staticmethod
     def zero(group: Group) -> "Derivation":
-        images = {s: AlgebraElement.zero(group) for s in group.generators()}
-        return Derivation(group, images)
+        return Derivation(group, None, form=_Form(AlgebraElement.zero(group), {}))
 
     @staticmethod
     def inner(a: AlgebraElement) -> "Derivation":
-        """x -> x*a - a*x, stored via its generator images."""
+        """x -> x*a - a*x."""
         group = a.group
-        images = {
-            s: commutator(AlgebraElement.monomial(s), a) for s in group.generators()
-        }
         spec = {"group": group.name, "kind": "inner", "a": a.to_json()}
-        return Derivation(group, images, spec=spec)
+        return Derivation(group, None, spec=spec, form=_Form(a, {}))
 
     @staticmethod
     def central(
@@ -112,21 +260,18 @@ class Derivation:
             raise ValueError(
                 f"tau must list {rank} values (one per abelianization basis element)"
             )
-        coeffs = [as_coefficient(t) for t in tau]
-        images: Dict[GroupElement, AlgebraElement] = {}
-        for s in group.generators():
-            coords = group.abelian_coords(s.payload)
-            tau_s = ZERO
-            for t, c in zip(coeffs, coords):
-                tau_s = tau_s + t * GaussianRational(c)
-            images[s] = AlgebraElement.monomial(s * z, tau_s)
+        coeffs = tuple(as_coefficient(t) for t in tau)
+        central: Dict[tuple, Tau] = {}
+        _add_central(central, z.payload, coeffs)
         spec = {
             "group": group.name,
             "kind": "central",
             "tau": [t.to_json() for t in coeffs],
             "z": list(z.payload),
         }
-        return Derivation(group, images, spec=spec)
+        return Derivation(
+            group, None, spec=spec, form=_Form(AlgebraElement.zero(group), central)
+        )
 
     @staticmethod
     def from_table(
@@ -226,34 +371,39 @@ class Derivation:
         return self._image(g.payload)
 
     def _image(self, p: tuple) -> AlgebraElement:
-        """d of the element with payload p: the kernel's syllables w^k of it,
+        """d of the element with payload p, kept in `_cache`: from the closed
+        form when there is one, else from the kernel's syllables w^k of it,
         each evaluated by `_power` from d(w) and joined left to right.  A
         base missing from `_cache` is evaluated by this method in turn."""
         cached = self._cache.get(p)
         if cached is None:
-            group = self.group
-            acc: Optional[Evaluated] = None
-            for w, k in group.syllables(p):
-                if k:
-                    # most bases are cached, and a lookup costs less than a call
-                    dw = self._cache.get(w)
-                    if dw is None:
-                        dw = self._image(w)
-                    power = self._power((w, dw), k)
-                    acc = power if acc is None else self._join(acc, power)
-            cached = AlgebraElement.zero(group) if acc is None else acc[1]
+            if self._form is not None:
+                cached = self._form.image(p)
+            else:
+                acc: Optional[Evaluated] = None
+                for w, k in self.group.syllables(p):
+                    if k:
+                        # most bases are cached, and a lookup costs less than a call
+                        dw = self._cache.get(w)
+                        if dw is None:
+                            dw = self._image(w)
+                        power = self._power((w, dw), k)
+                        acc = power if acc is None else self._join(acc, power)
+                cached = AlgebraElement.zero(self.group) if acc is None else acc[1]
             if len(self._cache) >= CACHE_LIMIT:
                 self._reset_cache()
             self._cache[p] = cached
         return cached
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
+        """d(x), summed into one dict: linear in the terms of the images."""
         if x.group != self.group:
             raise GroupMismatchError("argument over the wrong group")
-        result = AlgebraElement.zero(self.group)
+        acc: Terms = {}
         for p, c in x._terms.items():
-            result = result + self._image(p).scale(c)
-        return result
+            # both factors are nonzero, so each product is nonzero
+            _add_terms(acc, [(t, c * v) for t, v in self._image(p)._terms.items()])
+        return AlgebraElement._nonzero(self.group, acc)
 
     def character(self, arrow: Arrow) -> GaussianRational:
         """chi^d(u, v): the coefficient of u in d(v).  The arrow's endpoints
@@ -269,18 +419,27 @@ class Derivation:
     def __add__(self, other: "Derivation") -> "Derivation":
         self._check_group(other)
         images = {s: self.images[s] + other.images[s] for s in self.images}
-        return Derivation(self.group, images)
+        form = None
+        if self._form is not None and other._form is not None:
+            form = self._form + other._form
+        return Derivation(self.group, images, form=form)
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + other.scale(-1)
 
     def scale(self, coeff: CoeffLike) -> "Derivation":
-        images = {s: img.scale(coeff) for s, img in self.images.items()}
-        return Derivation(self.group, images)
+        c = as_coefficient(coeff)
+        images = {s: img.scale(c) for s, img in self.images.items()}
+        form = None if self._form is None else self._form.scale(c)
+        return Derivation(self.group, images, form=form)
 
     def bracket(self, other: "Derivation") -> "Derivation":
-        """[d, other] as operator commutator on the generator images."""
+        """[d, other] = d∘other - other∘d: from the two closed forms when
+        both have one, its images read from the bracket's form; else as
+        the operator commutator on the generator images."""
         self._check_group(other)
+        if self._form is not None and other._form is not None:
+            return Derivation(self.group, None, form=self._form.bracket(other._form))
         images = {
             s: self.apply(other.images[s]) - other.apply(self.images[s])
             for s in self.images

@@ -3,7 +3,10 @@
 Support localisation works on generator images: collecting the cosets of
 s^-1 k over all generators s and support elements k of d(s) bounds the
 character's support, and sorting the terms of the generator images by that
-coset yields the direct-sum decomposition.  Bracket closure, the stem-group
+coset yields the direct-sum decomposition.  A derivation with a closed form
+is split through the form instead: the component of inner(a) + sum of
+central parts at a key is inner(a_k), a_k the terms of a in that coset, plus
+the central parts whose z lies in it.  Bracket closure, the stem-group
 localisation of central derivations, and per-coset inner witnesses are
 exercised on top of the same machinery.
 """
@@ -59,12 +62,16 @@ class GradingSetup:
 Terms = Dict[GroupElement, Dict[tuple, GaussianRational]]
 
 
+def _check_setup(d: Derivation, setup: GradingSetup) -> None:
+    if d.group != setup.group:
+        raise GroupMismatchError("derivation over a different group")
+
+
 def _buckets(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Terms]:
     """The terms of d's generator images by coset: each term k of d(s), with
     its coefficient, goes to buckets[key(s^-1 k)][s].  Only keys with a term
     appear."""
-    if d.group != setup.group:
-        raise GroupMismatchError("derivation over a different group")
+    _check_setup(d, setup)
     group, key = d.group, setup.quotient.key
     buckets: Dict[CosetKey, Terms] = {}
     for s in group.generators():
@@ -75,12 +82,24 @@ def _buckets(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Terms]:
     return buckets
 
 
-def _component(d: Derivation, terms: Terms) -> Derivation:
-    """The derivation whose image of each generator s is `terms[s]`, or 0."""
-    return Derivation(
-        d.group,
-        {s: AlgebraElement(d.group, terms.get(s, {})) for s in d.group.generators()},
-    )
+def _components(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Derivation]:
+    """d's nonzero graded components by coset key.  A closed form is split
+    by the key of each term of its inner part and of each central z (the
+    component at k is inner(a_k) plus the central parts at k), and each
+    part's images are read from it; otherwise each term k of a generator
+    image d(s) goes to the component at key(s^-1 k)."""
+    group = d.group
+    if d._form is None:
+        return {
+            k: Derivation(
+                group, {s: AlgebraElement(group, terms.get(s, {})) for s in group.generators()}
+            )
+            for k, terms in _buckets(d, setup).items()
+        }
+    _check_setup(d, setup)
+    parts = d._form.split(setup.quotient.key)
+    components = {k: Derivation(group, None, form=f) for k, f in parts.items()}
+    return {k: comp for k, comp in components.items() if not comp.is_zero()}
 
 
 def support_cosets(d: Derivation, setup: GradingSetup) -> FrozenSet[CosetKey]:
@@ -108,7 +127,8 @@ def support_classes(d: Derivation) -> FrozenSet[GroupElement]:
 def project(d: Derivation, key: CosetKey, setup: GradingSetup) -> Derivation:
     """The component of d at one coset key: per generator s, the sub-sum of
     d(s) over terms k with key(s^-1 k) == key."""
-    return _component(d, _buckets(d, setup).get(key, {}))
+    component = _components(d, setup).get(key)
+    return Derivation.zero(d.group) if component is None else component
 
 
 @dataclass(frozen=True)
@@ -131,11 +151,9 @@ def decompose(d: Derivation, setup: GradingSetup) -> GradedDecomposition:
     """Split d into its nonzero graded components; they sum back to d exactly
     and their support cosets are pairwise disjoint singletons.
 
-    One pass over the generator images: each term k of d(s) goes to the
-    component at key(s^-1 k), so every component holds a nonzero term."""
-    buckets = _buckets(d, setup)
-    components = {key: _component(d, buckets[key]) for key in sorted(buckets)}
-    return GradedDecomposition(d, setup, components)
+    Every component, from `_components`, holds a nonzero term."""
+    components = _components(d, setup)
+    return GradedDecomposition(d, setup, {key: components[key] for key in sorted(components)})
 
 
 @dataclass(frozen=True)

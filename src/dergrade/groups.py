@@ -167,8 +167,9 @@ class Arrow:
 class Group:
     """Base interface of a group kernel.
 
-    A kernel defines its product and inverse on payloads (`_mul`, `_inv`),
-    and `GroupElement` lifts them to elements through `_wrap`.  The other
+    A kernel defines its product and inverse on payloads (`_mul`, `_inv`)
+    and the identity's payload (`_identity`), and `GroupElement` lifts them
+    to elements through `_wrap`.  The other
     kernel methods the library's layers call (`syllables`, `leibniz_pairs`
     and the conjugacy, centre and abelianization oracles) take and return
     payloads too, and do not check them: a payload is assumed to be a normal
@@ -197,7 +198,7 @@ class Group:
         raise NotImplementedError
 
     def identity(self) -> GroupElement:
-        raise NotImplementedError
+        return self._wrap(self._identity)
 
     def _wrap(self, p: tuple) -> GroupElement:
         """The element whose payload is the normal form p, unchecked."""
@@ -278,7 +279,7 @@ class Group:
 
     def random_element(self, rng: random.Random, box: int) -> GroupElement:
         """An element whose payload entries are drawn from [-box, box] in turn."""
-        return self.element(tuple(rng.randint(-box, box) for _ in self.identity().payload))
+        return self.element(tuple(rng.randint(-box, box) for _ in self._identity))
 
     def has_central_derivations(self) -> bool:
         """Whether `random_central` can draw a nonzero central derivation."""
@@ -326,6 +327,7 @@ class Heisenberg(Group):
 
     def __init__(self):
         super().__init__("heisenberg", ("heisenberg",))
+        self._identity = (0, 0, 0)
         self._generators = [self.element(_X), self.element(_Y)]
 
     def element(self, payload: Sequence) -> GroupElement:
@@ -337,9 +339,6 @@ class Heisenberg(Group):
         if not integer_entries(entries):
             raise TypeError("Heisenberg entries must be integers")
         return GroupElement(self, entries)
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (0, 0, 0))
 
     def _mul(self, p: tuple, q: tuple) -> tuple:
         a, b, c = p
@@ -418,6 +417,7 @@ class FreeAbelian(Group):
             raise ValueError("rank must be >= 1")
         super().__init__(f"zn:{n}", ("zn", n))
         self.n = n
+        self._identity = (0,) * n
         self._generators = [
             self.element([1 if j == i else 0 for j in range(n)]) for i in range(n)
         ]
@@ -427,9 +427,6 @@ class FreeAbelian(Group):
         if len(vec) != self.n or not integer_entries(vec):
             raise TypeError(f"expected an integer vector of length {self.n}")
         return GroupElement(self, vec)
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (0,) * self.n)
 
     def _mul(self, p: tuple, q: tuple) -> tuple:
         return tuple(map(add, p, q))
@@ -592,6 +589,7 @@ class PermutationGroup(Group):
         self._tree = self._close()
         # sorted, so the identity comes first
         self._elements = sorted(self._tree)
+        self._identity = self._elements[0]
         self._index = {p: i for i, p in enumerate(self._elements)}
         self._generators = [self._wrap(p) for p in self._generator_payloads]
         # product payload rows by left factor's position, allocated on first use
@@ -647,9 +645,6 @@ class PermutationGroup(Group):
         if p not in self._index:
             raise ValueError(f"{p} is not an element of {self.name}")
         return self._wrap(p)
-
-    def identity(self) -> GroupElement:
-        return self._wrap(self._elements[0])
 
     def _mul(self, p: tuple, q: tuple) -> tuple:
         index = self._index
@@ -841,7 +836,7 @@ class QuotientSpec:
         return self.group.abelian_coords(g)
 
     def identity_key(self) -> tuple:
-        return self.key(self.group.identity().payload)
+        return self.key(self.group._identity)
 
     def combine(self, k1: tuple, k2: tuple) -> tuple:
         return tuple(a + b for a, b in zip(k1, k2))

@@ -55,7 +55,7 @@ class Sampler:
         group = self.group
         gens = [s.payload for s in group.generators()]
         letters = gens + [group._inv(s) for s in gens]
-        out = group.identity().payload
+        out = group._identity
         for _ in range(length):
             out = group._mul(out, self.rng.choice(letters))
         return group._wrap(out)
@@ -113,9 +113,10 @@ class Sampler:
         v = self.word_element()
         u: Optional[GroupElement] = None
         if d is not None and self.rng.random() < 0.5:
-            supp = [g for g, _ in d.apply_element(v).items()]
+            # payload order is the kernel's element order, the order of items()
+            supp = sorted(d.apply_element(v)._terms)
             if supp:
-                u = self.rng.choice(supp)
+                u = self.group._wrap(self.rng.choice(supp))
         if u is None:
             u = self.word_element()
         return Arrow(u, v)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +138,45 @@ class TestApply:
             assert d.apply_element(g.inverse()) == -(gi * d.apply_element(g) * gi)
 
 
+def test_apply_work_is_linear_in_terms(monkeypatch):
+    # d(x) for x of 4,000 terms on Z^3: every coefficient addition and zero
+    # test is counted, and more than 10 a term fails at once; adding each
+    # term's image to a copy of the running sum makes about 8 million zero
+    # tests
+    Z3 = FreeAbelian(3)
+    n = 4000
+    d = Derivation.central(Z3, [1, -2, gr(Fraction(3, 2))], Z3.element((1, -1, 2)))
+    x = AlgebraElement.from_terms(
+        Z3, [(Z3.element((i, 2 * i - n, -i)), i % 7 + 1) for i in range(n)]
+    )
+    limit, ops = 10 * n, [0]
+    add, nonzero = GaussianRational.__add__, GaussianRational.__bool__
+
+    def count():
+        ops[0] += 1
+        if ops[0] > limit:
+            raise AssertionError(f"more than {limit} coefficient operations")
+
+    def counted_add(self, other):
+        count()
+        return add(self, other)
+
+    def counted_bool(self):
+        count()
+        return nonzero(self)
+
+    monkeypatch.setattr(GaussianRational, "__add__", counted_add)
+    monkeypatch.setattr(GaussianRational, "__bool__", counted_bool)
+    result = d.apply(x)
+    monkeypatch.undo()
+    assert ops[0]
+    assert len(result) == len(x)
+    for g, c in x.items():
+        i, j, k = g.payload
+        value = GaussianRational(i - 2 * j) + gr(Fraction(3, 2)) * GaussianRational(k)
+        assert result.coefficient(g * Z3.element((1, -1, 2))) == c * value
+
+
 def _kinds(group, seed):
     """One derivation of each kind over `group`, drawn with a fixed seed.  A
     group without central derivations has no "central" or "mixed" kind, and
@@ -235,6 +275,86 @@ class TestClosedFormOracle:
         assert any(d.images.values())
 
 
+_BIG = 10**12
+# payloads with entries of +-10^12, by group
+_BIG_PAYLOADS = {
+    "heisenberg": [(_BIG, -_BIG, _BIG), (-_BIG, 3, -_BIG), (0, 0, _BIG), (_BIG, _BIG, 7)],
+    "zn:3": [(_BIG, -_BIG, 3), (0, 0, -_BIG), (-_BIG, _BIG, _BIG)],
+}
+_FORM_GROUPS = [
+    "heisenberg", "zn:1", "zn:3", "perm:s3", "perm:s4", "perm:s5", "perm:s6",
+    "perm:a4", "perm:a5", "perm:a6",
+]
+# the Sampler kinds that keep a closed form; permutation groups have no
+# central derivations
+_FORM_KINDS = ["inner", "sum", "central", "mixed"]
+_FORM_CASES = [
+    (name, kind)
+    for name in _FORM_GROUPS
+    for kind in _FORM_KINDS
+    if not name.startswith("perm:") or kind in ("inner", "sum")
+]
+
+
+class TestFormAgainstLeibniz:
+    """Every result a closed form gives equals the Leibniz route's: a copy
+    `Derivation(group, d.images)` has no form and evaluates by syllables and
+    joins.  The form bracket is checked against the operator bracket of the
+    copies, and its characters against `char_bracket_value` on the copies,
+    which reads only their evaluations."""
+
+    @staticmethod
+    def _elements(group, sampler):
+        if group.name.startswith("perm:"):
+            return group.finite_elements()
+        elements = [sampler.word_element(6) for _ in range(12)]
+        elements += [sampler.element() for _ in range(12)]
+        return elements + [group.element(p) for p in _BIG_PAYLOADS.get(group.name, [])]
+
+    @pytest.mark.parametrize("name, kind", _FORM_CASES)
+    def test_matches_leibniz_copy(self, name, kind):
+        group = group_from_name(name)
+        sampler = Sampler(group, seed=83, box=3)
+        d, copy = _with_leibniz_copy(_kinds(group, seed=71)[kind])
+        elements = self._elements(group, sampler)
+        for g in elements:
+            assert d.apply_element(g) == copy.apply_element(g)
+        xs = [sampler.algebra_element(max_terms=4) for _ in range(8)]
+        xs.append(AlgebraElement.from_terms(group, [(g, i + 1) for i, g in enumerate(elements[-4:])]))
+        for x in xs:
+            assert d.apply(x) == copy.apply(x)
+        arrows = [sampler.arrow(d) for _ in range(20)]
+        arrows += [Arrow(u, v) for v in elements[-4:] for u in d.apply_element(v).support()]
+        for arrow in arrows:
+            assert d.character(arrow) == copy.character(arrow)
+
+        partners = _kinds(group, seed=72)
+        for other in _FORM_KINDS:
+            if other not in partners:
+                continue
+            p, p_copy = _with_leibniz_copy(partners[other])
+            bracket, reference = d.bracket(p), copy.bracket(p_copy)
+            assert bracket._form is not None and reference._form is None
+            assert bracket == reference
+            for g in elements:
+                assert bracket.apply_element(g) == reference.apply_element(g)
+            for arrow in arrows + [sampler.arrow(bracket) for _ in range(10)]:
+                assert bracket.character(arrow) == char_bracket_value(copy, p_copy, arrow)
+
+        if name in ("perm:a5", "perm:a6"):
+            return  # perfect: the grading by G/G' is trivial
+        setup = GradingSetup.default(group)
+        components = decompose(d, setup).components
+        reference = decompose(copy, setup).components
+        assert list(components) == list(reference)
+        for key, component in components.items():
+            leibniz = reference[key]
+            assert component._form is not None and leibniz._form is None
+            assert component == leibniz
+            for g in elements:
+                assert component.apply_element(g) == leibniz.apply_element(g)
+
+
 # Most joins one `apply_element` call may make under `_bar_long_evaluations`:
 # binary powering makes at most 2 log2|k| + 1 per syllable, about 330 for four
 # syllables with exponents near 10^12; spelling one out takes 10^12.
@@ -261,10 +381,18 @@ def _bar_long_evaluations(monkeypatch):
     monkeypatch.setattr(Derivation, "apply_element", counted_apply_element)
 
 
+def _with_leibniz_copy(d):
+    """d, and the copy of it with no closed form, which evaluates by
+    syllables and joins."""
+    copy = Derivation(d.group, d.images)
+    assert d._form is not None and copy._form is None
+    return [d, copy]
+
+
 class TestBoundedCost:
     """Elements far outside any word one could spell out: each evaluation
     makes at most `_JOIN_LIMIT` joins, and the values match the closed
-    forms."""
+    forms, on each derivation and on its copy with no closed form."""
 
     BIG = 10**12
 
@@ -274,36 +402,38 @@ class TestBoundedCost:
 
     def test_heisenberg_inner(self):
         a = mono(h(1, 0, 0)) + mono(h(-1, 2, 3), 5) + mono(h(0, 0, 1), -2)
-        d = Derivation.inner(a)
-        for g in [h(2, -1, self.BIG), h(-3, 1, -self.BIG), h(0, 0, self.BIG)]:
-            assert d.apply_element(g) == mono(g) * a - a * mono(g)
+        for d in _with_leibniz_copy(Derivation.inner(a)):
+            for g in [h(2, -1, self.BIG), h(-3, 1, -self.BIG), h(0, 0, self.BIG)]:
+                assert d.apply_element(g) == mono(g) * a - a * mono(g)
 
     def test_heisenberg_central(self):
         z = h(0, 0, 3)
-        d = Derivation.central(H, [2, -3], z)
-        for g in [h(2, -1, self.BIG), h(-3, 1, -self.BIG), h(0, 0, self.BIG)]:
-            a, b, _ = g.payload
-            assert d.apply_element(g) == mono(g * z, 2 * a - 3 * b)
+        for d in _with_leibniz_copy(Derivation.central(H, [2, -3], z)):
+            for g in [h(2, -1, self.BIG), h(-3, 1, -self.BIG), h(0, 0, self.BIG)]:
+                a, b, _ = g.payload
+                assert d.apply_element(g) == mono(g * z, 2 * a - 3 * b)
 
     def test_zn_inner_and_central(self):
         Z3 = FreeAbelian(3)
         a = mono(Z3.element((1, 2, 3))) + mono(Z3.element((0, -1, 0)), 4)
         z = Z3.element((1, -1, 2))
         tau = [2, -1, 5]
-        inner = Derivation.inner(a)
-        central = Derivation.central(Z3, tau, z)
-        for coords in [(self.BIG, -self.BIG, 3), (0, 0, -self.BIG), (7, self.BIG, 1)]:
-            g = Z3.element(coords)
-            assert inner.apply_element(g) == mono(g) * a - a * mono(g)
-            value = sum(t * k for t, k in zip(tau, coords))
-            assert central.apply_element(g) == mono(g * z, value)
+        inners = _with_leibniz_copy(Derivation.inner(a))
+        centrals = _with_leibniz_copy(Derivation.central(Z3, tau, z))
+        for inner, central in zip(inners, centrals):
+            for coords in [(self.BIG, -self.BIG, 3), (0, 0, -self.BIG), (7, self.BIG, 1)]:
+                g = Z3.element(coords)
+                assert inner.apply_element(g) == mono(g) * a - a * mono(g)
+                value = sum(t * k for t, k in zip(tau, coords))
+                assert central.apply_element(g) == mono(g * z, value)
 
 
 class TestSyllableCost:
     """x^a y^b with a and b at +-10^12: each evaluation makes at most
     `_JOIN_LIMIT` joins, `syllables` may return at most 4 syllables, each
     with a base among x, y and z = [x, y], and the values match the closed
-    forms."""
+    forms.  A derivation with a closed form asks for no syllables, so each
+    test also runs on its copy with no closed form, which must ask."""
 
     BIG = 10**12
     ELEMENTS = [(BIG, -BIG, 7), (-BIG, BIG, BIG), (BIG, BIG, -BIG), (-BIG, -3, 0)]
@@ -333,7 +463,8 @@ class TestSyllableCost:
 
     def test_inner(self):
         a = mono(h(1, 0, 0)) + mono(h(-1, 2, 3), 5) + mono(h(0, 0, 1), -2)
-        self._check_inner(Derivation.inner(a), a)
+        for d in _with_leibniz_copy(Derivation.inner(a)):
+            self._check_inner(d, a)
 
     def test_table(self):
         a = mono(h(1, 1, 0)) + mono(h(2, -1, 0), 3)
@@ -341,26 +472,31 @@ class TestSyllableCost:
 
     def test_central(self):
         z = h(0, 0, 3)
-        d = Derivation.central(H, [2, -3], z)
-        for payload in self.ELEMENTS:
-            g = h(*payload)
-            a, b, _ = payload
-            assert d.apply_element(g) == mono(g * z, 2 * a - 3 * b)
+        for d in _with_leibniz_copy(Derivation.central(H, [2, -3], z)):
+            for payload in self.ELEMENTS:
+                g = h(*payload)
+                a, b, _ = payload
+                assert d.apply_element(g) == mono(g * z, 2 * a - 3 * b)
 
 
 def _cold_jobs():
     """Jobs that compute on payloads from end to end, each on a derivation
-    built beforehand with a cold cache: no `GroupElement` is needed inside."""
+    built beforehand with a cold cache: no `GroupElement` is needed inside.
+    Each job runs on the derivation with its closed form and on its copy
+    with none, which evaluates by syllables and joins."""
     Z3 = FreeAbelian(3)
     inner = Derivation.inner(mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3))
     central = Derivation.central(Z3, [2, -1, 5], Z3.element((1, -1, 2)))
     g, e = h(10**6, 3, 7), Z3.element((10**6, -3, 7))
     setup = GradingSetup.default(H)
-    return {
-        "apply-heisenberg": lambda: inner.apply_element(g),
-        "apply-zn:3": lambda: central.apply_element(e),
-        "decompose-inner": lambda: decompose(inner, setup),
-    }
+    jobs = {}
+    for suffix, (inner_d, central_d) in zip(
+        ["", "-leibniz"], zip(_with_leibniz_copy(inner), _with_leibniz_copy(central))
+    ):
+        jobs[f"apply-heisenberg{suffix}"] = lambda d=inner_d: d.apply_element(g)
+        jobs[f"apply-zn:3{suffix}"] = lambda d=central_d: d.apply_element(e)
+        jobs[f"decompose-inner{suffix}"] = lambda d=inner_d: decompose(d, setup)
+    return jobs
 
 
 @pytest.mark.parametrize("job", _cold_jobs().values(), ids=_cold_jobs().keys())
@@ -380,9 +516,9 @@ def test_kernels_build_no_elements(monkeypatch, job):
 
 def test_syllable_bases_not_rebuilt(monkeypatch):
     # once x, y and z = [x, y] have images, an element with a, b and c - ab
-    # all positive needs no inverse at all
+    # all positive needs no inverse at all; the closed form needs none ever
     a = mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3)
-    d = Derivation.inner(a)
+    form, d = _with_leibniz_copy(Derivation.inner(a))
     d.apply_element(h(1, 1, 2))
     g = h(1000, 2000, 2_003_000)
     expected = mono(g) * a - a * mono(g)
@@ -393,10 +529,14 @@ def test_syllable_bases_not_rebuilt(monkeypatch):
         return inv(self, p)
 
     monkeypatch.setattr(Heisenberg, "_inv", counting)
+    minus_x = h(-3, 0, 0)
+    assert form.apply_element(g) == expected
+    assert form.apply_element(minus_x) == mono(minus_x) * a - a * mono(minus_x)
+    assert calls == []
     assert d.apply_element(g) == expected
     assert calls == []
     # the count sees evaluation: a negative exponent inverts its base
-    d.apply_element(h(-3, 0, 0))
+    d.apply_element(minus_x)
     assert calls == [(1, 0, 0)]
 
 

@@ -126,12 +126,15 @@ class TestDecomposition:
                 assert not comp.is_zero()
 
     def test_one_key_per_image_term(self, monkeypatch):
-        # an inner derivation of 30 elements in distinct cosets
+        # an inner derivation of 30 elements in distinct cosets: its closed
+        # form is split with one key per term of a, and its copy with no
+        # closed form with one key per generator-image term
         setup = GradingSetup.default(H)
         a = AlgebraElement.from_terms(
             H, [(h(i, j, i + j), 1) for i in range(1, 7) for j in range(1, 6)]
         )
         d = Derivation.inner(a)
+        table = Derivation(H, d.images)
         calls = []
         key = setup.quotient.key
 
@@ -141,6 +144,11 @@ class TestDecomposition:
 
         monkeypatch.setattr(setup.quotient, "key", counting)
         dec = decompose(d, setup)
+        assert len(dec.components) == 30
+        assert len(calls) == len(a) == 30
+        assert dec.total() == d
+        calls.clear()
+        dec = decompose(table, setup)
         terms = sum(len(img) for img in d.images.values())
         assert len(dec.components) == 30
         assert len(calls) == terms == 120
