@@ -9,8 +9,12 @@ evaluated by one of two routes.
   homomorphism to (C, +) read through `Group.abelian_coords`.  d(g) is then
   built on payloads from a and the central parts, with no join.  `+`,
   `scale` and `bracket` combine forms, and `grading.decompose` splits one by
-  coset, so each result keeps its form.
-* A table from outside (`from_table`) has no form.  A group element g is
+  coset, so each result keeps its form.  A table from outside
+  (`from_table`) over a finite kernel keeps one too: the kernel checks it
+  by solving for a potential on the conjugation action, one coefficient
+  subtraction per generator arrow, and hands back its inner part w
+  (`Group.table_witness`), so the table is inner(w).
+* A table over an infinite kernel has no form.  A group element g is
   evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ...
   (`Group.syllables`, on payloads), where each base w is a generator or an
   element whose own syllables lie nearer the generators; a base is
@@ -18,9 +22,9 @@ evaluated by one of two routes.
   payloads, (g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)), which refuses to
   combine more than `MAX_TERMS` terms: each w^k is built from d(w) or
   d(w^-1) by binary powering, in O(log |k|) joins, and the powers are then
-  joined in order.  A table is checked by the same join: on each of the
-  kernel's payload pairs (g, h) (`Group.leibniz_pairs`), d(g) joined with
-  d(h) must equal d(gh).
+  joined in order.  Such a table is checked by the same join: on each of
+  the kernel's payload pairs (g, h) (`Group.leibniz_pairs`), d(g) joined
+  with d(h) must equal d(gh).
 
 The character view is derived: the value of the character on an arrow
 (u, v) is the coefficient of u in d(v).
@@ -34,6 +38,7 @@ from .algebra import AlgebraElement, Terms, commutator
 from .coefficients import CoeffLike, GaussianRational, ZERO, as_coefficient
 from .groups import (
     Arrow,
+    CapabilityError,
     CentralityError,
     Group,
     GroupElement,
@@ -59,6 +64,9 @@ class DerivationTableError(ValueError):
 
 class TermBudgetError(ValueError):
     """An image would have more terms than `MAX_TERMS` allows."""
+
+
+_RELATION_ERROR = "generator images violate a defining relation"
 
 
 # tau of a central part: its values on the free basis of the abelianization
@@ -210,7 +218,7 @@ class Derivation:
     ):
         """The derivation with the given generator images, which must
         already be known to define one: an image over `group` for every
-        generator, satisfying the Leibniz rule on the group's pairs.  With a
+        generator, extending to a derivation of C[G].  With a
         closed form, the images must be the form's, or None to read them
         from it.  Nothing is checked here; `from_table` is the constructor
         for images from outside."""
@@ -278,8 +286,10 @@ class Derivation:
         group: Group, images: Dict[GroupElement, AlgebraElement]
     ) -> "Derivation":
         """The derivation with generator images from outside, checked to be
-        over `group`, on exactly the generating set, and satisfying the
-        Leibniz rule on every pair of `group.leibniz_pairs()`."""
+        over `group`, on exactly the generating set, and a derivation: by the
+        kernel's `table_witness`, which also gives its closed form inner(w),
+        or on a kernel without one by the Leibniz rule on every pair of
+        `group.leibniz_pairs()`."""
         if set(images) != set(group.generators()):
             raise DerivationTableError(
                 "images must be given on exactly the generating set"
@@ -293,13 +303,21 @@ class Derivation:
     # -- table validation ----------------------------------------------------
 
     def _validate_table(self) -> None:
-        image = self._image
-        for p, q in self.group.leibniz_pairs():
-            pq, joined = self._join((p, image(p)), (q, image(q)))
-            if joined != image(pq):
-                raise DerivationTableError(
-                    "generator images violate a defining relation"
-                )
+        group = self.group
+        try:
+            witness = group.table_witness(
+                [self.images[s]._terms for s in group.generators()], ZERO
+            )
+        except CapabilityError:
+            image = self._image
+            for p, q in group.leibniz_pairs():
+                pq, joined = self._join((p, image(p)), (q, image(q)))
+                if joined != image(pq):
+                    raise DerivationTableError(_RELATION_ERROR)
+            return
+        if witness is None:
+            raise DerivationTableError(_RELATION_ERROR)
+        self._form = _Form(AlgebraElement._nonzero(group, witness), {})
 
     # -- evaluation ----------------------------------------------------------
 

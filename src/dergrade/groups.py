@@ -12,16 +12,18 @@ Three kernels are supported, each with a trivially solvable word problem:
 Elements are immutable values in canonical normal form: for all three kernels
 the payload *is* the normal form, so equality is payload equality.  Every
 method a kernel or quotient offers the library's own layers takes and returns
-payloads: the product and inverse (`Group._mul`, `Group._inv`), syllables,
-Leibniz pairs, the conjugacy, centre and abelianization oracles, and quotient
-keys.  The algebra, derivation and grading layers compute on payloads alone;
-`g * h`, `g.inverse()` and the element-valued entry points (`element`,
-`generators`, sampling, JSON) wrap them for callers that hold
-`GroupElement`s.  A permutation group keeps its members as payloads; its
-closure, commutator subgroup and conjugacy classes are orbits of one
-breadth-first search, and its payload products are read from a table of at
-most |G|^2 references, filled on first use.  Evaluating a permutation element
-recurses as deep as the closure's BFS tree (see `PermutationGroup`).
+payloads: the product and inverse (`Group._mul`, `Group._inv`), syllables, the
+table checks (Leibniz pairs, or a permutation group's table witness), the
+conjugacy, centre and abelianization oracles, and quotient keys.  The algebra,
+derivation and grading layers compute on payloads alone; `g * h`,
+`g.inverse()` and the element-valued entry points (`element`, `generators`,
+sampling, JSON) wrap them for callers that hold `GroupElement`s.  A
+permutation group keeps its members as payloads; its closure, commutator
+subgroup and conjugacy classes are orbits of one breadth-first search, and its
+payload products are read from a table of at most |G|^2 references, filled on
+first use.  A permutation group checks a derivation table by solving for a
+potential on its conjugation action (`PermutationGroup.table_witness`), which
+also gives the table's inner form.
 """
 
 from __future__ import annotations
@@ -169,14 +171,14 @@ class Group:
 
     A kernel defines its product and inverse on payloads (`_mul`, `_inv`)
     and the identity's payload (`_identity`), and `GroupElement` lifts them
-    to elements through `_wrap`.  The other
-    kernel methods the library's layers call (`syllables`, `leibniz_pairs`
-    and the conjugacy, centre and abelianization oracles) take and return
-    payloads too, and do not check them: a payload is assumed to be a normal
-    form of this group.  Membership is checked once where outside values
-    meet: products of `GroupElement`s, `Arrow`, and the algebra, derivation
-    and grading entry points, each through `_check`, which then pass
-    `.payload` on.
+    to elements through `_wrap`.  The other kernel methods the library's
+    layers call (`syllables`, the table checks `leibniz_pairs` and
+    `table_witness`, and the conjugacy, centre and abelianization oracles)
+    take and return payloads too, and do not check them: a payload is
+    assumed to be a normal form of this group.  Membership is checked once
+    where outside values meet: products of `GroupElement`s, `Arrow`, and the
+    algebra, derivation and grading entry points, each through `_check`,
+    which then pass `.payload` on.
     """
 
     def __init__(self, name: str, key: tuple):
@@ -243,10 +245,19 @@ class Group:
         raise NotImplementedError
 
     def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
-        """Payload pairs (g, h) on which a generator table is checked: the
-        table is a derivation exactly when its syllable evaluation d
-        satisfies d(gh) = d(g)*h + g*d(h) on every pair."""
+        """Payload pairs (g, h) on which an infinite kernel's generator table
+        is checked: the table is a derivation exactly when its syllable
+        evaluation d satisfies d(gh) = d(g)*h + g*d(h) on every pair.  A
+        finite kernel checks tables by `table_witness` instead."""
         raise NotImplementedError
+
+    def table_witness(self, images: Sequence[dict], zero) -> Optional[dict]:
+        """For a finite kernel, the inner part w of a generator table, as
+        {payload: nonzero coefficient} with d = inner(w), or None when the
+        table is no derivation.  `images` holds the terms of d(s) for each
+        generator s in order, {payload: nonzero coefficient}, and `zero` is
+        the coefficients' 0."""
+        raise CapabilityError(f"{self.name} has no finite table witness")
 
     # -- conjugacy / center oracles -------------------------------------------
 
@@ -278,8 +289,11 @@ class Group:
     # -- sampling and central derivations ---------------------------------------
 
     def random_element(self, rng: random.Random, box: int) -> GroupElement:
-        """An element whose payload entries are drawn from [-box, box] in turn."""
-        return self.element(tuple(rng.randint(-box, box) for _ in self._identity))
+        return self._wrap(self._random_payload(rng, box))
+
+    def _random_payload(self, rng: random.Random, box: int) -> tuple:
+        """A payload whose entries are drawn from [-box, box] in turn."""
+        return tuple(rng.randint(-box, box) for _ in self._identity)
 
     def has_central_derivations(self) -> bool:
         """Whether `random_central` can draw a nonzero central derivation."""
@@ -543,9 +557,10 @@ class PermutationGroup(Group):
 
     Elements are enumerated by closure from the generating set at
     construction time, which also records every element's parent in the
-    closure's BFS tree.  A derivation evaluates an element from its parent's
-    image, recursing as deep as the tree; no caller builds a tree deeper
-    than that of s6 (15 levels), the largest group `group_from_name` builds.
+    closure's BFS tree.  A derivation with no closed form evaluates an
+    element from its parent's image, recursing as deep as the tree; no
+    caller builds a tree deeper than that of s6 (15 levels), the largest
+    group `group_from_name` builds.
     The tree depth must stay well below `sys.getrecursionlimit()`, so
     generators of a large cyclic group (one permutation of order in the
     thousands, with a tree as deep) are not supported; nothing checks this.
@@ -555,7 +570,10 @@ class PermutationGroup(Group):
     once).  Its oracles work on payloads: `syllables` reads the BFS tree, a
     dict from each payload to its (parent, (generator, exponent)) edge, and
     `conjugacy_class`, `class_representative` and `is_central` return
-    payloads and verdicts, never elements.
+    payloads and verdicts, never elements.  A generator table is checked by
+    `table_witness`, one coefficient subtraction per generator arrow of the
+    conjugation action (|G| * |generators| in all), with no Leibniz pairs
+    and no joins; it returns the table's inner part.
     `_mul` reads a product table of payloads indexed by position in that
     order: a row is allocated the first time its left factor is used and a
     cell is filled the first time it is read.  The table holds at most
@@ -661,8 +679,8 @@ class PermutationGroup(Group):
     def _inv(self, p: tuple) -> tuple:
         return _perm_inv(p)
 
-    def random_element(self, rng: random.Random, box: int) -> GroupElement:
-        return self._wrap(rng.choice(self._elements))
+    def _random_payload(self, rng: random.Random, box: int) -> tuple:
+        return rng.choice(self._elements)
 
     def syllables(self, p: tuple) -> List[Syllable]:
         # g = parent * s^k, one step down the closure's BFS tree
@@ -672,17 +690,50 @@ class PermutationGroup(Group):
         parent, syllable = edge
         return [(parent, 1), syllable]
 
-    def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
-        # Each Cayley edge w -> w*s off the closure's BFS tree, s a generator;
-        # on a tree edge d(ws) is d(w) joined with d(s) by construction.
-        # Every element of a finite group is a positive word in the
-        # generators, so Leibniz on every (g, s) gives it on every (g, h)
-        # by induction on the length of h.
-        tree = self._tree
-        moves = [(s, _right_mul(s)) for s in self._generator_payloads]
-        return [
-            (w, s) for w in self._elements for s, times in moves if tree[times(w)] != (w, (s, 1))
+    def table_witness(self, images: Sequence[dict], zero) -> Optional[dict]:
+        # The arrow (s x, s) of the conjugation groupoid goes from x to
+        # s x s^-1, and its character value chi is the coefficient of s x in
+        # d(s).  The table is a derivation iff some f: G -> C satisfies
+        # chi(s x, s) = f(x) - f(s x s^-1) on all |G| * |gens| generator
+        # arrows: then d = inner(sum f(x) x), and conversely every derivation
+        # of the semisimple C[G] is inner(w), with f the coefficients of w.
+        # f is solved on each class by breadth-first search from f(root) = 0
+        # and compared on every other arrow; then each class is shifted by
+        # its most frequent value (0 on a tie), which leaves inner(w) as it
+        # is and keeps w sparse: a table of inner(a) gets |w| <= |a|.
+        moves = [
+            (s, _right_mul(_perm_inv(s)), chi)
+            for s, chi in zip(self._generator_payloads, images)
         ]
+        f: Dict[tuple, object] = {}
+        witness = {}
+        for root in self._elements:
+            if root in f:
+                continue
+            f[root] = zero
+            cls = [root]
+            for x in cls:  # the list grows as it is read: breadth first
+                fx = f[x]
+                for s, times_si, chi in moves:
+                    sx = _perm_mul(s, x)
+                    c = chi.get(sx)
+                    value = fx if c is None else fx - c
+                    y = times_si(sx)
+                    fy = f.get(y)
+                    if fy is None:
+                        f[y] = value
+                        cls.append(y)
+                    elif fy != value:
+                        return None
+            counts: Dict[object, int] = {}
+            for x in cls:
+                counts[f[x]] = counts.get(f[x], 0) + 1
+            # the first most frequent value; the root's 0 comes first
+            shift = max(counts, key=counts.__getitem__)
+            for x in cls:
+                if f[x] != shift:
+                    witness[x] = f[x] - shift
+        return witness
 
     def finite_elements(self) -> List[GroupElement]:
         return list(map(self._wrap, self._elements))

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .algebra import AlgebraElement
-from .coefficients import GaussianRational
+from .coefficients import ZERO, GaussianRational
 from .derivations import Derivation
 from .groups import Arrow, Group, GroupElement
 
@@ -63,11 +63,15 @@ class Sampler:
     # -- algebra elements --------------------------------------------------------
 
     def algebra_element(self, max_terms: int = 3) -> AlgebraElement:
+        # each term's payload is drawn before its coefficient, as `element()`
+        # would draw it, but never wrapped
         n_terms = self.rng.randint(1, max_terms)
-        return AlgebraElement.from_terms(
-            self.group,
-            [(self.element(), self.nonzero_coefficient()) for _ in range(n_terms)],
-        )
+        group, rng, box = self.group, self.rng, self.box
+        terms: Dict[tuple, GaussianRational] = {}
+        for _ in range(n_terms):
+            p = group._random_payload(rng, box)
+            terms[p] = terms.get(p, ZERO) + self.nonzero_coefficient()
+        return AlgebraElement(group, terms)
 
     # -- derivations ----------------------------------------------------------------
 

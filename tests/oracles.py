@@ -22,6 +22,23 @@ def word(group, g):
     return letters
 
 
+def leibniz_pairs(group):
+    """The brute-force table check of a permutation group, as payload pairs
+    (w, s): each Cayley edge w -> w*s off the closure's BFS tree, s a
+    generator.  On a tree edge d(ws) is d(w) joined with d(s) by
+    construction, and every element of a finite group is a positive word in
+    the generators, so the Leibniz rule on every (g, s) gives it on every
+    (g, h) by induction on the length of h.  `from_table` checks the same
+    tables through `PermutationGroup.table_witness`."""
+    tree = group._tree
+    return [
+        (w, s)
+        for w in group._elements
+        for s in group._generator_payloads
+        if tree[group._mul(w, s)] != (w, (s, 1))
+    ]
+
+
 def _solve_rational(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
     """One solution of A x = b over Q by Gaussian elimination, or None."""
     m = [row[:] + [b] for row, b in zip(rows, rhs)]

@@ -25,7 +25,7 @@ from dergrade import (
 )
 from dergrade import derivations
 from dergrade.sampling import Sampler
-from oracles import find_inner_witness, word
+from oracles import find_inner_witness, leibniz_pairs, word
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -286,22 +286,24 @@ _FORM_GROUPS = [
     "perm:a4", "perm:a5", "perm:a6",
 ]
 # the Sampler kinds that keep a closed form; permutation groups have no
-# central derivations
+# central derivations, and a table over one keeps a form too
 _FORM_KINDS = ["inner", "sum", "central", "mixed"]
 _FORM_CASES = [
     (name, kind)
     for name in _FORM_GROUPS
     for kind in _FORM_KINDS
     if not name.startswith("perm:") or kind in ("inner", "sum")
-]
+] + [(name, "table") for name in _FORM_GROUPS if name.startswith("perm:")]
 
 
 class TestFormAgainstLeibniz:
     """Every result a closed form gives equals the Leibniz route's: a copy
     `Derivation(group, d.images)` has no form and evaluates by syllables and
-    joins.  The form bracket is checked against the operator bracket of the
-    copies, and its characters against `char_bracket_value` on the copies,
-    which reads only their evaluations."""
+    joins.  On a permutation group a table gets its form inner(w) from
+    `from_table`, and is compared the same way.  The form bracket is
+    checked against the operator bracket of the copies, and its characters
+    against `char_bracket_value` on the copies, which reads only their
+    evaluations."""
 
     @staticmethod
     def _elements(group, sampler):
@@ -353,6 +355,23 @@ class TestFormAgainstLeibniz:
             assert component == leibniz
             for g in elements:
                 assert component.apply_element(g) == leibniz.apply_element(g)
+
+
+@pytest.mark.parametrize("name", ["perm:s3", "perm:a4", "perm:s4", "perm:a5", "perm:s5", "perm:s6"])
+def test_table_witness_is_no_larger_than_the_inner_part(name):
+    # each class is shifted by its most frequent potential, so a table of
+    # inner(a) gets a witness w with at most |a| terms, and inner(w) == inner(a)
+    group = group_from_name(name)
+    sampler = Sampler(group, seed=37)
+    elements = group.finite_elements()
+    sums = [mono(g) for g in elements[:3]]
+    sums.append(AlgebraElement.from_terms(group, [(g, 1) for g in elements[:7]]))
+    for a in [sampler.algebra_element(max_terms=6) for _ in range(8)] + sums:
+        d = Derivation.from_table(group, dict(Derivation.inner(a).images))
+        w = d._form.a
+        assert len(w) <= len(a)
+        assert Derivation.inner(w) == Derivation.inner(a)
+        assert d.is_inner_witness(w)
 
 
 # Most joins one `apply_element` call may make under `_bar_long_evaluations`:
@@ -483,7 +502,8 @@ def _cold_jobs():
     """Jobs that compute on payloads from end to end, each on a derivation
     built beforehand with a cold cache: no `GroupElement` is needed inside.
     Each job runs on the derivation with its closed form and on its copy
-    with none, which evaluates by syllables and joins."""
+    with none, which evaluates by syllables and joins.  Checking a
+    permutation table, and grading it, is a job too."""
     Z3 = FreeAbelian(3)
     inner = Derivation.inner(mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3))
     central = Derivation.central(Z3, [2, -1, 5], Z3.element((1, -1, 2)))
@@ -496,6 +516,11 @@ def _cold_jobs():
         jobs[f"apply-heisenberg{suffix}"] = lambda d=inner_d: d.apply_element(g)
         jobs[f"apply-zn:3{suffix}"] = lambda d=central_d: d.apply_element(e)
         jobs[f"decompose-inner{suffix}"] = lambda d=inner_d: decompose(d, setup)
+    S5 = group_from_name("perm:s5")
+    table = dict(Sampler(S5, seed=5).derivation(allow_table=False).images)
+    s5_setup = GradingSetup.default(S5)
+    jobs["from_table-perm:s5"] = lambda: Derivation.from_table(S5, table)
+    jobs["decompose-table-perm:s5"] = lambda: decompose(Derivation.from_table(S5, table), s5_setup)
     return jobs
 
 
@@ -747,6 +772,13 @@ class TestLeibniz:
         with pytest.raises(DerivationTableError):
             Derivation.from_table(S4, images)
 
+    def test_repeated_generator_table(self):
+        # the images reach the kernel in generator order, repeats included
+        G = PermutationGroup("s3-repeated", 3, [(2, 3, 1), (2, 3, 1), (2, 1, 3)])
+        d = Derivation.inner(mono(G.element((2, 1, 3))) + mono(G.element((3, 1, 2)), 2))
+        table = Derivation.from_table(G, dict(d.images))
+        assert table == d and table._form is not None
+
 
 def leibniz_pair_scan(d, elements):
     """The Leibniz rule on every pair of `elements`: the brute-force table
@@ -790,7 +822,7 @@ def rank_mod_prime(rows, prime=2**61 - 1):
 class TestRelatorValidationOracle:
     @pytest.mark.parametrize(
         "name",
-        ["perm:s3", "perm:a4", "perm:s4", "perm:a5", "heisenberg", "zn:3"],
+        ["perm:s3", "perm:a4", "perm:s4", "perm:a5", "perm:s5", "heisenberg", "zn:3"],
     )
     def test_from_table_accepts_what_pair_scan_accepts(self, name):
         group = group_from_name(name)
@@ -838,7 +870,7 @@ class TestRelatorValidationOracle:
                 images = {t: mono(e) if t == s else zero for t in group.generators()}
                 d = Derivation(group, images)
                 row = []
-                for p, q in group.leibniz_pairs():
+                for p, q in leibniz_pairs(group):
                     defect = (
                         d._image(group._mul(p, q))
                         - d._image(p) * AlgebraElement(group, {q: gr(1)})
@@ -849,35 +881,44 @@ class TestRelatorValidationOracle:
         assert rank_mod_prime(defects) == len(elements) + classes
 
 
+def _counted(monkeypatch, owner, method):
+    """The list of first arguments of the calls to `owner.method` made from
+    now on."""
+    original, calls = getattr(owner, method), []
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return original(self, *args)
+
+    monkeypatch.setattr(owner, method, counting)
+    return calls
+
+
+def _valid_tables():
+    for name in ["perm:s5", "perm:s6"]:
+        group = group_from_name(name)
+        yield group, dict(Sampler(group, seed=1).derivation(allow_table=False).images)
+
+
 def test_table_validation_cost(monkeypatch):
-    # s5 has 159 Leibniz pairs; this table takes about 1,400 payload products
-    S5 = group_from_name("perm:s5")
-    images = dict(Sampler(S5, seed=1).derivation(allow_table=False).images)
-    mul, calls = PermutationGroup._mul, []
-
-    def counting(self, p, q):
-        calls.append(p)
-        return mul(self, p, q)
-
-    monkeypatch.setattr(PermutationGroup, "_mul", counting)
-    Derivation.from_table(S5, images)
-    assert 0 < len(calls) < 6000
+    # one potential per class: at most one payload product per generator
+    # arrow (s x, s), |G| * |gens| in all (240 on s5, 1,440 on s6)
+    calls = _counted(monkeypatch, PermutationGroup, "_mul")
+    for group, images in _valid_tables():
+        calls.clear()
+        Derivation.from_table(group, images)
+        assert len(calls) <= len(group.finite_elements()) * len(group.generators())
 
 
 def test_table_validation_joins(monkeypatch):
-    # one join per Leibniz pair, and at most one more per element: each
-    # element is its BFS-tree parent's image joined with one generator's
-    S6 = group_from_name("perm:s6")
-    images = dict(Sampler(S6, seed=1).derivation(allow_table=False).images)
-    join, calls = Derivation._join, []
-
-    def counting(self, left, right):
-        calls.append(left[0])
-        return join(self, left, right)
-
-    monkeypatch.setattr(Derivation, "_join", counting)
-    Derivation.from_table(S6, images)
-    assert len(calls) <= len(S6.leibniz_pairs()) + len(S6.finite_elements())
+    # a permutation table is checked by its potential, with no join, and
+    # its form evaluates d(g) with none either
+    calls = _counted(monkeypatch, Derivation, "_join")
+    for group, images in _valid_tables():
+        d = Derivation.from_table(group, images)
+        for g in group.finite_elements()[::7]:
+            d.apply_element(g)
+    assert calls == []
 
 
 class TestInnerWitness:

@@ -12,6 +12,7 @@ from dergrade import (
     CompositionError,
     Derivation,
     FreeAbelian,
+    GaussianRational,
     GradingSetup,
     GroupElement,
     GroupMismatchError,
@@ -618,7 +619,10 @@ class TestProductTable:
             assert cls <= payloads
             assert S4.class_representative(a.payload) == min(cls)
             assert {w for w, _ in S4.syllables(a.payload)} <= payloads
-        assert {w for pair in S4.leibniz_pairs() for w in pair} <= payloads
+        inner = Derivation.inner(AlgebraElement.monomial(S4.element((2, 3, 1, 4)), 3))
+        images = [img._terms for img in inner.images.values()]
+        witness = S4.table_witness(images, GaussianRational(0))
+        assert witness and set(witness) <= payloads
         assert set(S4.generators()) <= members
         assert all(s.group is S4 for s in S4.generators())
 
