@@ -5,6 +5,11 @@
         [--quotient derived|<spec.json>] [--in <file|->] [--out <file|->]
         [--seed <int>] [--samples N] [--word-len L]
 
+The options are defined once, in `_OPTIONS`.  A well-formed command line
+(the command, then full option names each followed by its value) is read
+straight from that table; argparse, built from the same table, reads every
+other command line and prints all help and error text.
+
 Exit codes: 0 success, 2 spec/parse error, an option value out of range or
 an --in, --out or --quotient path that cannot be read or written, 3 setup
 rejection, 4 property failure.  All randomness is seeded, so identical jobs
@@ -47,9 +52,23 @@ EXIT_SPEC = 2
 EXIT_SETUP = 3
 EXIT_PROPERTY = 4
 
-# Longest --word-len `verify` accepts: every sampled word costs time linear in
-# its length.
+# Longest --word-len and largest --samples `verify` accepts: every sampled
+# word costs time linear in its length, and every sample a run of each suite.
 MAX_WORD_LEN = 1000
+MAX_SAMPLES = 1000
+
+# option -> (namespace field, type, default, help); --group alone is required
+_OPTIONS = {
+    "--group": ("group", str, None, "heisenberg | zn:<n> | perm:<sN|aN>"),
+    "--quotient": (
+        "quotient", str, "derived", "'derived' or a JSON file with {'subgroup': [elements]}"
+    ),
+    "--in": ("infile", str, "-", "input file or '-'"),
+    "--out": ("outfile", str, "-", "output file or '-'"),
+    "--seed": ("seed", int, 0, None),
+    "--samples": ("samples", int, 25, None),
+    "--word-len": ("word_len", int, 4, None),
+}
 
 
 @functools.cache
@@ -57,17 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; parsing does not change it."""
     # the options every subcommand takes, defined once and copied into each
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", required=True, help="heisenberg | zn:<n> | perm:<sN|aN>")
-    common.add_argument(
-        "--quotient",
-        default="derived",
-        help="'derived' or a JSON file with {'subgroup': [elements]}",
-    )
-    common.add_argument("--in", dest="infile", default="-", help="input file or '-'")
-    common.add_argument("--out", dest="outfile", default="-", help="output file or '-'")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=25)
-    common.add_argument("--word-len", type=int, default=4)
+    for option, (dest, kind, default, text) in _OPTIONS.items():
+        common.add_argument(
+            option, dest=dest, type=kind, default=default, help=text, required=default is None
+        )
     parser = argparse.ArgumentParser(
         prog="dergrade",
         description="Compute with derivations of group algebras and their grading",
@@ -76,6 +88,26 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
+
+
+def _parse_plain(argv: list) -> Optional[argparse.Namespace]:
+    """The namespace argparse builds for `<command> --option value ...` with
+    full option names, a --group, and no value that starts with '-' other
+    than '-' itself; None for every other argv, which argparse then reads."""
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    fields = {dest: default for dest, _, default, _ in _OPTIONS.values()}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        spec = _OPTIONS.get(option)
+        if spec is None or (value.startswith("-") and value != "-"):
+            return None
+        try:
+            fields[spec[0]] = spec[1](value)
+        except ValueError:
+            return None
+    if fields["group"] is None:
+        return None
+    return argparse.Namespace(command=argv[0], **fields)
 
 
 def _read_input(path: str) -> str:
@@ -179,6 +211,11 @@ def _cmd_character(args, group: Group) -> int:
 def _cmd_verify(args, group: Group) -> int:
     if args.samples <= 0:
         raise SpecError(f"--samples must be positive, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise SpecError(
+            f"--samples must be between 1 and MAX_SAMPLES = {MAX_SAMPLES}, "
+            f"got {args.samples}"
+        )
     if not 0 <= args.word_len <= MAX_WORD_LEN:
         raise SpecError(
             f"--word-len must be between 0 and MAX_WORD_LEN = {MAX_WORD_LEN}, "
@@ -226,7 +263,11 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         group = group_from_name(args.group)
         return _COMMANDS[args.command](args, group)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import signal
 import sys
 
@@ -223,6 +224,12 @@ MALFORMED = {
             f"error: --word-len must be between 0 and MAX_WORD_LEN = 1000, got {value}\n")
         for value in ["-1", "1001", "100000000"]
     },
+    **{
+        f"samples-{value}": (
+            ["verify", "--group", "heisenberg", "--samples", value], None,
+            f"error: --samples must be between 1 and MAX_SAMPLES = 1000, got {value}\n")
+        for value in ["1001", "100000000"]
+    },
 }
 
 
@@ -333,6 +340,15 @@ def test_parse_error_names_term_and_shape(tmp_path, capsys, command, job, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_samples_limit_checked_before_the_quotient(monkeypatch, capsys):
+    def build(group, selector):
+        raise AssertionError("quotient built")
+
+    monkeypatch.setattr(cli, "_resolve_quotient", build)
+    assert main(["verify", "--group", "perm:s3", "--samples", "1001"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_word_len_limit_still_runs(capsys):
@@ -626,3 +642,94 @@ def test_argparse_text_pinned(monkeypatch, capsys, argv, code, out, err):
     assert exit_.value.code == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
+
+
+# every argv shape bench/workloads.py sends through `cli.main`
+BENCH_ARGVS = [
+    ["apply", "--group", "heisenberg"],
+    ["character", "--group", "zn:3"],
+    ["bracket", "--group", "heisenberg"],
+    ["info", "--group", "perm:s6"],
+    ["decompose", "--group", "perm:a5"],
+    ["decompose", "--group", "perm:s4", "--quotient", "klein-four.json"],
+    ["verify", "--group", "heisenberg", "--samples", "0"],
+]
+
+_PLAIN_COMMANDS = list(cli._COMMANDS)
+_PLAIN_OPTIONS = list(cli._OPTIONS)
+_ODD_COMMANDS = ["frobnicate", "-h", "--help", "--group", "", "--", "info=x"]
+_ODD_OPTIONS = ["--gr", "--q", "--s", "--sa", "--wo", "--i", "--group=perm:s3",
+                "--seed=3", "--in=-", "-h", "--help", "--", "-", "--bogus", "group"]
+_VALUES = ["-", "-5", "-x", "", " 7", "1_0", "perm:s6", "heisenberg", "zn:3", "7", "0",
+           "derived", "x", "--group", "-h", "3 ", "+5", "1e3", "\u0663"]
+
+
+def _random_argv(rng):
+    """A command line built mostly from what the plain route reads, with odd
+    commands, options and values mixed in."""
+    odd = rng.random() < 0.3
+    argv = [rng.choice(_ODD_COMMANDS if odd and rng.random() < 0.3 else _PLAIN_COMMANDS)]
+    for _ in range(rng.randint(0, 4)):
+        argv.append(rng.choice(_ODD_OPTIONS if odd and rng.random() < 0.3 else _PLAIN_OPTIONS))
+        argv.append(rng.choice(_VALUES))
+    if rng.random() < 0.7 and "--group" not in argv:
+        argv += ["--group", rng.choice(_VALUES)]
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(_VALUES + _ODD_OPTIONS))
+    return argv
+
+
+class TestPlainRoute:
+    def test_agrees_with_argparse(self):
+        rng = random.Random(19)
+        accepted = 0
+        for _ in range(4000):
+            argv = _random_argv(rng)
+            plain = cli._parse_plain(argv)
+            if plain is not None:
+                accepted += 1
+                assert plain == build_parser().parse_args(argv), argv
+        assert accepted > 500
+
+    @pytest.mark.parametrize("argv", BENCH_ARGVS, ids=" ".join)
+    def test_accepts_bench_argvs(self, argv):
+        plain = cli._parse_plain(argv)
+        assert plain is not None
+        assert plain == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["info", "--group=perm:s3"], ["info", "--gr", "perm:s3"], ["info", "--group"],
+        ["info", "--group", "perm:s3", "-h"], ["info", "--group", "perm:s3", "--"],
+        ["info", "--group", "zn:3", "--seed", "-3"], ["info", "--group", "zn:3", "--seed", "x"],
+        ["info", "--quotient", "derived"], [], ["--group", "zn:3", "info"],
+    ])
+    def test_leaves_other_argvs_to_argparse(self, argv):
+        assert cli._parse_plain(argv) is None
+
+    def test_plain_job_builds_no_parser(self, capsys):
+        build_parser.cache_clear()
+        assert main(["info", "--group", "perm:s3"]) == 0
+        assert build_parser.cache_info().misses == 0
+        plain = capsys.readouterr()
+        assert main(["info", "--group=perm:s3"]) == 0
+        assert build_parser.cache_info().misses == 1
+        assert capsys.readouterr() == plain
+
+    def test_help_builds_parser(self, capsys):
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exit_:
+            main(["info", "--group", "perm:s3", "-h"])
+        assert exit_.value.code == 0
+        assert build_parser.cache_info().misses == 1
+        assert capsys.readouterr().out.startswith("usage: dergrade info")
+
+    @pytest.mark.parametrize("args, misses", [
+        (["info", "--group", "perm:s3"], 0),
+        (["info", "--group=perm:s3"], 1),
+    ])
+    def test_main_reads_sys_argv(self, monkeypatch, capsys, args, misses):
+        expected = main(["info", "--group", "perm:s3"]), capsys.readouterr()
+        build_parser.cache_clear()
+        monkeypatch.setattr(sys, "argv", ["dergrade"] + args)
+        assert (main(), capsys.readouterr()) == expected
+        assert build_parser.cache_info().misses == misses
