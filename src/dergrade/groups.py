@@ -18,10 +18,11 @@ conjugacy, centre and abelianization oracles, and quotient keys.  The algebra,
 derivation and grading layers compute on payloads alone; `g * h`,
 `g.inverse()` and the element-valued entry points (`element`, `generators`,
 sampling, JSON) wrap them for callers that hold `GroupElement`s.  A
-permutation group keeps its members as payloads; its closure, commutator
-subgroup and conjugacy classes are orbits of one breadth-first search, and its
-payload products are read from a table of at most |G|^2 references, filled on
-first use.  A permutation group checks a derivation table by solving for a
+permutation group keeps its members as payloads; its closure and conjugacy
+classes are orbits of one breadth-first search, its centre is solved on the
+points and its commutator subgroup grown by whole cosets, and its payload
+products are read from a table of at most |G|^2 references, filled on first
+use.  A permutation group checks a derivation table by solving for a
 potential on its conjugation action (`PermutationGroup.table_witness`), which
 also gives the table's inner form.
 """
@@ -32,6 +33,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from math import gcd
 from operator import add, itemgetter, neg
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -537,6 +539,43 @@ def _orbit(start: tuple, moves: Sequence[tuple]) -> Dict[tuple, Optional[tuple]]
     return tree
 
 
+def _extend_subgroup(members: set, maps: list, c: tuple) -> None:
+    """Grow the subgroup H = `members`, closed under the right
+    multiplications in `maps`, into the subgroup that H and c generate, and
+    add c's to `maps`.  The new subgroup is a union of right cosets H r, and
+    such a union is closed under a map once it holds r t for each coset
+    representative r and map t; each new coset H r t is one C-level gather
+    over H."""
+    old = list(members)
+    maps.append(_right_mul(c))
+    cosets = old[:1]  # H itself; the list grows as it is read
+    for r in cosets:
+        for times in maps:
+            rt = times(r)
+            if rt not in members:
+                members.update(map(_right_mul(rt), old))
+                cosets.append(rt)
+
+
+def _commuting_map(gens: Sequence[tuple], first: int, image: int) -> Optional[Dict[int, int]]:
+    """The map z on the orbit of the point `first` under `gens` with
+    z(first) = image and z(s(i)) = s(z(i)) for each point i and generator s,
+    as {i: z(i)} in breadth-first order, or None when there is no such map."""
+    z = {first: image}
+    queue = [first]
+    for i in queue:  # the list grows as it is read: breadth first
+        zi = z[i]
+        for s in gens:
+            j, zj = s[i - 1], s[zi - 1]
+            known = z.get(j)
+            if known is None:
+                z[j] = zj
+                queue.append(j)
+            elif known != zj:
+                return None
+    return z
+
+
 def _perm_parity(g: tuple) -> int:
     seen = [False] * len(g)
     parity = 0
@@ -582,15 +621,19 @@ class PermutationGroup(Group):
     multiply too.
 
     One breadth-first search, `_orbit`, builds the closure (the orbit of the
-    identity under right multiplication by the letters), G' (the orbit of
-    the identity under the generator commutators and the conjugations by
-    the generators) and each conjugacy class (the orbit of an element under
-    those conjugations, |class| * |generators| products).  Each generator's
-    conjugation is one map, built once (`_conjugation`); the centre and the
-    `quotient_by` check use the same maps.  Right multiplication by a fixed
-    factor is a C-level gather built by `_right_mul`.  `quotient_by` checks
-    a subgroup given from outside; `derived_quotient` builds G' as a normal
-    closure and skips that check.
+    identity under right multiplication by the letters) and each conjugacy
+    class (the orbit of an element under the conjugations by the
+    generators, |class| * |generators| products).  Each generator's
+    conjugation is one map, built once (`_conjugation`), which `is_central`,
+    the normal closure and the `quotient_by` check use.  No cold fact scans
+    the members one call at a time: the centre is solved on the points, at
+    most prod |orbit| candidates (6 on s6), each looked up in the index; G'
+    is a normal closure that grows by whole right cosets of the subgroup
+    reached so far (`_extend_subgroup`); and a quotient keys each coset by
+    one gather over N.  Right multiplication by a fixed factor is a C-level
+    gather built by `_right_mul`.  `quotient_by` checks a subgroup given
+    from outside; `derived_quotient` builds G' as a normal closure and skips
+    that check.
     """
 
     def __init__(self, name: str, degree: int, generator_payloads: Sequence[tuple]):
@@ -765,17 +808,48 @@ class PermutationGroup(Group):
         return min(self.conjugacy_class(a))
 
     def center_payloads(self) -> FrozenSet[tuple]:
+        # z is central iff z(s(i)) = s(z(i)) for each point i and generator
+        # s.  A member maps each orbit of G on the points into itself, where
+        # it is fixed by its image of the orbit's first point: each point of
+        # the orbit is tried as that image, and the choices that propagate
+        # consistently are kept.  A choice per orbit makes a permutation that
+        # commutes with G, central iff it is a member: at most
+        # prod |orbit| candidates, and no member is scanned.
         if self._center is None:
-            self._center = frozenset(filter(self.is_central, self._elements))
+            gens = self._generator_payloads
+            choices = []
+            placed = set()
+            for first in range(1, self.degree + 1):
+                if first not in placed:
+                    orbit = _commuting_map(gens, first, first)  # the identity on it
+                    placed.update(orbit)
+                    tried = (_commuting_map(gens, first, j) for j in orbit)
+                    choices.append([z for z in tried if z is not None])
+            center = set()
+            for parts in product(*choices):
+                z = {}
+                for part in parts:
+                    z.update(part)
+                candidate = tuple(z[i] for i in range(1, self.degree + 1))
+                if candidate in self._index:
+                    center.add(candidate)
+            self._center = frozenset(center)
         return self._center
 
     def derived_payloads(self) -> FrozenSet[tuple]:
-        # G' is the normal closure of the generator commutators: in a finite
-        # group, the closure of {e} under right multiplication by them and
-        # conjugation by the generators
+        # G' is the normal closure N of the generator commutators.  N starts
+        # as the subgroup they generate; whenever s c s^-1 escapes N, for a
+        # generator s of G and a generator c of N, it becomes a generator of
+        # N too and N is closed again.  Once none escapes, N is normal.
         if self._derived is None:
-            moves = [(c, _right_mul(c)) for c in self._generator_commutators()]
-            self._derived = frozenset(_orbit(self._elements[0], moves + self._conjugations))
+            members = {self._identity}
+            maps: list = []
+            pending = self._generator_commutators()
+            for c in pending:  # the list grows as it is read
+                if c not in members:
+                    _extend_subgroup(members, maps, c)
+                    pending.extend(conj(c) for _, conj in self._conjugations)
+            self._derived = frozenset(members)
         return self._derived
 
     def quotient_by(self, subgroup_payloads: Iterable[tuple]) -> "FiniteQuotient":
@@ -903,23 +977,27 @@ class FiniteQuotient(QuotientSpec):
     The constructor does not check N: `PermutationGroup.quotient_by` checks a
     subgroup given from outside before building the quotient, and
     `derived_quotient` passes G', which is normal with abelian quotient by
-    construction.  Keys are the lexicographically minimal coset member.
+    construction.  Keys are the lexicographically minimal coset member; the
+    keys of a coset gN = Ng are one C-level gather over N.  The keys are
+    named "even" and "odd" when N is the even elements of G, of index 2,
+    which is decided on the generators alone.
     """
 
     def __init__(self, group: PermutationGroup, subgroup: FrozenSet[tuple]):
         super().__init__(group)
-        # _elements is sorted, so the first unkeyed element is its coset's minimum
+        # _elements is sorted, so the first unkeyed element is its coset's
+        # minimum; N is normal, so the coset gN is Ng, one gather over N
         self._keys: Dict[tuple, tuple] = {}
         for g in group._elements:
+            if len(self._keys) == len(group._elements):
+                break
             if g not in self._keys:
-                for n in subgroup:
-                    self._keys[_perm_mul(g, n)] = g
-        # N is the even elements of G, of index 2, iff |G| = 2|N|, N holds no
-        # odd element and some generator is odd
-        self._sign_quotient = (
-            len(group._elements) == 2 * len(subgroup)
-            and any(map(_perm_parity, group._generator_payloads))
-            and not any(map(_perm_parity, subgroup))
+                self._keys.update(dict.fromkeys(map(_right_mul(g), subgroup), g))
+        # With |G| = 2|N|, G -> G/N is a homomorphism onto Z/2, and N is the
+        # even elements iff it is the sign; two homomorphisms agree once they
+        # agree on the generators, so: each generator is odd iff it is not in N
+        self._sign_quotient = len(group._elements) == 2 * len(subgroup) and all(
+            _perm_parity(s) == (s not in subgroup) for s in group._generator_payloads
         )
 
     def key(self, g: tuple) -> tuple:

@@ -4,11 +4,14 @@ import json
 import random
 import signal
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dergrade import AlgebraElement, Derivation, Heisenberg, cli, derivations, group_from_name
+from dergrade import (
+    AlgebraElement, Derivation, Heisenberg, cli, derivations, group_from_name, groups,
+)
 from dergrade.cli import build_parser, main
 from dergrade.serialization import (
     derivation_from_json,
@@ -17,6 +20,7 @@ from dergrade.serialization import (
 )
 
 H = Heisenberg()
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def h(a, b, c):
@@ -532,6 +536,17 @@ class TestDeterminism:
             assert main(["verify", "--group", "heisenberg", "--seed", "9",
                          "--samples", "8", "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "s5", "s6", "a4", "a5", "a6"])
+def test_perm_info_golden(monkeypatch, capsys, name):
+    # a cold group, as a fresh `dergrade info` builds it, against files
+    # recorded from an earlier build
+    monkeypatch.setattr(groups, "_PERM_CACHE", {})
+    assert main(["info", "--group", f"perm:{name}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (GOLDEN / f"info-perm-{name}.txt").read_bytes()
+    assert captured.err == ""
 
 
 class TestParserBuiltOnce:

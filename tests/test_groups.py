@@ -362,6 +362,27 @@ class TestCentrality:
         assert info_calls == len(calls)
         assert S6.center_payloads() is S6.center_payloads()
 
+        conjugations = []
+        conjugate = groups._conjugate
+
+        def counting_conjugate(s, times_si, g):
+            conjugations.append(g)
+            return conjugate(s, times_si, g)
+
+        # patched before the group is built: its conjugation maps bind it
+        monkeypatch.setattr(groups, "_conjugate", counting_conjugate)
+        S6 = PermutationGroup.symmetric(6)
+        calls.clear()
+        # the centre is solved on the 6 points: no member is conjugated
+        # or multiplied
+        assert S6.center_payloads() == {S6.identity().payload}
+        assert conjugations == [] and calls == []
+        # G' grows by whole cosets of the subgroup reached so far: fewer
+        # products, gathers included, than one per member and generator
+        derived = S6.derived_payloads()
+        assert 0 < len(calls) < len(derived) * len(S6.generators())
+        assert len(conjugations) < len(derived)
+
 
 class TestQuotients:
     def test_heisenberg_keys(self):
@@ -493,6 +514,22 @@ def frontier_tree(group):
     return tree
 
 
+D4 = [(2, 3, 4, 1), (3, 2, 1, 4)]
+
+# Intransitive and otherwise odd-shaped groups, (degree, generators)
+ODD_SHAPES = [
+    (4, [(2, 1, 3, 4), (1, 2, 4, 3)]),
+    (5, [(2, 3, 1, 4, 5)]),
+    (4, [(1, 2, 3, 4)]),
+    # centre {e, (1 3)(2 4)}
+    (4, D4),
+    (6, [(2, 1, 3, 4, 5, 6), (2, 3, 1, 4, 5, 6), (1, 2, 3, 5, 4, 6), (1, 2, 3, 5, 6, 4)]),
+    # the diagonal of S3 x S3
+    (6, [(2, 1, 3, 5, 4, 6), (2, 3, 1, 5, 6, 4)]),
+]
+ODD_SHAPE_IDS = ["z2xz2", "c3-on-5", "trivial-on-4", "d4", "s3xs3", "diagonal-s3"]
+
+
 class TestSympyOracle:
     @pytest.mark.parametrize("name", PERM_NAMES)
     def test_derived_subgroup_and_center(self, name):
@@ -518,6 +555,30 @@ class TestSympyOracle:
         for cls in classes:
             assert all(scanned_class(a, elements) == cls for a in sorted(cls)[:3])
             assert group.class_representative(max(cls)) == min(cls)
+
+    @pytest.mark.parametrize("degree, generators", ODD_SHAPES, ids=ODD_SHAPE_IDS)
+    def test_centre_and_derived_of_odd_shapes(self, degree, generators):
+        group = PermutationGroup("odd-shape", degree, generators)
+        oracle = sympy_group(generators)
+        assert group.center_payloads() == payloads(oracle.center())
+        assert group.derived_payloads() == payloads(oracle.derived_subgroup())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_centre_and_derived_of_random_groups(self, seed):
+        # ten derandomized generator sets per seed, of degree 2 to 6, with
+        # one to three generators each, the identity and repeats allowed
+        rng = random.Random(seed)
+        for _ in range(10):
+            degree = rng.randint(2, 6)
+            generators = []
+            for _ in range(rng.randint(1, 3)):
+                points = list(range(1, degree + 1))
+                rng.shuffle(points)
+                generators.append(tuple(points))
+            group = PermutationGroup("random", degree, generators)
+            oracle = sympy_group(generators)
+            assert group.center_payloads() == payloads(oracle.center()), generators
+            assert group.derived_payloads() == payloads(oracle.derived_subgroup()), generators
 
     def test_normality_verdicts_in_s4(self):
         S4 = PermutationGroup.symmetric(4)
@@ -762,7 +823,13 @@ class TestDerivedQuotientOracle:
         # index 2 in <(1 2), (3 4)>: the even elements, or an odd one
         (PermutationGroup("z2xz2", 4, TRANSPOSITIONS), [(2, 1, 4, 3)], True),
         (PermutationGroup("z2xz2", 4, TRANSPOSITIONS), TRANSPOSITIONS[:1], False),
-    ], ids=["s4/a4", "s3/a3", "a4/v4", "v4/z2", "z2xz2/even", "z2xz2/odd"])
+        # the three subgroups of index 2 in D4: the rotations and <(1 3), (2 4)>
+        # hold odd elements, V4 is the even ones
+        (PermutationGroup("d4", 4, D4), [(2, 3, 4, 1)], False),
+        (PermutationGroup("d4", 4, D4), [(3, 2, 1, 4), (1, 4, 3, 2)], False),
+        (PermutationGroup("d4", 4, D4), [(2, 1, 4, 3), (3, 4, 1, 2)], True),
+    ], ids=["s4/a4", "s3/a3", "a4/v4", "v4/z2", "z2xz2/even", "z2xz2/odd",
+            "d4/rotations", "d4/diagonals", "d4/v4"])
     def test_key_names_match_sign_rule(self, group, generators, sign):
         subgroup = payloads(sympy_group(generators))
         assert brute_force_is_sign_quotient(group, subgroup) == sign
