@@ -3,18 +3,22 @@
 A derivation is stored by its images on the kernel's generating set, and
 evaluated by one of two routes.
 
-* Inner and central derivations, and their sums, scalar multiples and
-  brackets, keep a closed form (`_Form`):
+* Most derivations keep a closed form (`_Form`):
   d(g) = g*a - a*g + sum over central z of tau_z(g) * g*z, with tau_z a
-  homomorphism to (C, +) read through `Group.abelian_coords`.  d(g) is then
-  built on payloads from a and the central parts, with no join.  `+`,
-  `scale` and `bracket` combine forms, and `grading.decompose` splits one by
-  coset, so each result keeps its form.  A table from outside
-  (`from_table`) over a finite kernel keeps one too: the kernel checks it
-  by solving for a potential on the conjugation action, one coefficient
-  subtraction per generator arrow, and hands back its inner part w
-  (`Group.table_witness`), so the table is inner(w).
-* A table over an infinite kernel has no form.  A group element g is
+  homomorphism to (C, +) read through `Group.abelian_coords`.  Inner and
+  central derivations, and their sums, scalar multiples and brackets, do:
+  `+`, `scale` and `bracket` combine forms, and `grading.decompose` splits
+  one by coset, so each result keeps its form.  A table from outside
+  (`from_table`) keeps one wherever its kernel can find it
+  (`Group.table_form`): a permutation group solves for a potential on its
+  conjugation action, one coefficient subtraction per generator arrow, and
+  hands back the inner part w, so the table is inner(w); on Z^n every table
+  is a derivation, and each term of d(e_i) is one central part.  A form
+  builds only what is read: d(g) on payloads from a and the central parts,
+  with no join; the generator images on their first read; and a character
+  value chi(u, v), the coefficient of u in d(v), by the formula
+  a[v^-1 u] - a[u v^-1] + tau_{v^-1 u}(v), with no image at all.
+* A table over `heisenberg` has no form.  A group element g is
   evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ...
   (`Group.syllables`, on payloads), where each base w is a generator or an
   element whose own syllables lie nearer the generators; a base is
@@ -24,7 +28,8 @@ evaluated by one of two routes.
   d(w^-1) by binary powering, in O(log |k|) joins, and the powers are then
   joined in order.  Such a table is checked by the same join: on each of
   the kernel's payload pairs (g, h) (`Group.leibniz_pairs`), d(g) joined
-  with d(h) must equal d(gh).
+  with d(h) must equal d(gh).  A copy `Derivation(group, images)` built
+  directly has no form either, over any kernel, and takes this route.
 
 The character view is derived: the value of the character on an arrow
 (u, v) is the coefficient of u in d(v).
@@ -147,6 +152,21 @@ class _Form:
             _add_terms(acc, self._central_terms(p))
         return AlgebraElement._nonzero(group, acc)
 
+    def coefficient(self, u: tuple, v: tuple) -> GaussianRational:
+        """The coefficient of the element with payload u in d(v): a[v^-1 u]
+        from v*a, minus a[u v^-1] from a*v, plus tau_{v^-1 u}(v) when v^-1 u
+        is a central part's z, the one z with v*z = u."""
+        group = self.a.group
+        mul = group._mul
+        vi = group._inv(v)
+        s = mul(vi, u)
+        terms = self.a._terms
+        value = terms.get(s, ZERO) - terms.get(mul(u, vi), ZERO)
+        tau = self.central.get(s)
+        if tau is not None:
+            value = value + _tau_at(tau, group.abelian_coords(v))
+        return value
+
     def central_apply(self, x: AlgebraElement) -> AlgebraElement:
         """The central parts alone applied to x."""
         acc: Terms = {}
@@ -201,12 +221,12 @@ class _Form:
 
 class Derivation:
     """A derivation of C[G]: its generator images (`images`), the output
-    `spec` it was parsed from or None, and, for an inner-plus-central
-    derivation, its closed form.  Evaluation uses the form when there is
-    one and syllables with Leibniz joins otherwise; `==` compares images
-    only."""
+    `spec` it was parsed from or None, and its closed form when it has one.
+    Evaluation uses the form when there is one and syllables with Leibniz
+    joins otherwise; `==` compares images only.  A derivation built from its
+    form alone fills `images` from it on first read."""
 
-    __slots__ = ("group", "images", "spec", "_form", "_cache")
+    __slots__ = ("group", "_images", "spec", "_form", "_cache")
 
     def __init__(
         self,
@@ -220,23 +240,34 @@ class Derivation:
         already be known to define one: an image over `group` for every
         generator, extending to a derivation of C[G].  With a
         closed form, the images must be the form's, or None to read them
-        from it.  Nothing is checked here; `from_table` is the constructor
-        for images from outside."""
+        from it when first asked for.  Nothing is checked here;
+        `from_table` is the constructor for images from outside."""
         self.group = group
         self.spec = spec
         self._form = form
-        if images is None:
-            images = {s: form.image(s.payload) for s in group.generators()}
-        self.images = {s: images[s] for s in group.generators()}
+        self._images = None if images is None else {s: images[s] for s in group.generators()}
         self._reset_cache()
 
+    @property
+    def images(self) -> Dict[GroupElement, AlgebraElement]:
+        """The image of each generator, in generator order."""
+        images = self._images
+        if images is None:
+            form = self._form
+            images = self._images = {
+                s: form.image(s.payload) for s in self.group.generators()
+            }
+        return images
+
     def _reset_cache(self) -> None:
-        # d(g) by g's payload: the generator images, the inverses of syllable
-        # bases met so far, and every evaluated element.  Elements of equal
-        # groups share payloads, and so share cached images.
-        self._cache: Dict[tuple, AlgebraElement] = {
-            s.payload: img for s, img in self.images.items()
-        }
+        # d(g) by g's payload: every evaluated element and, with no form, the
+        # generator images the syllables start from and the inverses of
+        # syllable bases met so far.  Elements of equal groups share
+        # payloads, and so share cached images.
+        if self._form is not None:
+            self._cache: Dict[tuple, AlgebraElement] = {}
+        else:
+            self._cache = {s.payload: img for s, img in self._images.items()}
 
     # -- constructors --------------------------------------------------------
 
@@ -287,8 +318,8 @@ class Derivation:
     ) -> "Derivation":
         """The derivation with generator images from outside, checked to be
         over `group`, on exactly the generating set, and a derivation: by the
-        kernel's `table_witness`, which also gives its closed form inner(w),
-        or on a kernel without one by the Leibniz rule on every pair of
+        kernel's `table_form`, which also gives its closed form, or on a
+        kernel without one by the Leibniz rule on every pair of
         `group.leibniz_pairs()`."""
         if set(images) != set(group.generators()):
             raise DerivationTableError(
@@ -305,8 +336,8 @@ class Derivation:
     def _validate_table(self) -> None:
         group = self.group
         try:
-            witness = group.table_witness(
-                [self.images[s]._terms for s in group.generators()], ZERO
+            parts = group.table_form(
+                [self._images[s]._terms for s in group.generators()], ZERO
             )
         except CapabilityError:
             image = self._image
@@ -315,9 +346,11 @@ class Derivation:
                 if joined != image(pq):
                     raise DerivationTableError(_RELATION_ERROR)
             return
-        if witness is None:
+        if parts is None:
             raise DerivationTableError(_RELATION_ERROR)
-        self._form = _Form(AlgebraElement._nonzero(group, witness), {})
+        inner, central = parts
+        self._form = _Form(AlgebraElement._nonzero(group, inner), central)
+        self._reset_cache()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -423,10 +456,22 @@ class Derivation:
             _add_terms(acc, [(t, c * v) for t, v in self._image(p)._terms.items()])
         return AlgebraElement._nonzero(self.group, acc)
 
+    def _coefficient(self, u: tuple, v: tuple) -> GaussianRational:
+        """The coefficient of the element with payload u in d(v): from the
+        closed form with no image built, else from d(v) by `_image`."""
+        if self._form is not None:
+            return self._form.coefficient(u, v)
+        return self._image(v)._terms.get(u, ZERO)
+
     def character(self, arrow: Arrow) -> GaussianRational:
         """chi^d(u, v): the coefficient of u in d(v).  The arrow's endpoints
-        share a group, which `apply_element` checks."""
-        return self.apply_element(arrow.v).coefficient(arrow.u)
+        share a group, so checking v checks both."""
+        v = arrow.v
+        group = self.group
+        # checked before the form or the cache is read, as in `apply_element`
+        if v.group is not group:
+            group._check(v)
+        return self._coefficient(arrow.u.payload, v.payload)
 
     # -- Lie algebra structure -------------------------------------------------
 
@@ -435,26 +480,27 @@ class Derivation:
             raise GroupMismatchError("derivations over different groups")
 
     def __add__(self, other: "Derivation") -> "Derivation":
+        """The sum: of the two closed forms when both have one, its images
+        read from that form when asked for; else of the images."""
         self._check_group(other)
-        images = {s: self.images[s] + other.images[s] for s in self.images}
-        form = None
         if self._form is not None and other._form is not None:
-            form = self._form + other._form
-        return Derivation(self.group, images, form=form)
+            return Derivation(self.group, None, form=self._form + other._form)
+        images, others = self.images, other.images
+        return Derivation(self.group, {s: images[s] + others[s] for s in images})
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + other.scale(-1)
 
     def scale(self, coeff: CoeffLike) -> "Derivation":
         c = as_coefficient(coeff)
-        images = {s: img.scale(c) for s, img in self.images.items()}
-        form = None if self._form is None else self._form.scale(c)
-        return Derivation(self.group, images, form=form)
+        if self._form is not None:
+            return Derivation(self.group, None, form=self._form.scale(c))
+        return Derivation(self.group, {s: img.scale(c) for s, img in self.images.items()})
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """[d, other] = d∘other - other∘d: from the two closed forms when
-        both have one, its images read from the bracket's form; else as
-        the operator commutator on the generator images."""
+        both have one, its images read from the bracket's form when asked
+        for; else as the operator commutator on the generator images."""
         self._check_group(other)
         if self._form is not None and other._form is not None:
             return Derivation(self.group, None, form=self._form.bracket(other._form))
@@ -517,12 +563,12 @@ def char_bracket_value(
     p(b) and d(b), so each sum runs over the terms of one of those images.
     """
     d._check_group(p)
-    a, b = arrow.u, arrow.v
+    a, b = arrow.u.payload, arrow.v
     total = ZERO
     for k, c in p.apply_element(b)._terms.items():
-        total = total + d._image(k).coefficient(a) * c
+        total = total + d._coefficient(a, k) * c
     for k, c in d.apply_element(b)._terms.items():
-        total = total - p._image(k).coefficient(a) * c
+        total = total - p._coefficient(a, k) * c
     return total
 
 

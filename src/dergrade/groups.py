@@ -13,18 +13,21 @@ Elements are immutable values in canonical normal form: for all three kernels
 the payload *is* the normal form, so equality is payload equality.  Every
 method a kernel or quotient offers the library's own layers takes and returns
 payloads: the product and inverse (`Group._mul`, `Group._inv`), syllables, the
-table checks (Leibniz pairs, or a permutation group's table witness), the
-conjugacy, centre and abelianization oracles, and quotient keys.  The algebra,
-derivation and grading layers compute on payloads alone; `g * h`,
+table checks (a table's closed form, or Leibniz pairs where there is none),
+the conjugacy, centre and abelianization oracles, and quotient keys.  The
+algebra, derivation and grading layers compute on payloads alone; `g * h`,
 `g.inverse()` and the element-valued entry points (`element`, `generators`,
 sampling, JSON) wrap them for callers that hold `GroupElement`s.  A
 permutation group keeps its members as payloads; its closure and conjugacy
 classes are orbits of one breadth-first search, its centre is solved on the
 points and its commutator subgroup grown by whole cosets, and its payload
 products are read from a table of at most |G|^2 references, filled on first
-use.  A permutation group checks a derivation table by solving for a
-potential on its conjugation action (`PermutationGroup.table_witness`), which
-also gives the table's inner form.
+use.  A kernel checks a derivation table by finding its closed form
+(`Group.table_form`): a permutation group solves for a potential on its
+conjugation action, which gives the table's inner part, and Z^n, where every
+table is a derivation, reads each term of an image as one central part.
+`heisenberg` has no such solver and names the pairs its tables are checked
+on (`Group.leibniz_pairs`).
 """
 
 from __future__ import annotations
@@ -174,8 +177,8 @@ class Group:
     A kernel defines its product and inverse on payloads (`_mul`, `_inv`)
     and the identity's payload (`_identity`), and `GroupElement` lifts them
     to elements through `_wrap`.  The other kernel methods the library's
-    layers call (`syllables`, the table checks `leibniz_pairs` and
-    `table_witness`, and the conjugacy, centre and abelianization oracles)
+    layers call (`syllables`, the table checks `table_form` and
+    `leibniz_pairs`, and the conjugacy, centre and abelianization oracles)
     take and return payloads too, and do not check them: a payload is
     assumed to be a normal form of this group.  Membership is checked once
     where outside values meet: products of `GroupElement`s, `Arrow`, and the
@@ -247,19 +250,25 @@ class Group:
         raise NotImplementedError
 
     def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
-        """Payload pairs (g, h) on which an infinite kernel's generator table
-        is checked: the table is a derivation exactly when its syllable
-        evaluation d satisfies d(gh) = d(g)*h + g*d(h) on every pair.  A
-        finite kernel checks tables by `table_witness` instead."""
+        """Payload pairs (g, h) on which a generator table with no form is
+        checked (`heisenberg`, the one kernel whose `table_form` raises): the
+        table is a derivation exactly when its syllable evaluation d
+        satisfies d(gh) = d(g)*h + g*d(h) on every pair."""
         raise NotImplementedError
 
-    def table_witness(self, images: Sequence[dict], zero) -> Optional[dict]:
-        """For a finite kernel, the inner part w of a generator table, as
-        {payload: nonzero coefficient} with d = inner(w), or None when the
-        table is no derivation.  `images` holds the terms of d(s) for each
-        generator s in order, {payload: nonzero coefficient}, and `zero` is
-        the coefficients' 0."""
-        raise CapabilityError(f"{self.name} has no finite table witness")
+    def table_form(
+        self, images: Sequence[dict], zero
+    ) -> Optional[Tuple[dict, Dict[tuple, tuple]]]:
+        """The closed form of a generator table, (a, central) with
+        d(g) = g*a - a*g + sum over z of tau_z(g) * g*z: the inner part a as
+        {payload: nonzero coefficient} and each tau_z, on the free basis of
+        the abelianization, by the payload of its central z, no tau all
+        zero; or None when the table is no derivation.  `images` holds the
+        terms of d(s) for each generator s in order, {payload: nonzero
+        coefficient}, and `zero` is the coefficients' 0.  A kernel with no
+        such solver raises `CapabilityError`, and its tables are checked on
+        `leibniz_pairs`."""
+        raise CapabilityError(f"{self.name} has no table form")
 
     # -- conjugacy / center oracles -------------------------------------------
 
@@ -424,7 +433,13 @@ class Heisenberg(Group):
 
 
 class FreeAbelian(Group):
-    """Z^n with componentwise addition."""
+    """Z^n with componentwise addition.
+
+    Every generator table is a derivation, since C[Z^n] is commutative, and
+    a central one: `table_form` reads its central parts off the images, one
+    per term, so a table evaluates by its closed form like any other
+    derivation here.  `syllables` (the generators, with the entries as
+    exponents) serves only a derivation built with no form."""
 
     def __init__(self, n: int):
         if n > MAX_ZN_RANK:
@@ -456,9 +471,23 @@ class FreeAbelian(Group):
     def syllables(self, p: tuple) -> List[Syllable]:
         return [(s.payload, k) for s, k in zip(self._generators, p)]
 
-    def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
-        # C[Z^n] is commutative, so every generator table is a derivation
-        return []
+    def table_form(
+        self, images: Sequence[dict], zero
+    ) -> Tuple[dict, Dict[tuple, tuple]]:
+        # C[Z^n] is commutative, so every table is a derivation, and it is
+        # central: a term t of d(e_i) is e_i * z for z = t - e_i, central as
+        # the group is, so d(g) = sum over z of tau_z(g) * g*z with tau_z(e_i)
+        # the coefficient of e_i * z in d(e_i)
+        n = self.n
+        central: Dict[tuple, list] = {}
+        for i, terms in enumerate(images):
+            for t, c in terms.items():
+                z = t[:i] + (t[i] - 1,) + t[i + 1:]
+                tau = central.get(z)
+                if tau is None:
+                    tau = central[z] = [zero] * n
+                tau[i] = c
+        return {}, {z: tuple(tau) for z, tau in central.items()}
 
     def is_central(self, z: tuple) -> bool:
         return True
@@ -610,7 +639,7 @@ class PermutationGroup(Group):
     dict from each payload to its (parent, (generator, exponent)) edge, and
     `conjugacy_class`, `class_representative` and `is_central` return
     payloads and verdicts, never elements.  A generator table is checked by
-    `table_witness`, one coefficient subtraction per generator arrow of the
+    `table_form`, one coefficient subtraction per generator arrow of the
     conjugation action (|G| * |generators| in all), with no Leibniz pairs
     and no joins; it returns the table's inner part.
     `_mul` reads a product table of payloads indexed by position in that
@@ -733,7 +762,9 @@ class PermutationGroup(Group):
         parent, syllable = edge
         return [(parent, 1), syllable]
 
-    def table_witness(self, images: Sequence[dict], zero) -> Optional[dict]:
+    def table_form(
+        self, images: Sequence[dict], zero
+    ) -> Optional[Tuple[dict, Dict[tuple, tuple]]]:
         # The arrow (s x, s) of the conjugation groupoid goes from x to
         # s x s^-1, and its character value chi is the coefficient of s x in
         # d(s).  The table is a derivation iff some f: G -> C satisfies
@@ -776,7 +807,7 @@ class PermutationGroup(Group):
             for x in cls:
                 if f[x] != shift:
                     witness[x] = f[x] - shift
-        return witness
+        return witness, {}
 
     def finite_elements(self) -> List[GroupElement]:
         return list(map(self._wrap, self._elements))

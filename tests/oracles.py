@@ -29,7 +29,7 @@ def leibniz_pairs(group):
     construction, and every element of a finite group is a positive word in
     the generators, so the Leibniz rule on every (g, s) gives it on every
     (g, h) by induction on the length of h.  `from_table` checks the same
-    tables through `PermutationGroup.table_witness`."""
+    tables through `PermutationGroup.table_form`."""
     tree = group._tree
     return [
         (w, s)

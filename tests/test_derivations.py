@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from dergrade import (
     Arrow,
     CentralityError,
     Derivation,
+    GroupMismatchError,
     DerivationTableError,
     FreeAbelian,
     GaussianRational,
@@ -286,21 +288,22 @@ _FORM_GROUPS = [
     "perm:a4", "perm:a5", "perm:a6",
 ]
 # the Sampler kinds that keep a closed form; permutation groups have no
-# central derivations, and a table over one keeps a form too
+# central derivations, and a table over one, or over Z^n, keeps a form too
 _FORM_KINDS = ["inner", "sum", "central", "mixed"]
 _FORM_CASES = [
     (name, kind)
     for name in _FORM_GROUPS
     for kind in _FORM_KINDS
     if not name.startswith("perm:") or kind in ("inner", "sum")
-] + [(name, "table") for name in _FORM_GROUPS if name.startswith("perm:")]
+] + [(name, "table") for name in _FORM_GROUPS if name != "heisenberg"]
 
 
 class TestFormAgainstLeibniz:
     """Every result a closed form gives equals the Leibniz route's: a copy
     `Derivation(group, d.images)` has no form and evaluates by syllables and
     joins.  On a permutation group a table gets its form inner(w) from
-    `from_table`, and is compared the same way.  The form bracket is
+    `from_table`, and on Z^n its central parts, and is compared the same
+    way.  The form bracket is
     checked against the operator bracket of the copies, and its characters
     against `char_bracket_value` on the copies, which reads only their
     evaluations."""
@@ -947,3 +950,155 @@ class TestInnerWitness:
         d = Derivation.inner(a)
         w = find_inner_witness(d, box)
         assert w is not None and d.is_inner_witness(w)
+
+
+# ---------------------------------------------------------------------------
+# A closed form builds only what is read
+# ---------------------------------------------------------------------------
+
+# per kernel, a group whose arrows are foreign to it, and a payload of each:
+# heisenberg and zn:3, and s4 and a4, share payloads, so a foreign arrow
+# there can meet a cached image under its own payload
+_FOREIGN = {
+    "heisenberg": ("zn:3", (2, -1, 3), (2, -1, 3)),
+    "zn:1": ("zn:2", (2, -1), (2,)),
+    "zn:3": ("heisenberg", (2, -1, 3), (2, -1, 3)),
+    "perm:s4": ("perm:a4", (2, 3, 1, 4), (2, 3, 1, 4)),
+    "perm:a4": ("perm:s4", (2, 3, 1, 4), (2, 3, 1, 4)),
+}
+
+
+def _character_cases(group, seed):
+    """The `_kinds` derivations over `group` and the graded components of
+    its mixed one (its sum on a permutation group)."""
+    cases = _kinds(group, seed)
+    base = cases.get("mixed", cases["sum"])
+    components = decompose(base, GradingSetup.default(group)).components
+    for i, component in enumerate(components.values()):
+        cases[f"component-{i}"] = component
+    return cases
+
+
+class TestCharacterByFormula:
+    """chi(u, v) of a form is read as a[v^-1 u] - a[u v^-1] +
+    tau_{v^-1 u}(v), with no image built, whether or not d(v) is cached; it
+    equals the coefficient of u in d(v) on the form-less copy
+    `Derivation(G, d.images)`, which evaluates by syllables and joins.  Half
+    the arrows have u in the support of d(v), and every arrow is read with a
+    cold cache and again with d(v) cached."""
+
+    @staticmethod
+    def _arrows(group, sampler, copy):
+        vs = [sampler.word_element() for _ in range(6)] + [sampler.element() for _ in range(6)]
+        vs += [group.element(p) for p in _BIG_PAYLOADS.get(group.name, [])]
+        arrows = []
+        for i, v in enumerate(vs):
+            support = sorted(copy.apply_element(v)._terms)
+            if i % 2 == 0 and support:
+                u = group._wrap(sampler.rng.choice(support))
+            elif group.name in _BIG_PAYLOADS and i >= 12:
+                u = group.element(_BIG_PAYLOADS[group.name][i % 3])
+            else:
+                u = sampler.element()
+            arrows.append(Arrow(u, v))
+        return arrows
+
+    @pytest.mark.parametrize("name", list(_FOREIGN))
+    def test_matches_the_copy(self, name):
+        group = group_from_name(name)
+        sampler = Sampler(group, seed=91, box=3)
+        nonzero = 0
+        for kind, d in _character_cases(group, seed=92).items():
+            copy = Derivation(group, d.images)
+            for arrow in self._arrows(group, sampler, copy):
+                expected = copy.apply_element(arrow.v).coefficient(arrow.u)
+                nonzero += bool(expected)
+                d._reset_cache()
+                assert d.character(arrow) == expected, (kind, arrow)
+                if d._form is not None:
+                    assert arrow.v.payload not in d._cache
+                d.apply_element(arrow.v)
+                assert d.character(arrow) == expected, (kind, arrow)
+        assert nonzero >= 10
+
+    @pytest.mark.parametrize("name", list(_FOREIGN))
+    def test_foreign_arrow_is_refused(self, name):
+        foreign_name, foreign_payload, payload = _FOREIGN[name]
+        group, foreign = group_from_name(name), group_from_name(foreign_name)
+        v = foreign.element(foreign_payload)
+        for d in _character_cases(group, seed=93).values():
+            d._reset_cache()
+            with pytest.raises(GroupMismatchError):
+                d.character(Arrow(v, v))
+            d.apply_element(group.element(payload))
+            with pytest.raises(GroupMismatchError):
+                d.character(Arrow(v, v))
+
+
+def test_forms_build_no_unread_image(monkeypatch):
+    # a cold character is read off the form, and a sum, multiple or bracket
+    # of forms builds its generator images only when they are read
+    calls = _counted(monkeypatch, derivations._Form, "image")
+    for name in ["perm:s6", "heisenberg"]:
+        group = group_from_name(name)
+        sampler = Sampler(group, seed=95, box=3)
+        a = sampler.algebra_element(max_terms=4)
+        vs = [sampler.word_element(4) for _ in range(10)]
+        copy = Derivation(group, Derivation.inner(a).images)
+        arrows = [Arrow(u, v) for v in vs for u in copy.apply_element(v).support()]
+        arrows += [Arrow(sampler.element(), v) for v in vs]
+        expected = [copy.character(arrow) for arrow in arrows]
+        assert any(expected)
+        calls.clear()
+        assert [Derivation.inner(a).character(arrow) for arrow in arrows] == expected
+        assert calls == []
+
+    a, b = mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3), mono(h(-1, 2, 0), 2) + mono(h(0, 0, 1))
+    total = Derivation.inner(a) + Derivation.central(H, [1, -2], h(0, 0, 1)).scale(gr(3))
+    bracket = total.bracket(Derivation.inner(b))
+    assert calls == []
+    images = bracket.images
+    assert sorted(calls) == sorted(s.payload for s in H.generators())
+    assert bracket.images is images and len(calls) == 2
+    reference = Derivation(H, dict(total.images)).bracket(Derivation(H, Derivation.inner(b).images))
+    assert bracket == reference and not bracket.is_zero()
+
+
+def _zn_tables(n, count, seed):
+    """`count` generator tables over Z^n, each image with 0 to 4 terms,
+    entries in [-3, 3] and Gaussian-rational coefficients."""
+    group = FreeAbelian(n)
+    sampler = Sampler(group, seed=seed, box=3)
+    for _ in range(count):
+        yield {
+            s: sampler.algebra_element(max_terms=4) if sampler.rng.random() < 0.9
+            else AlgebraElement.zero(group)
+            for s in group.generators()
+        }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zn_tables_keep_a_central_form(n):
+    # 200 tables a rank: each keeps a form whose images are the table, and
+    # whose evaluation, grading and brackets equal those of the form-less
+    # copy, which evaluates by syllables and joins
+    group = FreeAbelian(n)
+    setup = GradingSetup.default(group)
+    rng = random.Random(f"zn-tables/{n}")
+    previous = None
+    for images in _zn_tables(n, 200, seed=96 + n):
+        d = Derivation.from_table(group, images)
+        copy = Derivation(group, images)
+        assert d._form is not None and not d._form.a and copy._form is None
+        assert d.images == images
+        for box in (3, 10**12):
+            g = group.element([rng.randint(-box, box) for _ in range(n)])
+            assert d.apply_element(g) == copy.apply_element(g)
+        components = decompose(d, setup).components
+        reference = decompose(copy, setup).components
+        assert list(components) == list(reference)
+        assert all(components[k] == reference[k] for k in components)
+        if previous is not None:
+            p, p_copy = previous
+            assert d.bracket(p) == copy.bracket(p_copy)
+        previous = d, copy

@@ -682,8 +682,8 @@ class TestProductTable:
             assert {w for w, _ in S4.syllables(a.payload)} <= payloads
         inner = Derivation.inner(AlgebraElement.monomial(S4.element((2, 3, 1, 4)), 3))
         images = [img._terms for img in inner.images.values()]
-        witness = S4.table_witness(images, GaussianRational(0))
-        assert witness and set(witness) <= payloads
+        witness, central = S4.table_form(images, GaussianRational(0))
+        assert witness and set(witness) <= payloads and central == {}
         assert set(S4.generators()) <= members
         assert all(s.group is S4 for s in S4.generators())
 
