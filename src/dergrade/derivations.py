@@ -20,16 +20,18 @@ evaluated by one of two routes.
   a[v^-1 u] - a[u v^-1] + tau_{v^-1 u}(v), with no image at all.
 * A table over `heisenberg` has no form.  A group element g is
   evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ...
-  (`Group.syllables`, on payloads), where each base w is a generator or an
-  element whose own syllables lie nearer the generators; a base is
-  evaluated like any element.  Everything is combined by one join on
+  (`Group.syllables`, on payloads), where each base w is x, y or
+  z = [x, y], whose own syllables are x and y; a base is evaluated like
+  any element.  Everything is combined by one join on
   payloads, (g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)), which refuses to
   combine more than `MAX_TERMS` terms: each w^k is built from d(w) or
   d(w^-1) by binary powering, in O(log |k|) joins, and the powers are then
   joined in order.  Such a table is checked by the same join: on each of
   the kernel's payload pairs (g, h) (`Group.leibniz_pairs`), d(g) joined
   with d(h) must equal d(gh).  A copy `Derivation(group, images)` built
-  directly has no form either, over any kernel, and takes this route.
+  directly over `heisenberg` has no form either and takes this route; over
+  a kernel with no syllables (a permutation group, Z^n) such a copy raises
+  `CapabilityError` when an element other than a generator is evaluated.
 
 The character view is derived: the value of the character on an arrow
 (u, v) is the coefficient of u in d(v).
@@ -223,8 +225,11 @@ class Derivation:
     """A derivation of C[G]: its generator images (`images`), the output
     `spec` it was parsed from or None, and its closed form when it has one.
     Evaluation uses the form when there is one and syllables with Leibniz
-    joins otherwise; `==` compares images only.  A derivation built from its
-    form alone fills `images` from it on first read."""
+    joins otherwise, which only `heisenberg` has: every constructor keeps a
+    form over the other kernels, and a copy built there directly from
+    images raises `CapabilityError` on any element but a generator.  `==`
+    compares images only.  A derivation built from its form alone fills
+    `images` from it on first read."""
 
     __slots__ = ("group", "_images", "spec", "_form", "_cache")
 

@@ -12,22 +12,23 @@ Three kernels are supported, each with a trivially solvable word problem:
 Elements are immutable values in canonical normal form: for all three kernels
 the payload *is* the normal form, so equality is payload equality.  Every
 method a kernel or quotient offers the library's own layers takes and returns
-payloads: the product and inverse (`Group._mul`, `Group._inv`), syllables, the
-table checks (a table's closed form, or Leibniz pairs where there is none),
-the conjugacy, centre and abelianization oracles, and quotient keys.  The
-algebra, derivation and grading layers compute on payloads alone; `g * h`,
-`g.inverse()` and the element-valued entry points (`element`, `generators`,
-sampling, JSON) wrap them for callers that hold `GroupElement`s.  A
-permutation group keeps its members as payloads; its closure and conjugacy
-classes are orbits of one breadth-first search, its centre is solved on the
-points and its commutator subgroup grown by whole cosets, and its payload
-products are read from a table of at most |G|^2 references, filled on first
-use.  A kernel checks a derivation table by finding its closed form
+payloads: the product and inverse (`Group._mul`, `Group._inv`), the table
+checks (a table's closed form, or Leibniz pairs where there is none), the
+conjugacy, centre and abelianization oracles, syllables, and quotient keys.
+The algebra, derivation and grading layers compute on payloads alone;
+`g * h`, `g.inverse()` and the element-valued entry points (`element`,
+`generators`, sampling, JSON) wrap them for callers that hold
+`GroupElement`s.  A permutation group keeps its members as payloads; the
+group and its commutator subgroup are grown by whole right cosets
+(`_extend_subgroup`), its conjugacy classes are orbits of the generator
+conjugations, its centre is solved on the points, and its payload products
+are read from a table of at most |G|^2 references, filled on first use.  A
+kernel checks a derivation table by finding its closed form
 (`Group.table_form`): a permutation group solves for a potential on its
-conjugation action, which gives the table's inner part, and Z^n, where every
-table is a derivation, reads each term of an image as one central part.
-`heisenberg` has no such solver and names the pairs its tables are checked
-on (`Group.leibniz_pairs`).
+conjugation action, which gives the table's inner part, and Z^n, where
+every table is a derivation, reads each term of an image as one central
+part.  `heisenberg` has no such solver: its tables are checked on the pairs
+it names (`Group.leibniz_pairs`) and evaluated by its syllables.
 """
 
 from __future__ import annotations
@@ -177,13 +178,13 @@ class Group:
     A kernel defines its product and inverse on payloads (`_mul`, `_inv`)
     and the identity's payload (`_identity`), and `GroupElement` lifts them
     to elements through `_wrap`.  The other kernel methods the library's
-    layers call (`syllables`, the table checks `table_form` and
-    `leibniz_pairs`, and the conjugacy, centre and abelianization oracles)
-    take and return payloads too, and do not check them: a payload is
-    assumed to be a normal form of this group.  Membership is checked once
-    where outside values meet: products of `GroupElement`s, `Arrow`, and the
-    algebra, derivation and grading entry points, each through `_check`,
-    which then pass `.payload` on.
+    layers call (the table check `table_form`, the conjugacy, centre and
+    abelianization oracles, and on `heisenberg` alone `syllables` and
+    `leibniz_pairs`) take and return payloads too, and do not check them: a
+    payload is assumed to be a normal form of this group.  Membership is
+    checked once where outside values meet: products of `GroupElement`s,
+    `Arrow`, and the algebra, derivation and grading entry points, each
+    through `_check`, which then pass `.payload` on.
     """
 
     def __init__(self, name: str, key: tuple):
@@ -237,17 +238,16 @@ class Group:
     def syllables(self, p: tuple) -> List[Syllable]:
         """[(w1, k1), (w2, k2), ...] with g = w1^k1 * w2^k2 * ... for the
         element g with payload p, where each base payload w is a generator's
-        or an element's whose own syllables lie nearer the generators, and
-        each k is an integer of any sign or size.
+        or an element's whose own syllables are generators, and each k is
+        an integer of any sign or size.
 
-        On the infinite kernels the bases are a few fixed elements (x, y and
-        z = [x, y] on `heisenberg`, whose syllables are generators) and the
+        A derivation with no closed form, a table over `heisenberg`, is
+        evaluated by them: the bases are x, y and z = [x, y] and the
         exponents carry the size, so `Derivation.apply_element` evaluates g
-        in O(log |k|) steps per syllable.  On a permutation group they are
-        g's parent in the closure's BFS tree and one generator, so evaluating
-        a base recurses as deep as the tree (15 on s6, 10 on a6); a
-        derivation builds the image of each base once."""
-        raise NotImplementedError
+        in O(log |k|) steps per syllable.  Every derivation over a kernel
+        with `table_form` keeps a form, so such a kernel raises
+        `CapabilityError`."""
+        raise CapabilityError(f"{self.name} has no syllables")
 
     def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
         """Payload pairs (g, h) on which a generator table with no form is
@@ -438,8 +438,7 @@ class FreeAbelian(Group):
     Every generator table is a derivation, since C[Z^n] is commutative, and
     a central one: `table_form` reads its central parts off the images, one
     per term, so a table evaluates by its closed form like any other
-    derivation here.  `syllables` (the generators, with the entries as
-    exponents) serves only a derivation built with no form."""
+    derivation here."""
 
     def __init__(self, n: int):
         if n > MAX_ZN_RANK:
@@ -467,9 +466,6 @@ class FreeAbelian(Group):
 
     def generator_names(self) -> List[str]:
         return [f"e{i + 1}" for i in range(self.n)]
-
-    def syllables(self, p: tuple) -> List[Syllable]:
-        return [(s.payload, k) for s, k in zip(self._generators, p)]
 
     def table_form(
         self, images: Sequence[dict], zero
@@ -553,19 +549,17 @@ def _conjugation(s: tuple):
     return partial(_conjugate, s, _right_mul(_perm_inv(s)))
 
 
-def _orbit(start: tuple, moves: Sequence[tuple]) -> Dict[tuple, Optional[tuple]]:
-    """The orbit of `start` under the maps of `moves`, (label, map) pairs,
-    searched breadth first: each payload reached maps to (parent, label),
-    the first payload and move that reached it, and `start` to None."""
-    tree: Dict[tuple, Optional[tuple]] = {start: None}
+def _orbit(start: tuple, moves: Sequence) -> FrozenSet[tuple]:
+    """The orbit of `start` under the maps `moves`, searched breadth first."""
+    reached = {start}
     queue = [start]
     for w in queue:  # the list grows as it is read, so it is a FIFO queue
-        for label, move in moves:
+        for move in moves:
             b = move(w)
-            if b not in tree:
-                tree[b] = (w, label)
+            if b not in reached:
+                reached.add(b)
                 queue.append(b)
-    return tree
+    return frozenset(reached)
 
 
 def _extend_subgroup(members: set, maps: list, c: tuple) -> None:
@@ -623,25 +617,19 @@ def _perm_parity(g: tuple) -> int:
 class PermutationGroup(Group):
     """A finite permutation group generated by explicit permutations.
 
-    Elements are enumerated by closure from the generating set at
-    construction time, which also records every element's parent in the
-    closure's BFS tree.  A derivation with no closed form evaluates an
-    element from its parent's image, recursing as deep as the tree; no
-    caller builds a tree deeper than that of s6 (15 levels), the largest
-    group `group_from_name` builds.
-    The tree depth must stay well below `sys.getrecursionlimit()`, so
-    generators of a large cyclic group (one permutation of order in the
-    thousands, with a tree as deep) are not supported; nothing checks this.
+    Elements are enumerated at construction time: the closure grows from
+    the identity by whole right cosets (`_extend_subgroup`), each generator
+    not yet reached extending the subgroup reached so far.
 
     The group keeps its members as payloads, in sorted order, and builds a
     `GroupElement` only when it hands one out (the generators are built
-    once).  Its oracles work on payloads: `syllables` reads the BFS tree, a
-    dict from each payload to its (parent, (generator, exponent)) edge, and
-    `conjugacy_class`, `class_representative` and `is_central` return
-    payloads and verdicts, never elements.  A generator table is checked by
-    `table_form`, one coefficient subtraction per generator arrow of the
-    conjugation action (|G| * |generators| in all), with no Leibniz pairs
-    and no joins; it returns the table's inner part.
+    once).  Its oracles work on payloads: `conjugacy_class`,
+    `class_representative` and `is_central` return payloads and verdicts,
+    never elements.  A generator table is checked by `table_form`, one
+    coefficient subtraction per generator arrow of the conjugation action
+    (|G| * |generators| in all), with no Leibniz pairs and no joins; it
+    returns the table's inner part, so every derivation over the group
+    keeps a closed form and the kernel has no syllables.
     `_mul` reads a product table of payloads indexed by position in that
     order: a row is allocated the first time its left factor is used and a
     cell is filled the first time it is read.  The table holds at most
@@ -649,16 +637,14 @@ class PermutationGroup(Group):
     payload, so elements of an equal group built separately, or unpickled,
     multiply too.
 
-    One breadth-first search, `_orbit`, builds the closure (the orbit of the
-    identity under right multiplication by the letters) and each conjugacy
-    class (the orbit of an element under the conjugations by the
-    generators, |class| * |generators| products).  Each generator's
-    conjugation is one map, built once (`_conjugation`), which `is_central`,
-    the normal closure and the `quotient_by` check use.  No cold fact scans
-    the members one call at a time: the centre is solved on the points, at
-    most prod |orbit| candidates (6 on s6), each looked up in the index; G'
-    is a normal closure that grows by whole right cosets of the subgroup
-    reached so far (`_extend_subgroup`); and a quotient keys each coset by
+    A conjugacy class is the orbit of an element under the conjugations by
+    the generators (`_orbit`, |class| * |generators| products).  Each
+    generator's conjugation is one map, built once (`_conjugation`), which
+    `is_central`, the classes, the normal closure and the `quotient_by`
+    check use.  No cold fact scans the members one call at a time: the
+    centre is solved on the points, at most prod |orbit| candidates (6 on
+    s6), each looked up in the index; G' is a normal closure grown by whole
+    right cosets like the closure itself; and a quotient keys each coset by
     one gather over N.  Right multiplication by a fixed factor is a C-level
     gather built by `_right_mul`.  `quotient_by` checks a subgroup given
     from outside; `derived_quotient` builds G' as a normal closure and skips
@@ -675,10 +661,13 @@ class PermutationGroup(Group):
             self._validate_payload(p)
         # (s, g -> s g s^-1) for each generator s
         self._conjugations = [(s, _conjugation(s)) for s in self._generator_payloads]
-        # element -> (parent, (s, k)) with element = parent * s^k; None at the root
-        self._tree = self._close()
+        members = {tuple(range(1, degree + 1))}
+        maps: list = []
+        for s in self._generator_payloads:
+            if s not in members:
+                _extend_subgroup(members, maps, s)
         # sorted, so the identity comes first
-        self._elements = sorted(self._tree)
+        self._elements = sorted(members)
         self._identity = self._elements[0]
         self._index = {p: i for i, p in enumerate(self._elements)}
         self._generators = [self._wrap(p) for p in self._generator_payloads]
@@ -718,17 +707,6 @@ class PermutationGroup(Group):
         if sorted(p) != list(range(1, self.degree + 1)) or not integer_entries(p):
             raise TypeError(f"not a permutation of 1..{self.degree}: {p}")
 
-    def _close(self) -> Dict[tuple, Optional[Tuple[tuple, Syllable]]]:
-        # each letter with the syllable it stands for: a generator s is
-        # (s, 1), the inverse of s (s, -1) unless it is already a letter
-        letters = [(s, (s, 1)) for s in self._generator_payloads]
-        for s in self._generator_payloads:
-            inv = _perm_inv(s)
-            if all(inv != p for p, _ in letters):
-                letters.append((inv, (s, -1)))
-        moves = [(syllable, _right_mul(letter)) for letter, syllable in letters]
-        return _orbit(tuple(range(1, self.degree + 1)), moves)
-
     def element(self, payload: Sequence) -> GroupElement:
         p = tuple(payload)
         self._validate_payload(p)
@@ -753,14 +731,6 @@ class PermutationGroup(Group):
 
     def _random_payload(self, rng: random.Random, box: int) -> tuple:
         return rng.choice(self._elements)
-
-    def syllables(self, p: tuple) -> List[Syllable]:
-        # g = parent * s^k, one step down the closure's BFS tree
-        edge = self._tree[p]
-        if edge is None:
-            return []
-        parent, syllable = edge
-        return [(parent, 1), syllable]
 
     def table_form(
         self, images: Sequence[dict], zero
@@ -830,7 +800,7 @@ class PermutationGroup(Group):
         recorded for every member."""
         cls = self._classes.get(a)
         if cls is None:
-            cls = frozenset(_orbit(a, self._conjugations))
+            cls = _orbit(a, [conj for _, conj in self._conjugations])
             for b in cls:
                 self._classes[b] = cls
         return cls
@@ -1046,8 +1016,8 @@ class FiniteQuotient(QuotientSpec):
 # Permutation groups by canonical short name, sN or aN
 _PERM_CACHE: Dict[str, PermutationGroup] = {}
 
-# Largest degree group_from_name builds: closure stores every element with
-# its BFS-tree parent.
+# Largest degree group_from_name builds: the payload product table holds up
+# to |G|^2 references: 518,400 (about 4 MB) on s6, about 25 million on s7.
 MAX_PERM_DEGREE = 6
 
 # Largest rank FreeAbelian builds: it stores n generators of length n, and

@@ -7,6 +7,7 @@ import pytest
 from dergrade import (
     AlgebraElement,
     Arrow,
+    CapabilityError,
     CentralityError,
     Derivation,
     GroupMismatchError,
@@ -27,7 +28,7 @@ from dergrade import (
 )
 from dergrade import derivations
 from dergrade.sampling import Sampler
-from oracles import find_inner_witness, leibniz_pairs, word
+from oracles import find_inner_witness, leibniz_pairs, oracle_syllables, word  # noqa: F401
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -247,13 +248,15 @@ _ORACLE_CASES = [(name, kind) for name in _ORACLE_GROUPS for kind in _ORACLE_KIN
 ]
 
 
+@pytest.mark.usefixtures("oracle_syllables")
 class TestClosedFormOracle:
-    """`apply_element` joins syllable powers built by binary powering;
-    expanding the Leibniz rule along the element's whole word, letter by
-    letter (`_expand`), is the oracle.  On a permutation group every element
-    is checked, deepest first, both on the derivation as built and on a copy
-    with a fresh cache, so that its first evaluation recurses through bases
-    down the whole BFS tree."""
+    """`apply_element` evaluates a closed form, or joins syllable powers
+    built by binary powering; expanding the Leibniz rule along the
+    element's whole word, letter by letter (`_expand`), is the oracle.  On
+    a permutation group every element is checked, deepest first, both on
+    the derivation as built and on a form-less copy with a fresh cache, so
+    that the copy's first evaluation recurses through bases down the whole
+    test-side tree (`oracles.cayley_tree`)."""
 
     @pytest.mark.parametrize("name, kind", _ORACLE_CASES)
     def test_matches_word_expansion(self, name, kind):
@@ -298,10 +301,12 @@ _FORM_CASES = [
 ] + [(name, "table") for name in _FORM_GROUPS if name != "heisenberg"]
 
 
+@pytest.mark.usefixtures("oracle_syllables")
 class TestFormAgainstLeibniz:
     """Every result a closed form gives equals the Leibniz route's: a copy
     `Derivation(group, d.images)` has no form and evaluates by syllables and
-    joins.  On a permutation group a table gets its form inner(w) from
+    joins, the test-side ones (`oracles.syllables`) on a permutation group
+    and on Z^n.  On a permutation group a table gets its form inner(w) from
     `from_table`, and on Z^n its central parts, and is compared the same
     way.  The form bracket is
     checked against the operator bracket of the copies, and its characters
@@ -377,6 +382,42 @@ def test_table_witness_is_no_larger_than_the_inner_part(name):
         assert d.is_inner_witness(w)
 
 
+@pytest.mark.parametrize("name", ["perm:s4", "zn:3"])
+def test_form_less_copy_is_not_evaluated(name):
+    # only heisenberg has syllables: over any other kernel every constructor
+    # keeps a closed form, and a copy built directly from a form's images
+    # evaluates no element but a generator.  The same images through
+    # `from_table` get their form back and evaluate.
+    group = group_from_name(name)
+    if name == "zn:3":
+        d = Derivation.central(group, [2, -1, 5], group.element((1, -1, 2)))
+        payloads = [(0, 0, 0), (1, 1, 0), (-1, 0, 0), (3, -2, 1), (_BIG, -_BIG, 3)]
+        elements = [group.element(p) for p in payloads]
+    else:
+        a = mono(group.element((2, 3, 1, 4))) + mono(group.element((2, 1, 3, 4)), 3)
+        d = Derivation.inner(a)
+        elements = group.finite_elements()
+    copy = Derivation(group, d.images)
+    assert copy._form is None
+    generators = group.generators()
+    refused = [g for g in elements if g not in generators]
+    assert len(refused) >= 4
+    for g in refused:
+        with pytest.raises(CapabilityError, match=f"{name} has no syllables"):
+            copy.apply_element(g)
+        with pytest.raises(CapabilityError):
+            copy.apply(mono(g))
+        with pytest.raises(CapabilityError):
+            copy.character(Arrow(g, g))
+    table = Derivation.from_table(group, dict(d.images))
+    assert table._form is not None and table == d
+    for g in elements:
+        assert table.apply_element(g) == d.apply_element(g)
+        assert table.apply(mono(g, 2)) == d.apply(mono(g, 2))
+        for u in d.apply_element(g).support():
+            assert table.character(Arrow(u, g)) == d.character(Arrow(u, g))
+
+
 # Most joins one `apply_element` call may make under `_bar_long_evaluations`:
 # binary powering makes at most 2 log2|k| + 1 per syllable, about 330 for four
 # syllables with exponents near 10^12; spelling one out takes 10^12.
@@ -405,7 +446,8 @@ def _bar_long_evaluations(monkeypatch):
 
 def _with_leibniz_copy(d):
     """d, and the copy of it with no closed form, which evaluates by
-    syllables and joins."""
+    syllables and joins: on a permutation group or Z^n only where the
+    test-side syllables are installed (`oracle_syllables`)."""
     copy = Derivation(d.group, d.images)
     assert d._form is not None and copy._form is None
     return [d, copy]
@@ -435,7 +477,7 @@ class TestBoundedCost:
                 a, b, _ = g.payload
                 assert d.apply_element(g) == mono(g * z, 2 * a - 3 * b)
 
-    def test_zn_inner_and_central(self):
+    def test_zn_inner_and_central(self, oracle_syllables):
         Z3 = FreeAbelian(3)
         a = mono(Z3.element((1, 2, 3))) + mono(Z3.element((0, -1, 0)), 4)
         z = Z3.element((1, -1, 2))
@@ -505,8 +547,9 @@ def _cold_jobs():
     """Jobs that compute on payloads from end to end, each on a derivation
     built beforehand with a cold cache: no `GroupElement` is needed inside.
     Each job runs on the derivation with its closed form and on its copy
-    with none, which evaluates by syllables and joins.  Checking a
-    permutation table, and grading it, is a job too."""
+    with none, which evaluates by syllables and joins (on zn:3 the
+    test-side ones).  Checking a permutation table, and grading it, is a
+    job too."""
     Z3 = FreeAbelian(3)
     inner = Derivation.inner(mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3))
     central = Derivation.central(Z3, [2, -1, 5], Z3.element((1, -1, 2)))
@@ -528,7 +571,7 @@ def _cold_jobs():
 
 
 @pytest.mark.parametrize("job", _cold_jobs().values(), ids=_cold_jobs().keys())
-def test_kernels_build_no_elements(monkeypatch, job):
+def test_kernels_build_no_elements(monkeypatch, oracle_syllables, job):
     # syllables, Leibniz pairs and quotient keys are payload maps, so
     # evaluating and grading never wrap a normal form into an element
     init, built = GroupElement.__init__, []
@@ -822,6 +865,7 @@ def rank_mod_prime(rows, prime=2**61 - 1):
     return rank
 
 
+@pytest.mark.usefixtures("oracle_syllables")
 class TestRelatorValidationOracle:
     @pytest.mark.parametrize(
         "name",
@@ -983,7 +1027,8 @@ class TestCharacterByFormula:
     """chi(u, v) of a form is read as a[v^-1 u] - a[u v^-1] +
     tau_{v^-1 u}(v), with no image built, whether or not d(v) is cached; it
     equals the coefficient of u in d(v) on the form-less copy
-    `Derivation(G, d.images)`, which evaluates by syllables and joins.  Half
+    `Derivation(G, d.images)`, which evaluates by syllables and joins (the
+    test-side ones on a permutation group and on Z^n).  Half
     the arrows have u in the support of d(v), and every arrow is read with a
     cold cache and again with d(v) cached."""
 
@@ -1004,7 +1049,7 @@ class TestCharacterByFormula:
         return arrows
 
     @pytest.mark.parametrize("name", list(_FOREIGN))
-    def test_matches_the_copy(self, name):
+    def test_matches_the_copy(self, oracle_syllables, name):
         group = group_from_name(name)
         sampler = Sampler(group, seed=91, box=3)
         nonzero = 0
@@ -1035,7 +1080,7 @@ class TestCharacterByFormula:
                 d.character(Arrow(v, v))
 
 
-def test_forms_build_no_unread_image(monkeypatch):
+def test_forms_build_no_unread_image(monkeypatch, oracle_syllables):
     # a cold character is read off the form, and a sum, multiple or bracket
     # of forms builds its generator images only when they are read
     calls = _counted(monkeypatch, derivations._Form, "image")
@@ -1078,10 +1123,10 @@ def _zn_tables(n, count, seed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_zn_tables_keep_a_central_form(n):
+def test_zn_tables_keep_a_central_form(oracle_syllables, n):
     # 200 tables a rank: each keeps a form whose images are the table, and
     # whose evaluation, grading and brackets equal those of the form-less
-    # copy, which evaluates by syllables and joins
+    # copy, which evaluates by the test-side syllables and joins
     group = FreeAbelian(n)
     setup = GradingSetup.default(group)
     rng = random.Random(f"zn-tables/{n}")
