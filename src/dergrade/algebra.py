@@ -6,7 +6,8 @@ order is fixed by the kernel's normal-form order, so equality and
 serialization are deterministic.  Terms are keyed by payload, the element's
 normal form, and products are computed with the kernel's payload product
 (`Group._mul`); `GroupElement`s are built only where a caller reads terms,
-in `support`, `items` and JSON.
+in `support`, `items` and JSON.  Terms are merged by one routine,
+`_add_terms`, which refuses an element of more than `MAX_TERMS` terms.
 """
 
 from __future__ import annotations
@@ -18,6 +19,39 @@ from .groups import Group, GroupElement, GroupMismatchError
 
 # Coefficient by payload: the terms of an algebra element.
 Terms = Dict[tuple, GaussianRational]
+
+# Most terms an element may have.  Every parsed or built element is merged
+# by `_add_terms`, which refuses one that passes this, so an image that grows
+# with the exponent, or a sum or product of large elements, exits cleanly
+# instead of filling memory; `Derivation._cache` is bounded by it too.  Every
+# reader looks it up at call time, so one assignment changes it everywhere.
+MAX_TERMS = 100_000
+
+
+class TermBudgetError(ValueError):
+    """An element would have more terms than `MAX_TERMS` allows."""
+
+
+def _add_terms(acc: Terms, pairs: Iterable[Tuple[tuple, GaussianRational]]) -> None:
+    """Add each (payload, nonzero coefficient) pair into `acc`, whose
+    coefficients are nonzero and stay so: a term that cancels is deleted.
+    Raises `TermBudgetError` when `acc` then has more than `MAX_TERMS`
+    terms."""
+    for t, c in pairs:
+        value = acc.get(t)
+        if value is None:
+            acc[t] = c
+        else:
+            value = value + c
+            if value:
+                acc[t] = value
+            else:
+                del acc[t]
+    if len(acc) > MAX_TERMS:
+        raise TermBudgetError(
+            f"an element would have {len(acc)} or more terms, over the limit "
+            f"MAX_TERMS = {MAX_TERMS}"
+        )
 
 _new = object.__new__
 
@@ -58,9 +92,10 @@ class AlgebraElement:
         acc: Terms = {}
         for g, c in pairs:
             group._check(g)
-            p = g.payload
-            acc[p] = acc.get(p, ZERO) + as_coefficient(c)
-        return AlgebraElement(group, acc)
+            c = as_coefficient(c)
+            if c:
+                _add_terms(acc, ((g.payload, c),))
+        return AlgebraElement._nonzero(group, acc)
 
     # -- views ---------------------------------------------------------------
 
@@ -96,9 +131,8 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_group(other)
         acc = dict(self._terms)
-        for p, c in other._terms.items():
-            acc[p] = acc.get(p, ZERO) + c
-        return AlgebraElement(self.group, acc)
+        _add_terms(acc, other._terms.items())
+        return AlgebraElement._nonzero(self.group, acc)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
@@ -123,10 +157,9 @@ class AlgebraElement:
         mul = self.group._mul
         acc: Terms = {}
         for p, cp in self._terms.items():
-            for q, cq in other._terms.items():
-                prod = mul(p, q)
-                acc[prod] = acc.get(prod, ZERO) + cp * cq
-        return AlgebraElement(self.group, acc)
+            # a product of nonzero Gaussian rationals is nonzero
+            _add_terms(acc, [(mul(p, q), cp * cq) for q, cq in other._terms.items()])
+        return AlgebraElement._nonzero(self.group, acc)
 
     def __eq__(self, other) -> bool:
         return (

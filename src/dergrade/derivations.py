@@ -33,15 +33,21 @@ evaluated by one of two routes.
   a kernel with no syllables (a permutation group, Z^n) such a copy raises
   `CapabilityError` when an element other than a generator is evaluated.
 
+Every image is merged by `algebra._add_terms`, so no image, and no sum of
+images in `apply`, has more than `MAX_TERMS` terms; `_cache` holds at most
+`MAX_TERMS` terms plus entries (one per cached image), and is reset when an
+image would pass that.
+
 The character view is derived: the value of the character on an arrow
 (u, v) is the coefficient of u in d(v).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, Terms, commutator
+from . import algebra
+from .algebra import AlgebraElement, TermBudgetError, Terms, _add_terms, commutator
 from .coefficients import CoeffLike, GaussianRational, ZERO, as_coefficient
 from .groups import (
     Arrow,
@@ -53,14 +59,6 @@ from .groups import (
 )
 
 
-# Most elements `Derivation._cache` holds; when full it is reset to the
-# generator images.
-CACHE_LIMIT = 4096
-
-# Most terms one join may combine: |d(g)| + |d(h)| bounds the size of
-# d(gh), so an image that would grow past this is refused before it is built.
-MAX_TERMS = 100_000
-
 # A group element's payload with its image under a derivation.
 Evaluated = Tuple[tuple, AlgebraElement]
 
@@ -69,30 +67,11 @@ class DerivationTableError(ValueError):
     """A generator-image table is not consistent with the group's relations."""
 
 
-class TermBudgetError(ValueError):
-    """An image would have more terms than `MAX_TERMS` allows."""
-
-
 _RELATION_ERROR = "generator images violate a defining relation"
 
 
 # tau of a central part: its values on the free basis of the abelianization
 Tau = Tuple[GaussianRational, ...]
-
-
-def _add_terms(acc: Terms, pairs: Iterable[Tuple[tuple, GaussianRational]]) -> None:
-    """Add each (payload, nonzero coefficient) pair into `acc`, whose
-    coefficients are nonzero and stay so: a term that cancels is deleted."""
-    for t, c in pairs:
-        value = acc.get(t)
-        if value is None:
-            acc[t] = c
-        else:
-            value = value + c
-            if value:
-                acc[t] = value
-            else:
-                del acc[t]
 
 
 def _tau_at(tau: Tau, coords: Sequence[int]) -> GaussianRational:
@@ -177,6 +156,23 @@ class _Form:
                 _add_terms(acc, [(k, c * v) for k, v in self._central_terms(t)])
         return AlgebraElement._nonzero(x.group, acc)
 
+    def is_zero(self) -> bool:
+        """True iff the form is the zero derivation: it has no central part
+        and a commutes with every generator.  A central part (tau, z) shows
+        as tau(g) at the loop (g*z, g), where the inner part adds
+        a[z] - a[z] = 0, and tau is nonzero on some generator."""
+        if self.central:
+            return False
+        a = self.a
+        group, terms = a.group, a._terms
+        mul = group._mul
+        for s in group.generators():
+            p = s.payload
+            left = {mul(p, t): c for t, c in terms.items()}
+            if left != {mul(t, p): c for t, c in terms.items()}:
+                return False
+        return True
+
     def __add__(self, other: "_Form") -> "_Form":
         central = dict(self.central)
         for z, tau in other.central.items():
@@ -231,7 +227,7 @@ class Derivation:
     compares images only.  A derivation built from its form alone fills
     `images` from it on first read."""
 
-    __slots__ = ("group", "_images", "spec", "_form", "_cache")
+    __slots__ = ("group", "_images", "spec", "_form", "_cache", "_cache_size")
 
     def __init__(
         self,
@@ -273,6 +269,19 @@ class Derivation:
             self._cache: Dict[tuple, AlgebraElement] = {}
         else:
             self._cache = {s.payload: img for s, img in self._images.items()}
+        # each image costs its terms plus one, so zero images count too
+        self._cache_size = sum(len(img) + 1 for img in self._cache.values())
+
+    def _keep(self, p: tuple, img: AlgebraElement) -> None:
+        """Cache img as d of the element with payload p.  The cache is reset
+        first when its terms plus entries would pass `MAX_TERMS`, and an
+        image that would pass it even then is not kept."""
+        size = len(img) + 1
+        if self._cache_size + size > algebra.MAX_TERMS:
+            self._reset_cache()
+        if self._cache_size + size <= algebra.MAX_TERMS:
+            self._cache[p] = img
+            self._cache_size += size
 
     # -- constructors --------------------------------------------------------
 
@@ -366,26 +375,17 @@ class Derivation:
         h, dh = right
         dg_terms, dh_terms = dg._terms, dh._terms
         mul = self.group._mul
-        if len(dg_terms) + len(dh_terms) > MAX_TERMS:
+        # |d(g)| + |d(h)| bounds |d(gh)|: refused before it is built
+        if len(dg_terms) + len(dh_terms) > algebra.MAX_TERMS:
             raise TermBudgetError(
                 f"the image of {self.group._wrap(mul(g, h))!r} may have "
                 f"{len(dg_terms) + len(dh_terms)} terms, over the limit "
-                f"MAX_TERMS = {MAX_TERMS}"
+                f"MAX_TERMS = {algebra.MAX_TERMS}"
             )
         # translation is injective, so the terms of each half are distinct
         # and a term can vanish only where the two halves meet
         acc = {mul(t, h): c for t, c in dg_terms.items()}
-        for t, c in dh_terms.items():
-            shifted = mul(g, t)
-            value = acc.get(shifted)
-            if value is None:
-                acc[shifted] = c
-            else:
-                value = value + c
-                if value:
-                    acc[shifted] = value
-                else:
-                    del acc[shifted]
+        _add_terms(acc, ((mul(g, t), c) for t, c in dh_terms.items()))
         return mul(g, h), AlgebraElement._nonzero(self.group, acc)
 
     def _inverse(self, evaluated: Evaluated) -> Evaluated:
@@ -400,7 +400,8 @@ class Derivation:
             # translation is injective and negation keeps coefficients
             # nonzero, so these terms are distinct and nonzero
             terms = {mul(mul(wi, t), wi): -c for t, c in dw._terms.items()}
-            img = self._cache[wi] = AlgebraElement._nonzero(group, terms)
+            img = AlgebraElement._nonzero(group, terms)
+            self._keep(wi, img)
         return wi, img
 
     def _power(self, base: Evaluated, k: int) -> Evaluated:
@@ -446,9 +447,7 @@ class Derivation:
                         power = self._power((w, dw), k)
                         acc = power if acc is None else self._join(acc, power)
                 cached = AlgebraElement.zero(self.group) if acc is None else acc[1]
-            if len(self._cache) >= CACHE_LIMIT:
-                self._reset_cache()
-            self._cache[p] = cached
+            self._keep(p, cached)
         return cached
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
@@ -516,6 +515,10 @@ class Derivation:
         return Derivation(self.group, images)
 
     def is_zero(self) -> bool:
+        """True iff every generator image is 0: decided on the closed form,
+        with no image built, when there is one."""
+        if self._form is not None:
+            return self._form.is_zero()
         return not any(self.images.values())
 
     def __eq__(self, other) -> bool:

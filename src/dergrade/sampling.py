@@ -8,8 +8,8 @@ import random
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .algebra import AlgebraElement
-from .coefficients import ZERO, GaussianRational
+from .algebra import AlgebraElement, _add_terms
+from .coefficients import GaussianRational
 from .derivations import Derivation
 from .groups import Arrow, Group, GroupElement
 
@@ -67,11 +67,13 @@ class Sampler:
         # would draw it, but never wrapped
         n_terms = self.rng.randint(1, max_terms)
         group, rng, box = self.group, self.rng, self.box
+        pairs = [
+            (group._random_payload(rng, box), self.nonzero_coefficient())
+            for _ in range(n_terms)
+        ]
         terms: Dict[tuple, GaussianRational] = {}
-        for _ in range(n_terms):
-            p = group._random_payload(rng, box)
-            terms[p] = terms.get(p, ZERO) + self.nonzero_coefficient()
-        return AlgebraElement(group, terms)
+        _add_terms(terms, pairs)
+        return AlgebraElement._nonzero(group, terms)
 
     # -- derivations ----------------------------------------------------------------
 

@@ -131,7 +131,6 @@ def derivation_from_json(data, group: Optional[Group] = None) -> Derivation:
 
 
 def decomposition_to_json(dec: GradedDecomposition) -> dict:
-    quotient = dec.setup.quotient
     return {
         "base": derivation_to_json(dec.base),
         "components": [

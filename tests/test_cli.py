@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dergrade import (
-    AlgebraElement, Derivation, Heisenberg, cli, derivations, group_from_name, groups,
+    AlgebraElement, Derivation, Heisenberg, algebra, cli, group_from_name, groups,
 )
 from dergrade.cli import build_parser, main
 from dergrade.serialization import (
@@ -383,7 +383,7 @@ def test_long_selector_exit_2(capsys, selector, message):
 
 
 def test_term_budget_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(derivations, "MAX_TERMS", 1000)
+    monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
     join = Derivation._join
 
     def bounded(self, left, right):
@@ -402,6 +402,56 @@ def test_term_budget_exit_2(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "MAX_TERMS = 1000" in captured.err
+
+
+def _unit_terms(n, payload):
+    return [[[1, 1, 0, 1], payload(i)] for i in range(n)]
+
+
+def _inner(n, payload):
+    return {"group": "heisenberg", "kind": "inner", "a": _unit_terms(n, payload)}
+
+
+# jobs whose parsed element, product or sum of images passes MAX_TERMS = 1000;
+# each ran to completion before every merge was bounded (with 700-term inner
+# parts the bracket ran for minutes and filled gigabytes)
+BUDGET_JOBS = {
+    "bracket": ("bracket", "heisenberg", {
+        "left": _inner(40, lambda i: [i, 2 * i - 40, -i]),
+        "right": _inner(40, lambda i: [-i, i, 3 * i]),
+    }),
+    "apply-growing": ("apply", "heisenberg", {
+        "derivation": {"group": "heisenberg", "kind": "table", "images": {
+            "x": [[[1, 1, 0, 1], [1, 1, 0]]], "y": []}},
+        "element": _unit_terms(12, lambda i: [600 + i, 0, 0]),
+    }),
+    "parsed-element": ("apply", "zn:3", {
+        "derivation": {"group": "zn:3", "kind": "central",
+                       "tau": [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]], "z": [0, 0, 1]},
+        "element": _unit_terms(1001, lambda i: [i, 0, 0]),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_JOBS))
+def test_term_budget_bounds_every_merge(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
+    command, group, job = BUDGET_JOBS[name]
+    argv = [command, "--group", group, "--in", write(tmp_path / "j.json", job)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "MAX_TERMS = 1000" in captured.err
+
+
+def test_term_budget_admits_its_limit(tmp_path, capsys, monkeypatch):
+    # an element of exactly MAX_TERMS terms, and its image, are kept
+    monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
+    job = dict(BUDGET_JOBS["parsed-element"][2], element=_unit_terms(1000, lambda i: [i, 0, 0]))
+    argv = ["apply", "--group", "zn:3", "--in", write(tmp_path / "j.json", job)]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 999
 
 
 # Heisenberg jobs built from valid spec skeletons, with entries up to 10^12

@@ -26,7 +26,7 @@ from dergrade import (
     verify_char_composition,
     verify_leibniz,
 )
-from dergrade import derivations
+from dergrade import algebra, derivations
 from dergrade.sampling import Sampler
 from oracles import find_inner_witness, leibniz_pairs, oracle_syllables, word  # noqa: F401
 
@@ -631,7 +631,7 @@ def growing_derivation():
 
 
 def test_term_budget_rejects_growing_image(monkeypatch):
-    monkeypatch.setattr(derivations, "MAX_TERMS", 64)
+    monkeypatch.setattr(algebra, "MAX_TERMS", 64)
     d = growing_derivation()
     assert len(d.apply_element(h(64, 0, 0))) == 64
     built, join = [], Derivation._join
@@ -650,14 +650,51 @@ def test_term_budget_rejects_growing_image(monkeypatch):
     assert all(len(img) <= 64 for img in d._cache.values())
 
 
+def cache_size(d):
+    """The terms plus entries of d's cache, which `MAX_TERMS` bounds."""
+    return sum(len(img) + 1 for img in d._cache.values())
+
+
 def test_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(derivations, "CACHE_LIMIT", 8)
+    monkeypatch.setattr(algebra, "MAX_TERMS", 16)
     a = mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3)
     d = Derivation.inner(a)
     for i in range(100):
         g = h(i, -i, 2 * i)
-        assert d.apply_element(g) == mono(g) * a - a * mono(g)
-        assert len(d._cache) <= 8
+        image = d.apply_element(g)
+        assert image == mono(g) * a - a * mono(g)
+        assert cache_size(d) <= 16
+    # zero images cost one each, so central elements cannot fill it either
+    for i in range(100):
+        assert not d.apply_element(h(0, 0, i))
+        assert 0 < cache_size(d) <= 16
+
+
+def test_cache_counts_inverses(monkeypatch):
+    # a form-less table caches the inverses of syllable bases as well
+    monkeypatch.setattr(algebra, "MAX_TERMS", 200)
+    d = growing_derivation()
+    reference = Derivation.from_table(H, dict(d.images))
+    for i in range(1, 40):
+        g = h(-i, -3, 5)
+        image = d.apply_element(g)
+        assert image == reference.apply_element(g) and len(image) == i
+        assert cache_size(d) <= 200
+
+
+def test_cancelling_apply_keeps_the_cache_within_budget(monkeypatch):
+    # each term's image has about 300 terms and the sum cancels to a few:
+    # d(x^a y^j) - d(x^a y^j z) overlap but for their ends
+    x = sum(
+        (mono(h(300, j, 0)) - mono(h(300, j, 1)) for j in range(1, 9)),
+        AlgebraElement.zero(H),
+    )
+    assert len(x) == 16
+    expected = growing_derivation().apply(x)
+    monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
+    d = growing_derivation()
+    assert d.apply(x) == expected and len(expected) == 16
+    assert cache_size(d) <= 1000
 
 
 class TestCharacter:

@@ -22,6 +22,7 @@ from dergrade import (
     verify_leibniz,
     zder_grading_demo,
 )
+from dergrade import derivations, grading
 from dergrade.sampling import Sampler
 
 H = Heisenberg()
@@ -173,6 +174,92 @@ def test_project_and_support_cosets_match_decompose(name):
         assert project(d, absent, setup).is_zero()
         keys_seen += len(components)
     assert keys_seen
+
+
+def _sum(group, payloads, coeff=1):
+    return AlgebraElement.from_terms(group, [(group._wrap(p), coeff) for p in payloads])
+
+
+def commuting_elements(name, group, sampler):
+    """Elements of C[G] that commute with every generator: central elements
+    on heisenberg and zn:3, class sums on a permutation group."""
+    if name == "heisenberg":
+        return [_sum(H, [(0, 0, 1)], 2), _sum(H, [(0, 0, -3), (0, 0, 4)])]
+    if name == "zn:3":
+        return [sampler.algebra_element() for _ in range(3)]
+    classes_of = list(group.generators()) + [sampler.element() for _ in range(3)]
+    return [_sum(group, group.conjugacy_class(g.payload)) for g in classes_of]
+
+
+def zero_part_derivations(name, group, sampler):
+    """Derivations whose split has parts that are zero on purpose: an inner
+    part that commutes with every generator, alone, beside a sampled inner
+    part, and (where there are central derivations) beside a central part in
+    its own coset, which makes that part nonzero."""
+    out = []
+    for c in commuting_elements(name, group, sampler):
+        out += [Derivation.inner(c), Derivation.inner(c + sampler.algebra_element())]
+        if group.has_central_derivations():
+            z = group._wrap(min(c._terms))
+            rank = len(group.abelian_coords(z.payload))
+            central = Derivation.central(group, [1] + [0] * (rank - 1), z)
+            out.append(Derivation.inner(c) + central)
+    return out
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "zn:3", "perm:a4", "perm:s4", "perm:s5"])
+def test_zero_parts_decided_on_the_form(name):
+    # the form's zero test (no central part, and a commuting with every
+    # generator) against the images of each split part
+    group = group_from_name(name)
+    setup = GradingSetup.default(group)
+    sampler = Sampler(group, seed=31)
+    ds = zero_part_derivations(name, group, sampler)
+    ds += [sampler.derivation() for _ in range(30)]
+    seen = {True: 0, False: 0}
+    commuting_central = 0
+    for d in ds:
+        if d._form is None:
+            continue
+        for form in d._form.split(setup.quotient.key).values():
+            part = Derivation(group, None, form=form)
+            zero = not any(part.images.values())
+            assert part.is_zero() == zero
+            seen[zero] += 1
+            commuting_central += bool(form.central) and Derivation.inner(form.a).is_zero()
+    assert seen[True] and seen[False]
+    if group.has_central_derivations():
+        assert commuting_central
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "zn:3", "perm:s4"])
+def test_closure_builds_no_image_to_drop_zero_parts(monkeypatch, name):
+    group = group_from_name(name)
+    setup = GradingSetup.default(group)
+    sampler = Sampler(group, seed=37)
+    image, components = derivations._Form.image, grading._components
+    inside, calls, parts = [], [], []
+
+    def counting_image(self, p):
+        if inside:
+            calls.append(p)
+        return image(self, p)
+
+    def watched(d, setup):
+        inside.append(d)
+        try:
+            result = components(d, setup)
+        finally:
+            inside.pop()
+        parts.append(len(result))
+        return result
+
+    monkeypatch.setattr(derivations._Form, "image", counting_image)
+    monkeypatch.setattr(grading, "_components", watched)
+    ds = zero_part_derivations(name, group, sampler)
+    for d, p in zip(ds, ds[1:] + [sampler.derivation(allow_table=False)]):
+        assert check_bracket_closure(d, p, setup).passed
+    assert sum(parts) and calls == []
 
 
 class TestBracketClosure:
