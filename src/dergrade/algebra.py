@@ -21,10 +21,12 @@ from .groups import Group, GroupElement, GroupMismatchError
 Terms = Dict[tuple, GaussianRational]
 
 # Most terms an element may have.  Every parsed or built element is merged
-# by `_add_terms`, which refuses one that passes this, so an image that grows
-# with the exponent, or a sum or product of large elements, exits cleanly
-# instead of filling memory; `Derivation._cache` is bounded by it too.  Every
-# reader looks it up at call time, so one assignment changes it everywhere.
+# by one `_add_terms` call, which refuses it when finished if it passes this,
+# so an image that grows with the exponent, or a sum or product of large
+# elements, exits cleanly instead of being kept and built on; before the
+# check a sum holds at most its operands' terms, a product their product.
+# `Derivation._cache` is bounded by it too.  Every reader looks it up at call
+# time, so one assignment changes it everywhere.
 MAX_TERMS = 100_000
 
 
@@ -36,7 +38,9 @@ def _add_terms(acc: Terms, pairs: Iterable[Tuple[tuple, GaussianRational]]) -> N
     """Add each (payload, nonzero coefficient) pair into `acc`, whose
     coefficients are nonzero and stay so: a term that cancels is deleted.
     Raises `TermBudgetError` when `acc` then has more than `MAX_TERMS`
-    terms."""
+    terms.  Each element is built by one call, so the budget is checked on
+    the finished element: a partial sum that later cancels is not refused,
+    and the outcome does not depend on the order of the terms."""
     for t, c in pairs:
         value = acc.get(t)
         if value is None:
@@ -49,7 +53,7 @@ def _add_terms(acc: Terms, pairs: Iterable[Tuple[tuple, GaussianRational]]) -> N
                 del acc[t]
     if len(acc) > MAX_TERMS:
         raise TermBudgetError(
-            f"an element would have {len(acc)} or more terms, over the limit "
+            f"an element would have {len(acc)} terms, over the limit "
             f"MAX_TERMS = {MAX_TERMS}"
         )
 
@@ -89,12 +93,12 @@ class AlgebraElement:
     def from_terms(
         group: Group, pairs: Iterable[Tuple[GroupElement, CoeffLike]]
     ) -> "AlgebraElement":
-        acc: Terms = {}
+        checked = []
         for g, c in pairs:
             group._check(g)
-            c = as_coefficient(c)
-            if c:
-                _add_terms(acc, ((g.payload, c),))
+            checked.append((g.payload, as_coefficient(c)))
+        acc: Terms = {}
+        _add_terms(acc, ((p, c) for p, c in checked if c))
         return AlgebraElement._nonzero(group, acc)
 
     # -- views ---------------------------------------------------------------
@@ -156,9 +160,15 @@ class AlgebraElement:
         self._check_group(other)
         mul = self.group._mul
         acc: Terms = {}
-        for p, cp in self._terms.items():
-            # a product of nonzero Gaussian rationals is nonzero
-            _add_terms(acc, [(mul(p, q), cp * cq) for q, cq in other._terms.items()])
+        # a product of nonzero Gaussian rationals is nonzero
+        _add_terms(
+            acc,
+            (
+                (mul(p, q), cp * cq)
+                for p, cp in self._terms.items()
+                for q, cq in other._terms.items()
+            ),
+        )
         return AlgebraElement._nonzero(self.group, acc)
 
     def __eq__(self, other) -> bool:

@@ -33,10 +33,10 @@ evaluated by one of two routes.
   a kernel with no syllables (a permutation group, Z^n) such a copy raises
   `CapabilityError` when an element other than a generator is evaluated.
 
-Every image is merged by `algebra._add_terms`, so no image, and no sum of
-images in `apply`, has more than `MAX_TERMS` terms; `_cache` holds at most
-`MAX_TERMS` terms plus entries (one per cached image), and is reset when an
-image would pass that.
+Every image, and the sum of images in `apply`, is merged by one
+`algebra._add_terms` call, so none has more than `MAX_TERMS` terms once
+finished; `_cache` holds at most `MAX_TERMS` terms plus entries (one per
+cached image), and is reset when an image would pass that.
 
 The character view is derived: the value of the character on an arrow
 (u, v) is the coefficient of u in d(v).
@@ -44,11 +44,12 @@ The character view is derived: the value of the character on an arrow
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import algebra
 from .algebra import AlgebraElement, TermBudgetError, Terms, _add_terms, commutator
-from .coefficients import CoeffLike, GaussianRational, ZERO, as_coefficient
+from .coefficients import CoeffLike, GaussianRational, ONE, ZERO, as_coefficient
 from .groups import (
     Arrow,
     CapabilityError,
@@ -128,9 +129,10 @@ class _Form:
         # translation is injective, so the terms of g*a are distinct and a
         # term can vanish only where it meets one of -a*g or the central terms
         acc = {mul(p, t): c for t, c in a._terms.items()}
-        _add_terms(acc, [(mul(t, p), -c) for t, c in a._terms.items()])
+        pairs = [(mul(t, p), -c) for t, c in a._terms.items()]
         if self.central:
-            _add_terms(acc, self._central_terms(p))
+            pairs += self._central_terms(p)
+        _add_terms(acc, pairs)
         return AlgebraElement._nonzero(group, acc)
 
     def coefficient(self, u: tuple, v: tuple) -> GaussianRational:
@@ -152,26 +154,11 @@ class _Form:
         """The central parts alone applied to x."""
         acc: Terms = {}
         if self.central:
-            for t, c in x._terms.items():
-                _add_terms(acc, [(k, c * v) for k, v in self._central_terms(t)])
+            _add_terms(
+                acc,
+                ((k, c * v) for t, c in x._terms.items() for k, v in self._central_terms(t)),
+            )
         return AlgebraElement._nonzero(x.group, acc)
-
-    def is_zero(self) -> bool:
-        """True iff the form is the zero derivation: it has no central part
-        and a commutes with every generator.  A central part (tau, z) shows
-        as tau(g) at the loop (g*z, g), where the inner part adds
-        a[z] - a[z] = 0, and tau is nonzero on some generator."""
-        if self.central:
-            return False
-        a = self.a
-        group, terms = a.group, a._terms
-        mul = group._mul
-        for s in group.generators():
-            p = s.payload
-            left = {mul(p, t): c for t, c in terms.items()}
-            if left != {mul(t, p): c for t, c in terms.items()}:
-                return False
-        return True
 
     def __add__(self, other: "_Form") -> "_Form":
         central = dict(self.central)
@@ -455,9 +442,17 @@ class Derivation:
         if x.group != self.group:
             raise GroupMismatchError("argument over the wrong group")
         acc: Terms = {}
-        for p, c in x._terms.items():
-            # both factors are nonzero, so each product is nonzero
-            _add_terms(acc, [(t, c * v) for t, v in self._image(p)._terms.items()])
+        # both factors are nonzero, so each product is nonzero; a
+        # coefficient 1 leaves the image's terms as they are
+        _add_terms(
+            acc,
+            chain.from_iterable(
+                self._image(p)._terms.items()
+                if c == ONE
+                else [(t, c * v) for t, v in self._image(p)._terms.items()]
+                for p, c in x._terms.items()
+            ),
+        )
         return AlgebraElement._nonzero(self.group, acc)
 
     def _coefficient(self, u: tuple, v: tuple) -> GaussianRational:
@@ -515,10 +510,11 @@ class Derivation:
         return Derivation(self.group, images)
 
     def is_zero(self) -> bool:
-        """True iff every generator image is 0: decided on the closed form,
-        with no image built, when there is one."""
+        """True iff every generator image is 0.  With a closed form, the
+        images are read from it up to the first nonzero one, and none is
+        stored."""
         if self._form is not None:
-            return self._form.is_zero()
+            return not any(self._form.image(s.payload) for s in self.group.generators())
         return not any(self.images.values())
 
     def __eq__(self, other) -> bool:

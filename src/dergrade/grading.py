@@ -86,9 +86,8 @@ def _components(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Derivation
     """d's nonzero graded components by coset key.  A closed form is split
     by the key of each term of its inner part and of each central z (the
     component at k is inner(a_k) plus the central parts at k), and a zero
-    part is dropped by the form's own test, with no image built; otherwise
-    each term k of a generator image d(s) goes to the component at
-    key(s^-1 k)."""
+    part is dropped with no image stored on it; otherwise each term k of a
+    generator image d(s) goes to the component at key(s^-1 k)."""
     group = d.group
     if d._form is None:
         return {

@@ -13,6 +13,7 @@ from dergrade import (
     commutator,
     group_from_name,
 )
+from dergrade import algebra
 from dergrade.sampling import Sampler
 
 H = Heisenberg()
@@ -161,3 +162,51 @@ class TestCanonicalForm:
         data = x.to_json()
         assert data == sorted(data, key=lambda pair: pair[1])
         assert AlgebraElement.from_json(H, data) == x
+
+
+class TestTermBudget:
+    """`MAX_TERMS` bounds each finished element, whatever the order of the
+    terms it is built from."""
+
+    Z1 = FreeAbelian(1)
+
+    def powers(self, exponents, coeff=1):
+        return AlgebraElement.from_terms(
+            self.Z1, [(self.Z1.element((i,)), coeff) for i in exponents]
+        )
+
+    @pytest.mark.parametrize("order", ["rows-that-cancel-last", "interleaved"])
+    def test_product_checked_when_finished(self, monkeypatch, order):
+        # (1 - g)(1 + g^N) * sum_{i<N} g^i = 1 - g^2N; the rows of 1 and g^N
+        # alone have 2N terms, which pass the budget
+        monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
+        n = 600
+        signs = {0: 1, n: 1, 1: -1, n + 1: -1}
+        exponents = [0, n, 1, n + 1] if order == "rows-that-cancel-last" else [0, 1, n, n + 1]
+        a = AlgebraElement.from_terms(
+            self.Z1, [(self.Z1.element((e,)), signs[e]) for e in exponents]
+        )
+        b = self.powers(range(n))
+        expected = self.powers([0]) - self.powers([2 * n])
+        assert a * b == expected and b * a == expected
+
+    def test_product_past_the_budget_refused(self, monkeypatch):
+        monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
+        a, b = self.powers(range(0, 2000, 50)), self.powers(range(40))
+        assert len(a) * len(b) == 1600
+        with pytest.raises(algebra.TermBudgetError, match="1600 terms"):
+            a * b
+
+    def test_parsed_element_checked_when_finished(self, monkeypatch):
+        monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
+        g = self.Z1.element
+        pairs = [(g((i,)), 1) for i in range(1001)] + [(g((i,)), -1) for i in range(1, 1001)]
+        assert AlgebraElement.from_terms(self.Z1, pairs) == self.powers([0])
+        with pytest.raises(algebra.TermBudgetError, match="MAX_TERMS = 1000"):
+            AlgebraElement.from_terms(self.Z1, pairs[:1001])
+
+    def test_sum_past_the_budget_refused(self, monkeypatch):
+        monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
+        a, b = self.powers(range(600)), self.powers(range(600, 1200))
+        with pytest.raises(algebra.TermBudgetError, match="1200 terms"):
+            a + b

@@ -454,6 +454,18 @@ def test_term_budget_admits_its_limit(tmp_path, capsys, monkeypatch):
     assert len(json.loads(capsys.readouterr().out)) == 999
 
 
+def test_term_budget_admits_a_sum_that_cancels(tmp_path, capsys, monkeypatch):
+    # the 8 disjoint images of the positive terms pass the budget together,
+    # and the negative terms after them cancel all but 16 terms
+    monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
+    element = [[[1, 1, 0, 1], [300, j, 0]] for j in range(1, 9)]
+    element += [[[-1, 1, 0, 1], [300, j, 1]] for j in range(1, 9)]
+    job = dict(BUDGET_JOBS["apply-growing"][2], element=element)
+    argv = ["apply", "--group", "heisenberg", "--in", write(tmp_path / "j.json", job)]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 16
+
+
 # Heisenberg jobs built from valid spec skeletons, with entries up to 10^12
 BIG = 10**12
 _entries = st.one_of(st.integers(-2, 2), st.integers(-BIG, BIG))

@@ -682,13 +682,16 @@ def test_cache_counts_inverses(monkeypatch):
         assert cache_size(d) <= 200
 
 
-def test_cancelling_apply_keeps_the_cache_within_budget(monkeypatch):
+@pytest.mark.parametrize("order", ["interleaved", "positive-first"])
+def test_cancelling_apply_keeps_the_cache_within_budget(monkeypatch, order):
     # each term's image has about 300 terms and the sum cancels to a few:
-    # d(x^a y^j) - d(x^a y^j z) overlap but for their ends
-    x = sum(
-        (mono(h(300, j, 0)) - mono(h(300, j, 1)) for j in range(1, 9)),
-        AlgebraElement.zero(H),
-    )
+    # d(x^a y^j) - d(x^a y^j z) overlap but for their ends.  The 8 images of
+    # the positive terms are disjoint, so summed first they pass the budget
+    # before the negative ones cancel them
+    pairs = [(h(300, j, z), 1 - 2 * z) for j in range(1, 9) for z in (0, 1)]
+    if order == "positive-first":
+        pairs.sort(key=lambda pair: -pair[1])
+    x = AlgebraElement.from_terms(H, pairs)
     assert len(x) == 16
     expected = growing_derivation().apply(x)
     monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
