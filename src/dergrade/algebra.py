@@ -6,13 +6,14 @@ order is fixed by the kernel's normal-form order, so equality and
 serialization are deterministic.  Terms are keyed by payload, the element's
 normal form, and products are computed with the kernel's payload product
 (`Group._mul`); `GroupElement`s are built only where a caller reads terms,
-in `support`, `items` and JSON.  Terms are merged by one routine,
+in `support` and `items`.  JSON terms are read straight to payloads by the
+kernel's check (`Group.payload`).  Terms are merged by one routine,
 `_add_terms`, which refuses an element of more than `MAX_TERMS` terms.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .coefficients import CoeffLike, GaussianRational, ONE, ZERO, as_coefficient
 from .groups import Group, GroupElement, GroupMismatchError
@@ -190,16 +191,29 @@ class AlgebraElement:
 
     @staticmethod
     def from_json(group: Group, data) -> "AlgebraElement":
-        pairs = []
-        for i, term in enumerate(data):
-            try:
-                if not isinstance(term, (list, tuple)) or len(term) != 2:
-                    raise ValueError("a term must be [coefficient, element]")
-                coeff, elem = term
-                pairs.append((group.element(elem), GaussianRational.from_json(coeff)))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"term {i}: {exc}") from exc
-        return AlgebraElement.from_terms(group, pairs)
+        acc: Terms = {}
+        _add_terms(acc, _json_terms(group, data))
+        return AlgebraElement._nonzero(group, acc)
+
+
+def _json_terms(group: Group, data) -> Iterator[Tuple[tuple, GaussianRational]]:
+    """(payload, coefficient) for each [coefficient, element] term of `data`
+    with a nonzero coefficient, each checked by the kernel's `payload` and
+    `GaussianRational.from_json`; no `GroupElement` is built.  The element
+    is read before the coefficient, and an error in term i is a ValueError
+    that names it."""
+    payload, coefficient = group.payload, GaussianRational.from_json
+    for i, term in enumerate(data):
+        try:
+            if not isinstance(term, (list, tuple)) or len(term) != 2:
+                raise ValueError("a term must be [coefficient, element]")
+            coeff, elem = term
+            p = payload(elem)
+            c = coefficient(coeff)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"term {i}: {exc}") from exc
+        if c:
+            yield p, c
 
 
 def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

@@ -17,18 +17,23 @@ checks (a table's closed form, or Leibniz pairs where there is none), the
 conjugacy, centre and abelianization oracles, syllables, and quotient keys.
 The algebra, derivation and grading layers compute on payloads alone;
 `g * h`, `g.inverse()` and the element-valued entry points (`element`,
-`generators`, sampling, JSON) wrap them for callers that hold
-`GroupElement`s.  A permutation group keeps its members as payloads; the
-group and its commutator subgroup are grown by whole right cosets
-(`_extend_subgroup`), its conjugacy classes are orbits of the generator
-conjugations, its centre is solved on the points, and its payload products
-are read from a table of at most |G|^2 references, filled on first use.  A
-kernel checks a derivation table by finding its closed form
-(`Group.table_form`): a permutation group solves for a potential on its
-conjugation action, which gives the table's inner part, and Z^n, where
-every table is a derivation, reads each term of an image as one central
-part.  `heisenberg` has no such solver: its tables are checked on the pairs
-it names (`Group.leibniz_pairs`) and evaluated by its syllables.
+`generators`, sampling) wrap them for callers that hold `GroupElement`s.
+Each kernel checks outside entries in one method, `payload`, which returns
+the normal form they name; `element`, defined once in `Group`, wraps it,
+and JSON algebra terms are read through it with no element built.
+`group_from_name` keeps every kernel it builds by canonical selector
+(`_KERNELS`), so a selector builds its kernel once per process.  A
+permutation group keeps its members as payloads; the group and its
+commutator subgroup are grown by whole right cosets (`_extend_subgroup`),
+its conjugacy classes are orbits of the generator conjugations, its centre
+is solved on the points, and its payload products are read from a table of
+at most |G|^2 references, filled on first use.  A kernel checks a
+derivation table by finding its closed form (`Group.table_form`): a
+permutation group solves for a potential on its conjugation action, which
+gives the table's inner part, and Z^n, where every table is a derivation,
+reads each term of an image as one central part.  `heisenberg` has no such
+solver: its tables are checked on the pairs it names
+(`Group.leibniz_pairs`) and evaluated by its syllables.
 """
 
 from __future__ import annotations
@@ -45,8 +50,13 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 def integer_entries(values: Iterable) -> bool:
     """Whether every value is an int.  JSON true/false load as bool, a
-    subclass of int, and are not integer entries."""
-    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+    subclass of int, and are not integer entries; other subclasses of int
+    are.  An entry of class int, as JSON loads every integer, is passed by
+    its class alone."""
+    for v in values:
+        if v.__class__ is not int and (not isinstance(v, int) or isinstance(v, bool)):
+            return False
+    return True
 
 
 class GroupMismatchError(TypeError):
@@ -175,16 +185,17 @@ class Arrow:
 class Group:
     """Base interface of a group kernel.
 
-    A kernel defines its product and inverse on payloads (`_mul`, `_inv`)
-    and the identity's payload (`_identity`), and `GroupElement` lifts them
-    to elements through `_wrap`.  The other kernel methods the library's
-    layers call (the table check `table_form`, the conjugacy, centre and
-    abelianization oracles, and on `heisenberg` alone `syllables` and
-    `leibniz_pairs`) take and return payloads too, and do not check them: a
-    payload is assumed to be a normal form of this group.  Membership is
-    checked once where outside values meet: products of `GroupElement`s,
-    `Arrow`, and the algebra, derivation and grading entry points, each
-    through `_check`, which then pass `.payload` on.
+    A kernel defines its product and inverse on payloads (`_mul`, `_inv`),
+    the identity's payload (`_identity`) and the one check of outside
+    entries (`payload`), and `GroupElement` lifts them to elements through
+    `_wrap`; `element` is that check, wrapped.  The other kernel methods the
+    library's layers call (the table check `table_form`, the conjugacy,
+    centre and abelianization oracles, and on `heisenberg` alone `syllables`
+    and `leibniz_pairs`) take and return payloads too, and do not check
+    them: a payload is assumed to be a normal form of this group.
+    Membership is checked once where outside values meet: products of
+    `GroupElement`s, `Arrow`, and the algebra, derivation and grading entry
+    points, each through `_check`, which then pass `.payload` on.
     """
 
     def __init__(self, name: str, key: tuple):
@@ -202,8 +213,13 @@ class Group:
 
     # -- element construction ------------------------------------------------
 
-    def element(self, payload: Sequence) -> GroupElement:
+    def payload(self, entries: Sequence) -> tuple:
+        """The payload of the element with these entries, a normal form of
+        this group; `TypeError` or `ValueError` when they name none."""
         raise NotImplementedError
+
+    def element(self, entries: Sequence) -> GroupElement:
+        return GroupElement(self, self.payload(entries))
 
     def identity(self) -> GroupElement:
         return self._wrap(self._identity)
@@ -355,15 +371,13 @@ class Heisenberg(Group):
         self._identity = (0, 0, 0)
         self._generators = [self.element(_X), self.element(_Y)]
 
-    def element(self, payload: Sequence) -> GroupElement:
-        entries = tuple(payload)
-        if len(entries) != 3:
-            raise ValueError(
-                f"heisenberg element {list(entries)} must have 3 entries [a, b, c]"
-            )
-        if not integer_entries(entries):
+    def payload(self, entries: Sequence) -> tuple:
+        p = tuple(entries)
+        if len(p) != 3:
+            raise ValueError(f"heisenberg element {list(p)} must have 3 entries [a, b, c]")
+        if not integer_entries(p):
             raise TypeError("Heisenberg entries must be integers")
-        return GroupElement(self, entries)
+        return p
 
     def _mul(self, p: tuple, q: tuple) -> tuple:
         a, b, c = p
@@ -452,11 +466,11 @@ class FreeAbelian(Group):
             self.element([1 if j == i else 0 for j in range(n)]) for i in range(n)
         ]
 
-    def element(self, payload: Sequence) -> GroupElement:
-        vec = tuple(payload)
-        if len(vec) != self.n or not integer_entries(vec):
+    def payload(self, entries: Sequence) -> tuple:
+        p = tuple(entries)
+        if len(p) != self.n or not integer_entries(p):
             raise TypeError(f"expected an integer vector of length {self.n}")
-        return GroupElement(self, vec)
+        return p
 
     def _mul(self, p: tuple, q: tuple) -> tuple:
         return tuple(map(add, p, q))
@@ -568,7 +582,7 @@ def _extend_subgroup(members: set, maps: list, c: tuple) -> None:
     add c's to `maps`.  The new subgroup is a union of right cosets H r, and
     such a union is closed under a map once it holds r t for each coset
     representative r and map t; each new coset H r t is one C-level gather
-    over H."""
+    over H, or, when H = {e}, the one element r t."""
     old = list(members)
     maps.append(_right_mul(c))
     cosets = old[:1]  # H itself; the list grows as it is read
@@ -576,7 +590,10 @@ def _extend_subgroup(members: set, maps: list, c: tuple) -> None:
         for times in maps:
             rt = times(r)
             if rt not in members:
-                members.update(map(_right_mul(rt), old))
+                if len(old) == 1:
+                    members.add(rt)
+                else:
+                    members.update(map(_right_mul(rt), old))
                 cosets.append(rt)
 
 
@@ -707,12 +724,12 @@ class PermutationGroup(Group):
         if sorted(p) != list(range(1, self.degree + 1)) or not integer_entries(p):
             raise TypeError(f"not a permutation of 1..{self.degree}: {p}")
 
-    def element(self, payload: Sequence) -> GroupElement:
-        p = tuple(payload)
+    def payload(self, entries: Sequence) -> tuple:
+        p = tuple(entries)
         self._validate_payload(p)
         if p not in self._index:
             raise ValueError(f"{p} is not an element of {self.name}")
-        return self._wrap(p)
+        return p
 
     def _mul(self, p: tuple, q: tuple) -> tuple:
         index = self._index
@@ -1013,8 +1030,12 @@ class FiniteQuotient(QuotientSpec):
         return str(tuple(k))
 
 
-# Permutation groups by canonical short name, sN or aN
-_PERM_CACHE: Dict[str, PermutationGroup] = {}
+# Every kernel group_from_name has built, by canonical selector (heisenberg,
+# zn:<n> or perm:<s|a><n>, with no leading zeros), so that a selector builds
+# its kernel once per process.  A rank or degree past its limit, or below
+# its floor, raises before anything is stored: one entry at most per kernel
+# within the limits.
+_KERNELS: Dict[str, Group] = {}
 
 # Largest degree group_from_name builds: the payload product table holds up
 # to |G|^2 references: 518,400 (about 4 MB) on s6, about 25 million on s7.
@@ -1043,7 +1064,8 @@ def _selector_int(digits: str, what: str, limit_name: str, limit: int) -> int:
 
 
 def group_from_name(name: str) -> Group:
-    """Resolve a CLI group selector: heisenberg | zn:<n> | perm:<sN|aN>."""
+    """Resolve a CLI group selector: heisenberg | zn:<n> | perm:<sN|aN>,
+    building its kernel on first use and keeping it in `_KERNELS`."""
     match = _SELECTOR.fullmatch(name)
     if match is None:
         raise ValueError(
@@ -1051,17 +1073,22 @@ def group_from_name(name: str) -> Group:
         )
     rank, kind, digits = match.groups()
     if rank is not None:
-        return FreeAbelian(_selector_int(rank, "zn: rank", "MAX_ZN_RANK", MAX_ZN_RANK))
-    if kind is None:
-        return Heisenberg()
-    degree = _selector_int(digits, "perm: degree", "MAX_PERM_DEGREE", MAX_PERM_DEGREE)
-    short = f"{kind}{degree}"
-    if short not in _PERM_CACHE:
+        n = _selector_int(rank, "zn: rank", "MAX_ZN_RANK", MAX_ZN_RANK)
+        key, build = f"zn:{n}", partial(FreeAbelian, n)
+    elif kind is None:
+        key, build = "heisenberg", Heisenberg
+    else:
+        degree = _selector_int(digits, "perm: degree", "MAX_PERM_DEGREE", MAX_PERM_DEGREE)
         if degree > MAX_PERM_DEGREE:
             raise ValueError(
                 f"permutation degree {degree} exceeds the limit "
                 f"MAX_PERM_DEGREE = {MAX_PERM_DEGREE}"
             )
-        build = PermutationGroup.symmetric if kind == "s" else PermutationGroup.alternating
-        _PERM_CACHE[short] = build(degree)
-    return _PERM_CACHE[short]
+        key = f"perm:{kind}{degree}"
+        build = partial(
+            PermutationGroup.symmetric if kind == "s" else PermutationGroup.alternating, degree
+        )
+    group = _KERNELS.get(key)
+    if group is None:
+        group = _KERNELS[key] = build()
+    return group

@@ -277,6 +277,16 @@ PARSE_MESSAGES = {
         *_apply([[[1, 1, 0], [1, 0, 0]]]),
         "error: bad algebra element: term 0: coefficient [1, 1, 0] must have "
         "4 entries [re_num, re_den, im_num, im_den]\n"),
+    # a term's element is read before its coefficient, and checked even
+    # when the coefficient is zero
+    "element-before-coefficient": (
+        *_apply([[[1, 1, 0], [1, 2]]]),
+        "error: bad algebra element: term 0: heisenberg element [1, 2] must "
+        "have 3 entries [a, b, c]\n"),
+    "element-of-zero-term": (
+        *_apply([[[0, 1, 0, 1], [1, 2]]]),
+        "error: bad algebra element: term 0: heisenberg element [1, 2] must "
+        "have 3 entries [a, b, c]\n"),
     "one-entry-term": (
         *_apply([[[1, 1, 0, 1]]]),
         "error: bad algebra element: term 0: a term must be "
@@ -361,11 +371,23 @@ def test_word_len_limit_still_runs(capsys):
     assert capsys.readouterr().out.count("PASS ") == 5
 
 
-def test_selector_digits_are_canonical():
-    # a leading zero names the same cached group
+def test_selector_digits_are_canonical(monkeypatch):
+    # every kernel is cached by its canonical selector: a leading zero names
+    # the same object and adds no entry
+    monkeypatch.setattr(groups, "_KERNELS", {})
+    assert group_from_name("heisenberg") is group_from_name("heisenberg")
     assert group_from_name("perm:s03") is group_from_name("perm:s3")
-    assert group_from_name("zn:03") == group_from_name("zn:3")
-    assert group_from_name("zn:" + "0" * 5000 + "3") == group_from_name("zn:3")
+    assert group_from_name("zn:03") is group_from_name("zn:3")
+    assert group_from_name("zn:" + "0" * 5000 + "3") is group_from_name("zn:3")
+    assert sorted(groups._KERNELS) == ["heisenberg", "perm:s3", "zn:3"]
+
+
+@pytest.mark.parametrize("selector", ["zn:0", "zn:-3", "zn:65", "perm:s1", "perm:a2", "perm:s7"])
+def test_rejected_selector_caches_nothing(monkeypatch, selector):
+    monkeypatch.setattr(groups, "_KERNELS", {})
+    with pytest.raises(ValueError):
+        group_from_name(selector)
+    assert groups._KERNELS == {}
 
 
 @pytest.mark.parametrize("selector, message", [
@@ -604,7 +626,7 @@ class TestDeterminism:
 def test_perm_info_golden(monkeypatch, capsys, name):
     # a cold group, as a fresh `dergrade info` builds it, against files
     # recorded from an earlier build
-    monkeypatch.setattr(groups, "_PERM_CACHE", {})
+    monkeypatch.setattr(groups, "_KERNELS", {})
     assert main(["info", "--group", f"perm:{name}"]) == 0
     captured = capsys.readouterr()
     assert captured.out.encode() == (GOLDEN / f"info-perm-{name}.txt").read_bytes()

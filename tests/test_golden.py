@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -26,6 +27,79 @@ KERNELS = ["heisenberg", "zn:3", "perm:a4", "perm:s4"]
 SEEDS = range(4)
 DRAWS = 3
 
+# stdin of the JSON jobs pinned below: apply, character and bracket on three
+# kernels, decompose on two, with entries of 10^12 and non-real coefficients
+BIG = 10**12
+JOBS = {
+    "apply-heisenberg.json": (["apply", "--group", "heisenberg"], {
+        "derivation": {"group": "heisenberg", "kind": "inner",
+                       "a": [[[1, 2, -1, 3], [1, -1, 0]], [[-3, 1, 0, 1], [0, 1, 5]]]},
+        "element": [[[1, 1, 0, 1], [BIG, -7, 3]], [[0, 1, 2, 1], [-1, 1, 0]]],
+    }),
+    "apply-zn-3.json": (["apply", "--group", "zn:3"], {
+        "derivation": {"group": "zn:3", "kind": "table", "images": {
+            "e1": [[[2, 1, 0, 1], [1, 1, 0]], [[-1, 1, 0, 1], [2, 0, -1]]],
+            "e2": [[[1, 1, 1, 1], [0, 2, 1]]],
+            "e3": [],
+        }},
+        "element": [[[1, 1, 0, 1], [BIG, -BIG, 3]], [[-1, 2, 0, 1], [-5, 7, BIG]]],
+    }),
+    "apply-perm-s4.json": (["apply", "--group", "perm:s4"], {
+        "derivation": {"group": "perm:s4", "kind": "inner",
+                       "a": [[[1, 1, 0, 1], [2, 1, 3, 4]], [[0, 1, -1, 2], [2, 3, 4, 1]]]},
+        "element": [[[1, 1, 0, 1], [4, 3, 2, 1]], [[-2, 3, 0, 1], [1, 3, 2, 4]]],
+    }),
+    "character-heisenberg.json": (["character", "--group", "heisenberg"], {
+        "derivation": {"group": "heisenberg", "kind": "central",
+                       "tau": [[3, 1, 0, 1], [-2, 5, 1, 2]], "z": [0, 0, 2]},
+        "arrow": {"u": [BIG, -BIG, 2], "v": [BIG, -BIG, 0]},
+    }),
+    "character-zn-3.json": (["character", "--group", "zn:3"], {
+        "derivation": {"group": "zn:3", "kind": "central",
+                       "tau": [[1, 1, 0, 1], [-2, 1, 0, 1], [3, 2, 0, 1]], "z": [1, -1, 2]},
+        "arrow": {"u": [BIG + 1, -BIG - 1, 6], "v": [BIG, -BIG, 4]},
+    }),
+    "character-perm-s4.json": (["character", "--group", "perm:s4"], {
+        "derivation": {"group": "perm:s4", "kind": "table", "images": {
+            "g1": [[[1, 2, -1, 1], [3, 4, 2, 1]], [[-1, 2, 1, 1], [4, 3, 1, 2]]],
+            "g2": [[[-1, 1, 0, 1], [1, 3, 4, 2]], [[-2, 1, 0, 1], [2, 3, 1, 4]],
+                   [[2, 1, 0, 1], [2, 4, 3, 1]], [[1, 1, 0, 1], [3, 2, 4, 1]]],
+        }},
+        "arrow": {"u": [3, 4, 2, 1], "v": [2, 1, 3, 4]},
+    }),
+    "bracket-heisenberg.json": (["bracket", "--group", "heisenberg"], {
+        "left": {"group": "heisenberg", "kind": "inner",
+                 "a": [[[1, 1, 0, 1], [BIG, 1, -BIG]], [[-2, 3, 1, 1], [0, 1, 0]]]},
+        "right": {"group": "heisenberg", "kind": "central",
+                  "tau": [[2, 1, 0, 1], [-1, 1, 0, 1]], "z": [0, 0, 1]},
+    }),
+    "bracket-zn-3.json": (["bracket", "--group", "zn:3"], {
+        "left": {"group": "zn:3", "kind": "central",
+                 "tau": [[1, 1, 0, 1], [0, 1, 1, 1], [-1, 3, 0, 1]], "z": [0, 1, -1]},
+        "right": {"group": "zn:3", "kind": "table", "images": {
+            "e1": [[[2, 1, 0, 1], [1, 1, 0]]], "e2": [], "e3": [[[1, 1, -1, 1], [BIG, 0, 1]]],
+        }},
+    }),
+    "bracket-perm-s4.json": (["bracket", "--group", "perm:s4"], {
+        "left": {"group": "perm:s4", "kind": "inner",
+                 "a": [[[1, 1, 0, 1], [2, 1, 3, 4]], [[1, 2, -1, 1], [3, 4, 1, 2]]]},
+        "right": {"group": "perm:s4", "kind": "inner",
+                  "a": [[[-1, 1, 0, 1], [2, 3, 4, 1]], [[0, 1, 1, 1], [1, 2, 4, 3]]]},
+    }),
+    "decompose-perm-s4.json": (["decompose", "--group", "perm:s4"], {
+        "group": "perm:s4", "kind": "inner",
+        "a": [[[1, 1, 0, 1], [2, 1, 3, 4]], [[1, 2, -1, 1], [3, 4, 1, 2]],
+              [[-2, 1, 0, 1], [1, 2, 4, 3]]],
+    }),
+    "decompose-zn-3.json": (["decompose", "--group", "zn:3"], {
+        "group": "zn:3", "kind": "table", "images": {
+            "e1": [[[2, 1, 0, 1], [1, 1, 0]], [[-1, 1, 0, 1], [2, 0, -1]]],
+            "e2": [[[1, 1, 1, 1], [0, 2, 1]], [[3, 1, 0, 1], [BIG, 1, 0]]],
+            "e3": [],
+        },
+    }),
+}
+
 
 def sampler_draws(name: str) -> str:
     """One line per derivation drawn: the seed, then its JSON spec."""
@@ -39,9 +113,10 @@ def sampler_draws(name: str) -> str:
     return "".join(lines)
 
 
-def cli_stdout(argv) -> str:
+def cli_stdout(argv, stdin: str = "") -> str:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
         code = main(argv)
     if code != 0:
         raise AssertionError(f"{argv} exited {code}")
@@ -57,7 +132,9 @@ def outputs():
         argv = ["verify", "--group", name, "--seed", "3", "--samples", "6"]
         cases[f"verify-{slug}.txt"] = lambda argv=argv: cli_stdout(argv)
     argv = ["decompose", "--group", "heisenberg", "--in", str(README_FIXTURE)]
-    cases["decompose-readme.json"] = lambda: cli_stdout(argv)
+    cases["decompose-readme.json"] = lambda argv=argv: cli_stdout(argv)
+    for filename, (argv, data) in JOBS.items():
+        cases[filename] = lambda argv=argv, data=data: cli_stdout(argv, json.dumps(data))
     return cases
 
 

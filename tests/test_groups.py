@@ -32,7 +32,7 @@ from dergrade import (
 )
 from dergrade import groups
 from dergrade.cli import main
-from dergrade.groups import MAX_PERM_DEGREE, MAX_ZN_RANK
+from dergrade.groups import MAX_PERM_DEGREE, MAX_ZN_RANK, integer_entries
 from dergrade.verification import run_all
 from oracles import cayley_tree, word
 
@@ -323,7 +323,7 @@ class TestCentrality:
 
     def test_info_builds_centre_once(self, monkeypatch, capsys):
         calls = count_products(monkeypatch)
-        monkeypatch.setattr(groups, "_PERM_CACHE", {})
+        monkeypatch.setattr(groups, "_KERNELS", {})
         assert main(["info", "--group", "perm:s6"]) == 0
         assert "stem group: yes" in capsys.readouterr().out
         info_calls = len(calls)
@@ -492,6 +492,19 @@ ODD_SHAPES = [
 ODD_SHAPE_IDS = [
     "z2xz2", "c3-on-5", "trivial-on-4", "d4", "s3xs3", "diagonal-s3", "c2310-on-28",
 ]
+
+
+def test_closure_from_the_identity_adds_one_element_per_coset(monkeypatch):
+    # from H = {e} each new right coset H r is r alone: the cyclic group of
+    # order 2,310 builds one gather for its generator's right multiplication
+    # and one for its conjugation, and none per element
+    built = []
+    right_mul = groups._right_mul
+    monkeypatch.setattr(groups, "_right_mul", lambda h: built.append(h) or right_mul(h))
+    degree, generators = ODD_SHAPES[ODD_SHAPE_IDS.index("c2310-on-28")]
+    group = PermutationGroup("cyclic", degree, generators)
+    assert len(group.finite_elements()) == 2310
+    assert len(built) == 2
 
 
 class TestSympyOracle:
@@ -863,6 +876,27 @@ class TestGroupElementValue:
         with pytest.raises(AttributeError):
             delattr(g, field)
         assert g.group is H and g.payload == (1, 2, 3)
+
+    @pytest.mark.parametrize("name", ["heisenberg", "zn:3", "perm:s4"])
+    def test_element_wraps_the_checked_payload(self, name):
+        group = group_from_name(name)
+        entries = list(group.generators()[1].payload)
+        assert group.payload(entries) == group.element(entries).payload == tuple(entries)
+        for bad in ([], [1.5] + entries[1:], [True] + entries[1:], "abc", [entries] * 3):
+            with pytest.raises((TypeError, ValueError)) as checked:
+                group.payload(bad)
+            with pytest.raises(type(checked.value)) as wrapped:
+                group.element(bad)
+            assert str(wrapped.value) == str(checked.value)
+
+    def test_integer_entries(self):
+        class Count(int):
+            pass
+
+        assert integer_entries([1, -2, 10**30, Count(3)]) and integer_entries([])
+        assert integer_entries(iter([4, 5]))
+        for bad in ([1, True], [False], [1, 2.0], ["1"], [None]):
+            assert not integer_entries(bad)
 
     def test_pickle_round_trip(self):
         g = h(1, 2, 3)
