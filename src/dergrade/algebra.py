@@ -26,8 +26,8 @@ Terms = Dict[tuple, GaussianRational]
 # so an image that grows with the exponent, or a sum or product of large
 # elements, exits cleanly instead of being kept and built on; before the
 # check a sum holds at most its operands' terms, a product their product.
-# `Derivation._cache` is bounded by it too.  Every reader looks it up at call
-# time, so one assignment changes it everywhere.
+# Every reader looks it up at call time, so one assignment changes it
+# everywhere.
 MAX_TERMS = 100_000
 
 

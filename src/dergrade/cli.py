@@ -26,6 +26,7 @@ import sys
 import tempfile
 from typing import Optional
 
+from .coefficients import integer_entries
 from .grading import GradingSetup, TrivialGradingError, decompose
 from .groups import (
     CapabilityError,
@@ -34,7 +35,6 @@ from .groups import (
     QuotientError,
     QuotientSpec,
     group_from_name,
-    integer_entries,
 )
 from .serialization import (
     SpecError,

@@ -8,14 +8,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
-
-from .groups import integer_entries
+from typing import Iterable, Union
 
 RatLike = Union[int, Fraction]
 CoeffLike = Union["GaussianRational", int, Fraction]
 
 _new = object.__new__
+
+
+def integer_entries(values: Iterable) -> bool:
+    """Whether every value is an int.  JSON true/false load as bool, a
+    subclass of int, and are not integer entries; other subclasses of int
+    are.  An entry of class int, as JSON loads every integer, is passed by
+    its class alone."""
+    for v in values:
+        if v.__class__ is not int and (not isinstance(v, int) or isinstance(v, bool)):
+            return False
+    return True
 
 
 class GaussianRational:

@@ -35,8 +35,9 @@ evaluated by one of two routes.
 
 Every image, and the sum of images in `apply`, is merged by one
 `algebra._add_terms` call, so none has more than `MAX_TERMS` terms once
-finished; `_cache` holds at most `MAX_TERMS` terms plus entries (one per
-cached image), and is reset when an image would pass that.
+finished.  No image is kept but the generator images: a closed form is
+evaluated each time it is read, and a derivation with no form keeps only
+its bases (`_bases`), on `heisenberg` at most x, y, z and their inverses.
 
 The character view is derived: the value of the character on an arrow
 (u, v) is the coefficient of u in d(v).
@@ -214,7 +215,7 @@ class Derivation:
     compares images only.  A derivation built from its form alone fills
     `images` from it on first read."""
 
-    __slots__ = ("group", "_images", "spec", "_form", "_cache", "_cache_size")
+    __slots__ = ("group", "_images", "spec", "_form", "_bases")
 
     def __init__(
         self,
@@ -234,7 +235,11 @@ class Derivation:
         self.spec = spec
         self._form = form
         self._images = None if images is None else {s: images[s] for s in group.generators()}
-        self._reset_cache()
+        # with no form, d(w) by w's payload for the generators, the syllable
+        # bases and the inverses `_inverse` builds of them
+        self._bases: Optional[Dict[tuple, AlgebraElement]] = (
+            None if form is not None else {s.payload: img for s, img in self._images.items()}
+        )
 
     @property
     def images(self) -> Dict[GroupElement, AlgebraElement]:
@@ -246,29 +251,6 @@ class Derivation:
                 s: form.image(s.payload) for s in self.group.generators()
             }
         return images
-
-    def _reset_cache(self) -> None:
-        # d(g) by g's payload: every evaluated element and, with no form, the
-        # generator images the syllables start from and the inverses of
-        # syllable bases met so far.  Elements of equal groups share
-        # payloads, and so share cached images.
-        if self._form is not None:
-            self._cache: Dict[tuple, AlgebraElement] = {}
-        else:
-            self._cache = {s.payload: img for s, img in self._images.items()}
-        # each image costs its terms plus one, so zero images count too
-        self._cache_size = sum(len(img) + 1 for img in self._cache.values())
-
-    def _keep(self, p: tuple, img: AlgebraElement) -> None:
-        """Cache img as d of the element with payload p.  The cache is reset
-        first when its terms plus entries would pass `MAX_TERMS`, and an
-        image that would pass it even then is not kept."""
-        size = len(img) + 1
-        if self._cache_size + size > algebra.MAX_TERMS:
-            self._reset_cache()
-        if self._cache_size + size <= algebra.MAX_TERMS:
-            self._cache[p] = img
-            self._cache_size += size
 
     # -- constructors --------------------------------------------------------
 
@@ -337,9 +319,7 @@ class Derivation:
     def _validate_table(self) -> None:
         group = self.group
         try:
-            parts = group.table_form(
-                [self._images[s]._terms for s in group.generators()], ZERO
-            )
+            parts = group.table_form([self._images[s]._terms for s in group.generators()])
         except CapabilityError:
             image = self._image
             for p, q in group.leibniz_pairs():
@@ -351,7 +331,7 @@ class Derivation:
             raise DerivationTableError(_RELATION_ERROR)
         inner, central = parts
         self._form = _Form(AlgebraElement._nonzero(group, inner), central)
-        self._reset_cache()
+        self._bases = None
 
     # -- evaluation ----------------------------------------------------------
 
@@ -377,18 +357,17 @@ class Derivation:
 
     def _inverse(self, evaluated: Evaluated) -> Evaluated:
         """(w, d(w)) -> (w^-1, -w^-1*d(w)*w^-1), the image forced by the
-        Leibniz rule, kept in `_cache`."""
+        Leibniz rule, for a base w; kept in `_bases`."""
         w, dw = evaluated
         group = self.group
         wi = group._inv(w)
-        img = self._cache.get(wi)
+        img = self._bases.get(wi)
         if img is None:
             mul = group._mul
             # translation is injective and negation keeps coefficients
             # nonzero, so these terms are distinct and nonzero
             terms = {mul(mul(wi, t), wi): -c for t, c in dw._terms.items()}
-            img = AlgebraElement._nonzero(group, terms)
-            self._keep(wi, img)
+            img = self._bases[wi] = AlgebraElement._nonzero(group, terms)
         return wi, img
 
     def _power(self, base: Evaluated, k: int) -> Evaluated:
@@ -408,34 +387,33 @@ class Derivation:
     def apply_element(self, g: GroupElement) -> AlgebraElement:
         """d(g) for a single group element of this derivation's group."""
         group = self.group
-        # checked before the cache is read: an element of another group may
-        # share a payload with a cached one
+        # checked before the image is read: an element of another group may
+        # share a payload with a generator or a base
         if g.group is not group:
             group._check(g)
         return self._image(g.payload)
 
     def _image(self, p: tuple) -> AlgebraElement:
-        """d of the element with payload p, kept in `_cache`: from the closed
-        form when there is one, else from the kernel's syllables w^k of it,
-        each evaluated by `_power` from d(w) and joined left to right.  A
-        base missing from `_cache` is evaluated by this method in turn."""
-        cached = self._cache.get(p)
-        if cached is None:
-            if self._form is not None:
-                cached = self._form.image(p)
-            else:
-                acc: Optional[Evaluated] = None
-                for w, k in self.group.syllables(p):
-                    if k:
-                        # most bases are cached, and a lookup costs less than a call
-                        dw = self._cache.get(w)
-                        if dw is None:
-                            dw = self._image(w)
-                        power = self._power((w, dw), k)
-                        acc = power if acc is None else self._join(acc, power)
-                cached = AlgebraElement.zero(self.group) if acc is None else acc[1]
-            self._keep(p, cached)
-        return cached
+        """d of the element with payload p: from the closed form when there
+        is one, else read from `_bases` or built from the kernel's syllables
+        w^k of p, each evaluated by `_power` from d(w) and joined left to
+        right.  A base missing from `_bases` is evaluated by this method in
+        turn and kept there; no other image is kept."""
+        if self._form is not None:
+            return self._form.image(p)
+        bases = self._bases
+        img = bases.get(p)
+        if img is not None:
+            return img
+        acc: Optional[Evaluated] = None
+        for w, k in self.group.syllables(p):
+            if k:
+                dw = bases.get(w)
+                if dw is None:
+                    dw = bases[w] = self._image(w)
+                power = self._power((w, dw), k)
+                acc = power if acc is None else self._join(acc, power)
+        return AlgebraElement.zero(self.group) if acc is None else acc[1]
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         """d(x), summed into one dict: linear in the terms of the images."""
@@ -467,7 +445,7 @@ class Derivation:
         share a group, so checking v checks both."""
         v = arrow.v
         group = self.group
-        # checked before the form or the cache is read, as in `apply_element`
+        # checked before the image is read, as in `apply_element`
         if v.group is not group:
             group._check(v)
         return self._coefficient(arrow.u.payload, v.payload)

@@ -47,16 +47,7 @@ from math import gcd
 from operator import add, itemgetter, neg
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-
-def integer_entries(values: Iterable) -> bool:
-    """Whether every value is an int.  JSON true/false load as bool, a
-    subclass of int, and are not integer entries; other subclasses of int
-    are.  An entry of class int, as JSON loads every integer, is passed by
-    its class alone."""
-    for v in values:
-        if v.__class__ is not int and (not isinstance(v, int) or isinstance(v, bool)):
-            return False
-    return True
+from .coefficients import ZERO, integer_entries
 
 
 class GroupMismatchError(TypeError):
@@ -221,6 +212,14 @@ class Group:
     def element(self, entries: Sequence) -> GroupElement:
         return GroupElement(self, self.payload(entries))
 
+    def _listed(self, entries, shape: str) -> tuple:
+        """`entries` as a tuple when they are a list or tuple; anything else
+        is refused by a TypeError that names this kernel and the `shape` of
+        its elements."""
+        if not isinstance(entries, (list, tuple)):
+            raise TypeError(f"{self.name} element must be {shape}, got {type(entries).__name__}")
+        return tuple(entries)
+
     def identity(self) -> GroupElement:
         return self._wrap(self._identity)
 
@@ -273,7 +272,7 @@ class Group:
         raise NotImplementedError
 
     def table_form(
-        self, images: Sequence[dict], zero
+        self, images: Sequence[dict]
     ) -> Optional[Tuple[dict, Dict[tuple, tuple]]]:
         """The closed form of a generator table, (a, central) with
         d(g) = g*a - a*g + sum over z of tau_z(g) * g*z: the inner part a as
@@ -281,9 +280,8 @@ class Group:
         the abelianization, by the payload of its central z, no tau all
         zero; or None when the table is no derivation.  `images` holds the
         terms of d(s) for each generator s in order, {payload: nonzero
-        coefficient}, and `zero` is the coefficients' 0.  A kernel with no
-        such solver raises `CapabilityError`, and its tables are checked on
-        `leibniz_pairs`."""
+        coefficient}.  A kernel with no such solver raises
+        `CapabilityError`, and its tables are checked on `leibniz_pairs`."""
         raise CapabilityError(f"{self.name} has no table form")
 
     # -- conjugacy / center oracles -------------------------------------------
@@ -372,7 +370,7 @@ class Heisenberg(Group):
         self._generators = [self.element(_X), self.element(_Y)]
 
     def payload(self, entries: Sequence) -> tuple:
-        p = tuple(entries)
+        p = self._listed(entries, "a list of 3 integers [a, b, c]")
         if len(p) != 3:
             raise ValueError(f"heisenberg element {list(p)} must have 3 entries [a, b, c]")
         if not integer_entries(p):
@@ -467,7 +465,7 @@ class FreeAbelian(Group):
         ]
 
     def payload(self, entries: Sequence) -> tuple:
-        p = tuple(entries)
+        p = self._listed(entries, f"a list of {self.n} integers")
         if len(p) != self.n or not integer_entries(p):
             raise TypeError(f"expected an integer vector of length {self.n}")
         return p
@@ -481,9 +479,7 @@ class FreeAbelian(Group):
     def generator_names(self) -> List[str]:
         return [f"e{i + 1}" for i in range(self.n)]
 
-    def table_form(
-        self, images: Sequence[dict], zero
-    ) -> Tuple[dict, Dict[tuple, tuple]]:
+    def table_form(self, images: Sequence[dict]) -> Tuple[dict, Dict[tuple, tuple]]:
         # C[Z^n] is commutative, so every table is a derivation, and it is
         # central: a term t of d(e_i) is e_i * z for z = t - e_i, central as
         # the group is, so d(g) = sum over z of tau_z(g) * g*z with tau_z(e_i)
@@ -495,7 +491,7 @@ class FreeAbelian(Group):
                 z = t[:i] + (t[i] - 1,) + t[i + 1:]
                 tau = central.get(z)
                 if tau is None:
-                    tau = central[z] = [zero] * n
+                    tau = central[z] = [ZERO] * n
                 tau[i] = c
         return {}, {z: tuple(tau) for z, tau in central.items()}
 
@@ -721,11 +717,12 @@ class PermutationGroup(Group):
         return group
 
     def _validate_payload(self, p: tuple) -> None:
-        if sorted(p) != list(range(1, self.degree + 1)) or not integer_entries(p):
+        # integers first: sorted() compares the entries
+        if not integer_entries(p) or sorted(p) != list(range(1, self.degree + 1)):
             raise TypeError(f"not a permutation of 1..{self.degree}: {p}")
 
     def payload(self, entries: Sequence) -> tuple:
-        p = tuple(entries)
+        p = self._listed(entries, f"a list of the integers 1..{self.degree} in some order")
         self._validate_payload(p)
         if p not in self._index:
             raise ValueError(f"{p} is not an element of {self.name}")
@@ -750,7 +747,7 @@ class PermutationGroup(Group):
         return rng.choice(self._elements)
 
     def table_form(
-        self, images: Sequence[dict], zero
+        self, images: Sequence[dict]
     ) -> Optional[Tuple[dict, Dict[tuple, tuple]]]:
         # The arrow (s x, s) of the conjugation groupoid goes from x to
         # s x s^-1, and its character value chi is the coefficient of s x in
@@ -771,7 +768,7 @@ class PermutationGroup(Group):
         for root in self._elements:
             if root in f:
                 continue
-            f[root] = zero
+            f[root] = ZERO
             cls = [root]
             for x in cls:  # the list grows as it is read: breadth first
                 fx = f[x]

@@ -343,6 +343,23 @@ PARSE_MESSAGES = {
         "3 entries [a, b, c]\n"),
     "list-arrow": (*_character([[1, 1, 0], [0, 1, 0]]), ARROW_SHAPE),
     "arrow-without-v": (*_character({"u": [1, 1, 0]}), ARROW_SHAPE),
+    # an element that is not a list is refused before its entries are read
+    "bool-element": (
+        *_apply([[[1, 1, 0, 1], True]]),
+        "error: bad algebra element: term 0: heisenberg element must be a list of 3 "
+        "integers [a, b, c], got bool\n"),
+    "int-element-of-a": (
+        *_apply_spec({"kind": "inner", "a": [[[1, 1, 0, 1], 5]]}),
+        "error: bad derivation spec: field 'a': term 0: heisenberg element must be a "
+        "list of 3 integers [a, b, c], got int\n"),
+    "null-u": (
+        *_character({"u": None, "v": [0, 1, 0]}),
+        "error: bad arrow spec: field 'u': heisenberg element must be a list of 3 "
+        "integers [a, b, c], got NoneType\n"),
+    "string-v": (
+        *_character({"u": [1, 1, 0], "v": "abc"}),
+        "error: bad arrow spec: field 'v': heisenberg element must be a list of 3 "
+        "integers [a, b, c], got str\n"),
 }
 
 
@@ -354,6 +371,27 @@ def test_parse_error_names_term_and_shape(tmp_path, capsys, command, job, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+@pytest.mark.parametrize("selector, u, v, message", [
+    ("zn:2", [1, 0], None,
+     "field 'v': zn:2 element must be a list of 2 integers, got NoneType"),
+    ("zn:2", True, [0, 1], "field 'u': zn:2 element must be a list of 2 integers, got bool"),
+    ("zn:2", [1, 0], "ab", "field 'v': zn:2 element must be a list of 2 integers, got str"),
+    ("perm:s4", 5, [1, 2, 3, 4],
+     "field 'u': perm:s4 element must be a list of the integers 1..4 in some order, got int"),
+    # the entries are checked to be integers before they are sorted
+    ("perm:s4", [[1], 2, 3, 4], [1, 2, 3, 4],
+     "field 'u': not a permutation of 1..4: ([1], 2, 3, 4)"),
+    ("perm:s4", [1, 2, 3, 4], [None, 1, 2, 3],
+     "field 'v': not a permutation of 1..4: (None, 1, 2, 3)"),
+], ids=["zn-null", "zn-bool", "zn-string", "perm-int", "perm-nested-list", "perm-null-entry"])
+def test_element_shape_is_named(tmp_path, capsys, selector, u, v, message):
+    spec = {"group": selector, "kind": "inner", "a": []}
+    job = {"derivation": spec, "arrow": {"u": u, "v": v}}
+    argv = ["character", "--group", selector, "--in", write(tmp_path / "j.json", job)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: bad arrow spec: {message}\n")
 
 
 def test_samples_limit_checked_before_the_quotient(monkeypatch, capsys):

@@ -5,6 +5,9 @@ reduced integer triple; every operation must give the same value, JSON and
 text as it does.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -12,6 +15,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dergrade
 from dergrade import GaussianRational
 
 
@@ -121,3 +125,19 @@ class TestAgainstFractionPairs:
         with pytest.raises(AttributeError):
             setattr(c, name, Fraction(0))
         assert c.to_json() == [1, 2, 3, 1]
+
+
+def test_coefficients_import_no_other_layer():
+    # the scalars are the bottom layer: loaded with the package's
+    # `__init__` (which imports every layer) skipped, they load no other
+    # dergrade module
+    code = "\n".join([
+        "import sys, types",
+        "package = types.ModuleType('dergrade')",
+        f"package.__path__ = [{os.path.dirname(dergrade.__file__)!r}]",
+        "sys.modules['dergrade'] = package",
+        "import dergrade.coefficients",
+        "print(sorted(m for m in sys.modules if m.startswith('dergrade.')))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "['dergrade.coefficients']\n"

@@ -612,13 +612,12 @@ def test_syllable_bases_not_rebuilt(monkeypatch):
 
 
 def test_second_heisenberg_instance_reads_the_same_image():
-    # the cache is keyed by payload, and an equal group's element passes the
-    # membership check, so it finds the image cached for the first
+    # an equal group's element passes the membership check
     d = Derivation.inner(mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3))
     first = d.apply_element(h(5, -2, 7))
     other = Heisenberg().element((5, -2, 7))
     assert other.group is not H
-    assert d.apply_element(other) is first
+    assert d.apply_element(other) == first
 
 
 # d(x) = x*y, d(y) = 0: |supp d(x^a)| = a, so the image grows with a
@@ -647,39 +646,24 @@ def test_term_budget_rejects_growing_image(monkeypatch):
     with pytest.raises(derivations.TermBudgetError, match="MAX_TERMS = 64"):
         d.apply_element(h(10**12, 0, 0))
     assert built
-    assert all(len(img) <= 64 for img in d._cache.values())
+    assert len(d._bases) <= 6 and all(len(img) <= 64 for img in d._bases.values())
 
 
-def cache_size(d):
-    """The terms plus entries of d's cache, which `MAX_TERMS` bounds."""
-    return sum(len(img) + 1 for img in d._cache.values())
-
-
-def test_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(algebra, "MAX_TERMS", 16)
+def test_heisenberg_table_keeps_only_its_bases():
+    # a form-less table keeps d(w) for x, y, z = [x, y] and their inverses
+    # alone, whatever it evaluates; a form keeps no image but `images`
     a = mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3)
-    d = Derivation.inner(a)
-    for i in range(100):
-        g = h(i, -i, 2 * i)
-        image = d.apply_element(g)
-        assert image == mono(g) * a - a * mono(g)
-        assert cache_size(d) <= 16
-    # zero images cost one each, so central elements cannot fill it either
-    for i in range(100):
-        assert not d.apply_element(h(0, 0, i))
-        assert 0 < cache_size(d) <= 16
-
-
-def test_cache_counts_inverses(monkeypatch):
-    # a form-less table caches the inverses of syllable bases as well
-    monkeypatch.setattr(algebra, "MAX_TERMS", 200)
-    d = growing_derivation()
-    reference = Derivation.from_table(H, dict(d.images))
-    for i in range(1, 40):
-        g = h(-i, -3, 5)
-        image = d.apply_element(g)
-        assert image == reference.apply_element(g) and len(image) == i
-        assert cache_size(d) <= 200
+    form = Derivation.inner(a) + Derivation.central(H, [1, -2], h(0, 0, 1))
+    d = Derivation.from_table(H, dict(form.images))
+    assert d._form is None and form._bases is None
+    bases = {(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)}
+    rng = random.Random("heisenberg-bases")
+    for i in range(200):
+        box = 10**12 if i % 4 == 0 else 5
+        g = h(*(rng.randint(-box, box) for _ in range(3)))
+        assert d.apply_element(g) == form.apply_element(g)
+        assert set(d._bases) <= bases
+    assert set(d._bases) == bases and form._bases is None
 
 
 @pytest.mark.parametrize("order", ["interleaved", "positive-first"])
@@ -697,7 +681,6 @@ def test_cancelling_apply_keeps_the_cache_within_budget(monkeypatch, order):
     monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
     d = growing_derivation()
     assert d.apply(x) == expected and len(expected) == 16
-    assert cache_size(d) <= 1000
 
 
 class TestCharacter:
@@ -1065,12 +1048,11 @@ def _character_cases(group, seed):
 
 class TestCharacterByFormula:
     """chi(u, v) of a form is read as a[v^-1 u] - a[u v^-1] +
-    tau_{v^-1 u}(v), with no image built, whether or not d(v) is cached; it
+    tau_{v^-1 u}(v), with no image built (no `_Form.image` call); it
     equals the coefficient of u in d(v) on the form-less copy
     `Derivation(G, d.images)`, which evaluates by syllables and joins (the
     test-side ones on a permutation group and on Z^n).  Half
-    the arrows have u in the support of d(v), and every arrow is read with a
-    cold cache and again with d(v) cached."""
+    the arrows have u in the support of d(v)."""
 
     @staticmethod
     def _arrows(group, sampler, copy):
@@ -1089,21 +1071,20 @@ class TestCharacterByFormula:
         return arrows
 
     @pytest.mark.parametrize("name", list(_FOREIGN))
-    def test_matches_the_copy(self, oracle_syllables, name):
+    def test_matches_the_copy(self, monkeypatch, oracle_syllables, name):
         group = group_from_name(name)
         sampler = Sampler(group, seed=91, box=3)
+        images = _counted(monkeypatch, derivations._Form, "image")
         nonzero = 0
         for kind, d in _character_cases(group, seed=92).items():
             copy = Derivation(group, d.images)
             for arrow in self._arrows(group, sampler, copy):
                 expected = copy.apply_element(arrow.v).coefficient(arrow.u)
                 nonzero += bool(expected)
-                d._reset_cache()
+                images.clear()
                 assert d.character(arrow) == expected, (kind, arrow)
                 if d._form is not None:
-                    assert arrow.v.payload not in d._cache
-                d.apply_element(arrow.v)
-                assert d.character(arrow) == expected, (kind, arrow)
+                    assert images == []
         assert nonzero >= 10
 
     @pytest.mark.parametrize("name", list(_FOREIGN))
@@ -1112,7 +1093,6 @@ class TestCharacterByFormula:
         group, foreign = group_from_name(name), group_from_name(foreign_name)
         v = foreign.element(foreign_payload)
         for d in _character_cases(group, seed=93).values():
-            d._reset_cache()
             with pytest.raises(GroupMismatchError):
                 d.character(Arrow(v, v))
             d.apply_element(group.element(payload))

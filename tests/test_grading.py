@@ -256,7 +256,7 @@ def test_closure_stores_no_image_on_components(monkeypatch, name):
     ds = zero_part_derivations(name, group, sampler)
     for d, p in zip(ds, ds[1:] + [sampler.derivation(allow_table=False)]):
         assert check_bracket_closure(d, p, setup).passed
-    assert parts and all(c._images is None and not c._cache for c in parts)
+    assert parts and all(c._images is None and c._bases is None for c in parts)
 
 
 class TestBracketClosure:

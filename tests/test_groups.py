@@ -12,7 +12,6 @@ from dergrade import (
     CompositionError,
     Derivation,
     FreeAbelian,
-    GaussianRational,
     GradingSetup,
     GroupElement,
     GroupMismatchError,
@@ -660,7 +659,7 @@ class TestProductTable:
             assert S4.class_representative(a.payload) == min(cls)
         inner = Derivation.inner(AlgebraElement.monomial(S4.element((2, 3, 1, 4)), 3))
         images = [img._terms for img in inner.images.values()]
-        witness, central = S4.table_form(images, GaussianRational(0))
+        witness, central = S4.table_form(images)
         assert witness and set(witness) <= payloads and central == {}
         assert set(S4.generators()) <= members
         assert all(s.group is S4 for s in S4.generators())
