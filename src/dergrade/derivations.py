@@ -1,43 +1,34 @@
 """Derivations of the group algebra and their groupoid characters.
 
-A derivation is stored by its images on the kernel's generating set, and
-evaluated by one of two routes.
+A derivation is stored by its images on the kernel's generating set and by
+its closed form (`_Form`), which every derivation has and which evaluates
+it: d(g) = g*a - a*g + sum over central z of tau_z(g) * g*z + the step
+terms, with tau_z a homomorphism to (C, +) read through
+`Group.abelian_coords`.  Inner and central derivations, and their sums,
+scalar multiples and brackets, combine forms (`+`, `scale`, `bracket`), and
+`grading.decompose` splits one by coset, so each result keeps its form.  A
+table from outside (`from_table`) is checked and given its form by its
+kernel (`Group.table_form`): a permutation group solves for a potential on
+its conjugation action and hands back the inner part w, so the table is
+inner(w); on Z^n every table is a derivation, and each term of d(e_i) is
+one central part; and on `heisenberg` delta(g) = d(g)*g^-1 is solved class
+by class, into central parts on the centre and, on each other class (a
+line that conjugation moves along), a potential F with finitely many
+jumps.  F joins the inner part when it is a finite witness on no more
+points than it has jumps, and is kept as a step part otherwise, one per
+class.  A step part on the line of (P, Q, .) adds to d(g) the terms
+(F(r - m) - F(r)) * (P, Q, r)*g, where g moves the line by m.
 
-* Most derivations keep a closed form (`_Form`):
-  d(g) = g*a - a*g + sum over central z of tau_z(g) * g*z, with tau_z a
-  homomorphism to (C, +) read through `Group.abelian_coords`.  Inner and
-  central derivations, and their sums, scalar multiples and brackets, do:
-  `+`, `scale` and `bracket` combine forms, and `grading.decompose` splits
-  one by coset, so each result keeps its form.  A table from outside
-  (`from_table`) keeps one wherever its kernel can find it
-  (`Group.table_form`): a permutation group solves for a potential on its
-  conjugation action, one coefficient subtraction per generator arrow, and
-  hands back the inner part w, so the table is inner(w); on Z^n every table
-  is a derivation, and each term of d(e_i) is one central part.  A form
-  builds only what is read: d(g) on payloads from a and the central parts,
-  with no join; the generator images on their first read; and a character
-  value chi(u, v), the coefficient of u in d(v), by the formula
-  a[v^-1 u] - a[u v^-1] + tau_{v^-1 u}(v), with no image at all.
-* A table over `heisenberg` has no form.  A group element g is
-  evaluated from its kernel's syllables, g = w1^k1 * w2^k2 * ...
-  (`Group.syllables`, on payloads), where each base w is x, y or
-  z = [x, y], whose own syllables are x and y; a base is evaluated like
-  any element.  Everything is combined by one join on
-  payloads, (g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)), which refuses to
-  combine more than `MAX_TERMS` terms: each w^k is built from d(w) or
-  d(w^-1) by binary powering, in O(log |k|) joins, and the powers are then
-  joined in order.  Such a table is checked by the same join: on each of
-  the kernel's payload pairs (g, h) (`Group.leibniz_pairs`), d(g) joined
-  with d(h) must equal d(gh).  A copy `Derivation(group, images)` built
-  directly over `heisenberg` has no form either and takes this route; over
-  a kernel with no syllables (a permutation group, Z^n) such a copy raises
-  `CapabilityError` when an element other than a generator is evaluated.
+A form builds only what is read: d(g) on payloads, its step terms by one
+sweep over the jump points, which counts them before it builds any; the
+generator images on their first read; and a character value chi(u, v), the
+coefficient of u in d(v), by the formula a[v^-1 u] - a[u v^-1] +
+tau_{v^-1 u}(v) + F(r - m) - F(r) for the step part of the class of
+u v^-1 = (P, Q, r), two reads of F by bisection, with no image at all.
 
 Every image, and the sum of images in `apply`, is merged by one
 `algebra._add_terms` call, so none has more than `MAX_TERMS` terms once
-finished.  No image is kept but the generator images: a closed form is
-evaluated each time it is read, and a derivation with no form keeps only
-its bases (`_bases`), on `heisenberg` at most x, y, z and their inverses.
+finished.  No image is kept but the generator images.
 
 The character view is derived: the value of the character on an arrow
 (u, v) is the coefficient of u in d(v).
@@ -45,24 +36,21 @@ The character view is derived: the value of the character on an arrow
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import algebra
 from .algebra import AlgebraElement, TermBudgetError, Terms, _add_terms, commutator
-from .coefficients import CoeffLike, GaussianRational, ONE, ZERO, as_coefficient
+from .coefficients import CoeffLike, GaussianRational, ONE, ZERO, _reduced, as_coefficient
 from .groups import (
     Arrow,
-    CapabilityError,
     CentralityError,
     Group,
     GroupElement,
     GroupMismatchError,
+    _summed,
 )
-
-
-# A group element's payload with its image under a derivation.
-Evaluated = Tuple[tuple, AlgebraElement]
 
 
 class DerivationTableError(ValueError):
@@ -74,14 +62,26 @@ _RELATION_ERROR = "generator images violate a defining relation"
 
 # tau of a central part: its values on the free basis of the abelianization
 Tau = Tuple[GaussianRational, ...]
+# a step part: the sorted jump points of F on its line, and F: 0 before the
+# first, then its value after each
+Step = Tuple[List[int], List[GaussianRational]]
 
 
 def _tau_at(tau: Tau, coords: Sequence[int]) -> GaussianRational:
-    """tau(g), from the abelianization coordinates of g."""
-    value = ZERO
+    """tau(g), from the abelianization coordinates of g: the sum of the
+    tau_i * k_i in integer numerators over the tau denominators, reduced
+    once; a zero coordinate is skipped."""
+    p = q = 0
+    d = 1
     for t, k in zip(tau, coords):
-        value = value + t * GaussianRational(k)
-    return value
+        if k:
+            td = t._d
+            if td == d:
+                p += t._p * k
+                q += t._q * k
+            else:
+                p, q, d = p * td + t._p * k * d, q * td + t._q * k * d, d * td
+    return _reduced(p, q, d)
 
 
 def _add_central(central: Dict[tuple, Tau], z: tuple, tau: Tau) -> None:
@@ -96,17 +96,48 @@ def _add_central(central: Dict[tuple, Tau], z: tuple, tau: Tau) -> None:
         central.pop(z, None)
 
 
+def _add_step(steps: Dict[tuple, Step], key: tuple, step: Step) -> None:
+    """Add the step part `step` on the class `key` into `steps`, adding the
+    jumps point by point; a part whose jumps all cancel is dropped."""
+    jumps = _summed(
+        (r, hi - lo)
+        for pos, vals in filter(None, (steps.get(key), step))
+        for r, lo, hi in zip(pos, vals, vals[1:])
+    )
+    pos, vals = sorted(jumps), [ZERO]
+    for r in pos:
+        vals.append(vals[-1] + jumps[r])
+    if pos:
+        steps[key] = (pos, vals)
+    else:
+        steps.pop(key, None)
+
+
+def _step_value(step: Step, r: int, move: int) -> GaussianRational:
+    """F(r - move) - F(r), two reads of F by bisection."""
+    pos, vals = step
+    return vals[bisect_right(pos, r - move)] - vals[bisect_right(pos, r)]
+
+
 class _Form:
-    """The closed form of an inner-plus-central derivation,
-    g -> g*a - a*g + sum over z of tau_z(g) * g*z: the inner part a and the
-    central parts, each tau_z by the payload of its central z.  Parts are
-    merged by z and a zero tau is dropped, so repeated sums stay bounded."""
+    """The closed form of a derivation,
+    g -> g*a - a*g + sum over z of tau_z(g) * g*z + the step terms: the
+    inner part a, the central parts, each tau_z by the payload of its
+    central z, and the step parts, each by the payload of its class's
+    representative (only on `heisenberg`).  Parts are merged by z and by
+    class, and a zero part is dropped, so repeated sums stay bounded."""
 
-    __slots__ = ("a", "central")
+    __slots__ = ("a", "central", "steps")
 
-    def __init__(self, a: AlgebraElement, central: Dict[tuple, Tau]):
+    def __init__(
+        self,
+        a: AlgebraElement,
+        central: Dict[tuple, Tau],
+        steps: Optional[Dict[tuple, Step]] = None,
+    ):
         self.a = a
         self.central = central
+        self.steps = steps or {}
 
     def _central_terms(self, p: tuple) -> List[Tuple[tuple, GaussianRational]]:
         """The nonzero terms tau_z(g) * g*z of the element g with payload p;
@@ -121,34 +152,74 @@ class _Form:
                 terms.append((mul(p, z), value))
         return terms
 
+    def _step_terms(self, p: tuple, others: int) -> List[Tuple[tuple, GaussianRational]]:
+        """The step terms of d(g), g with payload p, which are distinct: on
+        the line of each step part (`Heisenberg.line`), which g moves by m,
+        the runs of members (P, Q, r) where F(r - m) - F(r) is one nonzero
+        value, found by a sweep over the jump points r and r + m.  They are
+        counted before any is built, and refused when more than `MAX_TERMS`
+        would be left after every one of the `others` terms of d(g)
+        cancelled one."""
+        group = self.a.group
+        runs, count = [], 0
+        for key, step in self.steps.items():
+            move, stride = group.line(key, p)
+            if move:
+                ends = sorted({*step[0], *(r + move for r in step[0])})
+                for lo, hi in zip(ends, ends[1:]):
+                    value = _step_value(step, lo, move)
+                    if value:
+                        runs.append((key[:2], lo, hi, stride, value))
+                        count += (hi - lo) // stride
+        if count - others > algebra.MAX_TERMS:
+            raise TermBudgetError(
+                f"the image of {group._wrap(p)!r} has at least {count - others} "
+                f"terms, over the limit MAX_TERMS = {algebra.MAX_TERMS}"
+            )
+        mul = group._mul
+        return [
+            (mul(line + (r,), p), value)
+            for line, lo, hi, stride, value in runs
+            for r in range(lo, hi, stride)
+        ]
+
     def image(self, p: tuple) -> AlgebraElement:
-        """d of the element g with payload p: g*a - a*g plus the central
-        terms, one payload product per term."""
+        """d of the element g with payload p: g*a - a*g plus the central and
+        step terms, one payload product per term."""
         a = self.a
         group = a.group
         mul = group._mul
         # translation is injective, so the terms of g*a are distinct and a
-        # term can vanish only where it meets one of -a*g or the central terms
+        # term can vanish only where it meets one of the other terms
         acc = {mul(p, t): c for t, c in a._terms.items()}
         pairs = [(mul(t, p), -c) for t, c in a._terms.items()]
         if self.central:
             pairs += self._central_terms(p)
+        if self.steps:
+            pairs += self._step_terms(p, len(acc) + len(pairs))
         _add_terms(acc, pairs)
         return AlgebraElement._nonzero(group, acc)
 
     def coefficient(self, u: tuple, v: tuple) -> GaussianRational:
         """The coefficient of the element with payload u in d(v): a[v^-1 u]
         from v*a, minus a[u v^-1] from a*v, plus tau_{v^-1 u}(v) when v^-1 u
-        is a central part's z, the one z with v*z = u."""
+        is a central part's z, the one z with v*z = u, plus
+        F(r - m) - F(r) when u v^-1 = (P, Q, r) lies on a step part's line,
+        which v moves by m (`Heisenberg.line`)."""
         group = self.a.group
         mul = group._mul
         vi = group._inv(v)
-        s = mul(vi, u)
+        s, e = mul(vi, u), mul(u, vi)
         terms = self.a._terms
-        value = terms.get(s, ZERO) - terms.get(mul(u, vi), ZERO)
+        value = terms.get(s, ZERO) - terms.get(e, ZERO)
         tau = self.central.get(s)
         if tau is not None:
             value = value + _tau_at(tau, group.abelian_coords(v))
+        if self.steps:
+            key = group.class_representative(e)
+            step = self.steps.get(key)
+            if step is not None:
+                value = value + _step_value(step, e[2], group.line(key, v)[0])
         return value
 
     def central_apply(self, x: AlgebraElement) -> AlgebraElement:
@@ -165,18 +236,24 @@ class _Form:
         central = dict(self.central)
         for z, tau in other.central.items():
             _add_central(central, z, tau)
-        return _Form(self.a + other.a, central)
+        steps = dict(self.steps)
+        for key, step in other.steps.items():
+            _add_step(steps, key, step)
+        return _Form(self.a + other.a, central, steps)
 
     def scale(self, c: GaussianRational) -> "_Form":
         # a product of nonzero Gaussian rationals is nonzero
-        central = {z: tuple(c * t for t in tau) for z, tau in self.central.items()} if c else {}
-        return _Form(self.a.scale(c), central)
+        if not c:
+            return _Form(self.a.scale(c), {})
+        central = {z: tuple(c * t for t in tau) for z, tau in self.central.items()}
+        steps = {k: (pos, [c * v for v in vals]) for k, (pos, vals) in self.steps.items()}
+        return _Form(self.a.scale(c), central, steps)
 
     def bracket(self, other: "_Form") -> "_Form":
-        """The form of d∘p - p∘d, for d of this form and p of `other`:
-        [inner(a), inner(b)] = inner(b*a - a*b); [c, inner(b)] = inner(c(b))
-        for a central derivation c; and [central(t1, z1), central(t2, z2)]
-        = central(t1(z2)*t2 - t2(z1)*t1, z1*z2)."""
+        """The form of d∘p - p∘d, for d of this form and p of `other`, both
+        with no step part: [inner(a), inner(b)] = inner(b*a - a*b);
+        [c, inner(b)] = inner(c(b)) for a central derivation c; and
+        [central(t1, z1), central(t2, z2)] = central(t1(z2)*t2 - t2(z1)*t1, z1*z2)."""
         a, b = self.a, other.a
         group = a.group
         inner = commutator(b, a) + self.central_apply(b) - other.central_apply(a)
@@ -190,32 +267,39 @@ class _Form:
         return _Form(inner, central)
 
     def split(self, key: Callable[[tuple], tuple]) -> Dict[tuple, "_Form"]:
-        """The parts by coset key, one `key` call per term of a and per
-        central part: at k, inner(a_k), with a_k the terms t of a with
-        key(t) == k, plus the central parts with key(z) == k."""
+        """The parts by coset key, one `key` call per term of a, per central
+        part and per step part: at k, inner(a_k), with a_k the terms t of a
+        with key(t) == k, plus the central parts with key(z) == k and the
+        step parts whose class representative has key k."""
         group = self.a.group
-        parts: Dict[tuple, Tuple[Terms, Dict[tuple, Tau]]] = {}
-        for t, c in self.a._terms.items():
-            parts.setdefault(key(t), ({}, {}))[0][t] = c
-        for z, tau in self.central.items():
-            parts.setdefault(key(z), ({}, {}))[1][z] = tau
+        parts: Dict[tuple, Tuple[Terms, Dict[tuple, Tau], Dict[tuple, Step]]] = {}
+        for i, part in enumerate((self.a._terms, self.central, self.steps)):
+            for t, value in part.items():
+                parts.setdefault(key(t), ({}, {}, {}))[i][t] = value
         return {
-            k: _Form(AlgebraElement._nonzero(group, terms), central)
-            for k, (terms, central) in parts.items()
+            k: _Form(AlgebraElement._nonzero(group, terms), central, steps)
+            for k, (terms, central, steps) in parts.items()
         }
+
+
+def _solved(group: Group, images: Sequence[AlgebraElement]) -> _Form:
+    """The closed form of the generator table `images`, in generator order,
+    from the kernel's `table_form`; `DerivationTableError` when the table
+    is no derivation."""
+    parts = group.table_form([img._terms for img in images])
+    if parts is None:
+        raise DerivationTableError(_RELATION_ERROR)
+    inner, central, steps = parts
+    return _Form(AlgebraElement._nonzero(group, inner), central, steps)
 
 
 class Derivation:
     """A derivation of C[G]: its generator images (`images`), the output
-    `spec` it was parsed from or None, and its closed form when it has one.
-    Evaluation uses the form when there is one and syllables with Leibniz
-    joins otherwise, which only `heisenberg` has: every constructor keeps a
-    form over the other kernels, and a copy built there directly from
-    images raises `CapabilityError` on any element but a generator.  `==`
-    compares images only.  A derivation built from its form alone fills
-    `images` from it on first read."""
+    `spec` it was parsed from or None, and its closed form, which evaluates
+    it.  `==` compares images only.  A derivation built from its form alone
+    fills `images` from it on first read."""
 
-    __slots__ = ("group", "_images", "spec", "_form", "_bases")
+    __slots__ = ("group", "_images", "spec", "_form")
 
     def __init__(
         self,
@@ -223,23 +307,16 @@ class Derivation:
         images: Optional[Dict[GroupElement, AlgebraElement]],
         *,
         spec: Optional[dict] = None,
-        form: Optional[_Form] = None,
+        form: _Form,
     ):
-        """The derivation with the given generator images, which must
-        already be known to define one: an image over `group` for every
-        generator, extending to a derivation of C[G].  With a
-        closed form, the images must be the form's, or None to read them
-        from it when first asked for.  Nothing is checked here;
-        `from_table` is the constructor for images from outside."""
+        """The derivation with the closed form `form` and the given generator
+        images, which must be the form's, or None to read them from it when
+        first asked for.  Nothing is checked here; `from_table` is the
+        constructor for images from outside."""
         self.group = group
         self.spec = spec
         self._form = form
         self._images = None if images is None else {s: images[s] for s in group.generators()}
-        # with no form, d(w) by w's payload for the generators, the syllable
-        # bases and the inverses `_inverse` builds of them
-        self._bases: Optional[Dict[tuple, AlgebraElement]] = (
-            None if form is not None else {s.payload: img for s, img in self._images.items()}
-        )
 
     @property
     def images(self) -> Dict[GroupElement, AlgebraElement]:
@@ -300,145 +377,46 @@ class Derivation:
         group: Group, images: Dict[GroupElement, AlgebraElement]
     ) -> "Derivation":
         """The derivation with generator images from outside, checked to be
-        over `group`, on exactly the generating set, and a derivation: by the
-        kernel's `table_form`, which also gives its closed form, or on a
-        kernel without one by the Leibniz rule on every pair of
-        `group.leibniz_pairs()`."""
+        over `group`, on exactly the generating set, and a derivation, by
+        the kernel's `table_form`, which also gives its closed form."""
         if set(images) != set(group.generators()):
             raise DerivationTableError(
                 "images must be given on exactly the generating set"
             )
         if any(img.group != group for img in images.values()):
             raise GroupMismatchError("generator image over the wrong group")
-        d = Derivation(group, images)
-        d._validate_table()
-        return d
-
-    # -- table validation ----------------------------------------------------
-
-    def _validate_table(self) -> None:
-        group = self.group
-        try:
-            parts = group.table_form([self._images[s]._terms for s in group.generators()])
-        except CapabilityError:
-            image = self._image
-            for p, q in group.leibniz_pairs():
-                pq, joined = self._join((p, image(p)), (q, image(q)))
-                if joined != image(pq):
-                    raise DerivationTableError(_RELATION_ERROR)
-            return
-        if parts is None:
-            raise DerivationTableError(_RELATION_ERROR)
-        inner, central = parts
-        self._form = _Form(AlgebraElement._nonzero(group, inner), central)
-        self._bases = None
+        form = _solved(group, [images[s] for s in group.generators()])
+        return Derivation(group, images, form=form)
 
     # -- evaluation ----------------------------------------------------------
-
-    def _join(self, left: Evaluated, right: Evaluated) -> Evaluated:
-        """(g, d(g)), (h, d(h)) -> (gh, d(g)*h + g*d(h)), the Leibniz rule,
-        with one payload product per term."""
-        g, dg = left
-        h, dh = right
-        dg_terms, dh_terms = dg._terms, dh._terms
-        mul = self.group._mul
-        # |d(g)| + |d(h)| bounds |d(gh)|: refused before it is built
-        if len(dg_terms) + len(dh_terms) > algebra.MAX_TERMS:
-            raise TermBudgetError(
-                f"the image of {self.group._wrap(mul(g, h))!r} may have "
-                f"{len(dg_terms) + len(dh_terms)} terms, over the limit "
-                f"MAX_TERMS = {algebra.MAX_TERMS}"
-            )
-        # translation is injective, so the terms of each half are distinct
-        # and a term can vanish only where the two halves meet
-        acc = {mul(t, h): c for t, c in dg_terms.items()}
-        _add_terms(acc, ((mul(g, t), c) for t, c in dh_terms.items()))
-        return mul(g, h), AlgebraElement._nonzero(self.group, acc)
-
-    def _inverse(self, evaluated: Evaluated) -> Evaluated:
-        """(w, d(w)) -> (w^-1, -w^-1*d(w)*w^-1), the image forced by the
-        Leibniz rule, for a base w; kept in `_bases`."""
-        w, dw = evaluated
-        group = self.group
-        wi = group._inv(w)
-        img = self._bases.get(wi)
-        if img is None:
-            mul = group._mul
-            # translation is injective and negation keeps coefficients
-            # nonzero, so these terms are distinct and nonzero
-            terms = {mul(mul(wi, t), wi): -c for t, c in dw._terms.items()}
-            img = self._bases[wi] = AlgebraElement._nonzero(group, terms)
-        return wi, img
-
-    def _power(self, base: Evaluated, k: int) -> Evaluated:
-        """(w^k, d(w^k)) from (w, d(w)) and k != 0, by binary powering:
-        O(log |k|) joins."""
-        if k < 0:
-            base, k = self._inverse(base), -k
-        result: Optional[Evaluated] = None
-        while True:
-            if k & 1:
-                result = base if result is None else self._join(result, base)
-            k >>= 1
-            if not k:
-                return result
-            base = self._join(base, base)
 
     def apply_element(self, g: GroupElement) -> AlgebraElement:
         """d(g) for a single group element of this derivation's group."""
         group = self.group
         # checked before the image is read: an element of another group may
-        # share a payload with a generator or a base
+        # share a payload with a generator
         if g.group is not group:
             group._check(g)
-        return self._image(g.payload)
-
-    def _image(self, p: tuple) -> AlgebraElement:
-        """d of the element with payload p: from the closed form when there
-        is one, else read from `_bases` or built from the kernel's syllables
-        w^k of p, each evaluated by `_power` from d(w) and joined left to
-        right.  A base missing from `_bases` is evaluated by this method in
-        turn and kept there; no other image is kept."""
-        if self._form is not None:
-            return self._form.image(p)
-        bases = self._bases
-        img = bases.get(p)
-        if img is not None:
-            return img
-        acc: Optional[Evaluated] = None
-        for w, k in self.group.syllables(p):
-            if k:
-                dw = bases.get(w)
-                if dw is None:
-                    dw = bases[w] = self._image(w)
-                power = self._power((w, dw), k)
-                acc = power if acc is None else self._join(acc, power)
-        return AlgebraElement.zero(self.group) if acc is None else acc[1]
+        return self._form.image(g.payload)
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         """d(x), summed into one dict: linear in the terms of the images."""
         if x.group != self.group:
             raise GroupMismatchError("argument over the wrong group")
         acc: Terms = {}
+        image = self._form.image
         # both factors are nonzero, so each product is nonzero; a
         # coefficient 1 leaves the image's terms as they are
         _add_terms(
             acc,
             chain.from_iterable(
-                self._image(p)._terms.items()
+                image(p)._terms.items()
                 if c == ONE
-                else [(t, c * v) for t, v in self._image(p)._terms.items()]
+                else [(t, c * v) for t, v in image(p)._terms.items()]
                 for p, c in x._terms.items()
             ),
         )
         return AlgebraElement._nonzero(self.group, acc)
-
-    def _coefficient(self, u: tuple, v: tuple) -> GaussianRational:
-        """The coefficient of the element with payload u in d(v): from the
-        closed form with no image built, else from d(v) by `_image`."""
-        if self._form is not None:
-            return self._form.coefficient(u, v)
-        return self._image(v)._terms.get(u, ZERO)
 
     def character(self, arrow: Arrow) -> GaussianRational:
         """chi^d(u, v): the coefficient of u in d(v).  The arrow's endpoints
@@ -448,7 +426,7 @@ class Derivation:
         # checked before the image is read, as in `apply_element`
         if v.group is not group:
             group._check(v)
-        return self._coefficient(arrow.u.payload, v.payload)
+        return self._form.coefficient(arrow.u.payload, v.payload)
 
     # -- Lie algebra structure -------------------------------------------------
 
@@ -457,43 +435,39 @@ class Derivation:
             raise GroupMismatchError("derivations over different groups")
 
     def __add__(self, other: "Derivation") -> "Derivation":
-        """The sum: of the two closed forms when both have one, its images
-        read from that form when asked for; else of the images."""
+        """The sum, of the two closed forms; its images are read from that
+        form when asked for."""
         self._check_group(other)
-        if self._form is not None and other._form is not None:
-            return Derivation(self.group, None, form=self._form + other._form)
-        images, others = self.images, other.images
-        return Derivation(self.group, {s: images[s] + others[s] for s in images})
+        return Derivation(self.group, None, form=self._form + other._form)
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + other.scale(-1)
 
     def scale(self, coeff: CoeffLike) -> "Derivation":
-        c = as_coefficient(coeff)
-        if self._form is not None:
-            return Derivation(self.group, None, form=self._form.scale(c))
-        return Derivation(self.group, {s: img.scale(c) for s, img in self.images.items()})
+        return Derivation(self.group, None, form=self._form.scale(as_coefficient(coeff)))
 
     def bracket(self, other: "Derivation") -> "Derivation":
-        """[d, other] = d∘other - other∘d: from the two closed forms when
-        both have one, its images read from the bracket's form when asked
-        for; else as the operator commutator on the generator images."""
+        """[d, other] = d∘other - other∘d, its images read from its form
+        when asked for: the bracket of the two forms when neither has a step
+        part; inner(d(b)) when other is inner(b), since Inn is an ideal; and
+        otherwise the form `table_form` solves for the operator commutator
+        on the generator images."""
         self._check_group(other)
-        if self._form is not None and other._form is not None:
-            return Derivation(self.group, None, form=self._form.bracket(other._form))
-        images = {
-            s: self.apply(other.images[s]) - other.apply(self.images[s])
-            for s in self.images
-        }
-        return Derivation(self.group, images)
+        f, g = self._form, other._form
+        if not (f.steps or g.steps):
+            return Derivation(self.group, None, form=f.bracket(g))
+        if not (g.central or g.steps):
+            return Derivation(self.group, None, form=_Form(self.apply(g.a), {}))
+        images = [
+            self.apply(other.images[s]) - other.apply(self.images[s])
+            for s in self.group.generators()
+        ]
+        return Derivation(self.group, None, form=_solved(self.group, images))
 
     def is_zero(self) -> bool:
-        """True iff every generator image is 0.  With a closed form, the
-        images are read from it up to the first nonzero one, and none is
-        stored."""
-        if self._form is not None:
-            return not any(self._form.image(s.payload) for s in self.group.generators())
-        return not any(self.images.values())
+        """True iff every generator image is 0: the images are read from
+        the form up to the first nonzero one, and none is stored."""
+        return not any(self._form.image(s.payload) for s in self.group.generators())
 
     def __eq__(self, other) -> bool:
         return (
@@ -548,9 +522,9 @@ def char_bracket_value(
     a, b = arrow.u.payload, arrow.v
     total = ZERO
     for k, c in p.apply_element(b)._terms.items():
-        total = total + d._coefficient(a, k) * c
+        total = total + d._form.coefficient(a, k) * c
     for k, c in d.apply_element(b)._terms.items():
-        total = total - p._coefficient(a, k) * c
+        total = total - p._form.coefficient(a, k) * c
     return total
 
 

@@ -2,11 +2,10 @@
 
 Support localisation works on generator images: collecting the cosets of
 s^-1 k over all generators s and support elements k of d(s) bounds the
-character's support, and sorting the terms of the generator images by that
-coset yields the direct-sum decomposition.  A derivation with a closed form
-is split through the form instead: the component of inner(a) + sum of
-central parts at a key is inner(a_k), a_k the terms of a in that coset, plus
-the central parts whose z lies in it.  Bracket closure, the stem-group
+character's support.  The direct-sum decomposition splits the closed form
+every derivation has: the component of inner(a) + central parts + step
+parts at a key is inner(a_k), a_k the terms of a in that coset, plus the
+central parts whose z lies in it and the step parts whose class does.  Bracket closure, the stem-group
 localisation of central derivations, and per-coset inner witnesses are
 exercised on top of the same machinery.
 """
@@ -83,20 +82,13 @@ def _buckets(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Terms]:
 
 
 def _components(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Derivation]:
-    """d's nonzero graded components by coset key.  A closed form is split
-    by the key of each term of its inner part and of each central z (the
-    component at k is inner(a_k) plus the central parts at k), and a zero
-    part is dropped with no image stored on it; otherwise each term k of a
-    generator image d(s) goes to the component at key(s^-1 k)."""
-    group = d.group
-    if d._form is None:
-        return {
-            k: Derivation(
-                group, {s: AlgebraElement(group, terms.get(s, {})) for s in group.generators()}
-            )
-            for k, terms in _buckets(d, setup).items()
-        }
+    """d's nonzero graded components by coset key: its closed form is split
+    by the key of each term of its inner part, of each central z and of
+    each step part's class (the component at k is inner(a_k) plus the
+    central and step parts at k), and a zero part is dropped with no image
+    stored on it."""
     _check_setup(d, setup)
+    group = d.group
     parts = d._form.split(setup.quotient.key)
     components = {k: Derivation(group, None, form=f) for k, f in parts.items()}
     return {k: comp for k, comp in components.items() if not comp.is_zero()}

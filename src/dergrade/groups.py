@@ -13,8 +13,8 @@ Elements are immutable values in canonical normal form: for all three kernels
 the payload *is* the normal form, so equality is payload equality.  Every
 method a kernel or quotient offers the library's own layers takes and returns
 payloads: the product and inverse (`Group._mul`, `Group._inv`), the table
-checks (a table's closed form, or Leibniz pairs where there is none), the
-conjugacy, centre and abelianization oracles, syllables, and quotient keys.
+check (a table's closed form), the conjugacy, centre and abelianization
+oracles, and quotient keys.
 The algebra, derivation and grading layers compute on payloads alone;
 `g * h`, `g.inverse()` and the element-valued entry points (`element`,
 `generators`, sampling) wrap them for callers that hold `GroupElement`s.
@@ -27,13 +27,13 @@ permutation group keeps its members as payloads; the group and its
 commutator subgroup are grown by whole right cosets (`_extend_subgroup`),
 its conjugacy classes are orbits of the generator conjugations, its centre
 is solved on the points, and its payload products are read from a table of
-at most |G|^2 references, filled on first use.  A kernel checks a
+at most |G|^2 references, filled on first use.  Every kernel checks a
 derivation table by finding its closed form (`Group.table_form`): a
 permutation group solves for a potential on its conjugation action, which
-gives the table's inner part, and Z^n, where every table is a derivation,
-reads each term of an image as one central part.  `heisenberg` has no such
-solver: its tables are checked on the pairs it names
-(`Group.leibniz_pairs`) and evaluated by its syllables.
+gives the table's inner part; Z^n, where every table is a derivation,
+reads each term of an image as one central part; and `heisenberg` solves
+for a step potential on each non-central class, a line that conjugation
+moves along.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from math import gcd
 from operator import add, itemgetter, neg
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -136,10 +136,6 @@ _set_payload = GroupElement.payload.__set__
 _set_hash = GroupElement._hash.__set__
 
 
-# (w, k): the power w^k of the base element with payload w.
-Syllable = Tuple[tuple, int]
-
-
 def conjugate(t: GroupElement, a: GroupElement) -> GroupElement:
     """t * a * t^-1."""
     return t * a * t.inverse()
@@ -180,10 +176,9 @@ class Group:
     the identity's payload (`_identity`) and the one check of outside
     entries (`payload`), and `GroupElement` lifts them to elements through
     `_wrap`; `element` is that check, wrapped.  The other kernel methods the
-    library's layers call (the table check `table_form`, the conjugacy,
-    centre and abelianization oracles, and on `heisenberg` alone `syllables`
-    and `leibniz_pairs`) take and return payloads too, and do not check
-    them: a payload is assumed to be a normal form of this group.
+    library's layers call (the table check `table_form` and the conjugacy,
+    centre and abelianization oracles) take and return payloads too, and do
+    not check them: a payload is assumed to be a normal form of this group.
     Membership is checked once where outside values meet: products of
     `GroupElement`s, `Arrow`, and the algebra, derivation and grading entry
     points, each through `_check`, which then pass `.payload` on.
@@ -241,7 +236,7 @@ class Group:
         """The payload of the inverse of the element with payload p."""
         raise NotImplementedError
 
-    # -- generating set and syllables ----------------------------------------
+    # -- generating set and table check ---------------------------------------
 
     def generators(self) -> List[GroupElement]:
         """The generating set, built once by the kernel; a fresh list."""
@@ -250,39 +245,19 @@ class Group:
     def generator_names(self) -> List[str]:
         return [f"g{i + 1}" for i in range(len(self.generators()))]
 
-    def syllables(self, p: tuple) -> List[Syllable]:
-        """[(w1, k1), (w2, k2), ...] with g = w1^k1 * w2^k2 * ... for the
-        element g with payload p, where each base payload w is a generator's
-        or an element's whose own syllables are generators, and each k is
-        an integer of any sign or size.
-
-        A derivation with no closed form, a table over `heisenberg`, is
-        evaluated by them: the bases are x, y and z = [x, y] and the
-        exponents carry the size, so `Derivation.apply_element` evaluates g
-        in O(log |k|) steps per syllable.  Every derivation over a kernel
-        with `table_form` keeps a form, so such a kernel raises
-        `CapabilityError`."""
-        raise CapabilityError(f"{self.name} has no syllables")
-
-    def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
-        """Payload pairs (g, h) on which a generator table with no form is
-        checked (`heisenberg`, the one kernel whose `table_form` raises): the
-        table is a derivation exactly when its syllable evaluation d
-        satisfies d(gh) = d(g)*h + g*d(h) on every pair."""
-        raise NotImplementedError
-
     def table_form(
         self, images: Sequence[dict]
-    ) -> Optional[Tuple[dict, Dict[tuple, tuple]]]:
-        """The closed form of a generator table, (a, central) with
-        d(g) = g*a - a*g + sum over z of tau_z(g) * g*z: the inner part a as
-        {payload: nonzero coefficient} and each tau_z, on the free basis of
-        the abelianization, by the payload of its central z, no tau all
-        zero; or None when the table is no derivation.  `images` holds the
-        terms of d(s) for each generator s in order, {payload: nonzero
-        coefficient}.  A kernel with no such solver raises
-        `CapabilityError`, and its tables are checked on `leibniz_pairs`."""
-        raise CapabilityError(f"{self.name} has no table form")
+    ) -> Optional[Tuple[dict, Dict[tuple, tuple], Dict[tuple, tuple]]]:
+        """The closed form of a generator table, (a, central, steps) with
+        d(g) = g*a - a*g + sum over z of tau_z(g) * g*z + the step terms:
+        the inner part a as {payload: nonzero coefficient}; each tau_z, on
+        the free basis of the abelianization, by the payload of its central
+        z, no tau all zero; and on `heisenberg` alone a step part by class
+        representative (see `Heisenberg.table_form` and `Heisenberg.line`);
+        or None when the table is no derivation.  `images` holds the terms
+        of d(s) for each generator s in order, {payload: nonzero
+        coefficient}."""
+        raise NotImplementedError
 
     # -- conjugacy / center oracles -------------------------------------------
 
@@ -347,12 +322,19 @@ class Group:
         raise NotImplementedError
 
 
+def _summed(pairs: Iterable[Tuple[object, object]]) -> dict:
+    """{key: the sum of its values}, keys whose sum is 0 left out."""
+    acc: dict = {}
+    for k, v in pairs:
+        acc[k] = acc[k] + v if k in acc else v
+    return {k: v for k, v in acc.items() if v}
+
+
 # ---------------------------------------------------------------------------
 # Discrete Heisenberg group
 # ---------------------------------------------------------------------------
 
-# The generators x and y, and z = [x, y], which spans the centre and is the
-# last syllable of every element.
+# The generators x and y, and z = [x, y], which spans the centre.
 _X, _Y, _Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 
@@ -389,17 +371,86 @@ class Heisenberg(Group):
     def generator_names(self) -> List[str]:
         return ["x", "y"]
 
-    def syllables(self, p: tuple) -> List[Syllable]:
-        # g = x^a y^b z^(c-ab), where z itself is x y x^-1 y^-1
-        if p == _Z:
-            return [(_X, 1), (_Y, 1), (_X, -1), (_Y, -1)]
-        a, b, c = p
-        return [(_X, a), (_Y, b), (_Z, c - a * b)]
+    def line(self, key: tuple, g: tuple) -> Tuple[int, int]:
+        """(move, stride) for the class `key` = (P, Q, r0) of a non-central
+        element, the line of members (P, Q, r), r = r0 mod stride, where
+        stride = gcd(P, Q): conjugation by g = (a, b, c) moves each member
+        by move = a*Q - b*P along it."""
+        P, Q, _ = key
+        return g[0] * Q - g[1] * P, gcd(P, Q)
 
-    def leibniz_pairs(self) -> List[Tuple[tuple, tuple]]:
-        # z = [x, y] is central, and that is all the presentation asks:
-        # each pair says d(zs) = d(sz)
-        return [(_Z, _X), (_Z, _Y)]
+    def table_form(
+        self, images: Sequence[dict]
+    ) -> Optional[Tuple[dict, Dict[tuple, tuple], Dict[tuple, tuple]]]:
+        # delta(s) = d(s) * s^-1 is a cocycle of the conjugation action,
+        # delta(gh) = delta(g) + g delta(h) g^-1, which keeps each class.  On
+        # a central z it is tau_z(s) * z.  On the line of a non-central class
+        # (`line`) delta(g) is F(r - move) - F(r) for a potential F with
+        # finitely many jumps, kept as a step part (sorted jump points, F: 0
+        # and then its value after each jump).  The table is a derivation
+        # iff delta([x, y]), which is (1 - c_y) delta(x) - (1 - c_x) delta(y),
+        # is 0.
+        from . import algebra  # imported here: algebra imports this module
+
+        central: Dict[tuple, list] = {}
+        lines: Dict[tuple, Tuple[dict, dict]] = {}
+        for i, (s, terms) in enumerate(zip((_X, _Y), images)):
+            si = self._inv(s)
+            for t, c in terms.items():
+                e = self._mul(t, si)
+                if e[0] or e[1]:
+                    lines.setdefault(self.class_representative(e), ({}, {}))[i][e[2]] = c
+                else:
+                    central.setdefault(e, [ZERO, ZERO])[i] = c
+        inner: dict = {}
+        steps: Dict[tuple, tuple] = {}
+        budget = algebra.MAX_TERMS
+        for key, (dx, dy) in lines.items():
+            (mx, stride), (my, _) = self.line(key, _X), self.line(key, _Y)
+            if _summed(chain(
+                dx.items(), ((r + my, -c) for r, c in dx.items()),
+                ((r, -c) for r, c in dy.items()), ((r + mx, c) for r, c in dy.items()),
+            )):
+                return None
+            move, f = (mx, dx) if mx and (not my or abs(mx) <= abs(my)) else (my, dy)
+            if move < 0:
+                # delta(g^-1) = -g^-1 delta(g) g, moved by -move
+                move, f = -move, {r - move: -c for r, c in f.items()}
+            # f(r) = F(r - move) - F(r) gives each jump J(r) = J(r - move) +
+            # f(r - stride) - f(r): the jumps are running sums along each
+            # chain r mod move, counted before any is built
+            diff = _summed(chain(
+                ((r, -c) for r, c in f.items()), ((r + stride, c) for r, c in f.items())
+            ))
+            chains: Dict[int, list] = {}
+            for r in sorted(diff):
+                chains.setdefault(r % move, []).append(r)
+            runs = []
+            for rs in chains.values():
+                run = ZERO
+                for r, end in zip(rs, rs[1:]):
+                    run = run + diff[r]
+                    if run:
+                        runs.append((r, end, run))
+                        budget -= (end - r) // move
+            if budget < 0:
+                raise algebra.TermBudgetError(
+                    f"the closed form of the table has more than MAX_TERMS = "
+                    f"{algebra.MAX_TERMS} jumps"
+                )
+            jumps = {r: run for lo, end, run in runs for r in range(lo, end, move)}
+            pos, vals = sorted(jumps), [ZERO]
+            for r in pos:
+                vals.append(vals[-1] + jumps[r])
+            # a finite F on no more points than it has jumps joins the inner part
+            spans = [(lo, end, v) for lo, end, v in zip(pos, pos[1:], vals[1:]) if v]
+            if not vals[-1] and sum((end - lo) // stride for lo, end, _ in spans) <= len(pos):
+                inner.update(
+                    (key[:2] + (r,), v) for lo, end, v in spans for r in range(lo, end, stride)
+                )
+            else:
+                steps[key] = (pos, vals)
+        return inner, {z: tuple(tau) for z, tau in central.items()}, steps
 
     def is_central(self, z: tuple) -> bool:
         return z[0] == 0 and z[1] == 0
@@ -479,7 +530,7 @@ class FreeAbelian(Group):
     def generator_names(self) -> List[str]:
         return [f"e{i + 1}" for i in range(self.n)]
 
-    def table_form(self, images: Sequence[dict]) -> Tuple[dict, Dict[tuple, tuple]]:
+    def table_form(self, images: Sequence[dict]) -> Tuple[dict, Dict[tuple, tuple], dict]:
         # C[Z^n] is commutative, so every table is a derivation, and it is
         # central: a term t of d(e_i) is e_i * z for z = t - e_i, central as
         # the group is, so d(g) = sum over z of tau_z(g) * g*z with tau_z(e_i)
@@ -493,7 +544,7 @@ class FreeAbelian(Group):
                 if tau is None:
                     tau = central[z] = [ZERO] * n
                 tau[i] = c
-        return {}, {z: tuple(tau) for z, tau in central.items()}
+        return {}, {z: tuple(tau) for z, tau in central.items()}, {}
 
     def is_central(self, z: tuple) -> bool:
         return True
@@ -640,9 +691,8 @@ class PermutationGroup(Group):
     `class_representative` and `is_central` return payloads and verdicts,
     never elements.  A generator table is checked by `table_form`, one
     coefficient subtraction per generator arrow of the conjugation action
-    (|G| * |generators| in all), with no Leibniz pairs and no joins; it
-    returns the table's inner part, so every derivation over the group
-    keeps a closed form and the kernel has no syllables.
+    (|G| * |generators| in all); it returns the table's inner part, so
+    every derivation over the group keeps a closed form.
     `_mul` reads a product table of payloads indexed by position in that
     order: a row is allocated the first time its left factor is used and a
     cell is filled the first time it is read.  The table holds at most
@@ -748,7 +798,7 @@ class PermutationGroup(Group):
 
     def table_form(
         self, images: Sequence[dict]
-    ) -> Optional[Tuple[dict, Dict[tuple, tuple]]]:
+    ) -> Optional[Tuple[dict, Dict[tuple, tuple], dict]]:
         # The arrow (s x, s) of the conjugation groupoid goes from x to
         # s x s^-1, and its character value chi is the coefficient of s x in
         # d(s).  The table is a derivation iff some f: G -> C satisfies
@@ -791,7 +841,7 @@ class PermutationGroup(Group):
             for x in cls:
                 if f[x] != shift:
                     witness[x] = f[x] - shift
-        return witness, {}
+        return witness, {}, {}
 
     def finite_elements(self) -> List[GroupElement]:
         return list(map(self._wrap, self._elements))

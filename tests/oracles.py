@@ -4,8 +4,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Optional
 
-import pytest
-
 from dergrade import (
     AlgebraElement,
     Derivation,
@@ -57,27 +55,43 @@ def _tree(degree, gens):
     return tree
 
 
+# Heisenberg payloads (a, b, c) with (a,b,c)(x,y,z) = (a+x, b+y, c+z+a*y), and
+# the generators x and y, and z = [x, y]
+_X, _Y, _Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def _heisenberg_product(p, q):
+    return (p[0] + q[0], p[1] + q[1], p[2] + q[2] + p[0] * q[1])
+
+
+def _heisenberg_inverse(p):
+    return (-p[0], -p[1], p[0] * p[1] - p[2])
+
+
+def _kernel(group):
+    """The payload product and inverse of `group`, as plain Python."""
+    if isinstance(group, PermutationGroup):
+        return _product, _inverse
+    if isinstance(group, FreeAbelian):
+        return (lambda p, q: tuple(a + b for a, b in zip(p, q))), (lambda p: tuple(-a for a in p))
+    return _heisenberg_product, _heisenberg_inverse
+
+
 def syllables(group, p):
-    """Syllables (w, k) of the element with payload p, as `Group.syllables`
-    gives them on `heisenberg`: on a permutation group p's parent in
-    `cayley_tree` and one letter, on Z^n e_i^k_i, and on any other kernel
-    the kernel's own."""
+    """Syllables [(w1, k1), (w2, k2), ...] of the element g with payload p,
+    g = w1^k1 * w2^k2 * ..., each base w a generator or an element whose
+    own syllables are generators: on a permutation group p's parent in
+    `cayley_tree` and one letter, on Z^n e_i^k_i, and on heisenberg
+    x^a y^b z^(c-ab), where z = x y x^-1 y^-1."""
     if isinstance(group, PermutationGroup):
         edge = cayley_tree(group)[p]
         return [] if edge is None else [(edge[0], 1), edge[1]]
     if isinstance(group, FreeAbelian):
         return [(s.payload, k) for s, k in zip(group.generators(), p)]
-    return group.syllables(p)
-
-
-@pytest.fixture
-def oracle_syllables(monkeypatch):
-    """Give permutation groups and Z^n the test-side `syllables`, so that a
-    form-less copy `Derivation(group, images)` over them evaluates by
-    Leibniz joins along them: the reference route a closed form is compared
-    with.  Nothing in the package builds such a copy."""
-    monkeypatch.setattr(PermutationGroup, "syllables", syllables)
-    monkeypatch.setattr(FreeAbelian, "syllables", syllables)
+    if p == _Z:
+        return [(_X, 1), (_Y, 1), (_X, -1), (_Y, -1)]
+    a, b, c = p
+    return [(_X, a), (_Y, b), (_Z, c - a * b)]
 
 
 def word(group, g):
@@ -97,14 +111,20 @@ def word(group, g):
 
 
 def leibniz_pairs(group):
-    """The brute-force table check of a permutation group, as payload pairs
-    (w, s): each Cayley edge w -> w*s off `cayley_tree`, s a generator.  On
-    a tree edge d(ws) is d(w) joined with d(s) by construction, when d is
-    evaluated along the tree (`oracle_syllables`), and every element of a
-    finite group is a positive word in the generators, so the Leibniz rule
-    on every (g, s) gives it on every (g, h) by induction on the length of
-    h.  `from_table` checks the same tables through
-    `PermutationGroup.table_form`."""
+    """Payload pairs (g, h) on which the Leibniz rule d(gh) = d(g) h + g d(h)
+    holds, for a table evaluated by `LeibnizCopy`, exactly when the table
+    is a derivation.  On a permutation group: each Cayley edge w -> w*s off
+    `cayley_tree`, s a generator; on a tree edge d(ws) is d(w) joined with
+    d(s) by construction, and every element of a finite group is a positive
+    word in the generators, so the rule on every (g, s) gives it on every
+    (g, h) by induction on the length of h.  On heisenberg: (z, x) and
+    (z, y), which say that z = [x, y] is central, all the presentation
+    asks.  On Z^n none: C[Z^n] is commutative, so every table is a
+    derivation."""
+    if isinstance(group, FreeAbelian):
+        return []
+    if not isinstance(group, PermutationGroup):
+        return [(_Z, _X), (_Z, _Y)]
     tree = cayley_tree(group)
     gens = [s.payload for s in group.generators()]
     return [
@@ -113,6 +133,145 @@ def leibniz_pairs(group):
         for s in gens
         if tree[_product(w, s)] != (w, (s, 1))
     ]
+
+
+# Most terms one join of a `LeibnizCopy` may combine.
+ORACLE_LIMIT = 10**5
+
+
+class OracleLimit(Exception):
+    """A join of `LeibnizCopy` would combine more than `ORACLE_LIMIT` terms."""
+
+
+def _added(*parts):
+    """The sum of term dicts, each an iterable of (payload, coefficient),
+    with no zero coefficient."""
+    acc = {}
+    for part in parts:
+        for t, c in part:
+            acc[t] = acc[t] + c if t in acc else c
+    return {t: c for t, c in acc.items() if c}
+
+
+class LeibnizCopy:
+    """A generator table (group, images) evaluated by Leibniz joins alone,
+    the reference route closed forms are checked against.  An element is
+    split into its test-side `syllables` w^k; a base w is evaluated like
+    any element and kept; w^k is built from d(w), or from d(w^-1) =
+    -w^-1 d(w) w^-1 when k < 0, by binary powering, in O(log |k|) joins;
+    and the powers are joined left to right by (g, d(g)), (h, d(h)) ->
+    (gh, d(g) h + g d(h)).  It shares nothing with the package but the
+    coefficient type and the `AlgebraElement` its results are wrapped in: its
+    payload products are its own.  A join of more than `ORACLE_LIMIT`
+    terms raises `OracleLimit`."""
+
+    def __init__(self, group, images):
+        self.group = group
+        self.images = {s: images[s] for s in group.generators()}
+        self._mul, self._inv = _kernel(group)
+        # d(w) by payload: the generators, the bases and their inverses
+        self._bases = {s.payload: dict(img._terms) for s, img in self.images.items()}
+
+    def _join(self, left, right):
+        (g, dg), (h, dh) = left, right
+        if len(dg) + len(dh) > ORACLE_LIMIT:
+            raise OracleLimit(f"a join of {len(dg) + len(dh)} terms")
+        mul = self._mul
+        return mul(g, h), _added(
+            ((mul(t, h), c) for t, c in dg.items()), ((mul(g, t), c) for t, c in dh.items())
+        )
+
+    def _base(self, w):
+        """d(w), kept."""
+        if w not in self._bases:
+            self._bases[w] = self._image(w)
+        return self._bases[w]
+
+    def _power(self, w, k):
+        """(w^k, d(w^k)) for k != 0."""
+        if k < 0:
+            mul, wi = self._mul, self._inv(w)
+            if wi not in self._bases:
+                self._bases[wi] = {mul(mul(wi, t), wi): -c for t, c in self._base(w).items()}
+            w, k = wi, -k
+        base, result = (w, self._base(w)), None
+        while True:
+            if k & 1:
+                result = base if result is None else self._join(result, base)
+            k >>= 1
+            if not k:
+                return result
+            base = self._join(base, base)
+
+    def _image(self, p):
+        """d of the element with payload p, as {payload: coefficient}."""
+        if p in self._bases:
+            return self._bases[p]
+        acc = None
+        for w, k in syllables(self.group, p):
+            if k:
+                power = self._power(w, k)
+                acc = power if acc is None else self._join(acc, power)
+        return {} if acc is None else acc[1]
+
+    def apply_element(self, g):
+        return AlgebraElement(self.group, self._image(g.payload))
+
+    def apply(self, x):
+        return AlgebraElement(self.group, _added(*(
+            [(t, c * v) for t, v in self._image(p).items()] for p, c in x._terms.items()
+        )))
+
+    def character(self, arrow):
+        return self._image(arrow.v.payload).get(arrow.u.payload, GaussianRational(0))
+
+    def bracket(self, other):
+        """The operator commutator on the generator images."""
+        return LeibnizCopy(self.group, {
+            s: AlgebraElement(self.group, _added(
+                self.apply(other.images[s])._terms.items(),
+                ((t, -c) for t, c in other.apply(self.images[s])._terms.items()),
+            ))
+            for s in self.images
+        })
+
+    def is_derivation(self):
+        """Whether the Leibniz rule holds on every pair of `leibniz_pairs`."""
+        mul = self._mul
+        return all(
+            self._join((p, self._image(p)), (q, self._image(q)))[1] == self._image(mul(p, q))
+            for p, q in leibniz_pairs(self.group)
+        )
+
+    def components(self, key):
+        """The graded components by coset key: each term k of a generator
+        image d(s) goes to the component at key(s^-1 k)."""
+        buckets = {}
+        for s, img in self.images.items():
+            si = self._inv(s.payload)
+            for k, c in img._terms.items():
+                buckets.setdefault(key(self._mul(si, k)), {}).setdefault(s, {})[k] = c
+        zero = AlgebraElement(self.group, {})
+        return {
+            k: LeibnizCopy(self.group, {
+                s: AlgebraElement(self.group, terms[s]) if s in terms else zero for s in self.images
+            })
+            for k, terms in sorted(buckets.items())
+        }
+
+
+def bracket_character(d, p, arrow):
+    """The character of [d, p] at (u, v) by the matrix-product sum
+    sum_k chi^d(u, k) chi^p(k, v) - chi^p(u, k) chi^d(k, v), for two
+    `LeibnizCopy`s: chi^p(k, v) and chi^d(k, v) are the coefficients of k
+    in p(v) and d(v), so each sum runs over the terms of one image."""
+    u, v = arrow.u.payload, arrow.v.payload
+    zero = total = GaussianRational(0)
+    for k, c in p._image(v).items():
+        total = total + d._image(k).get(u, zero) * c
+    for k, c in d._image(v).items():
+        total = total - p._image(k).get(u, zero) * c
+    return total
 
 
 def _solve_rational(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:

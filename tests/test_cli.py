@@ -4,13 +4,15 @@ import json
 import random
 import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dergrade import (
-    AlgebraElement, Derivation, Heisenberg, algebra, cli, group_from_name, groups,
+    AlgebraElement, Arrow, Derivation, GaussianRational, Heisenberg, algebra, cli,
+    group_from_name, groups,
 )
 from dergrade.cli import build_parser, main
 from dergrade.serialization import (
@@ -18,6 +20,7 @@ from dergrade.serialization import (
     derivation_to_json,
     dumps,
 )
+from oracles import LeibnizCopy, OracleLimit
 
 H = Heisenberg()
 GOLDEN = Path(__file__).parent / "golden"
@@ -442,26 +445,44 @@ def test_long_selector_exit_2(capsys, selector, message):
     assert capsys.readouterr() == ("", message)
 
 
+# d(x^a) has a terms for the table x -> y*x, y -> 0
+GROWING_JOB = {"derivation": {"group": "heisenberg", "kind": "table",
+                              "images": {"x": [[[1, 1, 0, 1], [1, 1, 0]]], "y": []}},
+               "element": [[[1, 1, 0, 1], [10**12, 0, 0]]]}
+
+
 def test_term_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # the image's 10^12 step terms are counted before any is built: the job
+    # makes a handful of payload products, solving the table, and no more
     monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
-    join = Derivation._join
+    products = []
+    mul = Heisenberg._mul
 
-    def bounded(self, left, right):
-        result = join(self, left, right)
-        # fails at once, rather than filling memory, if the budget is ignored
-        assert len(result[1]) <= 1000
-        return result
+    def counted(self, p, q):
+        products.append(p)
+        return mul(self, p, q)
 
-    monkeypatch.setattr(Derivation, "_join", bounded)
-    job = {"derivation": {"group": "heisenberg", "kind": "table",
-                          "images": {"x": [[[1, 1, 0, 1], [1, 1, 0]]], "y": []}},
-           "element": [[[1, 1, 0, 1], [10**12, 0, 0]]]}
-    argv = ["apply", "--group", "heisenberg", "--in", write(tmp_path / "j.json", job)]
+    monkeypatch.setattr(Heisenberg, "_mul", counted)
+    argv = ["apply", "--group", "heisenberg", "--in", write(tmp_path / "j.json", GROWING_JOB)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "at least 1000000000000 terms" in captured.err
     assert "MAX_TERMS = 1000" in captured.err
+    assert len(products) <= 2
+
+
+def test_growing_image_refused_in_time(tmp_path, capsys):
+    # at the real MAX_TERMS: refused from the step count, in well under a
+    # second, where building the terms would take hours
+    argv = ["apply", "--group", "heisenberg", "--in", write(tmp_path / "j.json", GROWING_JOB)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"MAX_TERMS = {algebra.MAX_TERMS}" in captured.err
 
 
 def _unit_terms(n, payload):
@@ -583,18 +604,80 @@ def _run_in_process(argv, text):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(_jobs)
-def test_fuzzed_jobs_end_cleanly(job):
-    command, data = job
-    code, out, err = _run_in_process([command, "--group", "heisenberg"], json.dumps(data))
-    assert code in (0, 2, 3)
-    if code:
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith(("error: ", "setup rejected: "))
-    else:
-        json.loads(out)
+def _leibniz_copy(spec):
+    """The `LeibnizCopy` of a heisenberg derivation spec: a table's images
+    as given, unchecked, and the images the package gives an inner or
+    central spec."""
+    if spec["kind"] != "table":
+        return LeibnizCopy(H, derivation_from_json(spec, H).images)
+    images = spec["images"]
+    return LeibnizCopy(H, {
+        s: AlgebraElement.from_json(H, images[name])
+        for name, s in zip(H.generator_names(), H.generators())
+    })
+
+
+def _terms(data):
+    """{payload: coefficient} of an algebra element's JSON."""
+    return {tuple(p): GaussianRational.from_json(c) for c, p in data}
+
+
+def _oracle_verdict(command, data, code, out, err):
+    """How a job with a table spec compares with the join route: "equal"
+    when it exited 0 and its output is the oracle's, "rejected" when it
+    exited 2 for a relation and the oracle rejects one of its tables too,
+    and None when there is nothing to compare (another exit, or a result
+    the oracle would need more than its term limit to build)."""
+    copies = {k: _leibniz_copy(data[k]) for k in ("derivation", "left", "right") if k in data}
+    tables = [c for k, c in copies.items() if data[k]["kind"] == "table"]
+    if code == 2 and "violate a defining relation" in err:
+        assert not all(c.is_derivation() for c in tables)
+        return "rejected"
+    if code != 0:
+        return None
+    result = json.loads(out)
+    try:
+        assert all(c.is_derivation() for c in tables)
+        if command == "apply":
+            x = AlgebraElement.from_json(H, data["element"])
+            assert _terms(result) == copies["derivation"].apply(x)._terms
+        elif command == "character":
+            arrow = Arrow(H.element(data["arrow"]["u"]), H.element(data["arrow"]["v"]))
+            assert GaussianRational.from_json(result) == copies["derivation"].character(arrow)
+        else:
+            bracket = copies["left"].bracket(copies["right"])
+            assert [_terms(result["images"][name]) for name in H.generator_names()] == [
+                img._terms for img in bracket.images.values()
+            ]
+    except OracleLimit:
+        return None
+    return "equal"
+
+
+def test_fuzzed_jobs_end_cleanly():
+    # every job ends with exit 0, 2 or 3 and a clean output; a job with a
+    # table spec is also checked against the join route (`_oracle_verdict`),
+    # and both verdicts must occur, so the comparison is never vacuous
+    verdicts = []
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_jobs)
+    def run(job):
+        command, data = job
+        code, out, err = _run_in_process([command, "--group", "heisenberg"], json.dumps(data))
+        assert code in (0, 2, 3)
+        if code:
+            assert out == ""
+            assert err.count("\n") == 1
+            assert err.startswith(("error: ", "setup rejected: "))
+        else:
+            json.loads(out)
+        specs = [data[k] for k in ("derivation", "left", "right") if k in data]
+        if any(spec["kind"] == "table" for spec in specs):
+            verdicts.append(_oracle_verdict(command, data, code, out, err))
+
+    run()
+    assert verdicts.count("equal") and verdicts.count("rejected"), verdicts
 
 
 @pytest.mark.parametrize("option", ["--in", "--out", "--quotient"])

@@ -34,6 +34,7 @@ from dergrade.cli import main
 from dergrade.groups import MAX_PERM_DEGREE, MAX_ZN_RANK, integer_entries
 from dergrade.verification import run_all
 from oracles import cayley_tree, word
+from oracles import syllables as oracle_syllables
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -94,18 +95,19 @@ def _power(group, w, k):
 @pytest.mark.parametrize("name, max_syllables", [("heisenberg", 4)], ids=["heisenberg"])
 def test_syllables_reassemble(name, max_syllables):
     # g = w1^k1 * w2^k2 * ..., each base a generator or z = [x, y], whose
-    # syllables are generators; heisenberg is the one kernel with syllables
+    # syllables are generators: the test-side syllables the join route of
+    # `oracles.LeibnizCopy` evaluates along
     group = group_from_name(name)
     gens = [s.payload for s in group.generators()]
     rng = random.Random(11)
     for _ in range(100):
         g = group.random_element(rng, 4)
-        syllables = group.syllables(g.payload)
+        syllables = oracle_syllables(group, g.payload)
         assert len(syllables) <= max_syllables
         prod = group.identity().payload
         for w, k in syllables:
             if w not in gens:
-                assert all(v in gens for v, _ in group.syllables(w))
+                assert all(v in gens for v, _ in oracle_syllables(group, w))
             prod = group._mul(prod, _power(group, w, k))
         assert prod == g.payload
 
@@ -659,8 +661,8 @@ class TestProductTable:
             assert S4.class_representative(a.payload) == min(cls)
         inner = Derivation.inner(AlgebraElement.monomial(S4.element((2, 3, 1, 4)), 3))
         images = [img._terms for img in inner.images.values()]
-        witness, central = S4.table_form(images)
-        assert witness and set(witness) <= payloads and central == {}
+        witness, central, steps = S4.table_form(images)
+        assert witness and set(witness) <= payloads and central == steps == {}
         assert set(S4.generators()) <= members
         assert all(s.group is S4 for s in S4.generators())
 
