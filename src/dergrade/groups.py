@@ -26,26 +26,28 @@ and JSON algebra terms are read through it with no element built.
 permutation group keeps its members as payloads; the group and its
 commutator subgroup are grown by whole right cosets (`_extend_subgroup`),
 its conjugacy classes are orbits of the generator conjugations, its centre
-is solved on the points, and its payload products are read from a table of
-at most |G|^2 references, filled on first use.  Every kernel checks a
-derivation table by finding its closed form (`Group.table_form`): a
-permutation group solves for a potential on its conjugation action, which
-gives the table's inner part; Z^n, where every table is a derivation,
-reads each term of an image as one central part; and `heisenberg` solves
-for a step potential on each non-central class, a line that conjugation
-moves along.
+is solved on the points, its payload products are read from a table of at
+most |G|^2 references, filled on first use, and its inverses from a memo
+of at most |G| entries.  Every kernel checks a derivation table by finding
+its closed form (`Group.table_form`): a permutation group solves for a
+potential on the generator arrows of its conjugation action, built once
+per kernel, which gives the table's inner part; Z^n, where every table is
+a derivation, reads each term of an image as one central part; and
+`heisenberg` solves for a step potential on each non-central class, a
+line that conjugation moves along.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 from math import gcd
 from operator import add, itemgetter, neg
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .coefficients import ZERO, integer_entries
 
@@ -663,6 +665,58 @@ def _commuting_map(gens: Sequence[tuple], first: int, image: int) -> Optional[Di
     return z
 
 
+def _gather(indices: Sequence[int]):
+    """The map f -> (f[i] for i in indices) on tuples, one C-level gather.
+    `itemgetter` given one index returns the entry, not a tuple, so a
+    single index is gathered by a slice."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
+
+
+class _ArrowForest:
+    """The generator arrows of a permutation group's conjugation groupoid,
+    by element index (position in the sorted members), built once per
+    kernel for `table_form`.  The arrow (s x, s) of the generator s numbered
+    j goes from x to s x s^-1.
+
+    * `sources[j]`: {s x: index of x}, the arrow a term of d(s) charges;
+    * `targets[j]`: the gather f -> (f(s x s^-1) for each x in index order);
+    * `edges`: the breadth-first spanning forest of each class, roots in
+      index order and generators in order, as (x, j, y) with
+      y = s x s^-1, in search order;
+    * `classes`: (the indices of each class in search order, their
+      gather), by root.
+    """
+
+    __slots__ = ("sources", "targets", "edges", "classes")
+
+    def __init__(self, group: "PermutationGroup"):
+        elements, index = group._elements, group._index
+        self.sources = [
+            {_perm_mul(s, x): i for i, x in enumerate(elements)}
+            for s in group._generator_payloads
+        ]
+        moves = [[index[conj(x)] for x in elements] for _, conj in group._conjugations]
+        self.targets = [_gather(ys) for ys in moves]
+        self.edges: List[Tuple[int, int, int]] = []
+        self.classes: List[Tuple[List[int], Callable]] = []
+        seen = [False] * len(elements)
+        for root in range(len(elements)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            cls = [root]
+            for x in cls:  # the list grows as it is read: breadth first
+                for j, ys in enumerate(moves):
+                    y = ys[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        self.edges.append((x, j, y))
+                        cls.append(y)
+            self.classes.append((cls, _gather(cls)))
+
+
 def _perm_parity(g: tuple) -> int:
     seen = [False] * len(g)
     parity = 0
@@ -689,10 +743,14 @@ class PermutationGroup(Group):
     `GroupElement` only when it hands one out (the generators are built
     once).  Its oracles work on payloads: `conjugacy_class`,
     `class_representative` and `is_central` return payloads and verdicts,
-    never elements.  A generator table is checked by `table_form`, one
-    coefficient subtraction per generator arrow of the conjugation action
-    (|G| * |generators| in all); it returns the table's inner part, so
-    every derivation over the group keeps a closed form.
+    never elements.  A generator table is checked by `table_form` on the
+    kernel's arrow forest (`_ArrowForest`, built on the first table): one
+    subtraction per charged arrow, an arrow (s x, s) with s x a term of
+    d(s), and one C-level gather per generator, which compares all
+    |G| * |generators| arrows of the conjugation action; it returns the
+    table's inner part, so every derivation over the group keeps a closed
+    form.  `_inv` keeps each inverse it computes, as the member itself
+    (at most |G| entries).
     `_mul` reads a product table of payloads indexed by position in that
     order: a row is allocated the first time its left factor is used and a
     cell is filled the first time it is read.  The table holds at most
@@ -736,6 +794,10 @@ class PermutationGroup(Group):
         self._generators = [self._wrap(p) for p in self._generator_payloads]
         # product payload rows by left factor's position, allocated on first use
         self._products: List[Optional[List[Optional[tuple]]]] = [None] * len(self._elements)
+        # the member inverse of each payload inverted so far
+        self._inverses: Dict[tuple, tuple] = {}
+        # the generator arrows `table_form` checks, built on its first call
+        self._forest: Optional[_ArrowForest] = None
         self._center: Optional[FrozenSet[tuple]] = None
         self._derived: Optional[FrozenSet[tuple]] = None
         # conjugacy class of each element whose class has been built
@@ -791,7 +853,10 @@ class PermutationGroup(Group):
         return prod
 
     def _inv(self, p: tuple) -> tuple:
-        return _perm_inv(p)
+        inverse = self._inverses.get(p)
+        if inverse is None:
+            inverse = self._inverses[p] = self._elements[self._index[_perm_inv(p)]]
+        return inverse
 
     def _random_payload(self, rng: random.Random, box: int) -> tuple:
         return rng.choice(self._elements)
@@ -805,42 +870,43 @@ class PermutationGroup(Group):
         # chi(s x, s) = f(x) - f(s x s^-1) on all |G| * |gens| generator
         # arrows: then d = inner(sum f(x) x), and conversely every derivation
         # of the semisimple C[G] is inner(w), with f the coefficients of w.
-        # f is solved on each class by breadth-first search from f(root) = 0
-        # and compared on every other arrow; then each class is shifted by
-        # its most frequent value (0 on a tie), which leaves inner(w) as it
-        # is and keeps w sparse: a table of inner(a) gets |w| <= |a|.
-        moves = [
-            (s, _right_mul(_perm_inv(s)), chi)
-            for s, chi in zip(self._generator_payloads, images)
+        # f is solved on each class along the edges of the kernel's arrow
+        # forest from f(root) = 0, and compared on every arrow, one gather
+        # per generator; then each class is shifted by its most frequent
+        # value (0 on a tie), which leaves inner(w) as it is and keeps w
+        # sparse: a table of inner(a) gets |w| <= |a|.
+        forest = self._forest
+        if forest is None:
+            forest = self._forest = _ArrowForest(self)
+        # the charged arrows of each generator, {index of x: chi(s x, s)}:
+        # every arrow with no term of d(s) at s x has chi = 0
+        charges = [
+            {sources[t]: c for t, c in chi.items()}
+            for sources, chi in zip(forest.sources, images)
         ]
-        f: Dict[tuple, object] = {}
+        f = [ZERO] * len(self._elements)
+        for x, j, y in forest.edges:
+            c = charges[j].get(x)
+            f[y] = f[x] if c is None else f[x] - c
+        f = tuple(f)
+        for gather, charge in zip(forest.targets, charges):
+            expected = list(f)
+            for x, c in charge.items():
+                expected[x] = f[x] - c
+            if gather(f) != tuple(expected):
+                return None
+        elements = self._elements
         witness = {}
-        for root in self._elements:
-            if root in f:
-                continue
-            f[root] = ZERO
-            cls = [root]
-            for x in cls:  # the list grows as it is read: breadth first
-                fx = f[x]
-                for s, times_si, chi in moves:
-                    sx = _perm_mul(s, x)
-                    c = chi.get(sx)
-                    value = fx if c is None else fx - c
-                    y = times_si(sx)
-                    fy = f.get(y)
-                    if fy is None:
-                        f[y] = value
-                        cls.append(y)
-                    elif fy != value:
-                        return None
-            counts: Dict[object, int] = {}
-            for x in cls:
-                counts[f[x]] = counts.get(f[x], 0) + 1
+        for cls, gather in forest.classes:
+            values = gather(f)
+            if values.count(values[0]) == len(values):
+                continue  # one value, which is the shift
+            counts = Counter(values)
             # the first most frequent value; the root's 0 comes first
             shift = max(counts, key=counts.__getitem__)
-            for x in cls:
-                if f[x] != shift:
-                    witness[x] = f[x] - shift
+            for x, fx in zip(cls, values):
+                if fx is not shift and fx != shift:
+                    witness[elements[x]] = fx - shift
         return witness, {}, {}
 
     def finite_elements(self) -> List[GroupElement]:

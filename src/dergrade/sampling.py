@@ -5,11 +5,10 @@ deterministic given the seed (set iteration is always sorted first)."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .algebra import AlgebraElement, _add_terms
-from .coefficients import GaussianRational
+from .coefficients import GaussianRational, _reduced
 from .derivations import Derivation
 from .groups import Arrow, Group, GroupElement
 
@@ -27,16 +26,19 @@ class Sampler:
         self.rng = random.Random(seed)
         self.box = box
         self.word_len = word_len
+        # the letters of `word_element`: the generators, then their inverses
+        gens = [s.payload for s in group.generators()]
+        self._letters = gens + [group._inv(s) for s in gens]
 
     # -- scalars -------------------------------------------------------------
 
-    def rational(self) -> Fraction:
-        num = self.rng.randint(-3, 3)
-        den = self.rng.randint(1, 3)
-        return Fraction(num, den)
-
     def coefficient(self) -> GaussianRational:
-        return GaussianRational(self.rational(), self.rational())
+        """a/b + (c/d) i for a, c drawn from [-3, 3] and b, d from [1, 3],
+        in the order a, b, c, d."""
+        randint = self.rng.randint
+        a, b = randint(-3, 3), randint(1, 3)
+        c, d = randint(-3, 3), randint(1, 3)
+        return _reduced(a * d, c * b, b * d)
 
     def nonzero_coefficient(self) -> GaussianRational:
         while True:
@@ -52,9 +54,7 @@ class Sampler:
     def word_element(self, length: Optional[int] = None) -> GroupElement:
         if length is None:
             length = self.rng.randint(0, self.word_len)
-        group = self.group
-        gens = [s.payload for s in group.generators()]
-        letters = gens + [group._inv(s) for s in gens]
+        group, letters = self.group, self._letters
         out = group._identity
         for _ in range(length):
             out = group._mul(out, self.rng.choice(letters))

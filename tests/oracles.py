@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, List, Optional
 
 from dergrade import (
@@ -15,8 +16,11 @@ from dergrade import (
 
 
 def _product(g, h):
-    """(g h)(i) = g(h(i)), one-line and 1-based, as a Python loop."""
-    return tuple([g[i - 1] for i in h])
+    """(g h)(i) = g(h(i)), one-line and 1-based: g, padded to be read from
+    index 1, gathered at h's entries in one C-level call.  `itemgetter`
+    given one index returns the entry, not a tuple; every permutation group
+    has degree >= 2."""
+    return itemgetter(*h)((0,) + g)
 
 
 def _inverse(g):
@@ -53,6 +57,50 @@ def _tree(degree, gens):
                     nxt.append(prod)
         frontier = nxt
     return tree
+
+
+def bfs_table_form(group, images):
+    """`PermutationGroup.table_form` by breadth-first search over the
+    conjugation groupoid, with plain tuple products: f is solved on each
+    class from f(root) = 0, roots in sorted element order and generators in
+    order, and compared arrow by arrow as each is met; then each class is
+    shifted by its most frequent value (the first on a tie).  Returns
+    (witness, {}, {}), or None at the first arrow with
+    chi(s x, s) != f(x) - f(s x s^-1); `images` holds the terms of d(s)
+    for each generator s in order, {payload: nonzero coefficient}."""
+    zero = GaussianRational(0)
+    moves = [
+        (s, _inverse(s), chi)
+        for s, chi in zip((s.payload for s in group.generators()), images)
+    ]
+    f = {}
+    witness = {}
+    for root in sorted(g.payload for g in group.finite_elements()):
+        if root in f:
+            continue
+        f[root] = zero
+        cls = [root]
+        for x in cls:  # the list grows as it is read: breadth first
+            fx = f[x]
+            for s, si, chi in moves:
+                sx = _product(s, x)
+                c = chi.get(sx)
+                value = fx if c is None else fx - c
+                y = _product(sx, si)
+                fy = f.get(y)
+                if fy is None:
+                    f[y] = value
+                    cls.append(y)
+                elif fy != value:
+                    return None
+        counts = {}
+        for x in cls:
+            counts[f[x]] = counts.get(f[x], 0) + 1
+        shift = max(counts, key=counts.__getitem__)
+        for x in cls:
+            if f[x] != shift:
+                witness[x] = f[x] - shift
+    return witness, {}, {}
 
 
 # Heisenberg payloads (a, b, c) with (a,b,c)(x,y,z) = (a+x, b+y, c+z+a*y), and

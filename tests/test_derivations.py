@@ -953,10 +953,12 @@ class TestLeibniz:
 
 def leibniz_pair_scan(d, elements):
     """The Leibniz rule on every pair of `elements`: the brute-force table
-    check that `from_table`'s pair list replaces."""
+    check that `from_table`'s pair list replaces.  Each d(g) and monomial g
+    of `elements` is built once."""
+    images = {g: d.apply_element(g) for g in elements}
+    monos = {g: mono(g) for g in elements}
     return all(
-        d.apply_element(g * h)
-        == d.apply_element(g) * mono(h) + mono(g) * d.apply_element(h)
+        d.apply_element(g * h) == images[g] * monos[h] + monos[g] * images[h]
         for g in elements
         for h in elements
     )

@@ -12,6 +12,7 @@ from dergrade import (
     CompositionError,
     Derivation,
     FreeAbelian,
+    GaussianRational,
     GradingSetup,
     GroupElement,
     GroupMismatchError,
@@ -32,8 +33,9 @@ from dergrade import (
 from dergrade import groups
 from dergrade.cli import main
 from dergrade.groups import MAX_PERM_DEGREE, MAX_ZN_RANK, integer_entries
+from dergrade.sampling import Sampler
 from dergrade.verification import run_all
-from oracles import cayley_tree, word
+from oracles import bfs_table_form, cayley_tree, word
 from oracles import syllables as oracle_syllables
 
 H = Heisenberg()
@@ -686,6 +688,121 @@ class TestProductTable:
         rows = [row for row in S5._products if row is not None]
         assert 0 < len(rows) <= 120
         assert all(len(row) == 120 for row in rows)
+
+    def test_inverses_memoised_as_members(self):
+        # an inverse is computed once per payload and kept as the member
+        # itself, as `_mul` returns it: at most |G| entries
+        S5 = PermutationGroup.symmetric(5)
+        assert all(result.ok for result in run_all(S5, seed=0))
+        assert 0 < len(S5._inverses) <= 120
+        identity = S5.identity().payload
+        for p, inverse in S5._inverses.items():
+            assert inverse is S5._elements[S5._index[inverse]]
+            assert groups._perm_mul(p, inverse) == identity
+
+
+def table_images(group, seed, count):
+    """`count` generator tables of derivations drawn from Sampler(group,
+    seed), each a list of {payload: coefficient} in generator order."""
+    sampler = Sampler(group, seed=seed)
+    return [
+        [dict(img._terms) for img in sampler.derivation(allow_table=False).images.values()]
+        for _ in range(count)
+    ]
+
+
+def corrupted(group, images, rng):
+    """Three tables that differ from `images` in one place: one coefficient
+    perturbed (a term added where the image is empty), one extra term, and
+    one term dropped (an unchanged copy where every image is empty)."""
+    elements = [g.payload for g in group.finite_elements()]
+    one = GaussianRational(rng.randint(1, 3), rng.randint(-2, 2))
+    perturbed = [dict(chi) for chi in images]
+    j = rng.randrange(len(images))
+    t = rng.choice(sorted(perturbed[j]) or elements)
+    perturbed[j][t] = perturbed[j].get(t, GaussianRational(0)) + one
+    if not perturbed[j][t]:
+        del perturbed[j][t]
+    extra = [dict(chi) for chi in images]
+    j = rng.randrange(len(images))
+    free = [t for t in elements if t not in extra[j]]
+    if free:
+        extra[j][rng.choice(free)] = one
+    dropped = [dict(chi) for chi in images]
+    charged = [j for j, chi in enumerate(dropped) if chi]
+    if charged:
+        j = rng.choice(charged)
+        del dropped[j][rng.choice(sorted(dropped[j]))]
+    return [perturbed, extra, dropped]
+
+
+def table_group(name):
+    """The kernel `name` names, or the `ODD_SHAPES` group with that id."""
+    if name in ODD_SHAPE_IDS:
+        return PermutationGroup(name, *ODD_SHAPES[ODD_SHAPE_IDS.index(name)])
+    return group_from_name(name)
+
+
+class TestTableForm:
+    @pytest.mark.parametrize(
+        "name", ["perm:s3", "perm:a4", "perm:s4", "perm:a5", "perm:s5"] + ODD_SHAPE_IDS
+    )
+    def test_matches_breadth_first_search(self, name):
+        # the arrow forest gives the verdicts and the witness, key order
+        # included, of the breadth-first search it replaced
+        group = table_group(name)
+        rng = random.Random(7)
+        verdicts = []
+        for images in table_images(group, seed=3, count=6):
+            for table in [images] + corrupted(group, images, rng):
+                expected = bfs_table_form(group, table)
+                got = group.table_form(table)
+                assert got == expected
+                if got is not None:
+                    assert list(got[0].items()) == list(expected[0].items())
+                verdicts.append(got is None)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("name", ["perm:s3", "perm:a4", "perm:s4", "perm:a5"])
+    def test_every_uncharged_arrow_is_compared(self, name):
+        # an image s w - w s of inner(w) has coefficients summing to 0, so a
+        # table with one term dropped is no derivation; the dropped arrow
+        # now has chi = 0 and no term of d(s) points at it
+        group = group_from_name(name)
+        dropped = 0
+        for images in table_images(group, seed=11, count=4):
+            assert group.table_form(images) is not None
+            for j, chi in enumerate(images):
+                for t in chi:
+                    table = [dict(c) for c in images]
+                    del table[j][t]
+                    assert group.table_form(table) is None
+                    dropped += 1
+        assert dropped
+
+    def test_second_check_builds_no_product(self, monkeypatch):
+        # the arrow forest is built on the first table and read after it
+        S4 = PermutationGroup.symmetric(4)
+        first, second = table_images(S4, seed=5, count=2)
+        calls = count_products(monkeypatch)
+        assert S4.table_form(first) is not None
+        assert calls
+        calls.clear()
+        assert S4.table_form(second) is not None
+        assert S4.table_form([{}, {S4.identity().payload: GaussianRational(1)}]) is None
+        assert calls == []
+
+    def test_pickled_after_a_check(self):
+        S4 = PermutationGroup.symmetric(4)
+        images = table_images(S4, seed=5, count=1)[0]
+        form = S4.table_form(images)
+        copy = pickle.loads(pickle.dumps(S4))
+        assert copy == S4 and copy is not S4 and copy._forest is not None
+        again = copy.table_form(images)
+        assert again == form and list(again[0].items()) == list(form[0].items())
+        bad = [dict(chi) for chi in images]
+        bad[0][S4.identity().payload] = GaussianRational(1)
+        assert copy.table_form(bad) is None
 
 
 class TestOrbits:
