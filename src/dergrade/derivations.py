@@ -1,15 +1,14 @@
 """Derivations of the group algebra and their groupoid characters.
 
-A derivation is stored by its images on the kernel's generating set and by
-its closed form (`_Form`), which every derivation has and which evaluates
-it: d(g) = g*a - a*g + sum over central z of tau_z(g) * g*z + the step
-terms, with tau_z a homomorphism to (C, +) read through
-`Group.abelian_coords`.  Inner and central derivations, and their sums,
-scalar multiples and brackets, combine forms (`+`, `scale`, `bracket`), and
-`grading.decompose` splits one by coset, so each result keeps its form.  A
-table from outside (`from_table`) is checked and given its form by its
-kernel (`Group.table_form`): a permutation group solves for a potential on
-its conjugation action and hands back the inner part w, so the table is
+A `Derivation` is its closed form, which evaluates it:
+d(g) = g*a - a*g + sum over central z of tau_z(g) * g*z + the step terms,
+with tau_z a homomorphism to (C, +) read through `Group.abelian_coords`.
+Inner and central derivations, and their sums, scalar multiples and
+brackets (`+`, `scale`, `bracket`), are built part by part, and
+`grading.decompose` splits one by coset (`_split`).  A table from outside
+(`from_table`) is checked and given its form by its kernel
+(`Group.table_form`): a permutation group solves for a potential on its
+conjugation action and hands back the inner part w, so the table is
 inner(w); on Z^n every table is a derivation, and each term of d(e_i) is
 one central part; and on `heisenberg` delta(g) = d(g)*g^-1 is solved class
 by class, into central parts on the centre and, on each other class (a
@@ -19,10 +18,10 @@ points than it has jumps, and is kept as a step part otherwise, one per
 class.  A step part on the line of (P, Q, .) adds to d(g) the terms
 (F(r - m) - F(r)) * (P, Q, r)*g, where g moves the line by m.
 
-A form builds only what is read: d(g) on payloads, its step terms by one
-sweep over the jump points, which counts them before it builds any; the
-generator images on their first read; and a character value chi(u, v), the
-coefficient of u in d(v), by the formula a[v^-1 u] - a[u v^-1] +
+A derivation builds only what is read: d(g) on payloads, its step terms by
+one sweep over the jump points, which counts them before it builds any;
+the generator images on their first read; and a character value chi(u, v),
+the coefficient of u in d(v), by the formula a[v^-1 u] - a[u v^-1] +
 tau_{v^-1 u}(v) + F(r - m) - F(r) for the step part of the class of
 u v^-1 = (P, Q, r), two reads of F by bisection, with no image at all.
 
@@ -49,6 +48,7 @@ from .groups import (
     Group,
     GroupElement,
     GroupMismatchError,
+    _step_part,
     _summed,
 )
 
@@ -104,11 +104,8 @@ def _add_step(steps: Dict[tuple, Step], key: tuple, step: Step) -> None:
         for pos, vals in filter(None, (steps.get(key), step))
         for r, lo, hi in zip(pos, vals, vals[1:])
     )
-    pos, vals = sorted(jumps), [ZERO]
-    for r in pos:
-        vals.append(vals[-1] + jumps[r])
-    if pos:
-        steps[key] = (pos, vals)
+    if jumps:
+        steps[key] = _step_part(jumps)
     else:
         steps.pop(key, None)
 
@@ -119,34 +116,130 @@ def _step_value(step: Step, r: int, move: int) -> GaussianRational:
     return vals[bisect_right(pos, r - move)] - vals[bisect_right(pos, r)]
 
 
-class _Form:
-    """The closed form of a derivation,
-    g -> g*a - a*g + sum over z of tau_z(g) * g*z + the step terms: the
-    inner part a, the central parts, each tau_z by the payload of its
-    central z, and the step parts, each by the payload of its class's
-    representative (only on `heisenberg`).  Parts are merged by z and by
-    class, and a zero part is dropped, so repeated sums stay bounded."""
+def _solved(
+    group: Group,
+    images: Sequence[AlgebraElement],
+    table: Optional[Dict[GroupElement, AlgebraElement]] = None,
+) -> "Derivation":
+    """The derivation with the generator images `images`, in generator
+    order, in the closed form the kernel's `table_form` solves for, keeping
+    `table`, the same images by generator, when given;
+    `DerivationTableError` when the images are no derivation."""
+    parts = group.table_form([img._terms for img in images])
+    if parts is None:
+        raise DerivationTableError(_RELATION_ERROR)
+    inner, taus, steps = parts
+    return Derivation(AlgebraElement._nonzero(group, inner), taus, steps, images=table)
 
-    __slots__ = ("a", "central", "steps")
+
+class Derivation:
+    """A derivation of C[G] as its closed form,
+    g -> g*a - a*g + sum over z of tau_z(g) * g*z + the step terms: the
+    inner part `a`, the central parts `taus`, each tau_z by the payload of
+    its central z, and the step parts `steps`, each by the payload of its
+    class's representative (only on `heisenberg`).  Parts are merged by z
+    and by class, and a zero part is dropped, so repeated sums stay
+    bounded.  It also keeps the output `spec` it was parsed from or None,
+    and its generator images (`images`), given by `from_table` or filled
+    from the form on first read.  `==` compares images only."""
+
+    __slots__ = ("group", "a", "taus", "steps", "spec", "_images")
 
     def __init__(
         self,
         a: AlgebraElement,
-        central: Dict[tuple, Tau],
-        steps: Optional[Dict[tuple, Step]] = None,
+        taus: Dict[tuple, Tau],
+        steps: Dict[tuple, Step],
+        *,
+        images: Optional[Dict[GroupElement, AlgebraElement]] = None,
+        spec: Optional[dict] = None,
     ):
+        """The derivation with inner part a, central parts `taus` and step
+        parts `steps`, over the group of a, and the given generator images,
+        which must be its own, or None to read them from the form when
+        first asked for.  Nothing is checked here; `from_table` is the
+        constructor for images from outside."""
+        group = self.group = a.group
         self.a = a
-        self.central = central
-        self.steps = steps or {}
+        self.taus = taus
+        self.steps = steps
+        self.spec = spec
+        self._images = None if images is None else {s: images[s] for s in group.generators()}
+
+    @property
+    def images(self) -> Dict[GroupElement, AlgebraElement]:
+        """The image of each generator, in generator order."""
+        images = self._images
+        if images is None:
+            image = self._image
+            images = self._images = {s: image(s.payload) for s in self.group.generators()}
+        return images
+
+    # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def zero(group: Group) -> "Derivation":
+        return Derivation(AlgebraElement.zero(group), {}, {})
+
+    @staticmethod
+    def inner(a: AlgebraElement) -> "Derivation":
+        """x -> x*a - a*x."""
+        spec = {"group": a.group.name, "kind": "inner", "a": a.to_json()}
+        return Derivation(a, {}, {}, spec=spec)
+
+    @staticmethod
+    def central(
+        group: Group, tau: Sequence[CoeffLike], z: GroupElement
+    ) -> "Derivation":
+        """g -> tau(g) * g * z for central z and a homomorphism tau to (C, +).
+
+        tau is given by its values on the free basis of the abelianization, so
+        it automatically vanishes on the commutator subgroup.
+        """
+        group._check(z)
+        if not group.is_central(z.payload):
+            raise CentralityError(f"{z!r} is not central in {group.name}")
+        rank = len(group.abelian_coords(z.payload))
+        if len(tau) != rank:
+            raise ValueError(
+                f"tau must list {rank} values (one per abelianization basis element)"
+            )
+        coeffs = tuple(as_coefficient(t) for t in tau)
+        taus: Dict[tuple, Tau] = {}
+        _add_central(taus, z.payload, coeffs)
+        spec = {
+            "group": group.name,
+            "kind": "central",
+            "tau": [t.to_json() for t in coeffs],
+            "z": list(z.payload),
+        }
+        return Derivation(AlgebraElement.zero(group), taus, {}, spec=spec)
+
+    @staticmethod
+    def from_table(
+        group: Group, images: Dict[GroupElement, AlgebraElement]
+    ) -> "Derivation":
+        """The derivation with generator images from outside, checked to be
+        over `group`, on exactly the generating set, and a derivation, by
+        the kernel's `table_form`, which also gives its closed form."""
+        if set(images) != set(group.generators()):
+            raise DerivationTableError(
+                "images must be given on exactly the generating set"
+            )
+        if any(img.group != group for img in images.values()):
+            raise GroupMismatchError("generator image over the wrong group")
+        return _solved(group, [images[s] for s in group.generators()], images)
+
+    # -- the closed form -----------------------------------------------------
 
     def _central_terms(self, p: tuple) -> List[Tuple[tuple, GaussianRational]]:
         """The nonzero terms tau_z(g) * g*z of the element g with payload p;
         their payloads are distinct, as the z are."""
-        group = self.a.group
+        group = self.group
         coords = group.abelian_coords(p)
         mul = group._mul
         terms = []
-        for z, tau in self.central.items():
+        for z, tau in self.taus.items():
             value = _tau_at(tau, coords)
             if value:
                 terms.append((mul(p, z), value))
@@ -160,7 +253,7 @@ class _Form:
         counted before any is built, and refused when more than `MAX_TERMS`
         would be left after every one of the `others` terms of d(g)
         cancelled one."""
-        group = self.a.group
+        group = self.group
         runs, count = [], 0
         for key, step in self.steps.items():
             move, stride = group.line(key, p)
@@ -183,36 +276,36 @@ class _Form:
             for r in range(lo, hi, stride)
         ]
 
-    def image(self, p: tuple) -> AlgebraElement:
+    def _image(self, p: tuple) -> AlgebraElement:
         """d of the element g with payload p: g*a - a*g plus the central and
         step terms, one payload product per term."""
-        a = self.a
-        group = a.group
+        group = self.group
         mul = group._mul
+        terms = self.a._terms
         # translation is injective, so the terms of g*a are distinct and a
         # term can vanish only where it meets one of the other terms
-        acc = {mul(p, t): c for t, c in a._terms.items()}
-        pairs = [(mul(t, p), -c) for t, c in a._terms.items()]
-        if self.central:
+        acc = {mul(p, t): c for t, c in terms.items()}
+        pairs = [(mul(t, p), -c) for t, c in terms.items()]
+        if self.taus:
             pairs += self._central_terms(p)
         if self.steps:
             pairs += self._step_terms(p, len(acc) + len(pairs))
         _add_terms(acc, pairs)
         return AlgebraElement._nonzero(group, acc)
 
-    def coefficient(self, u: tuple, v: tuple) -> GaussianRational:
+    def _coefficient(self, u: tuple, v: tuple) -> GaussianRational:
         """The coefficient of the element with payload u in d(v): a[v^-1 u]
         from v*a, minus a[u v^-1] from a*v, plus tau_{v^-1 u}(v) when v^-1 u
         is a central part's z, the one z with v*z = u, plus
         F(r - m) - F(r) when u v^-1 = (P, Q, r) lies on a step part's line,
         which v moves by m (`Heisenberg.line`)."""
-        group = self.a.group
+        group = self.group
         mul = group._mul
         vi = group._inv(v)
         s, e = mul(vi, u), mul(u, vi)
         terms = self.a._terms
         value = terms.get(s, ZERO) - terms.get(e, ZERO)
-        tau = self.central.get(s)
+        tau = self.taus.get(s)
         if tau is not None:
             value = value + _tau_at(tau, group.abelian_coords(v))
         if self.steps:
@@ -222,171 +315,30 @@ class _Form:
                 value = value + _step_value(step, e[2], group.line(key, v)[0])
         return value
 
-    def central_apply(self, x: AlgebraElement) -> AlgebraElement:
+    def _central_apply(self, x: AlgebraElement) -> AlgebraElement:
         """The central parts alone applied to x."""
         acc: Terms = {}
-        if self.central:
+        if self.taus:
             _add_terms(
                 acc,
                 ((k, c * v) for t, c in x._terms.items() for k, v in self._central_terms(t)),
             )
         return AlgebraElement._nonzero(x.group, acc)
 
-    def __add__(self, other: "_Form") -> "_Form":
-        central = dict(self.central)
-        for z, tau in other.central.items():
-            _add_central(central, z, tau)
-        steps = dict(self.steps)
-        for key, step in other.steps.items():
-            _add_step(steps, key, step)
-        return _Form(self.a + other.a, central, steps)
-
-    def scale(self, c: GaussianRational) -> "_Form":
-        # a product of nonzero Gaussian rationals is nonzero
-        if not c:
-            return _Form(self.a.scale(c), {})
-        central = {z: tuple(c * t for t in tau) for z, tau in self.central.items()}
-        steps = {k: (pos, [c * v for v in vals]) for k, (pos, vals) in self.steps.items()}
-        return _Form(self.a.scale(c), central, steps)
-
-    def bracket(self, other: "_Form") -> "_Form":
-        """The form of d∘p - p∘d, for d of this form and p of `other`, both
-        with no step part: [inner(a), inner(b)] = inner(b*a - a*b);
-        [c, inner(b)] = inner(c(b)) for a central derivation c; and
-        [central(t1, z1), central(t2, z2)] = central(t1(z2)*t2 - t2(z1)*t1, z1*z2)."""
-        a, b = self.a, other.a
-        group = a.group
-        inner = commutator(b, a) + self.central_apply(b) - other.central_apply(a)
-        central: Dict[tuple, Tau] = {}
-        for z1, t1 in self.central.items():
-            for z2, t2 in other.central.items():
-                s1 = _tau_at(t1, group.abelian_coords(z2))
-                s2 = _tau_at(t2, group.abelian_coords(z1))
-                tau = tuple(s1 * y - s2 * x for x, y in zip(t1, t2))
-                _add_central(central, group._mul(z1, z2), tau)
-        return _Form(inner, central)
-
-    def split(self, key: Callable[[tuple], tuple]) -> Dict[tuple, "_Form"]:
+    def _split(self, key: Callable[[tuple], tuple]) -> Dict[tuple, "Derivation"]:
         """The parts by coset key, one `key` call per term of a, per central
         part and per step part: at k, inner(a_k), with a_k the terms t of a
         with key(t) == k, plus the central parts with key(z) == k and the
         step parts whose class representative has key k."""
-        group = self.a.group
+        group = self.group
         parts: Dict[tuple, Tuple[Terms, Dict[tuple, Tau], Dict[tuple, Step]]] = {}
-        for i, part in enumerate((self.a._terms, self.central, self.steps)):
+        for i, part in enumerate((self.a._terms, self.taus, self.steps)):
             for t, value in part.items():
                 parts.setdefault(key(t), ({}, {}, {}))[i][t] = value
         return {
-            k: _Form(AlgebraElement._nonzero(group, terms), central, steps)
-            for k, (terms, central, steps) in parts.items()
+            k: Derivation(AlgebraElement._nonzero(group, terms), taus, steps)
+            for k, (terms, taus, steps) in parts.items()
         }
-
-
-def _solved(group: Group, images: Sequence[AlgebraElement]) -> _Form:
-    """The closed form of the generator table `images`, in generator order,
-    from the kernel's `table_form`; `DerivationTableError` when the table
-    is no derivation."""
-    parts = group.table_form([img._terms for img in images])
-    if parts is None:
-        raise DerivationTableError(_RELATION_ERROR)
-    inner, central, steps = parts
-    return _Form(AlgebraElement._nonzero(group, inner), central, steps)
-
-
-class Derivation:
-    """A derivation of C[G]: its generator images (`images`), the output
-    `spec` it was parsed from or None, and its closed form, which evaluates
-    it.  `==` compares images only.  A derivation built from its form alone
-    fills `images` from it on first read."""
-
-    __slots__ = ("group", "_images", "spec", "_form")
-
-    def __init__(
-        self,
-        group: Group,
-        images: Optional[Dict[GroupElement, AlgebraElement]],
-        *,
-        spec: Optional[dict] = None,
-        form: _Form,
-    ):
-        """The derivation with the closed form `form` and the given generator
-        images, which must be the form's, or None to read them from it when
-        first asked for.  Nothing is checked here; `from_table` is the
-        constructor for images from outside."""
-        self.group = group
-        self.spec = spec
-        self._form = form
-        self._images = None if images is None else {s: images[s] for s in group.generators()}
-
-    @property
-    def images(self) -> Dict[GroupElement, AlgebraElement]:
-        """The image of each generator, in generator order."""
-        images = self._images
-        if images is None:
-            form = self._form
-            images = self._images = {
-                s: form.image(s.payload) for s in self.group.generators()
-            }
-        return images
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero(group: Group) -> "Derivation":
-        return Derivation(group, None, form=_Form(AlgebraElement.zero(group), {}))
-
-    @staticmethod
-    def inner(a: AlgebraElement) -> "Derivation":
-        """x -> x*a - a*x."""
-        group = a.group
-        spec = {"group": group.name, "kind": "inner", "a": a.to_json()}
-        return Derivation(group, None, spec=spec, form=_Form(a, {}))
-
-    @staticmethod
-    def central(
-        group: Group, tau: Sequence[CoeffLike], z: GroupElement
-    ) -> "Derivation":
-        """g -> tau(g) * g * z for central z and a homomorphism tau to (C, +).
-
-        tau is given by its values on the free basis of the abelianization, so
-        it automatically vanishes on the commutator subgroup.
-        """
-        group._check(z)
-        if not group.is_central(z.payload):
-            raise CentralityError(f"{z!r} is not central in {group.name}")
-        rank = len(group.abelian_coords(z.payload))
-        if len(tau) != rank:
-            raise ValueError(
-                f"tau must list {rank} values (one per abelianization basis element)"
-            )
-        coeffs = tuple(as_coefficient(t) for t in tau)
-        central: Dict[tuple, Tau] = {}
-        _add_central(central, z.payload, coeffs)
-        spec = {
-            "group": group.name,
-            "kind": "central",
-            "tau": [t.to_json() for t in coeffs],
-            "z": list(z.payload),
-        }
-        return Derivation(
-            group, None, spec=spec, form=_Form(AlgebraElement.zero(group), central)
-        )
-
-    @staticmethod
-    def from_table(
-        group: Group, images: Dict[GroupElement, AlgebraElement]
-    ) -> "Derivation":
-        """The derivation with generator images from outside, checked to be
-        over `group`, on exactly the generating set, and a derivation, by
-        the kernel's `table_form`, which also gives its closed form."""
-        if set(images) != set(group.generators()):
-            raise DerivationTableError(
-                "images must be given on exactly the generating set"
-            )
-        if any(img.group != group for img in images.values()):
-            raise GroupMismatchError("generator image over the wrong group")
-        form = _solved(group, [images[s] for s in group.generators()])
-        return Derivation(group, images, form=form)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -397,14 +349,14 @@ class Derivation:
         # share a payload with a generator
         if g.group is not group:
             group._check(g)
-        return self._form.image(g.payload)
+        return self._image(g.payload)
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         """d(x), summed into one dict: linear in the terms of the images."""
         if x.group != self.group:
             raise GroupMismatchError("argument over the wrong group")
         acc: Terms = {}
-        image = self._form.image
+        image = self._image
         # both factors are nonzero, so each product is nonzero; a
         # coefficient 1 leaves the image's terms as they are
         _add_terms(
@@ -426,7 +378,7 @@ class Derivation:
         # checked before the image is read, as in `apply_element`
         if v.group is not group:
             group._check(v)
-        return self._form.coefficient(arrow.u.payload, v.payload)
+        return self._coefficient(arrow.u.payload, v.payload)
 
     # -- Lie algebra structure -------------------------------------------------
 
@@ -435,39 +387,63 @@ class Derivation:
             raise GroupMismatchError("derivations over different groups")
 
     def __add__(self, other: "Derivation") -> "Derivation":
-        """The sum, of the two closed forms; its images are read from that
-        form when asked for."""
+        """The sum, part by part; its images are read from its form when
+        asked for."""
         self._check_group(other)
-        return Derivation(self.group, None, form=self._form + other._form)
+        taus = dict(self.taus)
+        for z, tau in other.taus.items():
+            _add_central(taus, z, tau)
+        steps = dict(self.steps)
+        for key, step in other.steps.items():
+            _add_step(steps, key, step)
+        return Derivation(self.a + other.a, taus, steps)
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + other.scale(-1)
 
     def scale(self, coeff: CoeffLike) -> "Derivation":
-        return Derivation(self.group, None, form=self._form.scale(as_coefficient(coeff)))
+        c = as_coefficient(coeff)
+        # a product of nonzero Gaussian rationals is nonzero
+        if not c:
+            return Derivation(self.a.scale(c), {}, {})
+        taus = {z: tuple(c * t for t in tau) for z, tau in self.taus.items()}
+        steps = {k: (pos, [c * v for v in vals]) for k, (pos, vals) in self.steps.items()}
+        return Derivation(self.a.scale(c), taus, steps)
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """[d, other] = d∘other - other∘d, its images read from its form
-        when asked for: the bracket of the two forms when neither has a step
-        part; inner(d(b)) when other is inner(b), since Inn is an ideal; and
-        otherwise the form `table_form` solves for the operator commutator
-        on the generator images."""
+        when asked for.  When neither has a step part,
+        [inner(a), inner(b)] = inner(b*a - a*b), [c, inner(b)] = inner(c(b))
+        for a central derivation c, and
+        [central(t1, z1), central(t2, z2)] = central(t1(z2)*t2 - t2(z1)*t1, z1*z2);
+        otherwise inner(d(b)) when other is inner(b), since Inn is an ideal,
+        and else the form `table_form` solves for the operator commutator on
+        the generator images."""
         self._check_group(other)
-        f, g = self._form, other._form
-        if not (f.steps or g.steps):
-            return Derivation(self.group, None, form=f.bracket(g))
-        if not (g.central or g.steps):
-            return Derivation(self.group, None, form=_Form(self.apply(g.a), {}))
+        group = self.group
+        a, b = self.a, other.a
+        if not (self.steps or other.steps):
+            inner = commutator(b, a) + self._central_apply(b) - other._central_apply(a)
+            taus: Dict[tuple, Tau] = {}
+            for z1, t1 in self.taus.items():
+                for z2, t2 in other.taus.items():
+                    s1 = _tau_at(t1, group.abelian_coords(z2))
+                    s2 = _tau_at(t2, group.abelian_coords(z1))
+                    tau = tuple(s1 * y - s2 * x for x, y in zip(t1, t2))
+                    _add_central(taus, group._mul(z1, z2), tau)
+            return Derivation(inner, taus, {})
+        if not (other.taus or other.steps):
+            return Derivation(self.apply(b), {}, {})
         images = [
             self.apply(other.images[s]) - other.apply(self.images[s])
-            for s in self.group.generators()
+            for s in group.generators()
         ]
-        return Derivation(self.group, None, form=_solved(self.group, images))
+        return _solved(group, images)
 
     def is_zero(self) -> bool:
         """True iff every generator image is 0: the images are read from
         the form up to the first nonzero one, and none is stored."""
-        return not any(self._form.image(s.payload) for s in self.group.generators())
+        return not any(self._image(s.payload) for s in self.group.generators())
 
     def __eq__(self, other) -> bool:
         return (
@@ -522,9 +498,9 @@ def char_bracket_value(
     a, b = arrow.u.payload, arrow.v
     total = ZERO
     for k, c in p.apply_element(b)._terms.items():
-        total = total + d._form.coefficient(a, k) * c
+        total = total + d._coefficient(a, k) * c
     for k, c in d.apply_element(b)._terms.items():
-        total = total - p._form.coefficient(a, k) * c
+        total = total - p._coefficient(a, k) * c
     return total
 
 

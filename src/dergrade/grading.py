@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .algebra import AlgebraElement
-from .coefficients import CoeffLike, GaussianRational
+from .coefficients import CoeffLike
 from .derivations import Derivation
 from .groups import (
     CentralityError,
@@ -57,28 +57,18 @@ class GradingSetup:
             )
 
 
-# per generator s, terms of d(s): coefficient by payload k
-Terms = Dict[GroupElement, Dict[tuple, GaussianRational]]
-
-
 def _check_setup(d: Derivation, setup: GradingSetup) -> None:
     if d.group != setup.group:
         raise GroupMismatchError("derivation over a different group")
 
 
-def _buckets(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Terms]:
-    """The terms of d's generator images by coset: each term k of d(s), with
-    its coefficient, goes to buckets[key(s^-1 k)][s].  Only keys with a term
-    appear."""
-    _check_setup(d, setup)
-    group, key = d.group, setup.quotient.key
-    buckets: Dict[CosetKey, Terms] = {}
-    for s in group.generators():
-        s_inv = group._inv(s.payload)
-        for k, c in d.images[s]._terms.items():
-            coset = key(group._mul(s_inv, k))
-            buckets.setdefault(coset, {}).setdefault(s, {})[k] = c
-    return buckets
+def _sources(d: Derivation) -> List[tuple]:
+    """The payload s^-1 k for each term k of each generator image d(s)."""
+    group = d.group
+    images = d.images
+    mul = group._mul
+    inverses = [group._inv(s.payload) for s in images]
+    return [mul(s_inv, k) for s_inv, img in zip(inverses, images.values()) for k in img._terms]
 
 
 def _components(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Derivation]:
@@ -88,10 +78,8 @@ def _components(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Derivation
     central and step parts at k), and a zero part is dropped with no image
     stored on it."""
     _check_setup(d, setup)
-    group = d.group
-    parts = d._form.split(setup.quotient.key)
-    components = {k: Derivation(group, None, form=f) for k, f in parts.items()}
-    return {k: comp for k, comp in components.items() if not comp.is_zero()}
+    parts = d._split(setup.quotient.key)
+    return {k: comp for k, comp in parts.items() if not comp.is_zero()}
 
 
 def support_cosets(d: Derivation, setup: GradingSetup) -> FrozenSet[CosetKey]:
@@ -101,24 +89,21 @@ def support_cosets(d: Derivation, setup: GradingSetup) -> FrozenSet[CosetKey]:
     any arrow with a nonzero character value has its source's coset in this
     set, which the property tests check against random arrows.
     """
-    return frozenset(_buckets(d, setup))
+    _check_setup(d, setup)
+    return frozenset(map(setup.quotient.key, _sources(d)))
 
 
 def support_classes(d: Derivation) -> FrozenSet[GroupElement]:
     """Canonical representatives of the conjugacy classes that can carry
     support, at class rather than coset granularity."""
     group = d.group
-    reps = set()
-    for s in group.generators():
-        s_inv = group._inv(s.payload)
-        for k in d.images[s]._terms:
-            reps.add(group.class_representative(group._mul(s_inv, k)))
-    return frozenset(map(group._wrap, reps))
+    return frozenset(map(group._wrap, set(map(group.class_representative, _sources(d)))))
 
 
 def project(d: Derivation, key: CosetKey, setup: GradingSetup) -> Derivation:
-    """The component of d at one coset key: per generator s, the sub-sum of
-    d(s) over terms k with key(s^-1 k) == key."""
+    """The component of d at one coset key: the parts of its closed form at
+    that key (see `_components`), or the zero derivation when none is
+    nonzero."""
     component = _components(d, setup).get(key)
     return Derivation.zero(d.group) if component is None else component
 

@@ -332,6 +332,16 @@ def _summed(pairs: Iterable[Tuple[object, object]]) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
+def _step_part(jumps: dict) -> Tuple[List[int], list]:
+    """The step part of a potential F with the jumps {point: jump}: the
+    sorted jump points, and F: 0 before the first, then its value after
+    each."""
+    pos, vals = sorted(jumps), [ZERO]
+    for r in pos:
+        vals.append(vals[-1] + jumps[r])
+    return pos, vals
+
+
 # ---------------------------------------------------------------------------
 # Discrete Heisenberg group
 # ---------------------------------------------------------------------------
@@ -441,9 +451,7 @@ class Heisenberg(Group):
                     f"{algebra.MAX_TERMS} jumps"
                 )
             jumps = {r: run for lo, end, run in runs for r in range(lo, end, move)}
-            pos, vals = sorted(jumps), [ZERO]
-            for r in pos:
-                vals.append(vals[-1] + jumps[r])
+            pos, vals = _step_part(jumps)
             # a finite F on no more points than it has jumps joins the inner part
             spans = [(lo, end, v) for lo, end, v in zip(pos, pos[1:], vals[1:]) if v]
             if not vals[-1] and sum((end - lo) // stride for lo, end, _ in spans) <= len(pos):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -322,7 +323,7 @@ def _bounded(elements, *ds, v=lambda g: g):
     be evaluated by both routes: all of them, but only those with entries
     under 10^6 when one has a step part, whose image grows with how far the
     element moves its line."""
-    if not any(d._form.steps for d in ds):
+    if not any(d.steps for d in ds):
         return elements
     return [g for g in elements if max(map(abs, v(g).payload)) < 10**6]
 
@@ -400,7 +401,7 @@ def test_table_witness_is_no_larger_than_the_inner_part(name):
     sums.append(AlgebraElement.from_terms(group, [(g, 1) for g in elements[:7]]))
     for a in [sampler.algebra_element(max_terms=6) for _ in range(8)] + sums:
         d = Derivation.from_table(group, dict(Derivation.inner(a).images))
-        w = d._form.a
+        w = d.a
         assert len(w) <= len(a)
         assert Derivation.inner(w) == Derivation.inner(a)
         assert d.is_inner_witness(w)
@@ -408,7 +409,7 @@ def test_table_witness_is_no_larger_than_the_inner_part(name):
 
 @pytest.mark.parametrize("name", ["perm:s4", "zn:3", "heisenberg"])
 def test_form_less_copy_is_not_evaluated(name):
-    # every derivation has a closed form: one cannot be built from images
+    # a derivation is its closed form: one cannot be built from images
     # alone, and the same images through `from_table` get their form back
     # and evaluate
     group = group_from_name(name)
@@ -425,10 +426,10 @@ def test_form_less_copy_is_not_evaluated(name):
         a = mono(group.element((2, 3, 1, 4))) + mono(group.element((2, 1, 3, 4)), 3)
         d = Derivation.inner(a)
         elements = group.finite_elements()
-    with pytest.raises(TypeError, match="form"):
+    with pytest.raises(TypeError, match="required positional argument"):
         Derivation(group, d.images)
     table = Derivation.from_table(group, dict(d.images))
-    assert table._form is not None and table == d
+    assert table == d
     for g in elements:
         assert table.apply_element(g) == d.apply_element(g)
         assert table.apply(mono(g, 2)) == d.apply(mono(g, 2))
@@ -501,7 +502,7 @@ class TestBoundedCost:
         x, y = H.generators()
         table = Derivation.from_table(H, dict(base.images))
         outer = Derivation.from_table(H, {x: base.images[x] + mono(x * y, 2), y: base.images[y]})
-        assert not table._form.steps and list(outer._form.steps) == [(0, 1, 0)]
+        assert not table.steps and list(outer.steps) == [(0, 1, 0)]
         for g in [h(2, -1, self.BIG), h(-self.BIG, 1, -self.BIG), h(0, 0, self.BIG)]:
             for d in _with_leibniz_copy(table):
                 assert d.apply_element(g) == base.apply_element(g)
@@ -567,7 +568,7 @@ class TestSyllableCost:
         # of its form, with no step part
         a = mono(h(1, 1, 0)) + mono(h(2, -1, 0), 3)
         table = Derivation.from_table(H, dict(Derivation.inner(a).images))
-        assert table._form.a == a and not table._form.central and not table._form.steps
+        assert table.a == a and not table.taus and not table.steps
         for d in _with_leibniz_copy(table):
             self._check_inner(d, a)
 
@@ -682,6 +683,30 @@ def test_term_budget_rejects_growing_image(monkeypatch):
     assert calls == []
 
 
+def test_pickle_round_trip():
+    # a pickled derivation keeps its closed form, images read or not; the
+    # last case, entered as a table, has a step part on the class of y
+    S4 = group_from_name("perm:s4")
+    inner = Derivation.inner(mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3))
+    central = Derivation.central(H, [2, -1], h(0, 0, 3))
+    s4_table = Derivation.from_table(S4, dict(Sampler(S4, seed=5).inner_derivation().images))
+    steps = growing_derivation() + Derivation.inner(mono(h(1, 2, 0)) - mono(h(0, 1, 3)))
+    steps += Derivation.central(H, [1, 2], h(0, 0, 1))
+    cases = [
+        (inner, [h(2, -3, 1), h(_BIG, 1, -_BIG)]),
+        (central, [h(2, -3, 1), h(_BIG, 1, -_BIG)]),
+        (inner + central.scale(gr(Fraction(1, 3))), [h(2, -3, 1), h(-4, 5, 0)]),
+        (s4_table, S4.finite_elements()),
+        (Derivation.from_table(H, dict(steps.images)), [h(3, -2, 5), h(-1, 4, 0), h(2, 7, -3)]),
+    ]
+    assert cases[-1][0].steps
+    for d, elements in cases:
+        copy = pickle.loads(pickle.dumps(d))
+        assert copy == d and copy.spec == d.spec
+        for g in elements:
+            assert copy.apply_element(g) == d.apply_element(g)
+
+
 def test_heisenberg_table_keeps_a_form():
     # a table of inner + central parts solves to a plain form: its inner
     # part is the witness, less its central terms, whose inner derivation
@@ -689,8 +714,8 @@ def test_heisenberg_table_keeps_a_form():
     a = mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3) + mono(h(0, 0, 4), 5)
     form = Derivation.inner(a) + Derivation.central(H, [1, -2], h(0, 0, 1))
     d = Derivation.from_table(H, dict(form.images))
-    assert d._form.a == a - mono(h(0, 0, 4), 5)
-    assert d._form.central == form._form.central and not d._form.steps
+    assert d.a == a - mono(h(0, 0, 4), 5)
+    assert d.taus == form.taus and not d.steps
     rng = random.Random("heisenberg-bases")
     for i in range(200):
         box = 10**12 if i % 4 == 0 else 5
@@ -727,7 +752,7 @@ class TestHeisenbergTableForm:
     def test_growing_table_has_one_step_part(self):
         # d(x) = x*y, d(y) = 0: delta(x) = x y x^-1 lies on the class of y,
         # which x moves along; F steps once, by 1 in absolute value
-        steps = growing_derivation()._form.steps
+        steps = growing_derivation().steps
         assert list(steps) == [(0, 1, 0)]
         points, values = steps[(0, 1, 0)]
         assert len(points) == 1 and abs(values[-1].re) == 1 and not values[-1].im
@@ -750,7 +775,7 @@ class TestHeisenbergTableForm:
         # before any is built, and folds back into a when admitted
         a = mono(h(2, 3, 0)) + mono(h(2, 3, 10), 2) + mono(h(2, 3, 20), 3)
         images = dict(Derivation.inner(a).images)
-        assert Derivation.from_table(H, images)._form.a == a
+        assert Derivation.from_table(H, images).a == a
         monkeypatch.setattr(algebra, "MAX_TERMS", 5)
         with pytest.raises(derivations.TermBudgetError, match="more than MAX_TERMS = 5 jumps"):
             Derivation.from_table(H, images)
@@ -763,9 +788,9 @@ class TestHeisenbergTableForm:
             a = sampler.algebra_element(max_terms=2)
             base = Derivation.inner(a) + sampler.central_derivation()
             table = Derivation.from_table(H, dict(base.images))
-            assert not table._form.steps and table == base
-            assert Derivation.inner(table._form.a) == Derivation.inner(a)
-            assert len(table._form.a) <= len(a)
+            assert not table.steps and table == base
+            assert Derivation.inner(table.a) == Derivation.inner(a)
+            assert len(table.a) <= len(a)
 
 
 @pytest.mark.parametrize("order", ["interleaved", "positive-first"])
@@ -948,7 +973,7 @@ class TestLeibniz:
         G = PermutationGroup("s3-repeated", 3, [(2, 3, 1), (2, 3, 1), (2, 1, 3)])
         d = Derivation.inner(mono(G.element((2, 1, 3))) + mono(G.element((3, 1, 2)), 2))
         table = Derivation.from_table(G, dict(d.images))
-        assert table == d and table._form is not None
+        assert table == d and Derivation.inner(table.a) == d
 
 
 def leibniz_pair_scan(d, elements):
@@ -1097,7 +1122,7 @@ def test_table_validation_multiplies_no_elements(monkeypatch):
         for d in (sampler.derivation(allow_table=False) for _ in range(5))
     ]
     products = _counted(monkeypatch, AlgebraElement, "__mul__")
-    images = _counted(monkeypatch, derivations._Form, "image")
+    images = _counted(monkeypatch, Derivation, "_image")
     for group, table in tables:
         d = Derivation.from_table(group, table)
         assert images == []
@@ -1167,7 +1192,7 @@ def _character_cases(group, seed):
 
 class TestCharacterByFormula:
     """chi(u, v) of a form is read as a[v^-1 u] - a[u v^-1] +
-    tau_{v^-1 u}(v), with no image built (no `_Form.image` call); it
+    tau_{v^-1 u}(v), with no image built (no `Derivation._image` call); it
     equals the coefficient of u in d(v) on the copy `LeibnizCopy(G,
     d.images)`, which evaluates by syllables and joins.  Half the arrows
     have u in the support of d(v)."""
@@ -1192,7 +1217,7 @@ class TestCharacterByFormula:
     def test_matches_the_copy(self, monkeypatch, name):
         group = group_from_name(name)
         sampler = Sampler(group, seed=91, box=3)
-        images = _counted(monkeypatch, derivations._Form, "image")
+        images = _counted(monkeypatch, Derivation, "_image")
         nonzero = 0
         for kind, d in _character_cases(group, seed=92).items():
             copy = LeibnizCopy(group, d.images)
@@ -1220,7 +1245,7 @@ class TestCharacterByFormula:
 def test_forms_build_no_unread_image(monkeypatch):
     # a cold character is read off the form, and a sum, multiple or bracket
     # of forms builds its generator images only when they are read
-    calls = _counted(monkeypatch, derivations._Form, "image")
+    calls = _counted(monkeypatch, Derivation, "_image")
     for name in ["perm:s6", "heisenberg"]:
         group = group_from_name(name)
         sampler = Sampler(group, seed=95, box=3)
@@ -1271,7 +1296,7 @@ def test_zn_tables_keep_a_central_form(n):
     for images in _zn_tables(n, 200, seed=96 + n):
         d = Derivation.from_table(group, images)
         copy = LeibnizCopy(group, images)
-        assert not d._form.a and not d._form.steps
+        assert not d.a and not d.steps
         assert d.images == images
         for box in (3, 10**12):
             g = group.element([rng.randint(-box, box) for _ in range(n)])

@@ -30,6 +30,14 @@ DRAWS = 3
 # stdin of the JSON jobs pinned below: apply, character and bracket on three
 # kernels, decompose on two, with entries of 10^12 and non-real coefficients
 BIG = 10**12
+# from_table(H, {x: x*y, y: 0}) + inner((1,2,0) - (0,1,3)) + central([1, 2], (0,0,1)):
+# its form has a step part on the class (0, 1, 0), and decompose splits it
+# into the keys (0, 0), (0, 1) and (1, 2)
+STEP_TABLE = {"group": "heisenberg", "kind": "table", "images": {
+    "x": [[[1, 1, 0, 1], [1, 0, 1]], [[1, 1, 0, 1], [1, 1, 1]], [[1, 1, 0, 1], [1, 1, 3]],
+          [[-1, 1, 0, 1], [1, 1, 4]], [[-1, 1, 0, 1], [2, 2, 0]], [[1, 1, 0, 1], [2, 2, 2]]],
+    "y": [[[2, 1, 0, 1], [0, 1, 1]], [[1, 1, 0, 1], [1, 3, 0]], [[-1, 1, 0, 1], [1, 3, 1]]],
+}}
 JOBS = {
     "apply-heisenberg.json": (["apply", "--group", "heisenberg"], {
         "derivation": {"group": "heisenberg", "kind": "inner",
@@ -97,6 +105,28 @@ JOBS = {
             "e2": [[[1, 1, 1, 1], [0, 2, 1]], [[3, 1, 0, 1], [BIG, 1, 0]]],
             "e3": [],
         },
+    }),
+    # the step table: evaluated, read at an arrow whose value is its step
+    # part's, split by coset, bracketed with an inner derivation (inner(d(b)))
+    # and with a central one (the operator commutator, solved again)
+    "decompose-heisenberg-steps.json": (["decompose", "--group", "heisenberg"], STEP_TABLE),
+    "apply-heisenberg-steps.json": (["apply", "--group", "heisenberg"], {
+        "derivation": STEP_TABLE,
+        "element": [[[1, 1, 0, 1], [3, -2, 5]], [[2, 1, -1, 1], [-1, 4, 0]]],
+    }),
+    "character-heisenberg-steps.json": (["character", "--group", "heisenberg"], {
+        "derivation": STEP_TABLE,
+        "arrow": {"u": [3, -1, 7], "v": [3, -2, 5]},
+    }),
+    "bracket-heisenberg-steps-inner.json": (["bracket", "--group", "heisenberg"], {
+        "left": STEP_TABLE,
+        "right": {"group": "heisenberg", "kind": "inner",
+                  "a": [[[1, 1, 0, 1], [1, -1, 2]], [[-1, 2, 0, 1], [0, 2, -1]]]},
+    }),
+    "bracket-heisenberg-central-steps.json": (["bracket", "--group", "heisenberg"], {
+        "left": {"group": "heisenberg", "kind": "central",
+                 "tau": [[2, 1, 0, 1], [-1, 1, 0, 1]], "z": [0, 0, 1]},
+        "right": STEP_TABLE,
     }),
 }
 

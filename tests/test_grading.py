@@ -154,7 +154,7 @@ class TestDecomposition:
         dec = decompose(table, setup)
         assert sum(len(img) for img in d.images.values()) == 120
         assert len(dec.components) == 30
-        assert len(calls) == len(table._form.a) == 30
+        assert len(calls) == len(table.a) == 30
         assert dec.total() == d
 
 
@@ -223,16 +223,15 @@ def test_zero_parts_decided_on_the_form(name):
     seen = {True: 0, False: 0}
     commuting_central = 0
     for d in ds:
-        for form in d._form.split(setup.quotient.key).values():
-            part = Derivation(group, None, form=form)
-            assert not form.steps
-            zero = not form.central and all(
-                not commutator(AlgebraElement.monomial(s), form.a) for s in group.generators()
+        for part in d._split(setup.quotient.key).values():
+            assert not part.steps
+            zero = not part.taus and all(
+                not commutator(AlgebraElement.monomial(s), part.a) for s in group.generators()
             )
             assert part.is_zero() == zero
             assert not any(part.images.values()) == zero
             seen[zero] += 1
-            commuting_central += bool(form.central) and Derivation.inner(form.a).is_zero()
+            commuting_central += bool(part.taus) and Derivation.inner(part.a).is_zero()
     assert seen[True] and seen[False]
     if group.has_central_derivations():
         assert commuting_central
