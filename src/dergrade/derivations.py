@@ -10,20 +10,16 @@ brackets (`+`, `scale`, `bracket`), are built part by part, and
 (`Group.table_form`): a permutation group solves for a potential on its
 conjugation action and hands back the inner part w, so the table is
 inner(w); on Z^n every table is a derivation, and each term of d(e_i) is
-one central part; and on `heisenberg` delta(g) = d(g)*g^-1 is solved class
-by class, into central parts on the centre and, on each other class (a
-line that conjugation moves along), a potential F with finitely many
-jumps.  F joins the inner part when it is a finite witness on no more
-points than it has jumps, and is kept as a step part otherwise, one per
-class.  A step part on the line of (P, Q, .) adds to d(g) the terms
-(F(r - m) - F(r)) * (P, Q, r)*g, where g moves the line by m.
+one central part; and `heisenberg` also gives step parts, one per
+non-central class (see `Heisenberg.table_form`).  A step part is opaque
+here: its kernel adds, scales and evaluates it (`groups.add_steps`,
+`groups.scale_steps`, `Heisenberg.step_terms`, `Heisenberg.step_value`).
 
-A derivation builds only what is read: d(g) on payloads, its step terms by
-one sweep over the jump points, which counts them before it builds any;
-the generator images on their first read; and a character value chi(u, v),
-the coefficient of u in d(v), by the formula a[v^-1 u] - a[u v^-1] +
-tau_{v^-1 u}(v) + F(r - m) - F(r) for the step part of the class of
-u v^-1 = (P, Q, r), two reads of F by bisection, with no image at all.
+A derivation builds only what is read: d(g) on payloads, its step terms
+counted before any is built; the generator images on their first read;
+and a character value chi(u, v), the coefficient of u in d(v), by the
+formula a[v^-1 u] - a[u v^-1] + tau_{v^-1 u}(v) + the step parts' value at
+u v^-1, with no image at all.
 
 Every image, and the sum of images in `apply`, is merged by one
 `algebra._add_terms` call, so none has more than `MAX_TERMS` terms once
@@ -35,12 +31,10 @@ The character view is derived: the value of the character on an arrow
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import algebra
-from .algebra import AlgebraElement, TermBudgetError, Terms, _add_terms, commutator
+from .algebra import AlgebraElement, Terms, _add_terms, commutator
 from .coefficients import CoeffLike, GaussianRational, ONE, ZERO, _reduced, as_coefficient
 from .groups import (
     Arrow,
@@ -48,8 +42,8 @@ from .groups import (
     Group,
     GroupElement,
     GroupMismatchError,
-    _step_part,
-    _summed,
+    add_steps,
+    scale_steps,
 )
 
 
@@ -62,9 +56,6 @@ _RELATION_ERROR = "generator images violate a defining relation"
 
 # tau of a central part: its values on the free basis of the abelianization
 Tau = Tuple[GaussianRational, ...]
-# a step part: the sorted jump points of F on its line, and F: 0 before the
-# first, then its value after each
-Step = Tuple[List[int], List[GaussianRational]]
 
 
 def _tau_at(tau: Tau, coords: Sequence[int]) -> GaussianRational:
@@ -96,40 +87,15 @@ def _add_central(central: Dict[tuple, Tau], z: tuple, tau: Tau) -> None:
         central.pop(z, None)
 
 
-def _add_step(steps: Dict[tuple, Step], key: tuple, step: Step) -> None:
-    """Add the step part `step` on the class `key` into `steps`, adding the
-    jumps point by point; a part whose jumps all cancel is dropped."""
-    jumps = _summed(
-        (r, hi - lo)
-        for pos, vals in filter(None, (steps.get(key), step))
-        for r, lo, hi in zip(pos, vals, vals[1:])
-    )
-    if jumps:
-        steps[key] = _step_part(jumps)
-    else:
-        steps.pop(key, None)
-
-
-def _step_value(step: Step, r: int, move: int) -> GaussianRational:
-    """F(r - move) - F(r), two reads of F by bisection."""
-    pos, vals = step
-    return vals[bisect_right(pos, r - move)] - vals[bisect_right(pos, r)]
-
-
-def _solved(
-    group: Group,
-    images: Sequence[AlgebraElement],
-    table: Optional[Dict[GroupElement, AlgebraElement]] = None,
-) -> "Derivation":
-    """The derivation with the generator images `images`, in generator
-    order, in the closed form the kernel's `table_form` solves for, keeping
-    `table`, the same images by generator, when given;
-    `DerivationTableError` when the images are no derivation."""
-    parts = group.table_form([img._terms for img in images])
+def _solved(group: Group, images: Dict[GroupElement, AlgebraElement]) -> "Derivation":
+    """The derivation with the generator images `images`, by generator, in
+    the closed form the kernel's `table_form` solves for, keeping the
+    images; `DerivationTableError` when they are no derivation."""
+    parts = group.table_form([images[s]._terms for s in group.generators()])
     if parts is None:
         raise DerivationTableError(_RELATION_ERROR)
     inner, taus, steps = parts
-    return Derivation(AlgebraElement._nonzero(group, inner), taus, steps, images=table)
+    return Derivation(AlgebraElement._nonzero(group, inner), taus, steps, images=images)
 
 
 class Derivation:
@@ -140,8 +106,9 @@ class Derivation:
     class's representative (only on `heisenberg`).  Parts are merged by z
     and by class, and a zero part is dropped, so repeated sums stay
     bounded.  It also keeps the output `spec` it was parsed from or None,
-    and its generator images (`images`), given by `from_table` or filled
-    from the form on first read.  `==` compares images only."""
+    and its generator images (`images`), given by `from_table` or the
+    bracket they were solved from, or filled from the form on first read.
+    `==` compares images only."""
 
     __slots__ = ("group", "a", "taus", "steps", "spec", "_images")
 
@@ -149,7 +116,7 @@ class Derivation:
         self,
         a: AlgebraElement,
         taus: Dict[tuple, Tau],
-        steps: Dict[tuple, Step],
+        steps: dict,
         *,
         images: Optional[Dict[GroupElement, AlgebraElement]] = None,
         spec: Optional[dict] = None,
@@ -228,7 +195,7 @@ class Derivation:
             )
         if any(img.group != group for img in images.values()):
             raise GroupMismatchError("generator image over the wrong group")
-        return _solved(group, [images[s] for s in group.generators()], images)
+        return _solved(group, images)
 
     # -- the closed form -----------------------------------------------------
 
@@ -245,37 +212,6 @@ class Derivation:
                 terms.append((mul(p, z), value))
         return terms
 
-    def _step_terms(self, p: tuple, others: int) -> List[Tuple[tuple, GaussianRational]]:
-        """The step terms of d(g), g with payload p, which are distinct: on
-        the line of each step part (`Heisenberg.line`), which g moves by m,
-        the runs of members (P, Q, r) where F(r - m) - F(r) is one nonzero
-        value, found by a sweep over the jump points r and r + m.  They are
-        counted before any is built, and refused when more than `MAX_TERMS`
-        would be left after every one of the `others` terms of d(g)
-        cancelled one."""
-        group = self.group
-        runs, count = [], 0
-        for key, step in self.steps.items():
-            move, stride = group.line(key, p)
-            if move:
-                ends = sorted({*step[0], *(r + move for r in step[0])})
-                for lo, hi in zip(ends, ends[1:]):
-                    value = _step_value(step, lo, move)
-                    if value:
-                        runs.append((key[:2], lo, hi, stride, value))
-                        count += (hi - lo) // stride
-        if count - others > algebra.MAX_TERMS:
-            raise TermBudgetError(
-                f"the image of {group._wrap(p)!r} has at least {count - others} "
-                f"terms, over the limit MAX_TERMS = {algebra.MAX_TERMS}"
-            )
-        mul = group._mul
-        return [
-            (mul(line + (r,), p), value)
-            for line, lo, hi, stride, value in runs
-            for r in range(lo, hi, stride)
-        ]
-
     def _image(self, p: tuple) -> AlgebraElement:
         """d of the element g with payload p: g*a - a*g plus the central and
         step terms, one payload product per term."""
@@ -289,16 +225,15 @@ class Derivation:
         if self.taus:
             pairs += self._central_terms(p)
         if self.steps:
-            pairs += self._step_terms(p, len(acc) + len(pairs))
+            pairs += group.step_terms(self.steps, p, len(acc) + len(pairs))
         _add_terms(acc, pairs)
         return AlgebraElement._nonzero(group, acc)
 
     def _coefficient(self, u: tuple, v: tuple) -> GaussianRational:
         """The coefficient of the element with payload u in d(v): a[v^-1 u]
         from v*a, minus a[u v^-1] from a*v, plus tau_{v^-1 u}(v) when v^-1 u
-        is a central part's z, the one z with v*z = u, plus
-        F(r - m) - F(r) when u v^-1 = (P, Q, r) lies on a step part's line,
-        which v moves by m (`Heisenberg.line`)."""
+        is a central part's z, the one z with v*z = u, plus the step
+        parts' value at u v^-1 (`Heisenberg.step_value`)."""
         group = self.group
         mul = group._mul
         vi = group._inv(v)
@@ -309,10 +244,7 @@ class Derivation:
         if tau is not None:
             value = value + _tau_at(tau, group.abelian_coords(v))
         if self.steps:
-            key = group.class_representative(e)
-            step = self.steps.get(key)
-            if step is not None:
-                value = value + _step_value(step, e[2], group.line(key, v)[0])
+            value = value + group.step_value(self.steps, e, v)
         return value
 
     def _central_apply(self, x: AlgebraElement) -> AlgebraElement:
@@ -331,7 +263,7 @@ class Derivation:
         with key(t) == k, plus the central parts with key(z) == k and the
         step parts whose class representative has key k."""
         group = self.group
-        parts: Dict[tuple, Tuple[Terms, Dict[tuple, Tau], Dict[tuple, Step]]] = {}
+        parts: Dict[tuple, Tuple[Terms, Dict[tuple, Tau], dict]] = {}
         for i, part in enumerate((self.a._terms, self.taus, self.steps)):
             for t, value in part.items():
                 parts.setdefault(key(t), ({}, {}, {}))[i][t] = value
@@ -393,10 +325,7 @@ class Derivation:
         taus = dict(self.taus)
         for z, tau in other.taus.items():
             _add_central(taus, z, tau)
-        steps = dict(self.steps)
-        for key, step in other.steps.items():
-            _add_step(steps, key, step)
-        return Derivation(self.a + other.a, taus, steps)
+        return Derivation(self.a + other.a, taus, add_steps(self.steps, other.steps))
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + other.scale(-1)
@@ -407,8 +336,7 @@ class Derivation:
         if not c:
             return Derivation(self.a.scale(c), {}, {})
         taus = {z: tuple(c * t for t in tau) for z, tau in self.taus.items()}
-        steps = {k: (pos, [c * v for v in vals]) for k, (pos, vals) in self.steps.items()}
-        return Derivation(self.a.scale(c), taus, steps)
+        return Derivation(self.a.scale(c), taus, scale_steps(self.steps, c))
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """[d, other] = d∘other - other∘d, its images read from its form
@@ -418,7 +346,7 @@ class Derivation:
         [central(t1, z1), central(t2, z2)] = central(t1(z2)*t2 - t2(z1)*t1, z1*z2);
         otherwise inner(d(b)) when other is inner(b), since Inn is an ideal,
         and else the form `table_form` solves for the operator commutator on
-        the generator images."""
+        the generator images, which it keeps."""
         self._check_group(other)
         group = self.group
         a, b = self.a, other.a
@@ -434,10 +362,10 @@ class Derivation:
             return Derivation(inner, taus, {})
         if not (other.taus or other.steps):
             return Derivation(self.apply(b), {}, {})
-        images = [
-            self.apply(other.images[s]) - other.apply(self.images[s])
+        images = {
+            s: self.apply(other.images[s]) - other.apply(self.images[s])
             for s in group.generators()
-        ]
+        }
         return _solved(group, images)
 
     def is_zero(self) -> bool:
@@ -466,10 +394,7 @@ class Derivation:
         set suffices because both sides are derivations."""
         if w.group != self.group:
             raise GroupMismatchError("witness over the wrong group")
-        return all(
-            self.images[s] == commutator(AlgebraElement.monomial(s), w)
-            for s in self.images
-        )
+        return self == Derivation.inner(w)
 
 
 # ---------------------------------------------------------------------------

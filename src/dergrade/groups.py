@@ -34,13 +34,19 @@ potential on the generator arrows of its conjugation action, built once
 per kernel, which gives the table's inner part; Z^n, where every table is
 a derivation, reads each term of an image as one central part; and
 `heisenberg` solves for a step potential on each non-central class, a
-line that conjugation moves along.
+line that conjugation moves along.  Its step parts are read and written
+here alone: `add_steps` and `scale_steps` add and scale them, and
+`Heisenberg.step_terms` and `Heisenberg.step_value` evaluate them for a
+derivation, which holds them as opaque values by class.  A subgroup N
+given from outside is grown from its least members by the same whole
+cosets, and checked normal on the generators chosen for it.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -342,6 +348,35 @@ def _step_part(jumps: dict) -> Tuple[List[int], list]:
     return pos, vals
 
 
+def _step_value(step: Tuple[List[int], list], r: int, move: int):
+    """F(r - move) - F(r) for the step part of F, two reads by bisection."""
+    pos, vals = step
+    return vals[bisect_right(pos, r - move)] - vals[bisect_right(pos, r)]
+
+
+def add_steps(steps: dict, other: dict) -> dict:
+    """The sum of two derivations' step parts, {class: step part}, class by
+    class: the jumps are added point by point, and a part whose jumps all
+    cancel is dropped."""
+    steps = dict(steps)
+    for key, step in other.items():
+        jumps = _summed(
+            (r, hi - lo)
+            for pos, vals in filter(None, (steps.get(key), step))
+            for r, lo, hi in zip(pos, vals, vals[1:])
+        )
+        if jumps:
+            steps[key] = _step_part(jumps)
+        else:
+            steps.pop(key, None)
+    return steps
+
+
+def scale_steps(steps: dict, c) -> dict:
+    """The step parts `steps` times the nonzero coefficient c."""
+    return {key: (pos, [c * v for v in vals]) for key, (pos, vals) in steps.items()}
+
+
 # ---------------------------------------------------------------------------
 # Discrete Heisenberg group
 # ---------------------------------------------------------------------------
@@ -461,6 +496,48 @@ class Heisenberg(Group):
             else:
                 steps[key] = (pos, vals)
         return inner, {z: tuple(tau) for z, tau in central.items()}, steps
+
+    def step_terms(self, steps: dict, p: tuple, others: int) -> List[Tuple[tuple, object]]:
+        """The step terms of d(g), g with payload p, for the step parts
+        `steps` of d, with distinct payloads: on the line of each step part,
+        which g moves by m, the runs of members (P, Q, r) where
+        F(r - m) - F(r) is one nonzero value, found by a sweep over the jump
+        points r and r + m.  They are counted before any is built, and
+        refused when more than `MAX_TERMS` would be left after every one of
+        the `others` terms of d(g) cancelled one."""
+        from . import algebra  # imported here: algebra imports this module
+
+        runs, count = [], 0
+        for key, step in steps.items():
+            move, stride = self.line(key, p)
+            if move:
+                ends = sorted({*step[0], *(r + move for r in step[0])})
+                for lo, hi in zip(ends, ends[1:]):
+                    value = _step_value(step, lo, move)
+                    if value:
+                        runs.append((key[:2], lo, hi, stride, value))
+                        count += (hi - lo) // stride
+        if count - others > algebra.MAX_TERMS:
+            raise algebra.TermBudgetError(
+                f"the image of {self._wrap(p)!r} has at least {count - others} "
+                f"terms, over the limit MAX_TERMS = {algebra.MAX_TERMS}"
+            )
+        mul = self._mul
+        return [
+            (mul(line + (r,), p), value)
+            for line, lo, hi, stride, value in runs
+            for r in range(lo, hi, stride)
+        ]
+
+    def step_value(self, steps: dict, e: tuple, v: tuple):
+        """The coefficient of e*v in the step terms of d(v), for the step
+        parts `steps` of d: F(r - m) - F(r) when e = (P, Q, r) lies on a
+        step part's line, which v moves by m, and 0 otherwise."""
+        key = self.class_representative(e)
+        step = steps.get(key)
+        if step is None:
+            return ZERO
+        return _step_value(step, e[2], self.line(key, v)[0])
 
     def is_central(self, z: tuple) -> bool:
         return z[0] == 0 and z[1] == 0
@@ -813,8 +890,6 @@ class PermutationGroup(Group):
 
     @staticmethod
     def symmetric(n: int) -> "PermutationGroup":
-        if n < 2:
-            raise ValueError("degree must be >= 2")
         swap = (2, 1) + tuple(range(3, n + 1))
         cycle = tuple(range(2, n + 1)) + (1,)
         return PermutationGroup(f"s{n}", n, [swap, cycle])
@@ -1006,37 +1081,33 @@ class PermutationGroup(Group):
         this group with abelian quotient (equivalently, G' <= N).  When only
         the abelian check fails, the error carries a counterexample element
         whose conjugacy class escapes its coset."""
-        identity = tuple(range(1, self.degree + 1))
-        if identity not in subgroup:
+        if self._identity not in subgroup:
             raise QuotientError("subgroup must contain the identity")
         for p in subgroup:
             if p not in self._index:
                 raise QuotientError(f"{p} is not an element of {self.name}")
-            if _perm_inv(p) not in subgroup:
-                raise QuotientError(f"not closed under inverses at {p}")
-        # A finite set closed under products is a subgroup.  Grow <N> from
-        # generators chosen greedily, each the least element of N not yet
-        # reached, and multiply every reached element by every generator:
-        # O(|N| log |N|) products, where checking all pairs would take |N|^2.
-        reached = {identity}
+        # A finite set closed under products is a subgroup, so N is one iff
+        # <N> stays in N.  <N> is grown by whole right cosets, as G and G'
+        # are, each generator the least member of N not yet reached; when it
+        # escapes, some reached member a of N has a * s outside N for a
+        # generator s, and the least such pair is named.
+        reached = {self._identity}
+        maps: list = []
         gens = []
         for q in sorted(subgroup):
-            if q in reached:
-                continue
-            times_q = _right_mul(q)
-            gens.append((q, times_q))
-            stack = [(a, q, times_q) for a in sorted(reached)]
-            while stack:
-                a, s, times = stack.pop()
-                b = times(a)
-                if b not in subgroup:
+            if q not in reached:
+                _extend_subgroup(reached, maps, q)
+                gens.append(q)
+                if not reached <= subgroup:
+                    a, s = min(
+                        (a, s) for a in reached & subgroup for s in gens
+                        if _perm_mul(a, s) not in subgroup
+                    )
                     raise QuotientError(f"not closed under products at {a} * {s}")
-                if b not in reached:
-                    reached.add(b)
-                    stack.extend((b, t, times_t) for t, times_t in gens)
-        # G is finite: N is normal once each generator's conjugation maps N into N
+        # G is finite: N is normal once each generator's conjugation maps
+        # N's generators into N
         for g, conj in self._conjugations:
-            for n in subgroup:
+            for n in gens:
                 if conj(n) not in subgroup:
                     raise QuotientError(f"subgroup is not normal: conjugating {n} by {g} escapes")
         # with N normal, G/N is abelian <=> the generators commute modulo N

@@ -1,7 +1,9 @@
+import ast
 import itertools
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,8 +30,10 @@ from dergrade import (
 )
 from dergrade import algebra, derivations
 from dergrade.sampling import Sampler
+from dergrade.serialization import derivation_from_json
 import oracles
 from oracles import LeibnizCopy, bracket_character, find_inner_witness, word
+from test_golden import STEP_TABLE
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -676,9 +680,9 @@ def test_term_budget_rejects_growing_image(monkeypatch):
     d = growing_derivation()
     assert len(d.apply_element(h(64, 0, 0))) == 64
     calls = _counted(monkeypatch, Heisenberg, "_mul")
-    with pytest.raises(derivations.TermBudgetError, match="at least 65 terms.*MAX_TERMS = 64"):
+    with pytest.raises(algebra.TermBudgetError, match="at least 65 terms.*MAX_TERMS = 64"):
         d.apply_element(h(65, 0, 0))
-    with pytest.raises(derivations.TermBudgetError, match="MAX_TERMS = 64"):
+    with pytest.raises(algebra.TermBudgetError, match="MAX_TERMS = 64"):
         d.apply_element(h(10**12, 0, 0))
     assert calls == []
 
@@ -777,7 +781,7 @@ class TestHeisenbergTableForm:
         images = dict(Derivation.inner(a).images)
         assert Derivation.from_table(H, images).a == a
         monkeypatch.setattr(algebra, "MAX_TERMS", 5)
-        with pytest.raises(derivations.TermBudgetError, match="more than MAX_TERMS = 5 jumps"):
+        with pytest.raises(algebra.TermBudgetError, match="more than MAX_TERMS = 5 jumps"):
             Derivation.from_table(H, images)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1269,6 +1273,34 @@ def test_forms_build_no_unread_image(monkeypatch):
     assert bracket.images is images and len(calls) == 2
     reference = LeibnizCopy(H, total.images).bracket(LeibnizCopy(H, Derivation.inner(b).images))
     assert bracket.images == reference.images and not bracket.is_zero()
+
+
+def test_solved_bracket_keeps_its_images(monkeypatch):
+    # a bracket solved by `table_form` keeps the images of the operator
+    # commutator it was solved from: reading them evaluates nothing again
+    table = derivation_from_json(STEP_TABLE)
+    central = Derivation.central(H, [2, -1], h(0, 0, 1))
+    assert table.steps
+    bracket = central.bracket(table)
+    calls = _counted(monkeypatch, Derivation, "_image")
+    images = bracket.images
+    assert calls == []
+    reference = LeibnizCopy(H, central.images).bracket(LeibnizCopy(H, table.images))
+    assert images == reference.images
+
+
+def test_derivations_import_no_private_kernel_name():
+    # the step-part format and the payload layout stay behind the kernel:
+    # derivations.py takes only public names from the groups module
+    tree = ast.parse(Path(derivations.__file__).read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in {(1, "groups"), (0, "dergrade.groups")}
+        for alias in node.names
+    ]
+    assert names and [name for name in names if name.startswith("_")] == []
 
 
 def _zn_tables(n, count, seed):

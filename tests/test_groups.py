@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -872,6 +874,40 @@ class TestSubgroupCheck:
         with pytest.raises(QuotientError, match=r"not closed under products at \(.*\) \* \("):
             S4.quotient_by([(1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3)])
 
+    @pytest.mark.parametrize("name", ["perm:s4", "perm:s5"])
+    def test_rejections_name_their_witnesses(self, name):
+        # random subsets and generated subgroups: a product rejection names
+        # a and s in N with a * s outside it, and a normality rejection n in
+        # N and a generator g of G with g n g^-1 outside it
+        group = group_from_name(name)
+        elements = group.finite_elements()
+        rng = random.Random(name)
+        seen = []
+        for i in range(200):
+            if i % 2:
+                subset = generated(group, rng.sample(elements, rng.randint(1, 2)))
+            else:
+                subset = {group.identity(), *rng.sample(elements, rng.randint(1, 8))}
+            try:
+                group.quotient_by(sorted(g.payload for g in subset))
+                continue
+            except QuotientError as err:
+                message = str(err)
+            product = re.fullmatch(r"not closed under products at (\(.*\)) \* (\(.*\))", message)
+            normal = re.fullmatch(
+                r"subgroup is not normal: conjugating (\(.*\)) by (\(.*\)) escapes", message
+            )
+            if product:
+                a, s = (group.element(ast.literal_eval(p)) for p in product.groups())
+                assert a in subset and s in subset and a * s not in subset, message
+                seen.append("product")
+            elif normal:
+                n, g = (group.element(ast.literal_eval(p)) for p in normal.groups())
+                assert n in subset and g in group.generators(), message
+                assert conjugate(g, n) not in subset, message
+                seen.append("normal")
+        assert "product" in seen and "normal" in seen
+
     @pytest.mark.parametrize("name", PERM_NAMES)
     def test_derived_quotients_accepted(self, name):
         group = group_from_name(name)
@@ -963,6 +999,8 @@ class TestDegreeLimit:
         # a one-index gather returns an entry, not a tuple
         with pytest.raises(ValueError, match="degree must be >= 2"):
             PermutationGroup("trivial", 1, [(1,)])
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            PermutationGroup.symmetric(1)
 
 
 class TestRankLimit:
