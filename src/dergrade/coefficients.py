@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 RatLike = Union[int, Fraction]
 CoeffLike = Union["GaussianRational", int, Fraction]
@@ -113,7 +113,7 @@ class GaussianRational:
             raise TypeError(f"coefficient {data} must have integer entries")
         if rd == 0 or imd == 0:
             raise ValueError(f"coefficient {data} has a zero denominator")
-        return _reduced(rn * imd, imn * rd, rd * imd)
+        return from_quotients(rn, rd, imn, imd)
 
     def __str__(self) -> str:
         if not self._q:
@@ -132,6 +132,30 @@ def _reduced(p: int, q: int, d: int) -> GaussianRational:
     if g != 1:
         p, q, d = p // g, q // g, d // g
     return _triple(p, q, d)
+
+
+def from_quotients(re_num: int, re_den: int, im_num: int, im_den: int) -> GaussianRational:
+    """The value re_num/re_den + (im_num/im_den)*i for integers with nonzero
+    denominators, the layout of `to_json`."""
+    return _reduced(re_num * im_den, im_num * re_den, re_den * im_den)
+
+
+def integer_combination(
+    coeffs: Sequence[GaussianRational], ints: Sequence[int]
+) -> GaussianRational:
+    """The sum of the coeffs[i] * ints[i]: integer numerators over the
+    coefficients' denominators, reduced once; a zero integer is skipped."""
+    p = q = 0
+    d = 1
+    for t, k in zip(coeffs, ints):
+        if k:
+            td = t._d
+            if td == d:
+                p += t._p * k
+                q += t._q * k
+            else:
+                p, q, d = p * td + t._p * k * d, q * td + t._q * k * d, d * td
+    return _reduced(p, q, d)
 
 
 def _triple(p: int, q: int, d: int) -> GaussianRational:

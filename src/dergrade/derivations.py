@@ -3,9 +3,12 @@
 A `Derivation` is its closed form, which evaluates it:
 d(g) = g*a - a*g + sum over central z of tau_z(g) * g*z + the step terms,
 with tau_z a homomorphism to (C, +) read through `Group.abelian_coords`.
-Inner and central derivations, and their sums, scalar multiples and
-brackets (`+`, `scale`, `bracket`), are built part by part, and
-`grading.decompose` splits one by coset (`_split`).  A table from outside
+Sums and scalar multiples (`+`, `scale`) are built part by part, and
+`grading.decompose` splits a form by coset (`_split`).  A bracket is one
+formula, as Inn is an ideal: for d = inner(a) + d° and p = inner(b) + p°,
+d° and p° their central and step parts, [d, p] = inner(d(b) - p°(a)) +
+[d°, p°], and only where a step part meets another central or step part
+is [d, p] solved from its generator images.  A table from outside
 (`from_table`) is checked and given its form by its kernel
 (`Group.table_form`): a permutation group solves for a potential on its
 conjugation action and hands back the inner part w, so the table is
@@ -24,18 +27,17 @@ u v^-1, with no image at all.
 Every image, and the sum of images in `apply`, is merged by one
 `algebra._add_terms` call, so none has more than `MAX_TERMS` terms once
 finished.  No image is kept but the generator images.
-
-The character view is derived: the value of the character on an arrow
-(u, v) is the coefficient of u in d(v).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, Terms, _add_terms, commutator
-from .coefficients import CoeffLike, GaussianRational, ONE, ZERO, _reduced, as_coefficient
+from .algebra import AlgebraElement, Terms, _add_terms
+from .coefficients import (
+    CoeffLike, GaussianRational, ONE, ZERO, as_coefficient, integer_combination,
+)
 from .groups import (
     Arrow,
     CentralityError,
@@ -56,23 +58,6 @@ _RELATION_ERROR = "generator images violate a defining relation"
 
 # tau of a central part: its values on the free basis of the abelianization
 Tau = Tuple[GaussianRational, ...]
-
-
-def _tau_at(tau: Tau, coords: Sequence[int]) -> GaussianRational:
-    """tau(g), from the abelianization coordinates of g: the sum of the
-    tau_i * k_i in integer numerators over the tau denominators, reduced
-    once; a zero coordinate is skipped."""
-    p = q = 0
-    d = 1
-    for t, k in zip(tau, coords):
-        if k:
-            td = t._d
-            if td == d:
-                p += t._p * k
-                q += t._q * k
-            else:
-                p, q, d = p * td + t._p * k * d, q * td + t._q * k * d, d * td
-    return _reduced(p, q, d)
 
 
 def _add_central(central: Dict[tuple, Tau], z: tuple, tau: Tau) -> None:
@@ -199,19 +184,6 @@ class Derivation:
 
     # -- the closed form -----------------------------------------------------
 
-    def _central_terms(self, p: tuple) -> List[Tuple[tuple, GaussianRational]]:
-        """The nonzero terms tau_z(g) * g*z of the element g with payload p;
-        their payloads are distinct, as the z are."""
-        group = self.group
-        coords = group.abelian_coords(p)
-        mul = group._mul
-        terms = []
-        for z, tau in self.taus.items():
-            value = _tau_at(tau, coords)
-            if value:
-                terms.append((mul(p, z), value))
-        return terms
-
     def _image(self, p: tuple) -> AlgebraElement:
         """d of the element g with payload p: g*a - a*g plus the central and
         step terms, one payload product per term."""
@@ -223,7 +195,12 @@ class Derivation:
         acc = {mul(p, t): c for t, c in terms.items()}
         pairs = [(mul(t, p), -c) for t, c in terms.items()]
         if self.taus:
-            pairs += self._central_terms(p)
+            # tau_z(g) * g*z, nonzero and distinct, as the z are
+            coords = group.abelian_coords(p)
+            for z, tau in self.taus.items():
+                value = integer_combination(tau, coords)
+                if value:
+                    pairs.append((mul(p, z), value))
         if self.steps:
             pairs += group.step_terms(self.steps, p, len(acc) + len(pairs))
         _add_terms(acc, pairs)
@@ -242,20 +219,10 @@ class Derivation:
         value = terms.get(s, ZERO) - terms.get(e, ZERO)
         tau = self.taus.get(s)
         if tau is not None:
-            value = value + _tau_at(tau, group.abelian_coords(v))
+            value = value + integer_combination(tau, group.abelian_coords(v))
         if self.steps:
             value = value + group.step_value(self.steps, e, v)
         return value
-
-    def _central_apply(self, x: AlgebraElement) -> AlgebraElement:
-        """The central parts alone applied to x."""
-        acc: Terms = {}
-        if self.taus:
-            _add_terms(
-                acc,
-                ((k, c * v) for t, c in x._terms.items() for k, v in self._central_terms(t)),
-            )
-        return AlgebraElement._nonzero(x.group, acc)
 
     def _split(self, key: Callable[[tuple], tuple]) -> Dict[tuple, "Derivation"]:
         """The parts by coset key, one `key` call per term of a, per central
@@ -340,33 +307,35 @@ class Derivation:
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """[d, other] = d∘other - other∘d, its images read from its form
-        when asked for.  When neither has a step part,
-        [inner(a), inner(b)] = inner(b*a - a*b), [c, inner(b)] = inner(c(b))
-        for a central derivation c, and
-        [central(t1, z1), central(t2, z2)] = central(t1(z2)*t2 - t2(z1)*t1, z1*z2);
-        otherwise inner(d(b)) when other is inner(b), since Inn is an ideal,
-        and else the form `table_form` solves for the operator commutator on
-        the generator images, which it keeps."""
+        when asked for.  Inn is an ideal, [d, inner(b)] = inner(d(b)), so
+        with other = inner(b) + p°, and d° and p° the central and step parts,
+        [d, other] = inner(d(b) - p°(a)) + [d°, p°]; each image is merged
+        once, so a partial sum that cancels is never refused.  Central parts
+        bracket as [central(t1, z1), central(t2, z2)] =
+        central(t1(z2)*t2 - t2(z1)*t1, z1*z2).  Where a step part meets
+        another central or step part, the bracket is the form `table_form`
+        solves for the operator commutator on the generator images, which
+        it keeps."""
         self._check_group(other)
         group = self.group
-        a, b = self.a, other.a
-        if not (self.steps or other.steps):
-            inner = commutator(b, a) + self._central_apply(b) - other._central_apply(a)
-            taus: Dict[tuple, Tau] = {}
-            for z1, t1 in self.taus.items():
-                for z2, t2 in other.taus.items():
-                    s1 = _tau_at(t1, group.abelian_coords(z2))
-                    s2 = _tau_at(t2, group.abelian_coords(z1))
-                    tau = tuple(s1 * y - s2 * x for x, y in zip(t1, t2))
-                    _add_central(taus, group._mul(z1, z2), tau)
-            return Derivation(inner, taus, {})
-        if not (other.taus or other.steps):
-            return Derivation(self.apply(b), {}, {})
-        images = {
-            s: self.apply(other.images[s]) - other.apply(self.images[s])
-            for s in group.generators()
-        }
-        return _solved(group, images)
+        if (self.steps and (other.taus or other.steps)) or (other.steps and self.taus):
+            images = {
+                s: self.apply(other.images[s]) - other.apply(self.images[s])
+                for s in group.generators()
+            }
+            return _solved(group, images)
+        inner = self.apply(other.a)
+        if other.taus or other.steps:
+            outer = Derivation(AlgebraElement.zero(group), other.taus, other.steps)
+            inner = inner - outer.apply(self.a)
+        taus: Dict[tuple, Tau] = {}
+        for z1, t1 in self.taus.items():
+            for z2, t2 in other.taus.items():
+                s1 = integer_combination(t1, group.abelian_coords(z2))
+                s2 = integer_combination(t2, group.abelian_coords(z1))
+                tau = tuple(s1 * y - s2 * x for x, y in zip(t1, t2))
+                _add_central(taus, group._mul(z1, z2), tau)
+        return Derivation(inner, taus, {})
 
     def is_zero(self) -> bool:
         """True iff every generator image is 0: the images are read from

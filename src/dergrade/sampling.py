@@ -8,7 +8,7 @@ import random
 from typing import Dict, Optional, Tuple
 
 from .algebra import AlgebraElement, _add_terms
-from .coefficients import GaussianRational, _reduced
+from .coefficients import GaussianRational, from_quotients
 from .derivations import Derivation
 from .groups import Arrow, Group, GroupElement
 
@@ -38,7 +38,7 @@ class Sampler:
         randint = self.rng.randint
         a, b = randint(-3, 3), randint(1, 3)
         c, d = randint(-3, 3), randint(1, 3)
-        return _reduced(a * d, c * b, b * d)
+        return from_quotients(a, b, c, d)
 
     def nonzero_coefficient(self) -> GaussianRational:
         while True:

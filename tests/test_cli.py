@@ -547,6 +547,27 @@ def test_term_budget_admits_a_sum_that_cancels(tmp_path, capsys, monkeypatch):
     assert len(json.loads(capsys.readouterr().out)) == 16
 
 
+# two commuting 400-term inner derivations, each term of coefficient 1: the
+# bracket is 0, though the product of their inner parts has 160,000 terms
+COMMUTING_JOBS = {
+    "zn:3": {"left": dict(_inner(400, lambda i: [i, 0, 0]), group="zn:3"),
+             "right": dict(_inner(400, lambda i: [0, i, 0]), group="zn:3")},
+    "heisenberg": {"left": _inner(400, lambda i: [i + 1, 0, 0]),
+                   "right": _inner(400, lambda i: [1000 * (i + 1), 0, 0])},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTING_JOBS))
+def test_commuting_bracket_exit_0(tmp_path, capsys, name):
+    argv = ["bracket", "--group", name, "--in", write(tmp_path / "j.json", COMMUTING_JOBS[name])]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["group"] == name and out["kind"] == "table"
+    assert out["images"] and all(image == [] for image in out["images"].values())
+
+
 # Heisenberg jobs built from valid spec skeletons, with entries up to 10^12
 BIG = 10**12
 _entries = st.one_of(st.integers(-2, 2), st.integers(-BIG, BIG))

@@ -5,18 +5,22 @@ reduced integer triple; every operation must give the same value, JSON and
 text as it does.
 """
 
+import ast
 import os
+import random
 import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dergrade
 from dergrade import GaussianRational
+from dergrade.coefficients import from_quotients, integer_combination
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,7 @@ class TestAgainstFractionPairs:
         for value in (
             GaussianRational(ref.re, ref.im),
             GaussianRational.from_json(ref.to_json()),
+            from_quotients(*x),
         ):
             assert_matches(value, ref)
 
@@ -141,3 +146,51 @@ def test_coefficients_import_no_other_layer():
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "['dergrade.coefficients']\n"
+
+
+def test_integer_combination_is_the_sum():
+    # sum t_i * k_i against the sum of GaussianRational products, with
+    # entries up to 10^12, denominators that agree or differ, and zero
+    # coordinates
+    rng = random.Random("integer-combination")
+    big = 10**12
+
+    def entry():
+        return rng.choice([rng.randint(-3, 3), rng.randint(-big, big)])
+
+    zeros = 0
+    for _ in range(1500):
+        n = rng.randint(0, 4)
+        dens = [1, 2, 3, 6, rng.randint(1, big)]
+        coeffs = [
+            from_quotients(entry(), rng.choice(dens), entry(), rng.choice(dens))
+            for _ in range(n)
+        ]
+        ints = [0 if rng.random() < 0.3 else entry() for _ in range(n)]
+        zeros += ints.count(0)
+        expected = GaussianRational(0)
+        for t, k in zip(coeffs, ints):
+            expected = expected + t * GaussianRational(k)
+        value = integer_combination(coeffs, ints)
+        assert value == expected, (coeffs, ints)
+        assert value._d > 0 and gcd(value._p, value._q, value._d) == 1
+    assert zeros >= 500
+
+
+def test_no_other_module_imports_a_private_coefficient_name():
+    # the integer triple stays behind the coefficient layer: every other
+    # module takes only public names from it
+    package = Path(dergrade.__file__).parent
+    imported = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "coefficients.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported += [
+            (path.name, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in {(1, "coefficients"), (0, "dergrade.coefficients")}
+            for alias in node.names
+        ]
+    assert imported and [pair for pair in imported if pair[1].startswith("_")] == []

@@ -1267,7 +1267,10 @@ def test_forms_build_no_unread_image(monkeypatch):
     a, b = mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3), mono(h(-1, 2, 0), 2) + mono(h(0, 0, 1))
     total = Derivation.inner(a) + Derivation.central(H, [1, -2], h(0, 0, 1)).scale(gr(3))
     bracket = total.bracket(Derivation.inner(b))
-    assert calls == []
+    # inner(total(b)) evaluates total at b's two terms, no generator among them
+    assert sorted(calls) == sorted(b._terms)
+    assert not set(calls) & {s.payload for s in H.generators()}
+    calls.clear()
     images = bracket.images
     assert sorted(calls) == sorted(s.payload for s in H.generators())
     assert bracket.images is images and len(calls) == 2
@@ -1287,6 +1290,37 @@ def test_solved_bracket_keeps_its_images(monkeypatch):
     assert calls == []
     reference = LeibnizCopy(H, central.images).bracket(LeibnizCopy(H, table.images))
     assert images == reference.images
+
+
+def test_inner_bracket_with_steps_solves_no_table(monkeypatch):
+    # [inner(a), p] = inner(a(b) - p°(a)) with p° the central and step parts
+    # of p: no table is solved
+    table = derivation_from_json(STEP_TABLE)
+    assert table.steps and table.taus
+    a = mono(h(1, -1, 2)) + mono(h(0, 2, -1), Fraction(-1, 2))
+    solved = _counted(monkeypatch, Heisenberg, "table_form")
+    bracket = Derivation.inner(a).bracket(table)
+    images = bracket.images
+    assert solved == []
+    reference = LeibnizCopy(H, Derivation.inner(a).images).bracket(LeibnizCopy(H, table.images))
+    assert images == reference.images and not bracket.is_zero()
+
+
+@pytest.mark.parametrize("name, left, right", [
+    ("zn:3", [(i, 0, 0) for i in range(400)], [(0, i, 0) for i in range(400)]),
+    ("heisenberg", [(i, 0, 0) for i in range(1, 401)], [(1000 * i, 0, 0) for i in range(1, 401)]),
+], ids=["zn:3", "heisenberg"])
+def test_commuting_inner_bracket_is_zero(name, left, right):
+    # two commuting 400-term inner parts, each term of coefficient 1: b*a
+    # alone would pass MAX_TERMS, but a partial sum that later cancels is
+    # never refused, and every image is 0
+    group = group_from_name(name)
+    a, b = (
+        AlgebraElement.from_terms(group, [(group.element(p), 1) for p in payloads])
+        for payloads in (left, right)
+    )
+    assert len(a) * len(b) > algebra.MAX_TERMS
+    assert Derivation.inner(a).bracket(Derivation.inner(b)).is_zero()
 
 
 def test_derivations_import_no_private_kernel_name():
