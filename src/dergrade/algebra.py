@@ -214,8 +214,3 @@ def _json_terms(group: Group, data) -> Iterator[Tuple[tuple, GaussianRational]]:
             raise ValueError(f"term {i}: {exc}") from exc
         if c:
             yield p, c
-
-
-def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """x*y - y*x."""
-    return x * y - y * x

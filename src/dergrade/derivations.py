@@ -3,20 +3,21 @@
 A `Derivation` is its closed form, which evaluates it:
 d(g) = g*a - a*g + sum over central z of tau_z(g) * g*z + the step terms,
 with tau_z a homomorphism to (C, +) read through `Group.abelian_coords`.
-Sums and scalar multiples (`+`, `scale`) are built part by part, and
-`grading.decompose` splits a form by coset (`_split`).  A bracket is one
-formula, as Inn is an ideal: for d = inner(a) + d° and p = inner(b) + p°,
-d° and p° their central and step parts, [d, p] = inner(d(b) - p°(a)) +
-[d°, p°], and only where a step part meets another central or step part
-is [d, p] solved from its generator images.  A table from outside
-(`from_table`) is checked and given its form by its kernel
-(`Group.table_form`): a permutation group solves for a potential on its
-conjugation action and hands back the inner part w, so the table is
-inner(w); on Z^n every table is a derivation, and each term of d(e_i) is
-one central part; and `heisenberg` also gives step parts, one per
-non-central class (see `Heisenberg.table_form`).  A step part is opaque
-here: its kernel adds, scales and evaluates it (`groups.add_steps`,
-`groups.scale_steps`, `Heisenberg.step_terms`, `Heisenberg.step_value`).
+Each derivation has one form, its normal form (`Group.normal_form`), which
+`inner`, `+` and the bracket reach and `scale` and `_split` keep, so `==`,
+`is_zero` and `grading.decompose` read no image.  A bracket is one formula,
+as Inn is an ideal: for d = inner(a) + d° and p = inner(b) + p°, d° and p°
+their central and step parts, [d, p] = inner(d(b) - p°(a)) + [d°, p°],
+and only where a step part meets another central or step part is [d, p]
+solved from its generator images.  A table from outside (`from_table`) is
+checked and given its form by its kernel (`Group.table_form`): a
+permutation group solves for a potential on its conjugation action and
+hands back the inner part w, so the table is inner(w); on Z^n every table
+is a derivation, and each term of d(e_i) is one central part; and
+`heisenberg` also gives step parts, one per non-central class (see
+`Heisenberg.table_form`).  A step part is opaque here: its kernel adds,
+scales and evaluates it (`groups.add_steps`, `groups.scale_steps`,
+`Heisenberg.step_terms`, `Heisenberg.step_value`).
 
 A derivation builds only what is read: d(g) on payloads, its step terms
 counted before any is built; the generator images on their first read;
@@ -24,9 +25,9 @@ and a character value chi(u, v), the coefficient of u in d(v), by the
 formula a[v^-1 u] - a[u v^-1] + tau_{v^-1 u}(v) + the step parts' value at
 u v^-1, with no image at all.
 
-Every image, and the sum of images in `apply`, is merged by one
-`algebra._add_terms` call, so none has more than `MAX_TERMS` terms once
-finished.  No image is kept but the generator images.
+Every image, and d(x) in `apply`, from the terms of all its images, is
+merged by one `algebra._add_terms` call, so none has more than `MAX_TERMS`
+terms once finished.  No image is kept but the generator images.
 """
 
 from __future__ import annotations
@@ -83,17 +84,32 @@ def _solved(group: Group, images: Dict[GroupElement, AlgebraElement]) -> "Deriva
     return Derivation(AlgebraElement._nonzero(group, inner), taus, steps, images=images)
 
 
+def _normal(a: AlgebraElement, taus: Dict[tuple, Tau], steps: dict, spec=None) -> "Derivation":
+    """inner(a) + the parts `taus` and `steps`, a and steps in normal form."""
+    terms, steps = a.group.normal_form(a._terms, steps)
+    return Derivation(AlgebraElement._nonzero(a.group, terms), taus, steps, spec=spec)
+
+
 class Derivation:
     """A derivation of C[G] as its closed form,
     g -> g*a - a*g + sum over z of tau_z(g) * g*z + the step terms: the
     inner part `a`, the central parts `taus`, each tau_z by the payload of
     its central z, and the step parts `steps`, each by the payload of its
-    class's representative (only on `heisenberg`).  Parts are merged by z
-    and by class, and a zero part is dropped, so repeated sums stay
-    bounded.  It also keeps the output `spec` it was parsed from or None,
-    and its generator images (`images`), given by `from_table` or the
-    bracket they were solved from, or filled from the form on first read.
-    `==` compares images only."""
+    class's representative (only on `heisenberg`).  It also keeps the
+    output `spec` it was parsed from or None, and its generator images
+    (`images`), given by `from_table` or the bracket they were solved from,
+    or filled from the form on first read.
+
+    The form is the normal form, one per derivation: derivations are equal
+    exactly when their parts are, and 0 exactly when they have none.  On
+    each conjugacy class the character of d is a potential fixed up to a
+    constant, which the kernel's `Group.normal_form` fixes: tau_z is d's own
+    on a central class {z}, where inner and step parts vanish, and Z^n has
+    no other class; a permutation group shifts a on each class so that 0 is
+    its first most frequent value; on a non-central Heisenberg class, a and
+    the step part are one potential F with F(-inf) = 0, kept as inner terms
+    when it is finite on no more points than it has jumps and as the step
+    part otherwise.  Parts are merged by z and by class."""
 
     __slots__ = ("group", "a", "taus", "steps", "spec", "_images")
 
@@ -137,7 +153,7 @@ class Derivation:
     def inner(a: AlgebraElement) -> "Derivation":
         """x -> x*a - a*x."""
         spec = {"group": a.group.name, "kind": "inner", "a": a.to_json()}
-        return Derivation(a, {}, {}, spec=spec)
+        return _normal(a, {}, {}, spec)
 
     @staticmethod
     def central(
@@ -184,16 +200,14 @@ class Derivation:
 
     # -- the closed form -----------------------------------------------------
 
-    def _image(self, p: tuple) -> AlgebraElement:
-        """d of the element g with payload p: g*a - a*g plus the central and
-        step terms, one payload product per term."""
+    def _image_pairs(self, p: tuple) -> list:
+        """The terms of d(g), g with payload p, unmerged: g*a, -a*g and the
+        central and step terms, one payload product per term."""
         group = self.group
         mul = group._mul
         terms = self.a._terms
-        # translation is injective, so the terms of g*a are distinct and a
-        # term can vanish only where it meets one of the other terms
-        acc = {mul(p, t): c for t, c in terms.items()}
-        pairs = [(mul(t, p), -c) for t, c in terms.items()]
+        pairs = [(mul(p, t), c) for t, c in terms.items()]
+        pairs += [(mul(t, p), -c) for t, c in terms.items()]
         if self.taus:
             # tau_z(g) * g*z, nonzero and distinct, as the z are
             coords = group.abelian_coords(p)
@@ -202,9 +216,14 @@ class Derivation:
                 if value:
                     pairs.append((mul(p, z), value))
         if self.steps:
-            pairs += group.step_terms(self.steps, p, len(acc) + len(pairs))
-        _add_terms(acc, pairs)
-        return AlgebraElement._nonzero(group, acc)
+            pairs += group.step_terms(self.steps, p, len(pairs))
+        return pairs
+
+    def _image(self, p: tuple) -> AlgebraElement:
+        """d of the element g with payload p, merged by one `_add_terms` call."""
+        acc: Terms = {}
+        _add_terms(acc, self._image_pairs(p))
+        return AlgebraElement._nonzero(self.group, acc)
 
     def _coefficient(self, u: tuple, v: tuple) -> GaussianRational:
         """The coefficient of the element with payload u in d(v): a[v^-1 u]
@@ -251,19 +270,18 @@ class Derivation:
         return self._image(g.payload)
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
-        """d(x), summed into one dict: linear in the terms of the images."""
+        """d(x): the pairs of every image d(p), p a term of x, merged by one
+        `_add_terms` call, so only the finished d(x) meets `MAX_TERMS`."""
         if x.group != self.group:
             raise GroupMismatchError("argument over the wrong group")
         acc: Terms = {}
-        image = self._image
+        pairs = self._image_pairs
         # both factors are nonzero, so each product is nonzero; a
         # coefficient 1 leaves the image's terms as they are
         _add_terms(
             acc,
             chain.from_iterable(
-                image(p)._terms.items()
-                if c == ONE
-                else [(t, c * v) for t, v in image(p)._terms.items()]
+                pairs(p) if c == ONE else [(t, c * v) for t, v in pairs(p)]
                 for p, c in x._terms.items()
             ),
         )
@@ -292,7 +310,7 @@ class Derivation:
         taus = dict(self.taus)
         for z, tau in other.taus.items():
             _add_central(taus, z, tau)
-        return Derivation(self.a + other.a, taus, add_steps(self.steps, other.steps))
+        return _normal(self.a + other.a, taus, add_steps(self.steps, other.steps))
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + other.scale(-1)
@@ -335,18 +353,16 @@ class Derivation:
                 s2 = integer_combination(t2, group.abelian_coords(z1))
                 tau = tuple(s1 * y - s2 * x for x, y in zip(t1, t2))
                 _add_central(taus, group._mul(z1, z2), tau)
-        return Derivation(inner, taus, {})
+        return _normal(inner, taus, {})
 
     def is_zero(self) -> bool:
-        """True iff every generator image is 0: the images are read from
-        the form up to the first nonzero one, and none is stored."""
-        return not any(self._image(s.payload) for s in self.group.generators())
+        """True iff d is 0, read off the normal form: it has no part."""
+        return not (self.a or self.taus or self.steps)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Derivation)
-            and self.group == other.group
-            and self.images == other.images
+        """Whether the normal forms are equal; a carries the group."""
+        return isinstance(other, Derivation) and (self.a, self.taus, self.steps) == (
+            other.a, other.taus, other.steps
         )
 
     def __repr__(self) -> str:

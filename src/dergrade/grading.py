@@ -2,12 +2,13 @@
 
 Support localisation works on generator images: collecting the cosets of
 s^-1 k over all generators s and support elements k of d(s) bounds the
-character's support.  The direct-sum decomposition splits the closed form
+character's support.  The direct-sum decomposition splits the normal form
 every derivation has: the component of inner(a) + central parts + step
 parts at a key is inner(a_k), a_k the terms of a in that coset, plus the
-central parts whose z lies in it and the step parts whose class does.  Bracket closure, the stem-group
-localisation of central derivations, and per-coset inner witnesses are
-exercised on top of the same machinery.
+central parts whose z lies in it and the step parts whose class does; a
+class lies in one coset, so each component is in normal form and nonzero.
+Bracket closure, the stem-group localisation of central derivations, and
+per-coset inner witnesses are exercised on top of the same machinery.
 """
 
 from __future__ import annotations
@@ -72,14 +73,11 @@ def _sources(d: Derivation) -> List[tuple]:
 
 
 def _components(d: Derivation, setup: GradingSetup) -> Dict[CosetKey, Derivation]:
-    """d's nonzero graded components by coset key: its closed form is split
-    by the key of each term of its inner part, of each central z and of
-    each step part's class (the component at k is inner(a_k) plus the
-    central and step parts at k), and a zero part is dropped with no image
-    stored on it."""
+    """d's graded components by coset key, all nonzero with no image read:
+    its normal form split by the key of each term of a, central z and step
+    part's class (at k, inner(a_k) plus the central and step parts at k)."""
     _check_setup(d, setup)
-    parts = d._split(setup.quotient.key)
-    return {k: comp for k, comp in parts.items() if not comp.is_zero()}
+    return d._split(setup.quotient.key)
 
 
 def support_cosets(d: Derivation, setup: GradingSetup) -> FrozenSet[CosetKey]:

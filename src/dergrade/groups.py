@@ -25,7 +25,7 @@ and JSON algebra terms are read through it with no element built.
 (`_KERNELS`), so a selector builds its kernel once per process.  A
 permutation group keeps its members as payloads; the group and its
 commutator subgroup are grown by whole right cosets (`_extend_subgroup`),
-its conjugacy classes are orbits of the generator conjugations, its centre
+its conjugacy classes are the trees of its arrow forest, its centre
 is solved on the points, its payload products are read from a table of at
 most |G|^2 references, filled on first use, and its inverses from a memo
 of at most |G| entries.  Every kernel checks a derivation table by finding
@@ -34,7 +34,8 @@ potential on the generator arrows of its conjugation action, built once
 per kernel, which gives the table's inner part; Z^n, where every table is
 a derivation, reads each term of an image as one central part; and
 `heisenberg` solves for a step potential on each non-central class, a
-line that conjugation moves along.  Its step parts are read and written
+line that conjugation moves along; each returns it in the kernel's one
+normal form (`Group.normal_form`).  Its step parts are read and written
 here alone: `add_steps` and `scale_steps` add and scale them, and
 `Heisenberg.step_terms` and `Heisenberg.step_value` evaluate them for a
 derivation, which holds them as opaque values by class.  A subgroup N
@@ -52,8 +53,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 from math import gcd
-from operator import add, itemgetter, neg
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from operator import add, itemgetter, neg, sub
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .coefficients import ZERO, integer_entries
 
@@ -264,7 +265,12 @@ class Group:
         representative (see `Heisenberg.table_form` and `Heisenberg.line`);
         or None when the table is no derivation.  `images` holds the terms
         of d(s) for each generator s in order, {payload: nonzero
-        coefficient}."""
+        coefficient}.  The form is returned in normal form (`normal_form`)."""
+        raise NotImplementedError
+
+    def normal_form(self, a: dict, steps: dict) -> Tuple[dict, dict]:
+        """The one (a, steps) of inner(a) + the step parts `steps`, each {payload
+        or class: nonzero value}: equal derivations have equal normal forms."""
         raise NotImplementedError
 
     # -- conjugacy / center oracles -------------------------------------------
@@ -354,17 +360,18 @@ def _step_value(step: Tuple[List[int], list], r: int, move: int):
     return vals[bisect_right(pos, r - move)] - vals[bisect_right(pos, r)]
 
 
+def _jumps(step: Optional[Tuple[List[int], list]]) -> Iterable[Tuple[int, object]]:
+    """(point, jump) for each jump of a step part, and none for None."""
+    return () if step is None else zip(step[0], map(sub, step[1][1:], step[1]))
+
+
 def add_steps(steps: dict, other: dict) -> dict:
     """The sum of two derivations' step parts, {class: step part}, class by
     class: the jumps are added point by point, and a part whose jumps all
     cancel is dropped."""
     steps = dict(steps)
     for key, step in other.items():
-        jumps = _summed(
-            (r, hi - lo)
-            for pos, vals in filter(None, (steps.get(key), step))
-            for r, lo, hi in zip(pos, vals, vals[1:])
-        )
+        jumps = _summed(chain(_jumps(steps.get(key)), _jumps(step)))
         if jumps:
             steps[key] = _step_part(jumps)
         else:
@@ -434,9 +441,9 @@ class Heisenberg(Group):
         # a central z it is tau_z(s) * z.  On the line of a non-central class
         # (`line`) delta(g) is F(r - move) - F(r) for a potential F with
         # finitely many jumps, kept as a step part (sorted jump points, F: 0
-        # and then its value after each jump).  The table is a derivation
-        # iff delta([x, y]), which is (1 - c_y) delta(x) - (1 - c_x) delta(y),
-        # is 0.
+        # and then its value after each jump), which `normal_form` folds into
+        # the inner part where it can.  The table is a derivation iff
+        # delta([x, y]), which is (1 - c_y) delta(x) - (1 - c_x) delta(y), is 0.
         from . import algebra  # imported here: algebra imports this module
 
         central: Dict[tuple, list] = {}
@@ -449,7 +456,6 @@ class Heisenberg(Group):
                     lines.setdefault(self.class_representative(e), ({}, {}))[i][e[2]] = c
                 else:
                     central.setdefault(e, [ZERO, ZERO])[i] = c
-        inner: dict = {}
         steps: Dict[tuple, tuple] = {}
         budget = algebra.MAX_TERMS
         for key, (dx, dy) in lines.items():
@@ -486,16 +492,34 @@ class Heisenberg(Group):
                     f"{algebra.MAX_TERMS} jumps"
                 )
             jumps = {r: run for lo, end, run in runs for r in range(lo, end, move)}
-            pos, vals = _step_part(jumps)
-            # a finite F on no more points than it has jumps joins the inner part
+            steps[key] = _step_part(jumps)
+        inner, steps = self.normal_form({}, steps)
+        return inner, {z: tuple(tau) for z, tau in central.items()}, steps
+
+    def normal_form(self, a: dict, steps: dict) -> Tuple[dict, dict]:
+        # inner(z) = 0 for central z.  On a non-central class's line, a and the
+        # step part are one potential F with F(-inf) = 0, which joins a when it
+        # is finite on no more points than it has jumps, else a step part.
+        lines: Dict[tuple, dict] = {key: {} for key in steps}
+        for t, c in a.items():
+            if t[0] or t[1]:
+                lines.setdefault(self.class_representative(t), {})[t] = c
+        inner, folded = {}, {}
+        for key, terms in lines.items():
+            if key not in steps and len(terms) <= 2:
+                inner.update(terms)  # at most 2 points, and F has at least 2 jumps
+                continue
+            stride = gcd(key[0], key[1])
+            ends = chain.from_iterable(((t[2], c), (t[2] + stride, -c)) for t, c in terms.items())
+            pos, vals = _step_part(_summed(chain(ends, _jumps(steps.get(key)))))
             spans = [(lo, end, v) for lo, end, v in zip(pos, pos[1:], vals[1:]) if v]
             if not vals[-1] and sum((end - lo) // stride for lo, end, _ in spans) <= len(pos):
                 inner.update(
                     (key[:2] + (r,), v) for lo, end, v in spans for r in range(lo, end, stride)
                 )
             else:
-                steps[key] = (pos, vals)
-        return inner, {z: tuple(tau) for z, tau in central.items()}, steps
+                folded[key] = (pos, vals)
+        return inner, folded
 
     def step_terms(self, steps: dict, p: tuple, others: int) -> List[Tuple[tuple, object]]:
         """The step terms of d(g), g with payload p, for the step parts
@@ -633,6 +657,10 @@ class FreeAbelian(Group):
                 tau[i] = c
         return {}, {z: tuple(tau) for z, tau in central.items()}, {}
 
+    def normal_form(self, a: dict, steps: dict) -> Tuple[dict, dict]:
+        # C[Z^n] is commutative, so every inner derivation is 0
+        return {}, steps
+
     def is_central(self, z: tuple) -> bool:
         return True
 
@@ -697,19 +725,6 @@ def _conjugation(s: tuple):
     return partial(_conjugate, s, _right_mul(_perm_inv(s)))
 
 
-def _orbit(start: tuple, moves: Sequence) -> FrozenSet[tuple]:
-    """The orbit of `start` under the maps `moves`, searched breadth first."""
-    reached = {start}
-    queue = [start]
-    for w in queue:  # the list grows as it is read, so it is a FIFO queue
-        for move in moves:
-            b = move(w)
-            if b not in reached:
-                reached.add(b)
-                queue.append(b)
-    return frozenset(reached)
-
-
 def _extend_subgroup(members: set, maps: list, c: tuple) -> None:
     """Grow the subgroup H = `members`, closed under the right
     multiplications in `maps`, into the subgroup that H and c generate, and
@@ -760,46 +775,64 @@ def _gather(indices: Sequence[int]):
 
 
 class _ArrowForest:
-    """The generator arrows of a permutation group's conjugation groupoid,
-    by element index (position in the sorted members), built once per
-    kernel for `table_form`.  The arrow (s x, s) of the generator s numbered
-    j goes from x to s x s^-1.
+    """The conjugacy classes of a permutation group and the generator arrows
+    of its conjugation groupoid, by element index (position in the sorted
+    members): the arrow (s x, s) of the generator s numbered j goes from x
+    to s x s^-1.  A class is searched on its first read (`root`), along the
+    orbit of the element read, then breadth first from its root, its least
+    member, generators in order; `complete` searches all, for a table check.
+    Searching fills `sources[j]`, {s x: index of x}, the arrow a term of d(s)
+    charges, `moves[j]`, the index of s x s^-1 for each x, `edges`, each
+    class's spanning tree as (x, j, y) in search order, `roots`, each
+    element's root, and `classes`, {root: the member payloads in search
+    order}; once complete, `targets[j]` gathers f -> (f(s x s^-1) for each x)."""
 
-    * `sources[j]`: {s x: index of x}, the arrow a term of d(s) charges;
-    * `targets[j]`: the gather f -> (f(s x s^-1) for each x in index order);
-    * `edges`: the breadth-first spanning forest of each class, roots in
-      index order and generators in order, as (x, j, y) with
-      y = s x s^-1, in search order;
-    * `classes`: (the indices of each class in search order, their
-      gather), by root.
-    """
-
-    __slots__ = ("sources", "targets", "edges", "classes")
+    __slots__ = ("group", "maps", "sources", "moves", "edges", "roots", "classes", "targets")
 
     def __init__(self, group: "PermutationGroup"):
-        elements, index = group._elements, group._index
-        self.sources = [
-            {_perm_mul(s, x): i for i, x in enumerate(elements)}
-            for s in group._generator_payloads
-        ]
-        moves = [[index[conj(x)] for x in elements] for _, conj in group._conjugations]
-        self.targets = [_gather(ys) for ys in moves]
-        self.edges: List[Tuple[int, int, int]] = []
-        self.classes: List[Tuple[List[int], Callable]] = []
-        seen = [False] * len(elements)
-        for root in range(len(elements)):
-            if seen[root]:
-                continue
-            seen[root] = True
+        gens, size = group._generator_payloads, len(group._elements)
+        # (s, the map g -> g s^-1): the arguments of each generator's conjugation
+        self.group, self.maps = group, [conj.args for _, conj in group._conjugations]
+        self.sources: List[dict] = [{} for _ in gens]
+        self.moves: List[list] = [[None] * size for _ in gens]
+        self.roots: List[Optional[int]] = [None] * size
+        self.edges, self.classes, self.targets = [], {}, None
+
+    def root(self, x: int) -> int:
+        """The index of the root of the class of the element with index x."""
+        root = self.roots[x]
+        if root is None:
+            elements, index, roots = self.group._elements, self.group._index, self.roots
+            arms = list(zip(self.maps, self.moves, self.sources))
+            orbit, seen = [x], {x}
+            for w in orbit:  # the list grows as it is read: breadth first
+                g = elements[w]
+                for (s, times_si), ys, sources in arms:
+                    sw = _perm_mul(s, g)
+                    y = ys[w] = index[times_si(sw)]
+                    sources[sw] = w
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            root = min(orbit)
+            roots[root] = root
             cls = [root]
-            for x in cls:  # the list grows as it is read: breadth first
-                for j, ys in enumerate(moves):
-                    y = ys[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        self.edges.append((x, j, y))
+            for w in cls:
+                for j, ys in enumerate(self.moves):
+                    y = ys[w]
+                    if roots[y] is None:
+                        roots[y] = root
+                        self.edges.append((w, j, y))
                         cls.append(y)
-            self.classes.append((cls, _gather(cls)))
+            self.classes[root] = [elements[w] for w in cls]
+        return root
+
+    def complete(self) -> "_ArrowForest":
+        if self.targets is None:
+            for x in range(len(self.roots)):
+                self.root(x)
+            self.targets = [_gather(ys) for ys in self.moves]
+        return self
 
 
 def _perm_parity(g: tuple) -> int:
@@ -828,8 +861,9 @@ class PermutationGroup(Group):
     `GroupElement` only when it hands one out (the generators are built
     once).  Its oracles work on payloads: `conjugacy_class`,
     `class_representative` and `is_central` return payloads and verdicts,
-    never elements.  A generator table is checked by `table_form` on the
-    kernel's arrow forest (`_ArrowForest`, built on the first table): one
+    never elements.  The kernel's arrow forest (`_ArrowForest`, each class
+    searched on first read) holds its conjugacy classes, which those oracles
+    and `normal_form` read, and checks a generator table in `table_form`: one
     subtraction per charged arrow, an arrow (s x, s) with s x a term of
     d(s), and one C-level gather per generator, which compares all
     |G| * |generators| arrows of the conjugation action; it returns the
@@ -843,18 +877,16 @@ class PermutationGroup(Group):
     payload, so elements of an equal group built separately, or unpickled,
     multiply too.
 
-    A conjugacy class is the orbit of an element under the conjugations by
-    the generators (`_orbit`, |class| * |generators| products).  Each
-    generator's conjugation is one map, built once (`_conjugation`), which
-    `is_central`, the classes, the normal closure and the `quotient_by`
-    check use.  No cold fact scans the members one call at a time: the
-    centre is solved on the points, at most prod |orbit| candidates (6 on
-    s6), each looked up in the index; G' is a normal closure grown by whole
-    right cosets like the closure itself; and a quotient keys each coset by
-    one gather over N.  Right multiplication by a fixed factor is a C-level
-    gather built by `_right_mul`.  `quotient_by` checks a subgroup given
-    from outside; `derived_quotient` builds G' as a normal closure and skips
-    that check.
+    Each generator's conjugation is one map, built once (`_conjugation`),
+    which `is_central`, the arrow forest, the normal closure and the
+    `quotient_by` check use.  No cold fact scans the members one call at a
+    time: the centre is solved on the points, at most prod |orbit|
+    candidates (6 on s6), each looked up in the index; G' is a normal
+    closure grown by whole right cosets like the closure itself; and a
+    quotient keys each coset by one gather over N.  Right multiplication by
+    a fixed factor is a C-level gather built by `_right_mul`.  `quotient_by`
+    checks a subgroup given from outside; `derived_quotient` builds G' as a
+    normal closure and skips that check.
     """
 
     def __init__(self, name: str, degree: int, generator_payloads: Sequence[tuple]):
@@ -881,12 +913,10 @@ class PermutationGroup(Group):
         self._products: List[Optional[List[Optional[tuple]]]] = [None] * len(self._elements)
         # the member inverse of each payload inverted so far
         self._inverses: Dict[tuple, tuple] = {}
-        # the generator arrows `table_form` checks, built on its first call
-        self._forest: Optional[_ArrowForest] = None
+        # the generator arrows and classes, each class searched on first use
+        self._forest = _ArrowForest(self)
         self._center: Optional[FrozenSet[tuple]] = None
         self._derived: Optional[FrozenSet[tuple]] = None
-        # conjugacy class of each element whose class has been built
-        self._classes: Dict[tuple, FrozenSet[tuple]] = {}
 
     @staticmethod
     def symmetric(n: int) -> "PermutationGroup":
@@ -955,12 +985,10 @@ class PermutationGroup(Group):
         # of the semisimple C[G] is inner(w), with f the coefficients of w.
         # f is solved on each class along the edges of the kernel's arrow
         # forest from f(root) = 0, and compared on every arrow, one gather
-        # per generator; then each class is shifted by its most frequent
-        # value (0 on a tie), which leaves inner(w) as it is and keeps w
-        # sparse: a table of inner(a) gets |w| <= |a|.
-        forest = self._forest
-        if forest is None:
-            forest = self._forest = _ArrowForest(self)
+        # per generator; `normal_form` then shifts each class, which leaves
+        # inner(w) as it is and keeps w sparse: a table of inner(a) gets
+        # |w| <= |a|.
+        forest = self._forest.complete()
         # the charged arrows of each generator, {index of x: chi(s x, s)}:
         # every arrow with no term of d(s) at s x has chi = 0
         charges = [
@@ -978,19 +1006,28 @@ class PermutationGroup(Group):
                 expected[x] = f[x] - c
             if gather(f) != tuple(expected):
                 return None
-        elements = self._elements
-        witness = {}
-        for cls, gather in forest.classes:
-            values = gather(f)
-            if values.count(values[0]) == len(values):
-                continue  # one value, which is the shift
+        return self.normal_form({p: fx for p, fx in zip(self._elements, f) if fx}, {})[0], {}, {}
+
+    def normal_form(self, a: dict, steps: dict) -> Tuple[dict, dict]:
+        # inner(a) = inner(a') iff a - a' is constant on each class: each class
+        # a touches is shifted by its first most frequent value in forest order,
+        # members a omits counted as 0 (the most frequent where a holds fewer
+        # than half), and listed in that order.
+        forest, index = self._forest, self._index
+        held: Dict[int, list] = {}
+        for t in a:
+            held.setdefault(forest.root(index[t]), []).append(t)
+        out = {}
+        for root in sorted(held):
+            members, terms = forest.classes[root], held[root]
+            if 2 * len(terms) < len(members):  # a lone term needs no ordering
+                out.update((p, a[p]) for p in (members if terms[1:] else terms) if p in a)
+                continue
+            values = [a.get(p, ZERO) for p in members]
             counts = Counter(values)
-            # the first most frequent value; the root's 0 comes first
             shift = max(counts, key=counts.__getitem__)
-            for x, fx in zip(cls, values):
-                if fx is not shift and fx != shift:
-                    witness[elements[x]] = fx - shift
-        return witness, {}, {}
+            out.update((p, v - shift) for p, v in zip(members, values) if v != shift)
+        return out, steps
 
     def finite_elements(self) -> List[GroupElement]:
         return list(map(self._wrap, self._elements))
@@ -1009,17 +1046,11 @@ class PermutationGroup(Group):
         return all(conj(z) == z for _, conj in self._conjugations)
 
     def conjugacy_class(self, a: tuple) -> FrozenSet[tuple]:
-        """The payloads of the class of a, built once, on first use, and
-        recorded for every member."""
-        cls = self._classes.get(a)
-        if cls is None:
-            cls = _orbit(a, [conj for _, conj in self._conjugations])
-            for b in cls:
-                self._classes[b] = cls
-        return cls
+        """The payloads of the class of a, read from the arrow forest."""
+        return frozenset(self._forest.classes[self._forest.root(self._index[a])])
 
     def class_representative(self, a: tuple) -> tuple:
-        return min(self.conjugacy_class(a))
+        return self._elements[self._forest.root(self._index[a])]
 
     def center_payloads(self) -> FrozenSet[tuple]:
         # z is central iff z(s(i)) = s(z(i)) for each point i and generator

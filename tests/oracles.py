@@ -15,6 +15,11 @@ from dergrade import (
 )
 
 
+def commutator(x, y):
+    """x*y - y*x, for two elements of one group algebra."""
+    return x * y - y * x
+
+
 def _product(g, h):
     """(g h)(i) = g(h(i)), one-line and 1-based: g, padded to be read from
     index 1, gathered at h's entries in one C-level call.  `itemgetter`
@@ -205,19 +210,20 @@ class LeibnizCopy:
     """A generator table (group, images) evaluated by Leibniz joins alone,
     the reference route closed forms are checked against.  An element is
     split into its test-side `syllables` w^k; a base w is evaluated like
-    any element and kept; w^k is built from d(w), or from d(w^-1) =
+    any element; w^k is built from d(w), or from d(w^-1) =
     -w^-1 d(w) w^-1 when k < 0, by binary powering, in O(log |k|) joins;
     and the powers are joined left to right by (g, d(g)), (h, d(h)) ->
-    (gh, d(g) h + g d(h)).  It shares nothing with the package but the
-    coefficient type and the `AlgebraElement` its results are wrapped in: its
-    payload products are its own.  A join of more than `ORACLE_LIMIT`
+    (gh, d(g) h + g d(h)).  Every image it computes is kept, so no
+    element is joined twice.  It shares nothing with the package but the
+    coefficient type and the `AlgebraElement` its results are wrapped in:
+    its payload products are its own.  A join of more than `ORACLE_LIMIT`
     terms raises `OracleLimit`."""
 
     def __init__(self, group, images):
         self.group = group
         self.images = {s: images[s] for s in group.generators()}
         self._mul, self._inv = _kernel(group)
-        # d(w) by payload: the generators, the bases and their inverses
+        # d(g) by payload: the generators and every image computed since
         self._bases = {s.payload: dict(img._terms) for s, img in self.images.items()}
 
     def _join(self, left, right):
@@ -229,20 +235,14 @@ class LeibnizCopy:
             ((mul(t, h), c) for t, c in dg.items()), ((mul(g, t), c) for t, c in dh.items())
         )
 
-    def _base(self, w):
-        """d(w), kept."""
-        if w not in self._bases:
-            self._bases[w] = self._image(w)
-        return self._bases[w]
-
     def _power(self, w, k):
         """(w^k, d(w^k)) for k != 0."""
         if k < 0:
             mul, wi = self._mul, self._inv(w)
             if wi not in self._bases:
-                self._bases[wi] = {mul(mul(wi, t), wi): -c for t, c in self._base(w).items()}
+                self._bases[wi] = {mul(mul(wi, t), wi): -c for t, c in self._image(w).items()}
             w, k = wi, -k
-        base, result = (w, self._base(w)), None
+        base, result = (w, self._image(w)), None
         while True:
             if k & 1:
                 result = base if result is None else self._join(result, base)
@@ -252,7 +252,7 @@ class LeibnizCopy:
             base = self._join(base, base)
 
     def _image(self, p):
-        """d of the element with payload p, as {payload: coefficient}."""
+        """d of the element with payload p, as {payload: coefficient}, kept."""
         if p in self._bases:
             return self._bases[p]
         acc = None
@@ -260,7 +260,8 @@ class LeibnizCopy:
             if k:
                 power = self._power(w, k)
                 acc = power if acc is None else self._join(acc, power)
-        return {} if acc is None else acc[1]
+        image = self._bases[p] = {} if acc is None else acc[1]
+        return image
 
     def apply_element(self, g):
         return AlgebraElement(self.group, self._image(g.payload))

@@ -10,11 +10,11 @@ from dergrade import (
     Heisenberg,
     I,
     ONE,
-    commutator,
     group_from_name,
 )
 from dergrade import algebra
 from dergrade.sampling import Sampler
+from oracles import commutator
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)

@@ -22,7 +22,6 @@ from dergrade import (
     PermutationGroup,
     char_bracket_value,
     char_inner_formula,
-    commutator,
     decompose,
     group_from_name,
     verify_char_composition,
@@ -32,7 +31,7 @@ from dergrade import algebra, derivations
 from dergrade.sampling import Sampler
 from dergrade.serialization import derivation_from_json
 import oracles
-from oracles import LeibnizCopy, bracket_character, find_inner_witness, word
+from oracles import LeibnizCopy, bracket_character, commutator, find_inner_witness, word
 from test_golden import STEP_TABLE
 
 H = Heisenberg()
@@ -1266,10 +1265,14 @@ def test_forms_build_no_unread_image(monkeypatch):
 
     a, b = mono(h(1, 0, 0)) + mono(h(0, 1, 2), 3), mono(h(-1, 2, 0), 2) + mono(h(0, 0, 1))
     total = Derivation.inner(a) + Derivation.central(H, [1, -2], h(0, 0, 1)).scale(gr(3))
-    bracket = total.bracket(Derivation.inner(b))
-    # inner(total(b)) evaluates total at b's two terms, no generator among them
-    assert sorted(calls) == sorted(b._terms)
-    assert not set(calls) & {s.payload for s in H.generators()}
+    inner_b = Derivation.inner(b)
+    pairs = _counted(monkeypatch, Derivation, "_image_pairs")
+    bracket = total.bracket(inner_b)
+    # inner(total(b)) merges the terms of total at the one term of b's normal
+    # form, no generator: inner(z) = 0 for the central z, and no image is
+    # merged on its own
+    assert inner_b.a == mono(h(-1, 2, 0), 2)
+    assert pairs == [(-1, 2, 0)] and calls == []
     calls.clear()
     images = bracket.images
     assert sorted(calls) == sorted(s.payload for s in H.generators())
@@ -1375,3 +1378,156 @@ def test_zn_tables_keep_a_central_form(n):
             p, p_copy = previous
             assert d.bracket(p).images == copy.bracket(p_copy).images
         previous = d, copy
+
+
+# ---------------------------------------------------------------------------
+# One normal form per derivation
+# ---------------------------------------------------------------------------
+
+_NORMAL_FORM_GROUPS = ["heisenberg", "zn:1", "zn:3", "perm:s3", "perm:a4", "perm:s4"]
+
+
+def _commuting(group, sampler):
+    """A nonzero element of C[G] that commutes with every generator: central
+    terms on heisenberg, any element on Z^n, a class sum on a permutation
+    group."""
+    if group == H:
+        return mono(h(0, 0, 2), 3) + mono(h(0, 0, -1))
+    if isinstance(group, FreeAbelian):
+        return sampler.algebra_element()
+    cls = group.conjugacy_class(sampler.element().payload)
+    return AlgebraElement.from_terms(group, [(group._wrap(p), 2) for p in cls])
+
+
+def _built_by_every_constructor(group, seed):
+    """(derivation, images) for derivations built by `inner`, `central`,
+    `from_table`, `+`, `scale`, `bracket` and `_split`, some equal by
+    construction, each with its generator images found apart from any form:
+    s*a - a*s for inner(a), tau(s) * s*z for central(tau, z), a table's own
+    images, sums and multiples of images, the operator bracket of
+    `LeibnizCopy`s, and a `LeibnizCopy`'s graded components."""
+    sampler = Sampler(group, seed=seed)
+    gens = group.generators()
+
+    def inner(a):
+        return Derivation.inner(a), {s: mono(s) * a - a * mono(s) for s in gens}
+
+    def table(images):
+        return Derivation.from_table(group, dict(images)), images
+
+    def add(x, y):
+        return x[0] + y[0], {s: x[1][s] + y[1][s] for s in gens}
+
+    def scale(x, c):
+        return x[0].scale(c), {s: x[1][s].scale(c) for s in gens}
+
+    def bracket(x, y):
+        reference = LeibnizCopy(group, x[1]).bracket(LeibnizCopy(group, y[1]))
+        return x[0].bracket(y[0]), reference.images
+
+    a, b = sampler.algebra_element(), sampler.algebra_element()
+    c = _commuting(group, sampler)
+    ia, ib = inner(a), inner(b)
+    zero = Derivation.zero(group), {s: AlgebraElement.zero(group) for s in gens}
+    cases = [
+        zero, ia, ib, inner(a + c), inner(c), table(ia[1]), add(ia, ib), inner(a + b),
+        add(ib, ia), scale(ia, 2), add(ia, ia), add(ia, scale(ia, -1)), scale(ia, 0),
+        bracket(ia, ib), scale(bracket(ib, ia), -1), inner(ia[0].apply(b)),
+    ]
+    if group.has_central_derivations():
+        tau, z = group.random_central(sampler.rng, 2)
+        # the generators are the abelianization's free basis: tau(s_i) = tau[i]
+        central = Derivation.central(group, tau, z), {s: mono(s * z, t) for s, t in zip(gens, tau)}
+        cases += [
+            central, scale(central, 2), add(central, central), add(ia, central),
+            table(add(ia, central)[1]), bracket(central, ia), bracket(add(ib, central), ia),
+        ]
+    if group == H:
+        # a run of 5 terms on one line is a step part with two jumps, and one
+        # more term on that line keeps it so; an outer table has step parts
+        # that do not end at 0
+        run = AlgebraElement.from_terms(H, [(h(1, 0, r), 1) for r in range(5)])
+        tail = AlgebraElement.from_terms(H, [(h(1, 0, r), 1) for r in range(3, 5)])
+        runs = inner(run)
+        outer = table({s: img + _outer_images(gr(1), gr(-2))[s] for s, img in ia[1].items()})
+        cases += [
+            runs, table(runs[1]), add(runs, inner(tail - run)), inner(tail),
+            add(runs, inner(mono(h(1, 0, 7)))), inner(run + mono(h(1, 0, 7))),
+            outer, add(outer, runs), table(add(outer, runs)[1]), scale(outer, gr(-1)),
+            bracket(central, outer), bracket(outer, ia), bracket(outer, runs),
+        ]
+    key = GradingSetup.default(group).quotient.key
+    for d, images in cases[:]:
+        parts = d._split(key)
+        reference = LeibnizCopy(group, images).components(key)
+        assert sorted(parts) == sorted(reference)
+        cases += [(parts[k], reference[k].images) for k in sorted(parts)]
+    return cases
+
+
+@pytest.mark.parametrize("name", _NORMAL_FORM_GROUPS)
+def test_forms_are_equal_exactly_when_images_are(name):
+    # every derivation has one normal form: two built by any constructors
+    # have equal forms exactly when their images, found apart from any form,
+    # are equal, and a form has no part exactly when its images are 0
+    group = group_from_name(name)
+    cases = _built_by_every_constructor(group, seed=101)
+    verdicts = set()
+    for (d, images), (p, p_images) in itertools.product(cases, repeat=2):
+        same = images == p_images
+        assert (d == p) == same
+        verdicts.add(same)
+    assert verdicts == {True, False}
+    for d, images in cases:
+        assert d.images == images
+        assert d.is_zero() == (not any(images.values())) == (not (d.a or d.taus or d.steps))
+
+
+@pytest.mark.parametrize("name", _NORMAL_FORM_GROUPS)
+def test_forms_decide_without_images(monkeypatch, name):
+    # ==, is_zero and decompose read the normal form, and evaluate no image
+    group = group_from_name(name)
+    setup = GradingSetup.default(group)
+    ds = [d for d, _ in _built_by_every_constructor(group, seed=102)]
+    images = _counted(monkeypatch, Derivation, "_image")
+    pairs = _counted(monkeypatch, Derivation, "_image_pairs")
+    equal = sum(d == p for d in ds for p in ds)
+    zeros = sum(d.is_zero() for d in ds)
+    components = [decompose(d, setup).components for d in ds]
+    assert images == pairs == []
+    assert len(ds) < equal < len(ds) ** 2 and 0 < zeros < len(ds)
+    assert any(components) and not all(components)
+
+
+def test_zn_commuting_bracket_multiplies_nothing(monkeypatch):
+    # an inner derivation on Z^n is 0 as soon as it is built, so the bracket
+    # of two 2,000-term ones makes no payload product, and neither do its
+    # images
+    group = group_from_name("zn:3")
+    a, b = (
+        AlgebraElement.from_terms(group, [(group.element(p), 1) for p in payloads])
+        for payloads in ([(i, 0, 0) for i in range(2000)], [(0, i, 0) for i in range(2000)])
+    )
+    calls = _counted(monkeypatch, FreeAbelian, "_mul")
+    bracket = Derivation.inner(a).bracket(Derivation.inner(b))
+    assert bracket.is_zero() and not any(bracket.images.values())
+    assert calls == []
+
+
+def test_telescoping_bracket_meets_the_budget_once(monkeypatch):
+    # with a = sum of x^i, 0 <= i < 600, each image d(p) of a term p of
+    # b = (1 - x) y (1 - x) has 1,198 terms, and d(b) telescopes to 6: the
+    # pairs of all of b's images are merged by one call, so only the
+    # finished d(b) meets MAX_TERMS
+    x, y = (mono(s) for s in H.generators())
+    one = mono(H.identity())
+    a = AlgebraElement.from_terms(H, [(h(i, 0, 0), 1) for i in range(600)])
+    d, p = Derivation.inner(a), Derivation.inner((one - x) * y * (one - x))
+    reference = LeibnizCopy(H, d.images).bracket(LeibnizCopy(H, p.images))
+    assert len(d.apply_element(H.generators()[1])) == 1198
+    monkeypatch.setattr(algebra, "MAX_TERMS", 1000)
+    with pytest.raises(algebra.TermBudgetError, match="1198 terms"):
+        Derivation.inner(a).apply_element(H.generators()[1])
+    bracket = d.bracket(p)
+    assert bracket.images == reference.images and not bracket.is_zero()
+    assert len(bracket.a) == 6 and not bracket.steps

@@ -13,7 +13,6 @@ from dergrade import (
     TrivialGradingError,
     central_component_key,
     check_bracket_closure,
-    commutator,
     decompose,
     group_from_name,
     inner_graded_decomposition,
@@ -25,6 +24,7 @@ from dergrade import (
 )
 from dergrade import grading
 from dergrade.sampling import Sampler
+from oracles import commutator
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -193,45 +193,68 @@ def commuting_elements(name, group, sampler):
     return [_sum(group, group.conjugacy_class(g.payload)) for g in classes_of]
 
 
-def zero_part_derivations(name, group, sampler):
-    """Derivations whose split has parts that are zero on purpose: an inner
-    part that commutes with every generator, alone, beside a sampled inner
-    part, and (where there are central derivations) beside a central part in
-    its own coset, which makes that part nonzero."""
+def zero_part_inputs(name, group, sampler):
+    """(a, central) for derivations inner(a) + central that are zero, or
+    hold a part that is zero, on purpose: an inner part that commutes with
+    every generator, alone, beside a sampled inner part, and (where there
+    are central derivations) beside a central part in its own coset, which
+    makes that part nonzero; `central` is None for no central part."""
     out = []
     for c in commuting_elements(name, group, sampler):
-        out += [Derivation.inner(c), Derivation.inner(c + sampler.algebra_element())]
+        out += [(c, None), (c + sampler.algebra_element(), None)]
         if group.has_central_derivations():
             z = group._wrap(min(c._terms))
             rank = len(group.abelian_coords(z.payload))
-            central = Derivation.central(group, [1] + [0] * (rank - 1), z)
-            out.append(Derivation.inner(c) + central)
+            out.append((c, Derivation.central(group, [1] + [0] * (rank - 1), z)))
     return out
+
+
+def zero_part_derivations(name, group, sampler):
+    return [
+        Derivation.inner(a) if central is None else Derivation.inner(a) + central
+        for a, central in zero_part_inputs(name, group, sampler)
+    ]
+
+
+def _commutes(group, a):
+    return all(not commutator(AlgebraElement.monomial(s), a) for s in group.generators())
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "zn:3", "perm:a4", "perm:s4", "perm:s5"])
 def test_zero_parts_decided_on_the_form(name):
-    # a form is zero iff it has no central part and its inner part a
+    # inner(a) + central parts is zero iff it has no central part and a
     # commutes with every generator: a central part (tau, z) shows as tau(g)
     # at the loop (g*z, g), where the inner part adds a[z] - a[z] = 0.  That
-    # criterion is the oracle for `is_zero` and the images of each split part
+    # criterion, on the parts a derivation is built from, is the oracle for
+    # `is_zero` and for its images.  A normal form keeps an inner part only
+    # where it does not commute, so a derivation is zero iff its form has
+    # no part, and none of its split parts is zero
     group = group_from_name(name)
     setup = GradingSetup.default(group)
     sampler = Sampler(group, seed=31)
-    ds = zero_part_derivations(name, group, sampler)
-    ds += [sampler.derivation() for _ in range(30)]
+    cases = [
+        (Derivation.inner(a) if central is None else Derivation.inner(a) + central,
+         central is None and _commutes(group, a), bool(a) and _commutes(group, a))
+        for a, central in zero_part_inputs(name, group, sampler)
+    ]
+    for _ in range(30):
+        d = sampler.derivation()
+        cases.append((d, not d.taus and not d.steps and _commutes(group, d.a), False))
     seen = {True: 0, False: 0}
     commuting_central = 0
-    for d in ds:
+    for d, zero, commuting in cases:
+        assert d.is_zero() == zero == (not any(d.images.values()))
+        assert (not (d.a or d.taus or d.steps)) == zero
+        seen[zero] += 1
+        if commuting and not zero:
+            # a commuting inner part beside a central part: the form keeps
+            # the central part alone
+            assert not d.a and d.taus
+            commuting_central += 1
         for part in d._split(setup.quotient.key).values():
             assert not part.steps
-            zero = not part.taus and all(
-                not commutator(AlgebraElement.monomial(s), part.a) for s in group.generators()
-            )
-            assert part.is_zero() == zero
-            assert not any(part.images.values()) == zero
-            seen[zero] += 1
-            commuting_central += bool(part.taus) and Derivation.inner(part.a).is_zero()
+            assert not part.is_zero() and any(part.images.values())
+            assert bool(part.a) != _commutes(group, part.a)
     assert seen[True] and seen[False]
     if group.has_central_derivations():
         assert commuting_central

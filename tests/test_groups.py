@@ -305,8 +305,9 @@ class TestConjugacy:
         calls = count_products(monkeypatch)
         first = (2, 1, 3, 4, 5, 6)
         rep = S6.class_representative(first)
-        # the orbit of `first` under conjugation by the two generators:
-        # one product per member and generator, |class| * |gens|
+        # the class of `first` is searched in the arrow forest on this first
+        # read, along its orbit under conjugation by the two generators: s x
+        # for each member x and generator s, |class| * |gens| products
         assert len(calls) == 15 * 2
         calls.clear()
         other = (1, 2, 3, 4, 6, 5)
@@ -785,7 +786,9 @@ class TestTableForm:
     def test_second_check_builds_no_product(self, monkeypatch):
         # the arrow forest is built on the first table and read after it
         S4 = PermutationGroup.symmetric(4)
-        first, second = table_images(S4, seed=5, count=2)
+        # drawn on an equal group: a derivation drawn on S4 would build its
+        # forest, as its inner part is brought to normal form
+        first, second = table_images(PermutationGroup.symmetric(4), seed=5, count=2)
         calls = count_products(monkeypatch)
         assert S4.table_form(first) is not None
         assert calls
