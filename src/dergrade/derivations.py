@@ -4,19 +4,20 @@ A `Derivation` is its closed form, which evaluates it:
 d(g) = g*a - a*g + sum over central z of tau_z(g) * g*z + the step terms,
 with tau_z a homomorphism to (C, +) read through `Group.abelian_coords`.
 Each derivation has one form, its normal form (`Group.normal_form`), which
-`inner`, `+` and the bracket reach and `scale` and `_split` keep, so `==`,
+`inner`, `+` and the bracket reach through `_normal`, `from_table` through
+the kernel's `table_form`, and `scale` and `_split` keep, so `==`,
 `is_zero` and `grading.decompose` read no image.  A bracket is one formula,
 as Inn is an ideal: for d = inner(a) + d° and p = inner(b) + p°, d° and p°
 their central and step parts, [d, p] = inner(d(b) - p°(a)) + [d°, p°],
 and only where a step part meets another central or step part is [d, p]
-solved from its generator images.  A table from outside (`from_table`) is
-checked and given its form by its kernel (`Group.table_form`): a
-permutation group solves for a potential on its conjugation action and
-hands back the inner part w, so the table is inner(w); on Z^n every table
-is a derivation, and each term of d(e_i) is one central part; and
-`heisenberg` also gives step parts, one per non-central class (see
-`Heisenberg.table_form`).  A step part is opaque here: its kernel adds,
-scales and evaluates it (`groups.add_steps`, `groups.scale_steps`,
+solved by `from_table` from its generator images.  A table from outside
+(`from_table`) is checked and given its form by its kernel
+(`Group.table_form`): a permutation group solves for a potential on its
+conjugation action and hands back the inner part w, so the table is
+inner(w); on Z^n every table is a derivation, and each term of d(e_i) is
+one central part; and `heisenberg` also gives step parts, one per
+non-central class (see `Heisenberg.table_form`).  A step part is opaque here: its kernel adds,
+scales and evaluates it (`Group.normal_form`, `groups.scale_steps`,
 `Heisenberg.step_terms`, `Heisenberg.step_value`).
 
 A derivation builds only what is read: d(g) on payloads, its step terms
@@ -27,7 +28,9 @@ u v^-1, with no image at all.
 
 Every image, and d(x) in `apply`, from the terms of all its images, is
 merged by one `algebra._add_terms` call, so none has more than `MAX_TERMS`
-terms once finished.  No image is kept but the generator images.
+terms once finished.  No image is kept but the generator images, which
+are evaluated from the form, also for a table: no derivation keeps the
+images it was given or solved from.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .groups import (
     Group,
     GroupElement,
     GroupMismatchError,
-    add_steps,
     scale_steps,
 )
 
@@ -73,20 +75,10 @@ def _add_central(central: Dict[tuple, Tau], z: tuple, tau: Tau) -> None:
         central.pop(z, None)
 
 
-def _solved(group: Group, images: Dict[GroupElement, AlgebraElement]) -> "Derivation":
-    """The derivation with the generator images `images`, by generator, in
-    the closed form the kernel's `table_form` solves for, keeping the
-    images; `DerivationTableError` when they are no derivation."""
-    parts = group.table_form([images[s]._terms for s in group.generators()])
-    if parts is None:
-        raise DerivationTableError(_RELATION_ERROR)
-    inner, taus, steps = parts
-    return Derivation(AlgebraElement._nonzero(group, inner), taus, steps, images=images)
-
-
-def _normal(a: AlgebraElement, taus: Dict[tuple, Tau], steps: dict, spec=None) -> "Derivation":
-    """inner(a) + the parts `taus` and `steps`, a and steps in normal form."""
-    terms, steps = a.group.normal_form(a._terms, steps)
+def _normal(a: AlgebraElement, taus: Dict[tuple, Tau], *steps: dict, spec=None) -> "Derivation":
+    """inner(a) + the central parts `taus` + the sum of the step-part maps
+    `steps`, a and the steps brought to normal form by the kernel."""
+    terms, steps = a.group.normal_form(a._terms, *steps)
     return Derivation(AlgebraElement._nonzero(a.group, terms), taus, steps, spec=spec)
 
 
@@ -97,8 +89,7 @@ class Derivation:
     its central z, and the step parts `steps`, each by the payload of its
     class's representative (only on `heisenberg`).  It also keeps the
     output `spec` it was parsed from or None, and its generator images
-    (`images`), given by `from_table` or the bracket they were solved from,
-    or filled from the form on first read.
+    (`images`), evaluated from the form on their first read.
 
     The form is the normal form, one per derivation: derivations are equal
     exactly when their parts are, and 0 exactly when they have none.  On
@@ -119,24 +110,22 @@ class Derivation:
         taus: Dict[tuple, Tau],
         steps: dict,
         *,
-        images: Optional[Dict[GroupElement, AlgebraElement]] = None,
         spec: Optional[dict] = None,
     ):
         """The derivation with inner part a, central parts `taus` and step
-        parts `steps`, over the group of a, and the given generator images,
-        which must be its own, or None to read them from the form when
-        first asked for.  Nothing is checked here; `from_table` is the
-        constructor for images from outside."""
-        group = self.group = a.group
+        parts `steps`, over the group of a.  Nothing is checked here;
+        `from_table` is the constructor for images from outside."""
+        self.group = a.group
         self.a = a
         self.taus = taus
         self.steps = steps
         self.spec = spec
-        self._images = None if images is None else {s: images[s] for s in group.generators()}
+        self._images = None
 
     @property
     def images(self) -> Dict[GroupElement, AlgebraElement]:
-        """The image of each generator, in generator order."""
+        """The image of each generator, in generator order, evaluated from
+        the form on the first read."""
         images = self._images
         if images is None:
             image = self._image
@@ -153,7 +142,7 @@ class Derivation:
     def inner(a: AlgebraElement) -> "Derivation":
         """x -> x*a - a*x."""
         spec = {"group": a.group.name, "kind": "inner", "a": a.to_json()}
-        return _normal(a, {}, {}, spec)
+        return _normal(a, {}, spec=spec)
 
     @staticmethod
     def central(
@@ -173,8 +162,7 @@ class Derivation:
                 f"tau must list {rank} values (one per abelianization basis element)"
             )
         coeffs = tuple(as_coefficient(t) for t in tau)
-        taus: Dict[tuple, Tau] = {}
-        _add_central(taus, z.payload, coeffs)
+        taus = {z.payload: coeffs} if any(coeffs) else {}
         spec = {
             "group": group.name,
             "kind": "central",
@@ -189,14 +177,20 @@ class Derivation:
     ) -> "Derivation":
         """The derivation with generator images from outside, checked to be
         over `group`, on exactly the generating set, and a derivation, by
-        the kernel's `table_form`, which also gives its closed form."""
-        if set(images) != set(group.generators()):
+        the kernel's `table_form`, which also solves for its normal form.
+        The images are not kept: `images` evaluates them from that form."""
+        generators = group.generators()
+        if set(images) != set(generators):
             raise DerivationTableError(
                 "images must be given on exactly the generating set"
             )
         if any(img.group != group for img in images.values()):
             raise GroupMismatchError("generator image over the wrong group")
-        return _solved(group, images)
+        parts = group.table_form([images[s]._terms for s in generators])
+        if parts is None:
+            raise DerivationTableError(_RELATION_ERROR)
+        inner, taus, steps = parts
+        return Derivation(AlgebraElement._nonzero(group, inner), taus, steps)
 
     # -- the closed form -----------------------------------------------------
 
@@ -304,13 +298,13 @@ class Derivation:
             raise GroupMismatchError("derivations over different groups")
 
     def __add__(self, other: "Derivation") -> "Derivation":
-        """The sum, part by part; its images are read from its form when
-        asked for."""
+        """The sum, part by part, the step parts summed by the kernel's
+        `normal_form`; its images are read from its form when asked for."""
         self._check_group(other)
         taus = dict(self.taus)
         for z, tau in other.taus.items():
             _add_central(taus, z, tau)
-        return _normal(self.a + other.a, taus, add_steps(self.steps, other.steps))
+        return _normal(self.a + other.a, taus, self.steps, other.steps)
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + other.scale(-1)
@@ -331,9 +325,8 @@ class Derivation:
         once, so a partial sum that cancels is never refused.  Central parts
         bracket as [central(t1, z1), central(t2, z2)] =
         central(t1(z2)*t2 - t2(z1)*t1, z1*z2).  Where a step part meets
-        another central or step part, the bracket is the form `table_form`
-        solves for the operator commutator on the generator images, which
-        it keeps."""
+        another central or step part, the bracket is `from_table` of the
+        operator commutator on the generator images."""
         self._check_group(other)
         group = self.group
         if (self.steps and (other.taus or other.steps)) or (other.steps and self.taus):
@@ -341,7 +334,7 @@ class Derivation:
                 s: self.apply(other.images[s]) - other.apply(self.images[s])
                 for s in group.generators()
             }
-            return _solved(group, images)
+            return Derivation.from_table(group, images)
         inner = self.apply(other.a)
         if other.taus or other.steps:
             outer = Derivation(AlgebraElement.zero(group), other.taus, other.steps)
@@ -353,7 +346,7 @@ class Derivation:
                 s2 = integer_combination(t2, group.abelian_coords(z1))
                 tau = tuple(s1 * y - s2 * x for x, y in zip(t1, t2))
                 _add_central(taus, group._mul(z1, z2), tau)
-        return _normal(inner, taus, {})
+        return _normal(inner, taus)
 
     def is_zero(self) -> bool:
         """True iff d is 0, read off the normal form: it has no part."""
@@ -379,7 +372,7 @@ class Derivation:
         set suffices because both sides are derivations."""
         if w.group != self.group:
             raise GroupMismatchError("witness over the wrong group")
-        return self == Derivation.inner(w)
+        return self == _normal(w, {})
 
 
 # ---------------------------------------------------------------------------

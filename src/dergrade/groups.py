@@ -36,7 +36,7 @@ a derivation, reads each term of an image as one central part; and
 `heisenberg` solves for a step potential on each non-central class, a
 line that conjugation moves along; each returns it in the kernel's one
 normal form (`Group.normal_form`).  Its step parts are read and written
-here alone: `add_steps` and `scale_steps` add and scale them, and
+here alone: `normal_form` adds them, `scale_steps` scales them, and
 `Heisenberg.step_terms` and `Heisenberg.step_value` evaluate them for a
 derivation, which holds them as opaque values by class.  A subgroup N
 given from outside is grown from its least members by the same whole
@@ -268,9 +268,11 @@ class Group:
         coefficient}.  The form is returned in normal form (`normal_form`)."""
         raise NotImplementedError
 
-    def normal_form(self, a: dict, steps: dict) -> Tuple[dict, dict]:
-        """The one (a, steps) of inner(a) + the step parts `steps`, each {payload
-        or class: nonzero value}: equal derivations have equal normal forms."""
+    def normal_form(self, a: dict, *steps: dict) -> Tuple[dict, dict]:
+        """The one (a, steps) of inner(a) + the sum of the step-part maps
+        `steps`, a {payload: nonzero coefficient} and each map {class: step
+        part}: equal derivations have equal normal forms.  This is the one
+        place step parts are added."""
         raise NotImplementedError
 
     # -- conjugacy / center oracles -------------------------------------------
@@ -360,23 +362,9 @@ def _step_value(step: Tuple[List[int], list], r: int, move: int):
     return vals[bisect_right(pos, r - move)] - vals[bisect_right(pos, r)]
 
 
-def _jumps(step: Optional[Tuple[List[int], list]]) -> Iterable[Tuple[int, object]]:
-    """(point, jump) for each jump of a step part, and none for None."""
-    return () if step is None else zip(step[0], map(sub, step[1][1:], step[1]))
-
-
-def add_steps(steps: dict, other: dict) -> dict:
-    """The sum of two derivations' step parts, {class: step part}, class by
-    class: the jumps are added point by point, and a part whose jumps all
-    cancel is dropped."""
-    steps = dict(steps)
-    for key, step in other.items():
-        jumps = _summed(chain(_jumps(steps.get(key)), _jumps(step)))
-        if jumps:
-            steps[key] = _step_part(jumps)
-        else:
-            steps.pop(key, None)
-    return steps
+def _jumps(step: Tuple[List[int], list]) -> Iterable[Tuple[int, object]]:
+    """(point, jump) for each jump of a step part."""
+    return zip(step[0], map(sub, step[1][1:], step[1]))
 
 
 def scale_steps(steps: dict, c) -> dict:
@@ -496,22 +484,28 @@ class Heisenberg(Group):
         inner, steps = self.normal_form({}, steps)
         return inner, {z: tuple(tau) for z, tau in central.items()}, steps
 
-    def normal_form(self, a: dict, steps: dict) -> Tuple[dict, dict]:
+    def normal_form(self, a: dict, *steps: dict) -> Tuple[dict, dict]:
         # inner(z) = 0 for central z.  On a non-central class's line, a and the
-        # step part are one potential F with F(-inf) = 0, which joins a when it
-        # is finite on no more points than it has jumps, else a step part.
-        lines: Dict[tuple, dict] = {key: {} for key in steps}
+        # step parts are one potential F with F(-inf) = 0, its jumps the ends
+        # of a's terms and the step parts' jumps summed point by point, which
+        # joins a when it is finite on no more points than it has jumps, else
+        # a step part.
+        jumps: Dict[tuple, list] = {}
+        for part in steps:
+            for key, step in part.items():
+                jumps.setdefault(key, []).extend(_jumps(step))
+        lines: Dict[tuple, dict] = {key: {} for key in jumps}
         for t, c in a.items():
             if t[0] or t[1]:
                 lines.setdefault(self.class_representative(t), {})[t] = c
         inner, folded = {}, {}
         for key, terms in lines.items():
-            if key not in steps and len(terms) <= 2:
+            if key not in jumps and len(terms) <= 2:
                 inner.update(terms)  # at most 2 points, and F has at least 2 jumps
                 continue
             stride = gcd(key[0], key[1])
             ends = chain.from_iterable(((t[2], c), (t[2] + stride, -c)) for t, c in terms.items())
-            pos, vals = _step_part(_summed(chain(ends, _jumps(steps.get(key)))))
+            pos, vals = _step_part(_summed(chain(ends, jumps.get(key, ()))))
             spans = [(lo, end, v) for lo, end, v in zip(pos, pos[1:], vals[1:]) if v]
             if not vals[-1] and sum((end - lo) // stride for lo, end, _ in spans) <= len(pos):
                 inner.update(
@@ -657,9 +651,10 @@ class FreeAbelian(Group):
                 tau[i] = c
         return {}, {z: tuple(tau) for z, tau in central.items()}, {}
 
-    def normal_form(self, a: dict, steps: dict) -> Tuple[dict, dict]:
-        # C[Z^n] is commutative, so every inner derivation is 0
-        return {}, steps
+    def normal_form(self, a: dict, *steps: dict) -> Tuple[dict, dict]:
+        # C[Z^n] is commutative, so every inner derivation is 0, and no table
+        # has a step part
+        return {}, {}
 
     def is_central(self, z: tuple) -> bool:
         return True
@@ -1006,13 +1001,14 @@ class PermutationGroup(Group):
                 expected[x] = f[x] - c
             if gather(f) != tuple(expected):
                 return None
-        return self.normal_form({p: fx for p, fx in zip(self._elements, f) if fx}, {})[0], {}, {}
+        return self.normal_form({p: fx for p, fx in zip(self._elements, f) if fx})[0], {}, {}
 
-    def normal_form(self, a: dict, steps: dict) -> Tuple[dict, dict]:
-        # inner(a) = inner(a') iff a - a' is constant on each class: each class
-        # a touches is shifted by its first most frequent value in forest order,
-        # members a omits counted as 0 (the most frequent where a holds fewer
-        # than half), and listed in that order.
+    def normal_form(self, a: dict, *steps: dict) -> Tuple[dict, dict]:
+        # no table has a step part.  inner(a) = inner(a') iff a - a' is
+        # constant on each class: each class a touches is shifted by its first
+        # most frequent value in forest order, members a omits counted as 0
+        # (the most frequent where a holds fewer than half), and listed in
+        # that order.
         forest, index = self._forest, self._index
         held: Dict[int, list] = {}
         for t in a:
@@ -1027,7 +1023,7 @@ class PermutationGroup(Group):
             counts = Counter(values)
             shift = max(counts, key=counts.__getitem__)
             out.update((p, v - shift) for p, v in zip(members, values) if v != shift)
-        return out, steps
+        return out, {}
 
     def finite_elements(self) -> List[GroupElement]:
         return list(map(self._wrap, self._elements))

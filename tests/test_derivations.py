@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from dergrade import (
     char_inner_formula,
     decompose,
     group_from_name,
+    support_cosets,
     verify_char_composition,
     verify_leibniz,
 )
@@ -1281,18 +1283,22 @@ def test_forms_build_no_unread_image(monkeypatch):
     assert bracket.images == reference.images and not bracket.is_zero()
 
 
-def test_solved_bracket_keeps_its_images(monkeypatch):
-    # a bracket solved by `table_form` keeps the images of the operator
-    # commutator it was solved from: reading them evaluates nothing again
+def test_solved_bracket_evaluates_its_images_from_the_form(monkeypatch):
+    # a central x step bracket is solved by one `table_form` call on the
+    # operator commutator's images, which are not kept: reading `images`
+    # evaluates each generator's image from the solved form once
     table = derivation_from_json(STEP_TABLE)
     central = Derivation.central(H, [2, -1], h(0, 0, 1))
     assert table.steps
+    reference = LeibnizCopy(H, central.images).bracket(LeibnizCopy(H, table.images))
+    solved = _counted(monkeypatch, Heisenberg, "table_form")
     bracket = central.bracket(table)
+    assert len(solved) == 1
     calls = _counted(monkeypatch, Derivation, "_image")
     images = bracket.images
-    assert calls == []
-    reference = LeibnizCopy(H, central.images).bracket(LeibnizCopy(H, table.images))
-    assert images == reference.images
+    assert bracket.images is images
+    assert sorted(calls) == sorted(s.payload for s in H.generators())
+    assert images == reference.images and not bracket.is_zero()
 
 
 def test_inner_bracket_with_steps_solves_no_table(monkeypatch):
@@ -1531,3 +1537,104 @@ def test_telescoping_bracket_meets_the_budget_once(monkeypatch):
     bracket = d.bracket(p)
     assert bracket.images == reference.images and not bracket.is_zero()
     assert len(bracket.a) == 6 and not bracket.steps
+
+
+def _step_tables(seed, count):
+    """(derivation, images) for `count` heisenberg tables, each the images of
+    inner(a + run) + a central part + c1 * (x -> x*y) + c2 * (y -> y*x),
+    a drawn by the sampler and run 3 to 6 members of one class's line with
+    one coefficient, so that each form keeps step parts."""
+    sampler = Sampler(H, seed=seed, box=3)
+    rng = sampler.rng
+    for _ in range(count):
+        P, Q = rng.choice([(1, 0), (0, 1), (1, 1), (2, 1), (1, -2), (2, 2)])
+        start, c = rng.randint(-3, 3), sampler.nonzero_coefficient()
+        run = AlgebraElement.from_terms(
+            H, [(h(P, Q, r * gcd(P, Q)), c) for r in range(start, start + rng.randint(3, 6))]
+        )
+        base = Derivation.inner(sampler.algebra_element() + run) + sampler.central_derivation()
+        outer = _outer_images(sampler.nonzero_coefficient(), sampler.nonzero_coefficient())
+        images = {s: img + outer[s] for s, img in base.images.items()}
+        yield Derivation.from_table(H, images), images
+
+
+@pytest.mark.parametrize("name", _NORMAL_FORM_GROUPS + ["perm:s5"])
+def test_every_constructor_agrees_with_its_table_and_support(name):
+    # derivations from every constructor, and on heisenberg random tables
+    # with step parts and their brackets: re-entering the images as a table
+    # gives the same form, whose freshly evaluated images are the ones found
+    # apart from any form; the support found from the images is the set of
+    # the form's component keys; and sums cancel part by part
+    group = group_from_name(name)
+    setup = GradingSetup.default(group)
+    cases = _built_by_every_constructor(group, seed=103)
+    sampler, gens = Sampler(group, seed=105), group.generators()
+    for _ in range(10):
+        a = sampler.algebra_element(max_terms=6)
+        cases.append((Derivation.inner(a), {s: mono(s) * a - a * mono(s) for s in gens}))
+    if group.has_central_derivations():
+        total = Derivation.zero(group), {s: AlgebraElement.zero(group) for s in gens}
+        for _ in range(3):
+            tau, z = group.random_central(sampler.rng, 2)
+            total = total[0] + Derivation.central(group, tau, z), {
+                s: total[1][s] + mono(s * z, t) for s, t in zip(gens, tau)
+            }
+            cases.append(total)
+    if group == H:
+        tables = list(_step_tables(seed=104, count=8))
+        z = h(0, 0, 1)
+        central_images = {s: mono(s * z, t) for s, t in zip(gens, [1, -2])}
+        central = Derivation.central(H, [1, -2], z), central_images
+
+        def bracket(d, p):
+            reference = LeibnizCopy(H, d[1]).bracket(LeibnizCopy(H, p[1]))
+            return d[0].bracket(p[0]), reference.images
+
+        cases += tables + [bracket(t, u) for t, u in zip(tables, tables[1:])]
+        cases += [bracket(central, t) for t in tables]
+        cases += [
+            (t + u, {s: ti[s] + ui[s] for s in gens}) for (t, ti), (u, ui) in zip(tables, tables[2:])
+        ]
+    multi_key = 0
+    for d, images in cases:
+        table = Derivation.from_table(group, dict(d.images))
+        assert table == d and table._images is None
+        assert table.images == d.images == images
+        keys = frozenset(decompose(d, setup).components)
+        assert support_cosets(d, setup) == keys
+        multi_key += len(keys) > 1
+    assert multi_key
+    ds = [d for d, _ in cases]
+    stepped = [d for d in ds if d.steps]
+    assert bool(stepped) == (group == H)
+    operands = stepped or ds[:20]
+    for d in operands:
+        assert (d + d.scale(-1)).is_zero()
+    for d, p in itertools.product(operands, repeat=2):
+        assert (d + p) - p == d
+    # sums whose step parts share a class, so jumps of two maps are summed
+    shared = any(d.steps.keys() & p.steps.keys() for d, p in itertools.combinations(stepped, 2))
+    assert shared == (group == H)
+
+
+def test_one_path_to_a_form():
+    # a table is solved only in `from_table`, and parts are brought to
+    # normal form only in `_normal`
+    tree = ast.parse(Path(derivations.__file__).read_text(encoding="utf-8"))
+    callers = {"table_form": set(), "normal_form": set()}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in callers
+            ):
+                callers[child.func.attr].add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    assert callers == {"table_form": {"Derivation.from_table"}, "normal_form": {"_normal"}}
