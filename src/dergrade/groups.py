@@ -25,22 +25,25 @@ and JSON algebra terms are read through it with no element built.
 (`_KERNELS`), so a selector builds its kernel once per process.  A
 permutation group keeps its members as payloads; the group and its
 commutator subgroup are grown by whole right cosets (`_extend_subgroup`),
-its conjugacy classes are the trees of its arrow forest, its centre
-is solved on the points, its payload products are read from a table of at
+its conjugacy classes are the trees of its arrow forest, each searched
+once from the element read and listed in member order, its centre is
+solved on the points, its payload products are read from a table of at
 most |G|^2 references, filled on first use, and its inverses from a memo
 of at most |G| entries.  Every kernel checks a derivation table by finding
 its closed form (`Group.table_form`): a permutation group solves for a
 potential on the generator arrows of its conjugation action, built once
-per kernel, which gives the table's inner part; Z^n, where every table is
-a derivation, reads each term of an image as one central part; and
-`heisenberg` solves for a step potential on each non-central class, a
-line that conjugation moves along; each returns it in the kernel's one
-normal form (`Group.normal_form`).  Its step parts are read and written
-here alone: `normal_form` adds them, `scale_steps` scales them, and
-`Heisenberg.step_terms` and `Heisenberg.step_value` evaluate them for a
-derivation, which holds them as opaque values by class.  A subgroup N
-given from outside is grown from its least members by the same whole
-cosets, and checked normal on the generators chosen for it.
+per kernel, which gives the table's inner part; Z^n and `heisenberg` read
+delta(s) = d(s) * s^-1 off a table in one routine (`Group._deltas`),
+whose central points are the central parts, all of a Z^n table, and
+`heisenberg` solves for the jumps of a step potential on each non-central
+class, a line that conjugation moves along, and folds them as they are;
+each returns the form in the kernel's one normal form (`Group.normal_form`).
+Its step parts are read and written here alone: `normal_form` adds them,
+`scale_steps` scales them, and `Heisenberg.step_terms` and
+`Heisenberg.step_value` evaluate them for a derivation, which holds them
+as opaque values by class.  A subgroup N given from outside is grown from
+its least members by the same whole cosets, and checked normal on the
+generators chosen for it.
 """
 
 from __future__ import annotations
@@ -265,8 +268,25 @@ class Group:
         representative (see `Heisenberg.table_form` and `Heisenberg.line`);
         or None when the table is no derivation.  `images` holds the terms
         of d(s) for each generator s in order, {payload: nonzero
-        coefficient}.  The form is returned in normal form (`normal_form`)."""
+        coefficient}, read by `_deltas` on Z^n and `heisenberg`.  The form is
+        returned in normal form (`normal_form`)."""
         raise NotImplementedError
+
+    def _deltas(self, images: Sequence[dict]) -> Tuple[Dict[tuple, tuple], list]:
+        """The points of delta(s) = d(s) * s^-1 for each generator s of a
+        table, `images` as in `table_form`: ({central z: tau_z on the
+        generators}, with tau_z(s) the coefficient of z in delta(s), and
+        each other point as (generator number, point, coefficient))."""
+        central, others = {}, []
+        for i, (s, terms) in enumerate(zip(self._generators, images)):
+            si = self._inv(s.payload)
+            for t, c in terms.items():
+                e = self._mul(t, si)
+                if self.is_central(e):
+                    central.setdefault(e, [ZERO] * len(images))[i] = c
+                else:
+                    others.append((i, e, c))
+        return {z: tuple(tau) for z, tau in central.items()}, others
 
     def normal_form(self, a: dict, *steps: dict) -> Tuple[dict, dict]:
         """The one (a, steps) of inner(a) + the sum of the step-part maps
@@ -424,27 +444,22 @@ class Heisenberg(Group):
     def table_form(
         self, images: Sequence[dict]
     ) -> Optional[Tuple[dict, Dict[tuple, tuple], Dict[tuple, tuple]]]:
-        # delta(s) = d(s) * s^-1 is a cocycle of the conjugation action,
-        # delta(gh) = delta(g) + g delta(h) g^-1, which keeps each class.  On
-        # a central z it is tau_z(s) * z.  On the line of a non-central class
-        # (`line`) delta(g) is F(r - move) - F(r) for a potential F with
-        # finitely many jumps, kept as a step part (sorted jump points, F: 0
-        # and then its value after each jump), which `normal_form` folds into
-        # the inner part where it can.  The table is a derivation iff
-        # delta([x, y]), which is (1 - c_y) delta(x) - (1 - c_x) delta(y), is 0.
+        # delta(s) = d(s) * s^-1 (`_deltas`) is a cocycle of the conjugation
+        # action, delta(gh) = delta(g) + g delta(h) g^-1, which keeps each
+        # class.  On a central z it is tau_z(s) * z.  On the line of a
+        # non-central class (`line`) delta(g) is F(r - move) - F(r) for a
+        # potential F with finitely many jumps, unique once F(-inf) = 0, so
+        # either generator that moves the line finds it; its jumps go to the
+        # fold of `normal_form`, which keeps F as inner terms or a step part.
+        # The table is a derivation iff delta([x, y]), which is
+        # (1 - c_y) delta(x) - (1 - c_x) delta(y), is 0.
         from . import algebra  # imported here: algebra imports this module
 
-        central: Dict[tuple, list] = {}
+        central, others = self._deltas(images)
         lines: Dict[tuple, Tuple[dict, dict]] = {}
-        for i, (s, terms) in enumerate(zip((_X, _Y), images)):
-            si = self._inv(s)
-            for t, c in terms.items():
-                e = self._mul(t, si)
-                if e[0] or e[1]:
-                    lines.setdefault(self.class_representative(e), ({}, {}))[i][e[2]] = c
-                else:
-                    central.setdefault(e, [ZERO, ZERO])[i] = c
-        steps: Dict[tuple, tuple] = {}
+        for i, e, c in others:
+            lines.setdefault(self.class_representative(e), ({}, {}))[i][e[2]] = c
+        jumps: Dict[tuple, list] = {}
         budget = algebra.MAX_TERMS
         for key, (dx, dy) in lines.items():
             (mx, stride), (my, _) = self.line(key, _X), self.line(key, _Y)
@@ -453,7 +468,7 @@ class Heisenberg(Group):
                 ((r, -c) for r, c in dy.items()), ((r + mx, c) for r, c in dy.items()),
             )):
                 return None
-            move, f = (mx, dx) if mx and (not my or abs(mx) <= abs(my)) else (my, dy)
+            move, f = (mx, dx) if mx else (my, dy)
             if move < 0:
                 # delta(g^-1) = -g^-1 delta(g) g, moved by -move
                 move, f = -move, {r - move: -c for r, c in f.items()}
@@ -479,21 +494,24 @@ class Heisenberg(Group):
                     f"the closed form of the table has more than MAX_TERMS = "
                     f"{algebra.MAX_TERMS} jumps"
                 )
-            jumps = {r: run for lo, end, run in runs for r in range(lo, end, move)}
-            steps[key] = _step_part(jumps)
-        inner, steps = self.normal_form({}, steps)
-        return inner, {z: tuple(tau) for z, tau in central.items()}, steps
+            jumps[key] = [(r, run) for lo, end, run in runs for r in range(lo, end, move)]
+        inner, steps = self._fold({}, jumps)
+        return inner, central, steps
 
     def normal_form(self, a: dict, *steps: dict) -> Tuple[dict, dict]:
-        # inner(z) = 0 for central z.  On a non-central class's line, a and the
-        # step parts are one potential F with F(-inf) = 0, its jumps the ends
-        # of a's terms and the step parts' jumps summed point by point, which
-        # joins a when it is finite on no more points than it has jumps, else
-        # a step part.
         jumps: Dict[tuple, list] = {}
         for part in steps:
             for key, step in part.items():
                 jumps.setdefault(key, []).extend(_jumps(step))
+        return self._fold(a, jumps)
+
+    def _fold(self, a: dict, jumps: Dict[tuple, list]) -> Tuple[dict, dict]:
+        """`normal_form` of a and the jumps {class: [(point, jump), ...]} of
+        step parts.  inner(z) = 0 for central z.  On a non-central class's
+        line, a and the jumps are one potential F with F(-inf) = 0, its jumps
+        the ends of a's terms and the given jumps summed point by point,
+        which joins a when it is finite on no more points than it has
+        jumps, else a step part."""
         lines: Dict[tuple, dict] = {key: {} for key in jumps}
         for t, c in a.items():
             if t[0] or t[1]:
@@ -639,17 +657,8 @@ class FreeAbelian(Group):
         # C[Z^n] is commutative, so every table is a derivation, and it is
         # central: a term t of d(e_i) is e_i * z for z = t - e_i, central as
         # the group is, so d(g) = sum over z of tau_z(g) * g*z with tau_z(e_i)
-        # the coefficient of e_i * z in d(e_i)
-        n = self.n
-        central: Dict[tuple, list] = {}
-        for i, terms in enumerate(images):
-            for t, c in terms.items():
-                z = t[:i] + (t[i] - 1,) + t[i + 1:]
-                tau = central.get(z)
-                if tau is None:
-                    tau = central[z] = [ZERO] * n
-                tau[i] = c
-        return {}, {z: tuple(tau) for z, tau in central.items()}, {}
+        # the coefficient of e_i * z in d(e_i), read by `_deltas`
+        return {}, self._deltas(images)[0], {}
 
     def normal_form(self, a: dict, *steps: dict) -> Tuple[dict, dict]:
         # C[Z^n] is commutative, so every inner derivation is 0, and no table
@@ -773,14 +782,14 @@ class _ArrowForest:
     """The conjugacy classes of a permutation group and the generator arrows
     of its conjugation groupoid, by element index (position in the sorted
     members): the arrow (s x, s) of the generator s numbered j goes from x
-    to s x s^-1.  A class is searched on its first read (`root`), along the
-    orbit of the element read, then breadth first from its root, its least
-    member, generators in order; `complete` searches all, for a table check.
-    Searching fills `sources[j]`, {s x: index of x}, the arrow a term of d(s)
-    charges, `moves[j]`, the index of s x s^-1 for each x, `edges`, each
-    class's spanning tree as (x, j, y) in search order, `roots`, each
-    element's root, and `classes`, {root: the member payloads in search
-    order}; once complete, `targets[j]` gathers f -> (f(s x s^-1) for each x)."""
+    to s x s^-1.  A class is searched once, on its first read (`root`),
+    breadth first from the element read, generators in order; `complete`
+    searches all, for a table check.  The search fills `sources[j]`, {s x:
+    index of x}, the arrow a term of d(s) charges, `moves[j]`, the index of
+    s x s^-1 for each x, `edges`, each class's spanning tree as (x, j, y) in
+    search order, `roots`, each element's root, the least member of its
+    class, and `classes`, {root: the member payloads in member order}; once
+    complete, `targets[j]` gathers f -> (f(s x s^-1) for each x)."""
 
     __slots__ = ("group", "maps", "sources", "moves", "edges", "roots", "classes", "targets")
 
@@ -797,29 +806,24 @@ class _ArrowForest:
         """The index of the root of the class of the element with index x."""
         root = self.roots[x]
         if root is None:
-            elements, index, roots = self.group._elements, self.group._index, self.roots
-            arms = list(zip(self.maps, self.moves, self.sources))
+            elements, index, edges = self.group._elements, self.group._index, self.edges
+            arms = list(enumerate(zip(self.maps, self.moves, self.sources)))
             orbit, seen = [x], {x}
             for w in orbit:  # the list grows as it is read: breadth first
                 g = elements[w]
-                for (s, times_si), ys, sources in arms:
+                for j, ((s, times_si), ys, sources) in arms:
                     sw = _perm_mul(s, g)
                     y = ys[w] = index[times_si(sw)]
                     sources[sw] = w
                     if y not in seen:
                         seen.add(y)
                         orbit.append(y)
-            root = min(orbit)
-            roots[root] = root
-            cls = [root]
-            for w in cls:
-                for j, ys in enumerate(self.moves):
-                    y = ys[w]
-                    if roots[y] is None:
-                        roots[y] = root
-                        self.edges.append((w, j, y))
-                        cls.append(y)
-            self.classes[root] = [elements[w] for w in cls]
+                        edges.append((w, j, y))
+            orbit.sort()
+            root = orbit[0]
+            for w in orbit:
+                self.roots[w] = root
+            self.classes[root] = [elements[w] for w in orbit]
         return root
 
     def complete(self) -> "_ArrowForest":
@@ -928,13 +932,7 @@ class PermutationGroup(Group):
             second = tuple(range(2, n + 1)) + (1,)
         else:
             second = (1,) + tuple(range(3, n + 1)) + (2,)
-        group = PermutationGroup(f"a{n}", n, [three_cycle, second])
-        expected = 1  # n!/2
-        for k in range(3, n + 1):
-            expected *= k
-        if len(group._elements) != expected:
-            raise ValueError(f"generators do not generate A{n}")
-        return group
+        return PermutationGroup(f"a{n}", n, [three_cycle, second])
 
     def _validate_payload(self, p: tuple) -> None:
         # integers first: sorted() compares the entries
@@ -979,10 +977,10 @@ class PermutationGroup(Group):
         # arrows: then d = inner(sum f(x) x), and conversely every derivation
         # of the semisimple C[G] is inner(w), with f the coefficients of w.
         # f is solved on each class along the edges of the kernel's arrow
-        # forest from f(root) = 0, and compared on every arrow, one gather
-        # per generator; `normal_form` then shifts each class, which leaves
-        # inner(w) as it is and keeps w sparse: a table of inner(a) gets
-        # |w| <= |a|.
+        # forest, 0 at the element its search started from, and compared on
+        # every arrow, one gather per generator; `normal_form` then shifts
+        # each class, which leaves inner(w) as it is and keeps w sparse: a
+        # table of inner(a) gets |w| <= |a|.
         forest = self._forest.complete()
         # the charged arrows of each generator, {index of x: chi(s x, s)}:
         # every arrow with no term of d(s) at s x has chi = 0
@@ -1006,7 +1004,7 @@ class PermutationGroup(Group):
     def normal_form(self, a: dict, *steps: dict) -> Tuple[dict, dict]:
         # no table has a step part.  inner(a) = inner(a') iff a - a' is
         # constant on each class: each class a touches is shifted by its first
-        # most frequent value in forest order, members a omits counted as 0
+        # most frequent value in member order, members a omits counted as 0
         # (the most frequent where a holds fewer than half), and listed in
         # that order.
         forest, index = self._forest, self._index

@@ -68,8 +68,9 @@ def bfs_table_form(group, images):
     """`PermutationGroup.table_form` by breadth-first search over the
     conjugation groupoid, with plain tuple products: f is solved on each
     class from f(root) = 0, roots in sorted element order and generators in
-    order, and compared arrow by arrow as each is met; then each class is
-    shifted by its most frequent value (the first on a tie).  Returns
+    order, and compared arrow by arrow as each is met; then each class, its
+    members sorted, is shifted by its most frequent value (the first in
+    member order on a tie) and listed in member order.  Returns
     (witness, {}, {}), or None at the first arrow with
     chi(s x, s) != f(x) - f(s x s^-1); `images` holds the terms of d(s)
     for each generator s in order, {payload: nonzero coefficient}."""
@@ -98,6 +99,7 @@ def bfs_table_form(group, images):
                     cls.append(y)
                 elif fy != value:
                     return None
+        cls.sort()
         counts = {}
         for x in cls:
             counts[f[x]] = counts.get(f[x], 0) + 1

@@ -29,7 +29,7 @@ from dergrade import (
     verify_char_composition,
     verify_leibniz,
 )
-from dergrade import algebra, derivations
+from dergrade import algebra, derivations, groups
 from dergrade.sampling import Sampler
 from dergrade.serialization import derivation_from_json
 import oracles
@@ -1301,6 +1301,40 @@ def test_solved_bracket_evaluates_its_images_from_the_form(monkeypatch):
     assert images == reference.images and not bracket.is_zero()
 
 
+def test_central_bracket_shifts_each_class_part():
+    # [c(tau, z^k), p] = z^k * sum over classes K of tau(K) * p_K, p_K the
+    # part of p on K and tau(K) = tau(P, Q) for K of key (P, Q) (proof under
+    # ROADMAP item 4): on a step part (pos, vals) of the class of (P, Q, r0)
+    # that is (pos + k, tau(P, Q) * vals) on the class of (P, Q, r0 + k), an
+    # inner term t moves to t z^k, and central parts drop.  The shifted
+    # parts are built here, apart from `bracket`, and compared in both
+    # bracket orders with the brackets of `LeibnizCopy`s
+    rng = random.Random(31)
+    kept = 0
+    for d, images in _step_tables(seed=107, count=6):
+        tau, k = [rng.randint(-2, 2), rng.randint(-2, 2)], rng.randint(-3, 3)
+        central = Derivation.central(H, tau, h(0, 0, k))
+
+        def weight(t):
+            return tau[0] * t[0] + tau[1] * t[1]
+
+        a = AlgebraElement.from_terms(H, [
+            (h(t[0], t[1], t[2] + k), gr(weight(t)) * c) for t, c in d.a._terms.items()
+        ])
+        steps = {
+            H.class_representative((P, Q, r0 + k)): (
+                [r + k for r in pos], [gr(weight((P, Q))) * v for v in vals]
+            )
+            for (P, Q, r0), (pos, vals) in d.steps.items() if weight((P, Q))
+        }
+        kept += bool(steps)
+        shifted = Derivation(a, {}, steps)
+        reference = LeibnizCopy(H, central.images).bracket(LeibnizCopy(H, images))
+        assert shifted.images == central.bracket(d).images == reference.images
+        assert d.bracket(central).scale(-1).images == shifted.images
+    assert kept
+
+
 def test_inner_bracket_with_steps_solves_no_table(monkeypatch):
     # [inner(a), p] = inner(a(b) - p°(a)) with p° the central and step parts
     # of p: no table is solved
@@ -1617,24 +1651,55 @@ def test_every_constructor_agrees_with_its_table_and_support(name):
     assert shared == (group == H)
 
 
-def test_one_path_to_a_form():
-    # a table is solved only in `from_table`, and parts are brought to
-    # normal form only in `_normal`
-    tree = ast.parse(Path(derivations.__file__).read_text(encoding="utf-8"))
-    callers = {"table_form": set(), "normal_form": set()}
+def _callers(module, names):
+    """{name: the scopes in `module` that call a function or method of that
+    name}, each scope dotted, e.g. "Heisenberg.normal_form"."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    callers = {name: set() for name in names}
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in callers
-            ):
-                callers[child.func.attr].add(".".join(scope))
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in callers:
+                    callers[name].add(".".join(scope))
             visit(child, scope)
 
     visit(tree, ())
-    assert callers == {"table_form": {"Derivation.from_table"}, "normal_form": {"_normal"}}
+    return callers
+
+
+def test_one_path_to_a_form():
+    # a table is solved only in `from_table`, and parts are brought to
+    # normal form only in `_normal`; in the kernels, a step part is built
+    # only by the Heisenberg fold and unpacked only by the `normal_form`
+    # that hands stored parts to it
+    assert _callers(derivations, ["table_form", "normal_form"]) == {
+        "table_form": {"Derivation.from_table"}, "normal_form": {"_normal"},
+    }
+    assert _callers(groups, ["_step_part", "_jumps"]) == {
+        "_step_part": {"Heisenberg._fold"}, "_jumps": {"Heisenberg.normal_form"},
+    }
+
+
+def test_table_jumps_go_straight_to_the_fold(monkeypatch):
+    # `Heisenberg.table_form` hands each class's jumps to the fold: no step
+    # part is unpacked, and each class the table moves is packed once, by
+    # the fold, which keeps one as a step part and the other as inner terms
+    images = derivation_from_json(STEP_TABLE).images
+    deltas = [(t * s.inverse()).payload for s, image in images.items() for t in image.support()]
+    moved = {H.class_representative(e) for e in deltas if not H.is_central(e)}
+    calls = {"_jumps": 0, "_step_part": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(groups, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(groups, name, counting)
+    d = derivation_from_json(STEP_TABLE)
+    assert len(d.steps) == 1 and d.a and len(moved) == 2
+    assert calls == {"_jumps": 0, "_step_part": len(moved)}

@@ -317,6 +317,19 @@ class TestConjugacy:
         assert len(S6.conjugacy_class(other)) == 15
         assert calls == []
 
+    @pytest.mark.parametrize("name", ["perm:s5", "perm:s6"])
+    def test_classes_are_listed_in_member_order(self, name):
+        # each class is searched in one pass from the element read, here its
+        # greatest member, and listed sorted, its root first
+        group = fresh_group(name)
+        for p in reversed(group._elements):
+            group.class_representative(p)
+        forest = group._forest
+        assert forest.targets is None and len(forest.classes) > 5
+        for root, members in forest.classes.items():
+            assert members == sorted(members) and members[0] == group._elements[root]
+        assert len(forest.edges) == len(group._elements) - len(forest.classes)
+
 
 class TestCentrality:
     def test_examples(self):
@@ -521,6 +534,15 @@ class TestSympyOracle:
         assert oracle.order() == len(group.finite_elements())
         assert group.derived_payloads() == payloads(oracle.derived_subgroup())
         assert group.center_payloads() == payloads(oracle.center())
+
+    @pytest.mark.parametrize("degree", range(3, 8))
+    def test_alternating_is_sympys(self, degree):
+        # (1 2 3) with (1 2 ... n) for odd n, or with (2 3 ... n) for even
+        # n, generates A_n: order and members match sympy's
+        named_groups = pytest.importorskip("sympy.combinatorics.named_groups")
+        group, oracle = PermutationGroup.alternating(degree), named_groups.AlternatingGroup(degree)
+        assert len(group.finite_elements()) == oracle.order()
+        assert frozenset(group._elements) == payloads(oracle)
 
     @pytest.mark.parametrize("name", PERM_NAMES)
     def test_conjugacy_classes(self, name):
@@ -752,7 +774,8 @@ class TestTableForm:
     )
     def test_matches_breadth_first_search(self, name):
         # the arrow forest gives the verdicts and the witness, key order
-        # included, of the breadth-first search it replaced
+        # included, of the breadth-first search it replaced, which shifts
+        # each class by its first most frequent value in member order
         group = table_group(name)
         rng = random.Random(7)
         verdicts = []
