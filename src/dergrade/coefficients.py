@@ -6,12 +6,14 @@ support/grading computation in this package relies on.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-RatLike = Union[int, Fraction]
-CoeffLike = Union["GaussianRational", int, Fraction]
+# `fractions` is imported only where a Fraction is built or read (`re`, `im`
+# and `as_coefficient` of a value that is not an int): with `decimal`, it
+# would be most of this module's import time.
+RatLike = Union[int, "Fraction"]
+CoeffLike = Union["GaussianRational", int, "Fraction"]
 
 _new = object.__new__
 
@@ -33,7 +35,7 @@ class GaussianRational:
     Stored as one integer triple (p + q*i)/d with d > 0 and
     gcd(p, q, d) == 1, so each value has exactly one triple (zero is
     (0, 0, 1)) and equality and hashing compare triples.  `re` and `im` are
-    the Fractions p/d and q/d.
+    the Fractions p/d and q/d, built when read.
     """
 
     __slots__ = ("_p", "_q", "_d")
@@ -44,10 +46,14 @@ class GaussianRational:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._p, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._q, self._d)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
@@ -177,4 +183,8 @@ def as_coefficient(value: CoeffLike) -> GaussianRational:
     """Coerce an int or Fraction into a GaussianRational."""
     if isinstance(value, GaussianRational):
         return value
+    if isinstance(value, int):
+        return _triple(int(value), 0, 1)
+    from fractions import Fraction
+
     return GaussianRational(Fraction(value))

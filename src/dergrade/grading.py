@@ -9,12 +9,13 @@ central parts whose z lies in it and the step parts whose class does; a
 class lies in one coset, so each component is in normal form and nonzero.
 Bracket closure, the stem-group localisation of central derivations, and
 per-coset inner witnesses are exercised on top of the same machinery.
+The setup and every result are immutable records (`groups.Record`);
+`GradingSetup` checks its quotient in `__init__`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence
 
 from .algebra import AlgebraElement
 from .coefficients import CoeffLike
@@ -25,6 +26,7 @@ from .groups import (
     GroupElement,
     GroupMismatchError,
     QuotientSpec,
+    Record,
 )
 
 CosetKey = tuple
@@ -34,28 +36,25 @@ class TrivialGradingError(ValueError):
     """The quotient is trivial, so the grading would be trivial as well."""
 
 
-@dataclass(frozen=True)
-class GradingSetup:
+class GradingSetup(Record):
     """A group together with a validated quotient giving a non-trivial grading."""
 
-    group: Group
-    quotient: QuotientSpec
+    __slots__ = ("group", "quotient")
 
     @staticmethod
     def default(group: Group) -> "GradingSetup":
         return GradingSetup(group, group.derived_quotient())
 
-    def __post_init__(self):
-        if self.quotient.group != self.group:
+    def __init__(self, group: Group, quotient: QuotientSpec):
+        if quotient.group != group:
             raise GroupMismatchError("quotient belongs to a different group")
-        identity_key = self.quotient.identity_key()
-        if all(
-            self.quotient.key(s.payload) == identity_key for s in self.group.generators()
-        ):
+        identity_key = quotient.identity_key()
+        if all(quotient.key(s.payload) == identity_key for s in group.generators()):
             raise TrivialGradingError(
-                f"quotient of {self.group.name} is trivial: every generator lands "
+                f"quotient of {group.name} is trivial: every generator lands "
                 "in the identity coset, so the grading has a single component"
             )
+        super().__init__(group, quotient)
 
 
 def _check_setup(d: Derivation, setup: GradingSetup) -> None:
@@ -106,11 +105,10 @@ def project(d: Derivation, key: CosetKey, setup: GradingSetup) -> Derivation:
     return Derivation.zero(d.group) if component is None else component
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
-    base: Derivation
-    setup: GradingSetup
-    components: Dict[CosetKey, Derivation]
+class GradedDecomposition(Record):
+    """d's nonzero graded components, by coset key in sorted order."""
+
+    __slots__ = ("base", "setup", "components")
 
     def keys(self) -> List[CosetKey]:
         return sorted(self.components)
@@ -131,18 +129,17 @@ def decompose(d: Derivation, setup: GradingSetup) -> GradedDecomposition:
     return GradedDecomposition(d, setup, {key: components[key] for key in sorted(components)})
 
 
-@dataclass(frozen=True)
-class ClosureCheck:
-    left_key: CosetKey
-    right_key: CosetKey
-    expected_key: CosetKey
-    observed_keys: FrozenSet[CosetKey]
-    ok: bool
+class ClosureCheck(Record):
+    """The bracket of the components at left_key and right_key: its support
+    cosets, observed_keys, and whether they lie in expected_key alone."""
+
+    __slots__ = ("left_key", "right_key", "expected_key", "observed_keys", "ok")
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    checks: Tuple[ClosureCheck, ...]
+class ClosureReport(Record):
+    """One `ClosureCheck` per pair of component keys."""
+
+    __slots__ = ("checks",)
 
     @property
     def passed(self) -> bool:
@@ -213,14 +210,11 @@ def zder_grading_demo(group: Group) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class InnerGradedCertificate:
+class InnerGradedCertificate(Record):
     """A graded decomposition of an inner derivation together with a per-coset
     inner witness for every component."""
 
-    decomposition: GradedDecomposition
-    witnesses: Dict[CosetKey, AlgebraElement]
-    certified: Dict[CosetKey, bool]
+    __slots__ = ("decomposition", "witnesses", "certified")
 
     @property
     def all_certified(self) -> bool:

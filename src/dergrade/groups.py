@@ -43,7 +43,10 @@ Its step parts are read and written here alone: `normal_form` adds them,
 `Heisenberg.step_value` evaluate them for a derivation, which holds them
 as opaque values by class.  A subgroup N given from outside is grown from
 its least members by the same whole cosets, and checked normal on the
-generators chosen for it.
+generators chosen for it.  `Record` is the one immutable slotted record
+that `GroupElement`, `Arrow` and the grading and verification results
+build on, in place of dataclasses, whose import loads `inspect`, `ast`,
+`dis` and `tokenize`.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ import random
 import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 from math import gcd
@@ -97,7 +99,53 @@ class QuotientError(ValueError):
         self.diagnostic = diagnostic or {}
 
 
-class GroupElement:
+class Record:
+    """An immutable record whose fields are its class's `__slots__`, in order.
+
+    `==` and `hash` compare the fields of two records of one class, `repr`
+    lists them as a dataclass does, and a pickle rebuilds the record through
+    its constructor.  The fields are set once, in `__init__`; any later
+    assignment or deletion is refused.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, not {len(values)}")
+        for name, value in zip(names, values):
+            _set_field(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+_set_field = object.__setattr__
+
+
+class GroupElement(Record):
     """An immutable element: its group and its normal-form payload.
 
     The hash is the payload's, computed once: equal elements have equal
@@ -110,12 +158,6 @@ class GroupElement:
         _set_group(self, group)
         _set_payload(self, payload)
         _set_hash(self, hash(payload))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable GroupElement")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable GroupElement")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not GroupElement:
@@ -153,20 +195,19 @@ def conjugate(t: GroupElement, a: GroupElement) -> GroupElement:
     return t * a * t.inverse()
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
     """An arrow (u, v) of the adjoint-action groupoid.
 
     Source is v^-1 u, target is u v^-1; source and target of any arrow are
     conjugate, so arrows never leave a conjugacy class.
     """
 
-    u: GroupElement
-    v: GroupElement
+    __slots__ = ("u", "v")
 
-    def __post_init__(self):
-        if self.u.group != self.v.group:
+    def __init__(self, u: GroupElement, v: GroupElement):
+        if u.group != v.group:
             raise GroupMismatchError("arrow endpoints from different groups")
+        super().__init__(u, v)
 
     def source(self) -> GroupElement:
         return self.v.inverse() * self.u
@@ -787,9 +828,9 @@ class _ArrowForest:
     searches all, for a table check.  The search fills `sources[j]`, {s x:
     index of x}, the arrow a term of d(s) charges, `moves[j]`, the index of
     s x s^-1 for each x, `edges`, each class's spanning tree as (x, j, y) in
-    search order, `roots`, each element's root, the least member of its
-    class, and `classes`, {root: the member payloads in member order}; once
-    complete, `targets[j]` gathers f -> (f(s x s^-1) for each x)."""
+    search order, `roots`, {payload: index of its class's root, the least
+    member}, and `classes`, {root: the member payloads in member order};
+    once complete, `targets[j]` gathers f -> (f(s x s^-1) for each x)."""
 
     __slots__ = ("group", "maps", "sources", "moves", "edges", "roots", "classes", "targets")
 
@@ -799,15 +840,16 @@ class _ArrowForest:
         self.group, self.maps = group, [conj.args for _, conj in group._conjugations]
         self.sources: List[dict] = [{} for _ in gens]
         self.moves: List[list] = [[None] * size for _ in gens]
-        self.roots: List[Optional[int]] = [None] * size
+        self.roots: Dict[tuple, int] = {}
         self.edges, self.classes, self.targets = [], {}, None
 
-    def root(self, x: int) -> int:
-        """The index of the root of the class of the element with index x."""
-        root = self.roots[x]
+    def root(self, p: tuple) -> int:
+        """The index of the root of the class of the member p."""
+        root = self.roots.get(p)
         if root is None:
             elements, index, edges = self.group._elements, self.group._index, self.edges
             arms = list(enumerate(zip(self.maps, self.moves, self.sources)))
+            x = index[p]
             orbit, seen = [x], {x}
             for w in orbit:  # the list grows as it is read: breadth first
                 g = elements[w]
@@ -821,15 +863,14 @@ class _ArrowForest:
                         edges.append((w, j, y))
             orbit.sort()
             root = orbit[0]
-            for w in orbit:
-                self.roots[w] = root
-            self.classes[root] = [elements[w] for w in orbit]
+            members = self.classes[root] = [elements[w] for w in orbit]
+            self.roots.update(dict.fromkeys(members, root))
         return root
 
     def complete(self) -> "_ArrowForest":
         if self.targets is None:
-            for x in range(len(self.roots)):
-                self.root(x)
+            for p in self.group._elements:
+                self.root(p)
             self.targets = [_gather(ys) for ys in self.moves]
         return self
 
@@ -1007,15 +1048,22 @@ class PermutationGroup(Group):
         # most frequent value in member order, members a omits counted as 0
         # (the most frequent where a holds fewer than half), and listed in
         # that order.
-        forest, index = self._forest, self._index
+        forest = self._forest
+        roots = forest.roots
         held: Dict[int, list] = {}
         for t in a:
-            held.setdefault(forest.root(index[t]), []).append(t)
+            root = roots.get(t)
+            if root is None:
+                root = forest.root(t)
+            held.setdefault(root, []).append(t)
         out = {}
         for root in sorted(held):
             members, terms = forest.classes[root], held[root]
-            if 2 * len(terms) < len(members):  # a lone term needs no ordering
-                out.update((p, a[p]) for p in (members if terms[1:] else terms) if p in a)
+            if 2 * len(terms) < len(members):
+                if terms[1:]:
+                    out.update((p, a[p]) for p in members if p in a)
+                else:  # a lone term needs no ordering
+                    out[terms[0]] = a[terms[0]]
                 continue
             values = [a.get(p, ZERO) for p in members]
             counts = Counter(values)
@@ -1041,10 +1089,10 @@ class PermutationGroup(Group):
 
     def conjugacy_class(self, a: tuple) -> FrozenSet[tuple]:
         """The payloads of the class of a, read from the arrow forest."""
-        return frozenset(self._forest.classes[self._forest.root(self._index[a])])
+        return frozenset(self._forest.classes[self._forest.root(a)])
 
     def class_representative(self, a: tuple) -> tuple:
-        return self._elements[self._forest.root(self._index[a])]
+        return self._elements[self._forest.root(a)]
 
     def center_payloads(self) -> FrozenSet[tuple]:
         # z is central iff z(s(i)) = s(z(i)) for each point i and generator

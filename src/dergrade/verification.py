@@ -2,11 +2,11 @@
 
 Each suite draws its inputs from a seeded sampler and counts exact
 pass/fail; the CLI `verify` command and the acceptance tests both run these.
+A suite's counts are an immutable `PropertyResult` (a `groups.Record`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from .derivations import (
@@ -20,15 +20,14 @@ from .grading import (
     decompose,
     support_cosets,
 )
-from .groups import Group, QuotientSpec
+from .groups import Group, QuotientSpec, Record
 from .sampling import Sampler
 
 
-@dataclass
-class PropertyResult:
-    name: str
-    passed: int
-    failed: int
+class PropertyResult(Record):
+    """The passed and failed verdict counts of one named suite."""
+
+    __slots__ = ("name", "passed", "failed")
 
     @property
     def ok(self) -> bool:

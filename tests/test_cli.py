@@ -3,6 +3,7 @@ import io
 import json
 import random
 import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -974,3 +975,37 @@ class TestPlainRoute:
         monkeypatch.setattr(sys, "argv", ["dergrade"] + args)
         assert (main(), capsys.readouterr()) == expected
         assert build_parser.cache_info().misses == misses
+
+
+def test_cold_import_loads_no_dataclasses_or_fractions():
+    # a fresh isolated interpreter imports the package and runs one job of
+    # each command on a golden input: neither `dataclasses` (with `inspect`)
+    # nor `fractions` (with `decimal`) is loaded at any point, while
+    # `argparse` is, at import, so that no job imports it on its own time
+    from test_golden import JOBS
+
+    jobs = [
+        (["info", "--group", "perm:s4"], None),
+        (["verify", "--group", "heisenberg", "--samples", "2"], None),
+    ]
+    for command in ("apply", "character", "bracket", "decompose"):
+        jobs.append(next(job for name, job in JOBS.items() if name.startswith(command + "-")))
+    code = "\n".join([
+        "import io, json, sys",
+        f"sys.path.insert(0, {str(Path(cli.__file__).parent.parent)!r})",
+        "jobs = json.load(sys.stdin)",
+        "import dergrade, dergrade.cli, dergrade.verification",
+        "names = ('dataclasses', 'inspect', 'fractions', 'decimal', 'argparse')",
+        "seen = [[name for name in names if name in sys.modules]]",
+        "out = sys.stdout",
+        "for argv, data in jobs:",
+        "    sys.stdin = io.StringIO(json.dumps(data))",
+        "    sys.stdout = sys.stderr = io.StringIO()",
+        "    seen.append([dergrade.cli.main(argv)] + [name for name in names if name in sys.modules])",
+        "out.write(json.dumps(seen))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", code],
+        input=json.dumps(jobs), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout) == [["argparse"]] + [[0, "argparse"]] * len(jobs)

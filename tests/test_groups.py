@@ -330,6 +330,33 @@ class TestConjugacy:
             assert members == sorted(members) and members[0] == group._elements[root]
         assert len(forest.edges) == len(group._elements) - len(forest.classes)
 
+    @pytest.mark.parametrize("name", ["perm:s4", "perm:a5", "perm:s5"])
+    def test_normal_form_reads_searched_classes_by_payload(self, name, monkeypatch):
+        # the first forms search the classes they touch; once all are
+        # searched, a form reads each term's class with one lookup by
+        # payload and searches nothing, with the same terms in the same order
+        rng = random.Random(name)
+        members = fresh_group(name)._elements
+        forms = [
+            {p: GaussianRational(rng.randint(-2, 2) or 1) for p in rng.sample(members, k)}
+            for k in (1, 2, 3, 5, 8, len(members) // 2, len(members))
+            for _ in range(4)
+        ]
+        cold = []
+        for a in forms:
+            group = fresh_group(name)
+            cold.append(group.normal_form(a))
+        group._forest.complete()
+        calls = []
+        root = groups._ArrowForest.root
+        monkeypatch.setattr(
+            groups._ArrowForest, "root", lambda forest, p: calls.append(p) or root(forest, p)
+        )
+        for a, form in zip(forms, cold):
+            out = group.normal_form(a)
+            assert out == form and list(out[0]) == list(form[0])
+        assert calls == []
+
 
 class TestCentrality:
     def test_examples(self):
