@@ -140,6 +140,8 @@ def _load_json(text: str):
         raise SpecError(
             f"input is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except RecursionError as exc:
+        raise SpecError("input is not valid JSON: nested too deeply") from exc
 
 
 def _resolve_quotient(group: Group, selector: str) -> QuotientSpec:

@@ -9,16 +9,17 @@ the kernel's `table_form`, and `scale` and `_split` keep, so `==`,
 `is_zero` and `grading.decompose` read no image.  A bracket is one formula,
 as Inn is an ideal: for d = inner(a) + d° and p = inner(b) + p°, d° and p°
 their central and step parts, [d, p] = inner(d(b) - p°(a)) + [d°, p°],
-and only where a step part meets another central or step part is [d, p]
-solved by `from_table` from its generator images.  A table from outside
+where a central part shifts the other side's step parts, and only where
+two step parts meet is [d, p] solved by `from_table` from its generator
+images.  A table from outside
 (`from_table`) is checked and given its form by its kernel
 (`Group.table_form`): a permutation group solves for a potential on its
 conjugation action and hands back the inner part w, so the table is
 inner(w); on Z^n every table is a derivation, and each term of d(e_i) is
 one central part; and `heisenberg` also gives step parts, one per
 non-central class (see `Heisenberg.table_form`).  A step part is opaque here: its kernel adds,
-scales and evaluates it (`Group.normal_form`, `groups.scale_steps`,
-`Heisenberg.step_terms`, `Heisenberg.step_value`).
+scales, shifts and evaluates it (`Group.normal_form`, `groups.scale_steps`,
+`Heisenberg.shift_steps`, `Heisenberg.step_terms`, `Heisenberg.step_value`).
 
 A derivation builds only what is read: d(g) on payloads, its step terms
 counted before any is built; the generator images on their first read;
@@ -40,7 +41,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, Terms, _add_terms
 from .coefficients import (
-    CoeffLike, GaussianRational, ONE, ZERO, as_coefficient, integer_combination,
+    CoeffLike, GaussianRational, MINUS_ONE, ONE, ZERO, as_coefficient, integer_combination,
 )
 from .groups import (
     Arrow,
@@ -324,12 +325,13 @@ class Derivation:
         [d, other] = inner(d(b) - p°(a)) + [d°, p°]; each image is merged
         once, so a partial sum that cancels is never refused.  Central parts
         bracket as [central(t1, z1), central(t2, z2)] =
-        central(t1(z2)*t2 - t2(z1)*t1, z1*z2).  Where a step part meets
-        another central or step part, the bracket is `from_table` of the
-        operator commutator on the generator images."""
+        central(t1(z2)*t2 - t2(z1)*t1, z1*z2), and a central part shifts the
+        other side's step parts (`Heisenberg.shift_steps`).  Where two step
+        parts meet, the bracket is `from_table` of the operator commutator
+        on the generator images."""
         self._check_group(other)
         group = self.group
-        if (self.steps and (other.taus or other.steps)) or (other.steps and self.taus):
+        if self.steps and other.steps:
             images = {
                 s: self.apply(other.images[s]) - other.apply(self.images[s])
                 for s in group.generators()
@@ -346,7 +348,11 @@ class Derivation:
                 s2 = integer_combination(t2, group.abelian_coords(z1))
                 tau = tuple(s1 * y - s2 * x for x, y in zip(t1, t2))
                 _add_central(taus, group._mul(z1, z2), tau)
-        return _normal(inner, taus)
+        # [s, c] = -[c, s]
+        steps = [group.shift_steps(t, z, other.steps) for z, t in self.taus.items() if other.steps]
+        steps += [scale_steps(group.shift_steps(t, z, self.steps), MINUS_ONE)
+                  for z, t in other.taus.items() if self.steps]
+        return _normal(inner, taus, *steps)
 
     def is_zero(self) -> bool:
         """True iff d is 0, read off the normal form: it has no part."""

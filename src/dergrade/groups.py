@@ -39,7 +39,8 @@ whose central points are the central parts, all of a Z^n table, and
 class, a line that conjugation moves along, and folds them as they are;
 each returns the form in the kernel's one normal form (`Group.normal_form`).
 Its step parts are read and written here alone: `normal_form` adds them,
-`scale_steps` scales them, and `Heisenberg.step_terms` and
+`scale_steps` scales them, `Heisenberg.shift_steps` brackets them with a
+central part, and `Heisenberg.step_terms` and
 `Heisenberg.step_value` evaluate them for a derivation, which holds them
 as opaque values by class.  A subgroup N given from outside is grown from
 its least members by the same whole cosets, and checked normal on the
@@ -56,12 +57,12 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from functools import partial
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import gcd
 from operator import add, itemgetter, neg, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .coefficients import ZERO, integer_entries
+from .coefficients import ZERO, integer_combination, integer_entries
 
 
 class GroupMismatchError(TypeError):
@@ -336,15 +337,6 @@ class Group:
         place step parts are added."""
         raise NotImplementedError
 
-    # -- conjugacy / center oracles -------------------------------------------
-
-    def is_central(self, z: tuple) -> bool:
-        raise NotImplementedError
-
-    def class_representative(self, a: tuple) -> tuple:
-        """The payload of the canonical representative of [a]."""
-        raise CapabilityError(f"{self.name} has no conjugacy representative oracle")
-
     # -- abelianization -------------------------------------------------------
 
     def abelian_coords(self, g: tuple) -> Tuple[int, ...]:
@@ -387,12 +379,6 @@ class Group:
         raise CapabilityError(f"{self.name} has no free abelianization basis")
 
     # -- descriptions -----------------------------------------------------------
-
-    def center_description(self) -> str:
-        raise NotImplementedError
-
-    def commutator_description(self) -> str:
-        raise NotImplementedError
 
     def is_stem(self) -> bool:
         """True iff every central element lies in the commutator subgroup."""
@@ -615,6 +601,16 @@ class Heisenberg(Group):
         if step is None:
             return ZERO
         return _step_value(step, e[2], self.line(key, v)[0])
+
+    def shift_steps(self, tau, z: tuple, steps: dict) -> dict:
+        """The step parts of [c, s], c the central part (tau, z = (0, 0, k)) and
+        `steps` those of s: each part of F on the class of (P, Q, r0) becomes
+        tau(P, Q) times that of F(r - k) on the class of (P, Q, r0 + k)."""
+        k = z[2]
+        return {
+            self.class_representative((P, Q, r0 + k)): ([r + k for r in pos], [w * v for v in vals])
+            for (P, Q, r0), (pos, vals) in steps.items() if (w := integer_combination(tau, (P, Q)))
+        }
 
     def is_central(self, z: tuple) -> bool:
         return z[0] == 0 and z[1] == 0
@@ -873,21 +869,6 @@ class _ArrowForest:
                 self.root(p)
             self.targets = [_gather(ys) for ys in self.moves]
         return self
-
-
-def _perm_parity(g: tuple) -> int:
-    seen = [False] * len(g)
-    parity = 0
-    for i in range(len(g)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = g[j] - 1
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
 
 
 class PermutationGroup(Group):
@@ -1205,7 +1186,6 @@ class PermutationGroup(Group):
                     "conjugacy_class": sorted(self.conjugacy_class(a)),
                     "coset": sorted(_perm_mul(a, n) for n in subgroup),
                 }
-        return {}
 
     def center_description(self) -> str:
         return "{" + ", ".join(map(str, sorted(self.center_payloads()))) + "}"
@@ -1234,11 +1214,19 @@ class QuotientSpec:
     is free abelian: the key of g is `group.abelian_coords(g)`, and keys add.
 
     `key` and `combine` take payloads and keys of `group` and do not check
-    them; callers check membership first.
+    them; callers check membership first.  Quotients are equal when they are
+    of one class, over one group and by one `subgroup` N (None here, for G').
     """
 
     def __init__(self, group: Group):
-        self.group = group
+        self.group, self.subgroup = group, None
+
+    def __eq__(self, other) -> bool:
+        same = type(other) is type(self)
+        return same and (self.group, self.subgroup) == (other.group, other.subgroup)
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.group, self.subgroup))
 
     def key(self, g: tuple) -> tuple:
         return self.group.abelian_coords(g)
@@ -1268,6 +1256,7 @@ class FiniteQuotient(QuotientSpec):
 
     def __init__(self, group: PermutationGroup, subgroup: FrozenSet[tuple]):
         super().__init__(group)
+        self.subgroup = subgroup
         # _elements is sorted, so the first unkeyed element is its coset's
         # minimum; N is normal, so the coset gN is Ng, one gather over N
         self._keys: Dict[tuple, tuple] = {}
@@ -1280,7 +1269,8 @@ class FiniteQuotient(QuotientSpec):
         # even elements iff it is the sign; two homomorphisms agree once they
         # agree on the generators, so: each generator is odd iff it is not in N
         self._sign_quotient = len(group._elements) == 2 * len(subgroup) and all(
-            _perm_parity(s) == (s not in subgroup) for s in group._generator_payloads
+            sum(x > y for x, y in combinations(s, 2)) % 2 == (s not in subgroup)
+            for s in group._generator_payloads
         )
 
     def key(self, g: tuple) -> tuple:

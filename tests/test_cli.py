@@ -210,6 +210,11 @@ MALFORMED = {
                         "a": [[[1, 1, 0, 1], [1, 0, 0]]]},
          "element": [[[True, 1, 0, 1], [0, 1, 0]]]},
         "integer entries"),
+    # text, not an object, is read from stdin: nesting past Python's
+    # recursion limit is invalid JSON, not a traceback
+    "deep-nesting-stdin": (
+        ["apply", "--group", "heisenberg"], "[" * 1000,
+        "input is not valid JSON: nested too deeply"),
     "table-images-not-object": (
         ["decompose", "--group", "heisenberg"],
         {"group": "heisenberg", "kind": "table", "images": [1]},
@@ -243,8 +248,10 @@ MALFORMED = {
 
 @pytest.mark.parametrize("argv, job, reason", MALFORMED.values(),
                          ids=MALFORMED.keys())
-def test_malformed_input_exit_2(tmp_path, capsys, argv, job, reason):
-    if job is not None:
+def test_malformed_input_exit_2(tmp_path, capsys, monkeypatch, argv, job, reason):
+    if isinstance(job, str):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(job))
+    elif job is not None:
         argv = argv + ["--in", write(tmp_path / "job.json", job)]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -713,12 +720,16 @@ def test_directory_path_exit_2(tmp_path, capsys, option):
 
 
 @pytest.mark.parametrize(
-    "subgroup", [[1], 5, [[1, 2, [3], 4]], [["a"]], [[True, 2, 3, 4]]],
-    ids=["int-entry", "not-a-list", "nested-entry", "string-entry", "bool-entry"])
+    "subgroup", [[1], 5, [[1, 2, [3], 4]], [["a"]], [[True, 2, 3, 4]], "[" * 995],
+    ids=["int-entry", "not-a-list", "nested-entry", "string-entry", "bool-entry",
+         "deep-nesting"])
 def test_malformed_quotient_exit_2(tmp_path, capsys, subgroup):
-    quotient = write(tmp_path / "q.json", {"subgroup": subgroup})
+    # a str is the whole file's text
+    text = subgroup if isinstance(subgroup, str) else json.dumps({"subgroup": subgroup})
+    quotient = tmp_path / "q.json"
+    quotient.write_text(text)
     spec = write(tmp_path / "d.json", {"kind": "inner", "a": []})
-    assert main(["decompose", "--group", "perm:s4", "--quotient", quotient,
+    assert main(["decompose", "--group", "perm:s4", "--quotient", str(quotient),
                  "--in", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -34,7 +34,7 @@ from dergrade.sampling import Sampler
 from dergrade.serialization import derivation_from_json
 import oracles
 from oracles import LeibnizCopy, bracket_character, commutator, find_inner_witness, word
-from test_golden import STEP_TABLE
+from test_golden import JOBS, STEP_TABLE
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -1284,15 +1284,15 @@ def test_forms_build_no_unread_image(monkeypatch):
 
 
 def test_solved_bracket_evaluates_its_images_from_the_form(monkeypatch):
-    # a central x step bracket is solved by one `table_form` call on the
-    # operator commutator's images, which are not kept: reading `images`
-    # evaluates each generator's image from the solved form once
-    table = derivation_from_json(STEP_TABLE)
-    central = Derivation.central(H, [2, -1], h(0, 0, 1))
-    assert table.steps
-    reference = LeibnizCopy(H, central.images).bracket(LeibnizCopy(H, table.images))
+    # a step x step bracket, the one pair with no closed form, is solved by
+    # one `table_form` call on the operator commutator's images, which are
+    # not kept: reading `images` evaluates each generator's image from the
+    # solved form once
+    table, growing = derivation_from_json(STEP_TABLE), growing_derivation()
+    assert table.steps and growing.steps
+    reference = LeibnizCopy(H, table.images).bracket(LeibnizCopy(H, growing.images))
     solved = _counted(monkeypatch, Heisenberg, "table_form")
-    bracket = central.bracket(table)
+    bracket = table.bracket(growing)
     assert len(solved) == 1
     calls = _counted(monkeypatch, Derivation, "_image")
     images = bracket.images
@@ -1301,38 +1301,88 @@ def test_solved_bracket_evaluates_its_images_from_the_form(monkeypatch):
     assert images == reference.images and not bracket.is_zero()
 
 
-def test_central_bracket_shifts_each_class_part():
+def _shifted(d, tau, k):
+    """[c(tau, z^k), d] built apart from `bracket`, by the shift rule."""
+
+    def weight(t):
+        return tau[0] * t[0] + tau[1] * t[1]
+
+    a = AlgebraElement.from_terms(H, [
+        (h(t[0], t[1], t[2] + k), gr(weight(t)) * c) for t, c in d.a._terms.items()
+    ])
+    steps = {
+        H.class_representative((P, Q, r0 + k)): (
+            [r + k for r in pos], [gr(weight((P, Q))) * v for v in vals]
+        )
+        for (P, Q, r0), (pos, vals) in d.steps.items() if weight((P, Q))
+    }
+    return Derivation(a, {}, steps)
+
+
+def test_central_bracket_shifts_each_class_part(monkeypatch):
     # [c(tau, z^k), p] = z^k * sum over classes K of tau(K) * p_K, p_K the
     # part of p on K and tau(K) = tau(P, Q) for K of key (P, Q) (proof under
     # ROADMAP item 4): on a step part (pos, vals) of the class of (P, Q, r0)
     # that is (pos + k, tau(P, Q) * vals) on the class of (P, Q, r0 + k), an
     # inner term t moves to t z^k, and central parts drop.  The shifted
-    # parts are built here, apart from `bracket`, and compared in both
-    # bracket orders with the brackets of `LeibnizCopy`s
+    # parts are built here, apart from `bracket`, for three central parts,
+    # one at z = e and one with k < 0, and compared part by part and summed
+    # with `bracket` in both orders, which solves no table; with the brackets
+    # of `LeibnizCopy`s; and, with an inner part added to the central side,
+    # with the operator commutator solved as a table.  The golden central x
+    # step job is checked the same way first
     rng = random.Random(31)
-    kept = 0
+    sampler = Sampler(H, seed=108, box=3)
+    solved = _counted(monkeypatch, Heisenberg, "table_form")
+    job = JOBS["bracket-heisenberg-central-steps.json"][1]
+    left, right = derivation_from_json(job["left"]), derivation_from_json(job["right"])
+    solved.clear()
+    assert left.bracket(right) == _shifted(right, [2, -1], 1) and right.steps
+    assert solved == []
+    kept = mixed = 0
     for d, images in _step_tables(seed=107, count=6):
-        tau, k = [rng.randint(-2, 2), rng.randint(-2, 2)], rng.randint(-3, 3)
-        central = Derivation.central(H, tau, h(0, 0, k))
+        mixed += bool(d.a and d.taus)
+        total, shifted = Derivation.zero(H), Derivation.zero(H)
+        for k in (0, rng.randint(-3, -1), rng.randint(-3, 3)):
+            tau = [rng.choice([-2, -1, 1, 2]), rng.randint(-2, 2)]
+            central = Derivation.central(H, tau, h(0, 0, k))
+            part = _shifted(d, tau, k)
+            kept += bool(part.steps)
+            solved.clear()
+            assert central.bracket(d) == part == d.bracket(central).scale(-1)
+            assert solved == []
+            total, shifted = total + central, shifted + part
+        assert len(total.taus) > 1
+        c = total + Derivation.inner(sampler.algebra_element())
+        solved.clear()
+        brackets = [total.bracket(d), d.bracket(total), c.bracket(d), d.bracket(c)]
+        assert solved == []
+        assert brackets[0] == shifted == brackets[1].scale(-1)
+        assert brackets[2] == brackets[3].scale(-1)
+        for x, bracket in [(total, brackets[0]), (c, brackets[2])]:
+            reference = LeibnizCopy(H, x.images).bracket(LeibnizCopy(H, images))
+            assert bracket.images == reference.images
+        old = Derivation.from_table(H, {
+            s: c.apply(d.images[s]) - d.apply(c.images[s]) for s in H.generators()
+        })
+        assert brackets[2] == old
+    assert kept and mixed
 
-        def weight(t):
-            return tau[0] * t[0] + tau[1] * t[1]
 
-        a = AlgebraElement.from_terms(H, [
-            (h(t[0], t[1], t[2] + k), gr(weight(t)) * c) for t, c in d.a._terms.items()
-        ])
-        steps = {
-            H.class_representative((P, Q, r0 + k)): (
-                [r + k for r in pos], [gr(weight((P, Q))) * v for v in vals]
-            )
-            for (P, Q, r0), (pos, vals) in d.steps.items() if weight((P, Q))
-        }
-        kept += bool(steps)
-        shifted = Derivation(a, {}, steps)
-        reference = LeibnizCopy(H, central.images).bracket(LeibnizCopy(H, images))
-        assert shifted.images == central.bracket(d).images == reference.images
-        assert d.bracket(central).scale(-1).images == shifted.images
-    assert kept
+def test_central_bracket_with_a_long_run_is_one_step_part():
+    # inner(sum_{r<60000} (60000, 1, r)) is one step part with two jumps,
+    # and d(y) has 120,000 terms, over MAX_TERMS: the shift rule brackets it
+    # with a central part as one two-jump step part, shifted by z and times
+    # tau(60000, 1) = 60002, where solving the operator commutator as a table
+    # is refused
+    run = AlgebraElement.from_terms(H, [(h(60000, 1, r), 1) for r in range(60000)])
+    d, c = Derivation.inner(run), Derivation.central(H, [1, 2], h(0, 0, 1))
+    with pytest.raises(algebra.TermBudgetError, match="at least 120000 terms"):
+        d.apply_element(h(0, 1, 0))
+    forward, backward = c.bracket(d), d.bracket(c)
+    assert forward.steps == {(60000, 1, 0): ([1, 60001], [gr(0), gr(60002), gr(0)])}
+    assert not (forward.a or forward.taus)
+    assert backward == forward.scale(-1) and (forward + backward).is_zero()
 
 
 def test_inner_bracket_with_steps_solves_no_table(monkeypatch):

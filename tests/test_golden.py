@@ -108,7 +108,7 @@ JOBS = {
     }),
     # the step table: evaluated, read at an arrow whose value is its step
     # part's, split by coset, bracketed with an inner derivation (inner(d(b)))
-    # and with a central one (the operator commutator, solved again)
+    # and with a central one (each step part shifted by z and scaled by tau)
     "decompose-heisenberg-steps.json": (["decompose", "--group", "heisenberg"], STEP_TABLE),
     "apply-heisenberg-steps.json": (["apply", "--group", "heisenberg"], {
         "derivation": STEP_TABLE,

@@ -471,6 +471,32 @@ class TestQuotients:
         with pytest.raises(QuotientError):
             S4.quotient_by([(1, 2, 3, 4), (2, 1, 3, 4), (2, 3, 1, 4)])
 
+    @pytest.mark.parametrize("name", ["heisenberg", "zn:3", "perm:s4"])
+    def test_derived_quotients_compare_by_value(self, name):
+        # each derived_quotient() call builds a new quotient; equal ones give
+        # equal setups, also once pickled
+        group = group_from_name(name)
+        q, again = group.derived_quotient(), group.derived_quotient()
+        assert q is not again and q == again and hash(q) == hash(again)
+        setup = GradingSetup.default(group)
+        assert setup == GradingSetup.default(group)
+        copy = pickle.loads(pickle.dumps(setup))
+        assert copy == setup and hash(copy) == hash(setup)
+
+    def test_explicit_quotients_compare_by_subgroup_and_group(self):
+        S4, A4 = group_from_name("perm:s4"), group_from_name("perm:a4")
+        a4 = sorted(S4.derived_payloads())
+        whole = [g.payload for g in S4.finite_elements()]
+        q = S4.quotient_by(a4)
+        assert q == S4.quotient_by(reversed(a4)) == S4.derived_quotient()
+        assert hash(q) == hash(S4.quotient_by(a4)) == hash(S4.derived_quotient())
+        assert q == PermutationGroup.symmetric(4).quotient_by(a4)
+        # another N, or the same N in another group
+        assert q != S4.quotient_by(whole)
+        assert q != A4.quotient_by(a4) and A4.quotient_by(a4) == A4.quotient_by(a4)
+        assert H.derived_quotient() != group_from_name("zn:3").derived_quotient()
+        assert H.derived_quotient() != q and q != object()
+
 
 PERM_NAMES = ["perm:s3", "perm:s4", "perm:s5", "perm:s6",
               "perm:a4", "perm:a5", "perm:a6"]
