@@ -143,6 +143,38 @@ def sampler_draws(name: str) -> str:
     return "".join(lines)
 
 
+def sampler_streams(name: str) -> str:
+    """One line per draw of every kind the Sampler makes, `DRAWS` rounds per
+    seed from one Sampler, so each kind also pins the state it leaves: the
+    seed, the draw, then its value as JSON (payloads as lists)."""
+    group = group_from_name(name)
+    lines = []
+    for seed in SEEDS:
+        sampler = Sampler(group, seed)
+
+        def line(kind, value):
+            lines.append(f"{seed} {kind} {json.dumps(value, sort_keys=True)}\n")
+
+        def ends(arrow):
+            return [list(arrow.u.payload), list(arrow.v.payload)]
+
+        for _ in range(DRAWS):
+            line("element", list(sampler.element().payload))
+            line("word_element", list(sampler.word_element().payload))
+            line("word_element(6)", list(sampler.word_element(6).payload))
+            line("algebra_element", sampler.algebra_element().to_json())
+            line("nonzero_coefficient", sampler.nonzero_coefficient().to_json())
+            if group.has_central_derivations():
+                line("central_derivation", derivation_to_json(sampler.central_derivation()))
+            line("arrow", ends(sampler.arrow()))
+            d = sampler.derivation()
+            line("derivation", derivation_to_json(d))
+            for _ in range(2):
+                line("arrow(d)", ends(sampler.arrow(d)))
+            line("composable_arrows", [ends(a) for a in sampler.composable_arrows()])
+    return "".join(lines)
+
+
 def cli_stdout(argv, stdin: str = "") -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
@@ -159,6 +191,7 @@ def outputs():
     for name in KERNELS:
         slug = name.replace(":", "-")
         cases[f"sampler-{slug}.txt"] = lambda name=name: sampler_draws(name)
+        cases[f"sampler-streams-{slug}.txt"] = lambda name=name: sampler_streams(name)
         argv = ["verify", "--group", name, "--seed", "3", "--samples", "6"]
         cases[f"verify-{slug}.txt"] = lambda argv=argv: cli_stdout(argv)
     argv = ["decompose", "--group", "heisenberg", "--in", str(README_FIXTURE)]
