@@ -7,8 +7,9 @@
 
 The options are defined once, in `_OPTIONS`.  A well-formed command line
 (the command, then full option names each followed by its value) is read
-straight from that table; argparse, built from the same table, reads every
-other command line and prints all help and error text.
+straight from that table; argparse, imported on first need and built from
+the same table, reads every other command line and prints all help and
+error text.
 
 Exit codes: 0 success, 2 spec/parse error, an option value out of range or
 an --in, --out or --quotient path that cannot be read or written, 3 setup
@@ -18,12 +19,12 @@ produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 import tempfile
+import types
 from typing import Optional
 
 from .coefficients import integer_entries
@@ -73,7 +74,10 @@ _OPTIONS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use; parsing does not change it."""
+    """The argument parser, built on first use; parsing does not change it.
+    argparse is imported here, so a plain command line never loads it."""
+    import argparse
+
     # the options every subcommand takes, defined once and copied into each
     common = argparse.ArgumentParser(add_help=False)
     for option, (dest, kind, default, text) in _OPTIONS.items():
@@ -90,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_plain(argv: list) -> Optional[argparse.Namespace]:
-    """The namespace argparse builds for `<command> --option value ...` with
+def _parse_plain(argv: list) -> Optional[types.SimpleNamespace]:
+    """The fields argparse reads from `<command> --option value ...` with
     full option names, a --group, and no value that starts with '-' other
     than '-' itself; None for every other argv, which argparse then reads."""
     if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
@@ -107,7 +111,7 @@ def _parse_plain(argv: list) -> Optional[argparse.Namespace]:
             return None
     if fields["group"] is None:
         return None
-    return argparse.Namespace(command=argv[0], **fields)
+    return types.SimpleNamespace(command=argv[0], **fields)
 
 
 def _read_input(path: str) -> str:

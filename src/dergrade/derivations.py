@@ -229,8 +229,12 @@ class Derivation:
         mul = group._mul
         vi = group._inv(v)
         s, e = mul(vi, u), mul(u, vi)
-        terms = self.a._terms
-        value = terms.get(s, ZERO) - terms.get(e, ZERO)
+        get = self.a._terms.get
+        held, gone = get(s), get(e)
+        if gone is None:
+            value = ZERO if held is None else held
+        else:
+            value = -gone if held is None else held - gone
         tau = self.taus.get(s)
         if tau is not None:
             value = value + integer_combination(tau, group.abelian_coords(v))
@@ -401,15 +405,22 @@ def char_bracket_value(
     sum_k chi^d(a,k) chi^p(k,b) - chi^p(a,k) chi^d(k,b).
 
     The right factors chi^p(k,b) and chi^d(k,b) are the coefficients of k in
-    p(b) and d(b), so each sum runs over the terms of one of those images.
+    p(b) and d(b), so each sum runs over the terms of one of those images;
+    a term whose left factor chi(a,k) is 0 adds 0 and is skipped.
     """
     d._check_group(p)
     a, b = arrow.u.payload, arrow.v
     total = ZERO
+    chi = d._coefficient
     for k, c in p.apply_element(b)._terms.items():
-        total = total + d._coefficient(a, k) * c
+        left = chi(a, k)
+        if left:
+            total = total + left * c
+    chi = p._coefficient
     for k, c in d.apply_element(b)._terms.items():
-        total = total - p._coefficient(a, k) * c
+        left = chi(a, k)
+        if left:
+            total = total - left * c
     return total
 
 

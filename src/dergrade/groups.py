@@ -206,9 +206,10 @@ class Arrow(Record):
     __slots__ = ("u", "v")
 
     def __init__(self, u: GroupElement, v: GroupElement):
-        if u.group != v.group:
+        if u.group is not v.group and u.group != v.group:
             raise GroupMismatchError("arrow endpoints from different groups")
-        super().__init__(u, v)
+        _set_u(self, u)
+        _set_v(self, v)
 
     def source(self) -> GroupElement:
         return self.v.inverse() * self.u
@@ -221,6 +222,10 @@ class Arrow(Record):
         if self.source() != other.target():
             raise CompositionError(self.source(), other.target())
         return Arrow(self.v * other.u, self.v * other.v)
+
+
+_set_u = Arrow.u.__set__
+_set_v = Arrow.v.__set__
 
 
 class Group:
@@ -361,8 +366,10 @@ class Group:
         return self._wrap(self._random_payload(rng, box))
 
     def _random_payload(self, rng: random.Random, box: int) -> tuple:
-        """A payload whose entries are drawn from [-box, box] in turn."""
-        return tuple(rng.randint(-box, box) for _ in self._identity)
+        """A payload whose entries are drawn from [-box, box] in turn, as
+        `randint` draws them."""
+        below, n = rng._randbelow, 2 * box + 1
+        return tuple(below(n) - box for _ in self._identity)
 
     def has_central_derivations(self) -> bool:
         """Whether `random_central` can draw a nonzero central derivation."""
@@ -632,8 +639,9 @@ class Heisenberg(Group):
         return True
 
     def random_central(self, rng: random.Random, box: int) -> Tuple[List[int], GroupElement]:
-        tau = [rng.randint(-2, 2), rng.randint(-2, 2)]
-        return tau, self.element((0, 0, rng.randint(-2, 2)))
+        below = rng._randbelow
+        tau = [below(5) - 2, below(5) - 2]
+        return tau, self.element((0, 0, below(5) - 2))
 
     def central_family(self) -> List[Tuple[List[int], GroupElement]]:
         z = self.element(_Z)
@@ -715,7 +723,8 @@ class FreeAbelian(Group):
         return True
 
     def random_central(self, rng: random.Random, box: int) -> Tuple[List[int], GroupElement]:
-        tau = [rng.randint(-2, 2) for _ in range(self.n)]
+        below = rng._randbelow
+        tau = [below(5) - 2 for _ in range(self.n)]
         return tau, self.random_element(rng, box)
 
     def central_family(self) -> List[Tuple[List[int], GroupElement]]:
@@ -987,7 +996,8 @@ class PermutationGroup(Group):
         return inverse
 
     def _random_payload(self, rng: random.Random, box: int) -> tuple:
-        return rng.choice(self._elements)
+        elements = self._elements
+        return elements[rng._randbelow(len(elements))]
 
     def table_form(
         self, images: Sequence[dict]

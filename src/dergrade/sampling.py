@@ -1,6 +1,13 @@
 """Seeded random generators for elements, algebra elements, arrows, and
 derivations.  Used by the verification suites and the tests; everything is
-deterministic given the seed (set iteration is always sorted first)."""
+deterministic given the seed (set iteration is always sorted first).
+
+Every integer is drawn through `Random._randbelow`, the routine `randint` and
+`choice` call themselves: `randint(lo, hi)` is `lo + _randbelow(hi - lo + 1)`
+and `choice(seq)` is `seq[_randbelow(len(seq))]`, so the stream is theirs,
+value for value, without their Python frames.  `coefficient` spells out
+`_randbelow`'s `getrandbits` rejection loop.  The golden files
+`tests/golden/sampler-*.txt` pin every kind of draw."""
 
 from __future__ import annotations
 
@@ -24,6 +31,8 @@ class Sampler:
     ):
         self.group = group
         self.rng = random.Random(seed)
+        # an integer in [0, n), drawn as randint and choice draw it
+        self._below = self.rng._randbelow
         self.box = box
         self.word_len = word_len
         # the letters of `word_element`: the generators, then their inverses
@@ -34,11 +43,22 @@ class Sampler:
 
     def coefficient(self) -> GaussianRational:
         """a/b + (c/d) i for a, c drawn from [-3, 3] and b, d from [1, 3],
-        in the order a, b, c, d."""
-        randint = self.rng.randint
-        a, b = randint(-3, 3), randint(1, 3)
-        c, d = randint(-3, 3), randint(1, 3)
-        return from_quotients(a, b, c, d)
+        in the order a, b, c, d, as `randint` draws them: a k-bit draw is
+        repeated until it is below the range's size n, k = n.bit_length()."""
+        bits = self.rng.getrandbits
+        a = bits(3)
+        while a >= 7:
+            a = bits(3)
+        b = bits(2)
+        while b >= 3:
+            b = bits(2)
+        c = bits(3)
+        while c >= 7:
+            c = bits(3)
+        d = bits(2)
+        while d >= 3:
+            d = bits(2)
+        return from_quotients(a - 3, b + 1, c - 3, d + 1)
 
     def nonzero_coefficient(self) -> GaussianRational:
         while True:
@@ -52,12 +72,14 @@ class Sampler:
         return self.group.random_element(self.rng, self.box)
 
     def word_element(self, length: Optional[int] = None) -> GroupElement:
+        below = self._below
         if length is None:
-            length = self.rng.randint(0, self.word_len)
+            length = below(self.word_len + 1)
         group, letters = self.group, self._letters
+        mul, n = group._mul, len(letters)
         out = group._identity
         for _ in range(length):
-            out = group._mul(out, self.rng.choice(letters))
+            out = mul(out, letters[below(n)])
         return group._wrap(out)
 
     # -- algebra elements --------------------------------------------------------
@@ -65,7 +87,7 @@ class Sampler:
     def algebra_element(self, max_terms: int = 3) -> AlgebraElement:
         # each term's payload is drawn before its coefficient, as `element()`
         # would draw it, but never wrapped
-        n_terms = self.rng.randint(1, max_terms)
+        n_terms = 1 + self._below(max_terms)
         group, rng, box = self.group, self.rng, self.box
         pairs = [
             (group._random_payload(rng, box), self.nonzero_coefficient())
@@ -95,7 +117,7 @@ class Sampler:
             choices += ["central", "mixed"]
         if allow_table:
             choices.append("table")
-        kind = self.rng.choice(choices)
+        kind = choices[self._below(len(choices))]
         if kind == "inner":
             return self.inner_derivation()
         if kind == "central":
@@ -122,7 +144,7 @@ class Sampler:
             # payload order is the kernel's element order, the order of items()
             supp = sorted(d.apply_element(v)._terms)
             if supp:
-                u = self.group._wrap(self.rng.choice(supp))
+                u = self.group._wrap(supp[self._below(len(supp))])
         if u is None:
             u = self.word_element()
         return Arrow(u, v)

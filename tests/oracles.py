@@ -325,6 +325,19 @@ def bracket_character(d, p, arrow):
     return total
 
 
+def dense_char_bracket_value(d, p, arrow):
+    """`char_bracket_value` with every term of the matrix-product sum
+    multiplied and added, a zero character chi(a, k) included: the sum over
+    the terms k of p(b) and of d(b), for two `Derivation`s."""
+    a, b = arrow.u.payload, arrow.v
+    total = GaussianRational(0)
+    for k, c in p.apply_element(b)._terms.items():
+        total = total + d._coefficient(a, k) * c
+    for k, c in d.apply_element(b)._terms.items():
+        total = total - p._coefficient(a, k) * c
+    return total
+
+
 def _solve_rational(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
     """One solution of A x = b over Q by Gaussian elimination, or None."""
     m = [row[:] + [b] for row, b in zip(rows, rhs)]

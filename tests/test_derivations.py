@@ -30,11 +30,14 @@ from dergrade import (
     verify_leibniz,
 )
 from dergrade import algebra, derivations, groups
+from dergrade.coefficients import ZERO
 from dergrade.sampling import Sampler
 from dergrade.serialization import derivation_from_json
 import oracles
-from oracles import LeibnizCopy, bracket_character, commutator, find_inner_witness, word
-from test_golden import JOBS, STEP_TABLE
+from oracles import (
+    LeibnizCopy, bracket_character, commutator, dense_char_bracket_value, find_inner_witness, word,
+)
+from test_golden import JOBS, KERNELS, STEP_TABLE
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -951,6 +954,110 @@ class TestBracketCharacterOracle:
             for _ in range(10):
                 phi = sampler.arrow(br)
                 assert char_bracket_value(d, p, phi) == br.character(phi)
+
+
+class TestSparseBracketSum:
+    """`char_bracket_value` adds only the terms whose left factor chi(a, k)
+    is nonzero; `oracles.dense_char_bracket_value` multiplies every term."""
+
+    @staticmethod
+    def _pairs(group, sampler):
+        pairs = [(sampler.derivation(), sampler.derivation()) for _ in range(12)]
+        if group == H:
+            tables = [d for d, _ in _step_tables(seed=111, count=5)]
+            pairs += list(zip(tables, tables[1:]))
+            pairs += [(t, sampler.derivation()) for t in tables]
+            pairs += [(sampler.central_derivation(), t) for t in tables]
+        return pairs
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_matches_the_dense_sum(self, name):
+        group = group_from_name(name)
+        sampler = Sampler(group, seed=112, word_len=3)
+        nonzero = 0
+        for d, p in self._pairs(group, sampler):
+            bracket = d.bracket(p)
+            for _ in range(8):
+                arrow = sampler.arrow(bracket)
+                value = char_bracket_value(d, p, arrow)
+                assert value == dense_char_bracket_value(d, p, arrow) == bracket.character(arrow)
+                nonzero += bool(value)
+        assert nonzero >= 10
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_all_zero_characters_multiply_nothing(self, monkeypatch, name):
+        # arrows at which p(b) or d(b) has terms but every left factor is 0:
+        # the sum is ZERO and no coefficient is multiplied
+        group = group_from_name(name)
+        sampler = Sampler(group, seed=113, word_len=3)
+        cases = 0
+        for d, p in self._pairs(group, sampler):
+            for _ in range(8):
+                arrow = Arrow(sampler.element(), sampler.word_element())
+                a, b = arrow.u.payload, arrow.v
+                right = [(d, k) for k in p.apply_element(b)._terms]
+                right += [(p, k) for k in d.apply_element(b)._terms]
+                if not right or any(f._coefficient(a, k) for f, k in right):
+                    continue
+                cases += 1
+                products = _counted(monkeypatch, GaussianRational, "__mul__")
+                assert char_bracket_value(d, p, arrow) == ZERO
+                assert products == []
+                monkeypatch.undo()
+                assert dense_char_bracket_value(d, p, arrow) == ZERO
+        assert cases >= 5
+
+
+class TestCoefficientBranches:
+    """`Derivation._coefficient(u, v)` is the coefficient of u in d(v) on
+    each branch of a[v^-1 u] - a[u v^-1]: a holding v^-1 u only, u v^-1
+    only, both, neither (commuting u and v included), with a central part
+    at v^-1 u, and with step parts."""
+
+    @staticmethod
+    def _arrows(group, d, sampler):
+        terms = [group._wrap(t) for t in d.a._terms]
+        centrals = [group._wrap(z) for z in d.taus]
+        for v in [sampler.element() for _ in range(4)] + group.generators():
+            for t in terms:
+                yield Arrow(v * t, v)
+                yield Arrow(t * v, v)
+            for z in centrals:
+                yield Arrow(v * z, v)
+            yield Arrow(sampler.element(), v)
+            yield Arrow(v, v)
+            yield Arrow(v * v, v)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_each_branch_reads_the_image(self, name):
+        group = group_from_name(name)
+        sampler = Sampler(group, seed=114, box=3)
+        cases = list(_kinds(group, seed=115).values())
+        if group == H:
+            cases += [d for d, _ in _step_tables(seed=116, count=4)]
+        seen = set()
+        for d in cases:
+            a = d.a._terms
+            for arrow in self._arrows(group, d, sampler):
+                u, v = arrow.u.payload, arrow.v.payload
+                s, e = arrow.source().payload, arrow.target().payload
+                assert d._coefficient(u, v) == d.apply_element(arrow.v).coefficient(arrow.u)
+                branch = (s in a, e in a)
+                seen.add(branch)
+                if s == e:
+                    seen.add(("commuting", branch))
+                if s in d.taus:
+                    seen.add("central")
+                if d.steps:
+                    seen.add("steps")
+        if group.name == "zn:3":
+            # every inner part is 0 on an abelian group
+            assert seen >= {(False, False), ("commuting", (False, False)), "central"}
+            return
+        assert seen >= {(True, False), (False, True), (True, True), (False, False),
+                        ("commuting", (False, False)), ("commuting", (True, True))}
+        if group == H:
+            assert seen >= {"central", "steps"}
 
 
 class TestLeibniz:
