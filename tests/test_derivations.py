@@ -668,10 +668,8 @@ def test_second_heisenberg_instance_reads_the_same_image():
     assert d.apply_element(other) == first
 
 
-# d(x) = x*y, d(y) = 0: |supp d(x^a)| = a, so the image grows with a
-GROWING_TABLE = {"x": [[[1, 1, 0, 1], [1, 1, 0]]], "y": []}
-
-
+# d(x) = x*y, d(y) = 0 (`test_golden.GROWING_TABLE`): |supp d(x^a)| = a, so
+# the image grows with a
 def growing_derivation():
     x, y = H.generators()
     return Derivation.from_table(H, {x: mono(x * y), y: AlgebraElement.zero(H)})

@@ -38,6 +38,10 @@ STEP_TABLE = {"group": "heisenberg", "kind": "table", "images": {
           [[-1, 1, 0, 1], [1, 1, 4]], [[-1, 1, 0, 1], [2, 2, 0]], [[1, 1, 0, 1], [2, 2, 2]]],
     "y": [[[2, 1, 0, 1], [0, 1, 1]], [[1, 1, 0, 1], [1, 3, 0]], [[-1, 1, 0, 1], [1, 3, 1]]],
 }}
+# x -> x*y, y -> 0: one step part with one jump, on the class (0, 1, 0)
+GROWING_TABLE = {"group": "heisenberg", "kind": "table", "images": {
+    "x": [[[1, 1, 0, 1], [1, 1, 0]]], "y": [],
+}}
 JOBS = {
     "apply-heisenberg.json": (["apply", "--group", "heisenberg"], {
         "derivation": {"group": "heisenberg", "kind": "inner",
@@ -127,6 +131,17 @@ JOBS = {
         "left": {"group": "heisenberg", "kind": "central",
                  "tau": [[2, 1, 0, 1], [-1, 1, 0, 1]], "z": [0, 0, 1]},
         "right": STEP_TABLE,
+    }),
+    # step parts on both sides: on one key, (0, 1), against GROWING_TABLE,
+    # and on the keys (0, 1) and (1, 0) against y -> y*x
+    "bracket-heisenberg-steps-steps.json": (["bracket", "--group", "heisenberg"], {
+        "left": STEP_TABLE, "right": GROWING_TABLE,
+    }),
+    "bracket-heisenberg-steps-crossed.json": (["bracket", "--group", "heisenberg"], {
+        "left": STEP_TABLE,
+        "right": {"group": "heisenberg", "kind": "table", "images": {
+            "x": [], "y": [[[1, 1, 0, 1], [1, 1, 0]]],
+        }},
     }),
 }
 
