@@ -9,17 +9,18 @@ the kernel's `table_form`, and `scale` and `_split` keep, so `==`,
 `is_zero` and `grading.decompose` read no image.  A bracket is one formula,
 as Inn is an ideal: for d = inner(a) + d° and p = inner(b) + p°, d° and p°
 their central and step parts, [d, p] = inner(d(b) - p°(a)) + [d°, p°],
-where a central part shifts the other side's step parts, and only where
-two step parts meet is [d, p] solved by `from_table` from its generator
-images.  A table from outside
+where a central part shifts the other side's step parts and two step
+parts bracket by the kernel's rule on their jumps, so no bracket reads
+the generator images or solves a table.  A table from outside
 (`from_table`) is checked and given its form by its kernel
 (`Group.table_form`): a permutation group solves for a potential on its
 conjugation action and hands back the inner part w, so the table is
 inner(w); on Z^n every table is a derivation, and each term of d(e_i) is
 one central part; and `heisenberg` also gives step parts, one per
 non-central class (see `Heisenberg.table_form`).  A step part is opaque here: its kernel adds,
-scales, shifts and evaluates it (`Group.normal_form`, `groups.scale_steps`,
-`Heisenberg.shift_steps`, `Heisenberg.step_terms`, `Heisenberg.step_value`).
+scales, shifts, brackets and evaluates it (`Group.normal_form`,
+`groups.scale_steps`, `Heisenberg.shift_steps`, `Heisenberg.bracket_steps`,
+`Heisenberg.step_terms`, `Heisenberg.step_value`).
 
 A derivation builds only what is read: d(g) on payloads, its step terms
 counted before any is built; the generator images on their first read;
@@ -31,7 +32,7 @@ Every image, and d(x) in `apply`, from the terms of all its images, is
 merged by one `algebra._add_terms` call, so none has more than `MAX_TERMS`
 terms once finished.  No image is kept but the generator images, which
 are evaluated from the form, also for a table: no derivation keeps the
-images it was given or solved from.
+images it was given.
 """
 
 from __future__ import annotations
@@ -329,18 +330,12 @@ class Derivation:
         [d, other] = inner(d(b) - p°(a)) + [d°, p°]; each image is merged
         once, so a partial sum that cancels is never refused.  Central parts
         bracket as [central(t1, z1), central(t2, z2)] =
-        central(t1(z2)*t2 - t2(z1)*t1, z1*z2), and a central part shifts the
-        other side's step parts (`Heisenberg.shift_steps`).  Where two step
-        parts meet, the bracket is `from_table` of the operator commutator
-        on the generator images."""
+        central(t1(z2)*t2 - t2(z1)*t1, z1*z2), a central part shifts the
+        other side's step parts (`Heisenberg.shift_steps`), and two sides'
+        step parts bracket by the kernel's rule on their jumps
+        (`Heisenberg.bracket_steps`); no generator image is read."""
         self._check_group(other)
         group = self.group
-        if self.steps and other.steps:
-            images = {
-                s: self.apply(other.images[s]) - other.apply(self.images[s])
-                for s in group.generators()
-            }
-            return Derivation.from_table(group, images)
         inner = self.apply(other.a)
         if other.taus or other.steps:
             outer = Derivation(AlgebraElement.zero(group), other.taus, other.steps)
@@ -356,6 +351,8 @@ class Derivation:
         steps = [group.shift_steps(t, z, other.steps) for z, t in self.taus.items() if other.steps]
         steps += [scale_steps(group.shift_steps(t, z, self.steps), MINUS_ONE)
                   for z, t in other.taus.items() if self.steps]
+        if self.steps and other.steps:
+            steps.append(group.bracket_steps(self.steps, other.steps))
         return _normal(inner, taus, *steps)
 
     def is_zero(self) -> bool:

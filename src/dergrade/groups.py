@@ -40,7 +40,8 @@ class, a line that conjugation moves along, and folds them as they are;
 each returns the form in the kernel's one normal form (`Group.normal_form`).
 Its step parts are read and written here alone: `normal_form` adds them,
 `scale_steps` scales them, `Heisenberg.shift_steps` brackets them with a
-central part, and `Heisenberg.step_terms` and
+central part and `Heisenberg.bracket_steps` with each other, and
+`Heisenberg.step_terms` and
 `Heisenberg.step_value` evaluate them for a derivation, which holds them
 as opaque values by class.  A subgroup N given from outside is grown from
 its least members by the same whole cosets, and checked normal on the
@@ -58,7 +59,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from itertools import chain, combinations, product
-from math import gcd
+from math import gcd, lcm
 from operator import add, itemgetter, neg, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -416,6 +417,13 @@ def _step_value(step: Tuple[List[int], list], r: int, move: int):
     return vals[bisect_right(pos, r - move)] - vals[bisect_right(pos, r)]
 
 
+def _spans(step: Tuple[List[int], list]) -> list:
+    """(lo, end, v) for each stretch lo <= r < end between two jump points of
+    a step part on which its potential is v != 0."""
+    pos, vals = step
+    return [(lo, end, v) for lo, end, v in zip(pos, pos[1:], vals[1:]) if v]
+
+
 def _jumps(step: Tuple[List[int], list]) -> Iterable[Tuple[int, object]]:
     """(point, jump) for each jump of a step part."""
     return zip(step[0], map(sub, step[1][1:], step[1]))
@@ -558,7 +566,7 @@ class Heisenberg(Group):
             stride = gcd(key[0], key[1])
             ends = chain.from_iterable(((t[2], c), (t[2] + stride, -c)) for t, c in terms.items())
             pos, vals = _step_part(_summed(chain(ends, jumps.get(key, ()))))
-            spans = [(lo, end, v) for lo, end, v in zip(pos, pos[1:], vals[1:]) if v]
+            spans = _spans((pos, vals))
             if not vals[-1] and sum((end - lo) // stride for lo, end, _ in spans) <= len(pos):
                 inner.update(
                     (key[:2] + (r,), v) for lo, end, v in spans for r in range(lo, end, stride)
@@ -618,6 +626,119 @@ class Heisenberg(Group):
             self.class_representative((P, Q, r0 + k)): ([r + k for r in pos], [w * v for v in vals])
             for (P, Q, r0), (pos, vals) in steps.items() if (w := integer_combination(tau, (P, Q)))
         }
+
+    def bracket_steps(self, steps1: dict, steps2: dict) -> dict:
+        """The step parts of [s, t] for the step parts `steps1` of s and
+        `steps2` of t.  A step part of F is ad(A), A = sum_r F(r) * (P, Q, r),
+        so [s, t] = ad(B*A - A*B): for parts on the keys (P1, Q1) and
+        (P2, Q2), of strides s1 and s2 and jumps J_i at p_i and J'_j at p'_j,
+        its jumps on the key (P1 + P2, Q1 + Q2), of stride s, are as a power
+        series sum_{i,j} J_i * J'_j * x^(p_i + p'_j + P2*Q1) times the
+        polynomial E = (1 - x^s)(1 - x^w) / ((1 - x^s1)(1 - x^s2)),
+        w = P1*Q2 - Q1*P2 (0 on parallel and opposite keys).  E is read the
+        cheapest way that reads at most `MAX_TERMS` of its points: by its
+        coefficients, constant along each residue mod lcm(s1, s2) but near
+        its ends; as (1 - x^s) / (1 - x^s2) times |w| / s1 powers of x^s1; or,
+        for a part whose F ends at 0, without (1 - x^s1), that part read by
+        its points.  Each way gives half-lines, summed by a sweep over their
+        starts, and the jumps are counted before any is built."""
+        from . import algebra  # imported here: algebra imports this module
+
+        budget = algebra.MAX_TERMS
+        keys: Dict[tuple, list] = {}
+        for (P1, Q1, _), step1 in steps1.items():
+            for (P2, Q2, _), step2 in steps2.items():
+                w = P1 * Q2 - Q1 * P2
+                if not w:
+                    continue
+                s, s1, s2 = gcd(P1 + P2, Q1 + Q2), gcd(P1, Q1), gcd(P2, Q2)
+                g, start, sign = gcd(s1, s2), min(0, w), 1 if w > 0 else -1
+                period = s1 * s2 // g
+                jumps1, jumps2 = list(_jumps(step1)), list(_jumps(step2))
+                both = len(jumps1) * len(jumps2)
+                # (points of E read, times the pairs of terms, way): a side's
+                # number is the way that reads that side by its points
+                ways = [((2 * s + min(period, abs(w) - s)) // g, both, "runs"),
+                        (abs(w) // max(s1, s2), both, "lines")]
+                sides = (step1, s1, jumps2), (step2, s2, jumps1)
+                for side, (step, stride, other) in enumerate(sides):
+                    if not step[1][-1]:
+                        size = sum((end - lo) // stride for lo, end, _ in _spans(step))
+                        ways.append((size, len(other), side))
+                ways = [way for way in ways if way[0] <= budget]
+                if not ways:
+                    raise algebra.TermBudgetError(
+                        f"the bracket of the step parts on ({P1}, {Q1}) and ({P2}, {Q2}) "
+                        f"reads more than MAX_TERMS = {budget} points"
+                    )
+                way = min(ways, key=lambda way: way[0] * way[1])[2]
+                terms = jumps1, jumps2
+                # E as half-lines (n, stride, value): value at n, n + stride, ...
+                if way == "runs":
+                    alpha, beta = s1 // g, s2 // g
+                    inverse = pow(alpha, -1, beta)
+
+                    def c(n):
+                        # s1*a + s2*b = n has one a in each residue mod beta
+                        if n < 0 or n % g:
+                            return 0
+                        m = n // g
+                        a = m * inverse % beta
+                        return 0 if a * alpha > m else (m - a * alpha) // (alpha * beta) + 1
+
+                    kernel = []
+                    stop = max(0, w) + s
+                    for lo, hi, flat in ((start, start + s, False), (start + s, stop - s, True),
+                                         (stop - s, stop, False)):
+                        for n in range(lo, min(lo + period, hi) if flat else hi, g):
+                            if value := c(n) - c(n - s) - c(n - w) + c(n - s - w):
+                                end = n + ((hi - n - 1) // period + 1 if flat else 1) * period
+                                kernel += [(n, period, value), (end, period, -value)]
+                elif way == "lines":
+                    big, small = max(s1, s2), min(s1, s2)
+                    kernel = [
+                        (start + big * a + shift, small, sign * value)
+                        for a in range(abs(w) // big) for shift, value in ((0, 1), (s, -1))
+                    ]
+                else:
+                    step, stride, other = ((step1, s1, s2), (step2, s2, s1))[way]
+                    points = [(r, v) for lo, end, v in _spans(step) for r in range(lo, end, stride)]
+                    terms = (points, jumps2) if way == 0 else (jumps1, points)
+                    kernel = [
+                        (start + shift, other, sign * value)
+                        for shift, value in ((0, 1), (abs(w), -1), (s, -1), (s + abs(w), 1))
+                    ]
+                keys.setdefault((P1 + P2, Q1 + Q2), []).append((terms, P2 * Q1, kernel))
+        runs, count = [], 0
+        for (P, Q), pairs in keys.items():
+            period = lcm(*(t for _, _, kernel in pairs for _, t, _ in kernel))
+            ends: Dict[int, list] = {}
+            for (terms1, terms2), offset, kernel in pairs:
+                for p1, j1 in terms1:
+                    for p2, j2 in terms2:
+                        q, v = p1 + p2 + offset, j1 * j2
+                        for n, t, value in kernel:
+                            e = integer_combination((v,), (value,))
+                            # a half-line of stride t as ones of stride `period`
+                            for r in range(n + q, n + q + period, t):
+                                ends.setdefault(r % period, []).append((r, e))
+            for at in map(_summed, ends.values()):
+                pos, total = sorted(at), ZERO
+                for r, end in zip(pos, pos[1:]):
+                    total = total + at[r]
+                    if total:
+                        runs.append((P, Q, r, end, period, total))
+                        count += (end - r) // period
+        if count > budget:
+            raise algebra.TermBudgetError(
+                f"the bracket of the step parts has {count} jumps, over the limit "
+                f"MAX_TERMS = {budget}"
+            )
+        jumps: Dict[tuple, dict] = {}
+        for P, Q, lo, end, period, total in runs:
+            for r in range(lo, end, period):
+                jumps.setdefault(self.class_representative((P, Q, r)), {})[r] = total
+        return {key: _step_part(part) for key, part in jumps.items()}
 
     def is_central(self, z: tuple) -> bool:
         return z[0] == 0 and z[1] == 0

@@ -493,6 +493,25 @@ def test_growing_image_refused_in_time(tmp_path, capsys):
     assert f"MAX_TERMS = {algebra.MAX_TERMS}" in captured.err
 
 
+def test_step_bracket_refused_from_its_jump_count(tmp_path, capsys):
+    # inner(sum_{r<60000} (60000, 1, r)) and x -> x*y are one step part
+    # each, of two jumps and one: their bracket has 120,000 jumps, counted
+    # from the summed runs of the two forms and refused before any is built
+    job = {
+        "left": {"group": "heisenberg", "kind": "inner",
+                 "a": [[[1, 1, 0, 1], [60000, 1, r]] for r in range(60000)]},
+        "right": GROWING_JOB["derivation"],
+    }
+    argv = ["bracket", "--group", "heisenberg", "--in", write(tmp_path / "j.json", job)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr() == (
+        "", "error: the bracket of the step parts has 120000 jumps, over the limit "
+        "MAX_TERMS = 100000\n",
+    )
+
+
 def _unit_terms(n, payload):
     return [[[1, 1, 0, 1], payload(i)] for i in range(n)]
 

@@ -2,6 +2,7 @@ import ast
 import itertools
 import pickle
 import random
+import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -1388,22 +1389,235 @@ def test_forms_build_no_unread_image(monkeypatch):
     assert bracket.images == reference.images and not bracket.is_zero()
 
 
-def test_solved_bracket_evaluates_its_images_from_the_form(monkeypatch):
-    # a step x step bracket, the one pair with no closed form, is solved by
-    # one `table_form` call on the operator commutator's images, which are
-    # not kept: reading `images` evaluates each generator's image from the
-    # solved form once
-    table, growing = derivation_from_json(STEP_TABLE), growing_derivation()
-    assert table.steps and growing.steps
-    reference = LeibnizCopy(H, table.images).bracket(LeibnizCopy(H, growing.images))
-    solved = _counted(monkeypatch, Heisenberg, "table_form")
-    bracket = table.bracket(growing)
-    assert len(solved) == 1
-    calls = _counted(monkeypatch, Derivation, "_image")
-    images = bracket.images
-    assert bracket.images is images
-    assert sorted(calls) == sorted(s.payload for s in H.generators())
-    assert images == reference.images and not bracket.is_zero()
+def test_step_bracket_evaluates_its_images_from_the_form(monkeypatch):
+    # a step x step bracket is read off the two forms by the kernel
+    # (`Heisenberg.bracket_steps`), so no table is solved, and reading
+    # `images` evaluates each generator's image from the form once: both
+    # golden step x step jobs, with the step parts on one key and on two
+    table = derivation_from_json(STEP_TABLE)
+    for name in ["bracket-heisenberg-steps-steps.json", "bracket-heisenberg-steps-crossed.json"]:
+        other = derivation_from_json(JOBS[name][1]["right"])
+        assert table.steps and other.steps
+        reference = LeibnizCopy(H, table.images).bracket(LeibnizCopy(H, other.images))
+        solved = _counted(monkeypatch, Heisenberg, "table_form")
+        bracket = table.bracket(other)
+        assert solved == []
+        calls = _counted(monkeypatch, Derivation, "_image")
+        images = bracket.images
+        assert bracket.images is images
+        assert sorted(calls) == sorted(s.payload for s in H.generators())
+        assert images == reference.images and not bracket.is_zero()
+        monkeypatch.undo()
+
+
+# keys of strides 1 to 4, among them parallel and opposite pairs
+_STEP_KEYS = [(1, 0), (0, 1), (1, 1), (-1, -1), (2, 1), (1, -2), (2, 2), (-2, -2),
+              (2, -4), (4, 2), (3, 0), (-3, 0), (0, 3), (3, 3), (4, 0)]
+
+
+def _pure_steps(rng, ends_at_zero):
+    """A derivation of one or two step parts on `_STEP_KEYS`, with 1 to 3
+    jumps each, or with two pairs of jumps that cancel, so that its
+    potential ends at 0 (a fold may turn such a part into inner terms)."""
+    jumps = {}
+    for _ in range(rng.randint(1, 2)):
+        P, Q = rng.choice(_STEP_KEYS)
+        stride = gcd(P, Q)
+        r0 = rng.randrange(stride)
+        count = 4 if ends_at_zero else rng.randint(1, 3)
+        points = [r0 + stride * t for t in rng.sample(range(-4, 5), count)]
+        values = [gr(rng.choice([-2, -1, 1, 3])) for _ in points]
+        if ends_at_zero:
+            values[1::2] = [-v for v in values[::2]]
+        part = jumps.setdefault(H.class_representative((P, Q, r0)), {})
+        for r, v in zip(points, values):
+            part[r] = part.get(r, ZERO) + v
+    parts = {key: groups._step_part(part) for key, part in jumps.items()}
+    return derivations._normal(AlgebraElement.zero(H), {}, parts)
+
+
+def _solved(d, p):
+    """[d, p] solved as a table from the operator commutator's images."""
+    return Derivation.from_table(H, {
+        s: d.apply(p.images[s]) - p.apply(d.images[s]) for s in H.generators()
+    })
+
+
+def test_step_bracket_matches_the_solved_route_and_leibniz(monkeypatch):
+    # ROADMAP item 2's rule: [s_F, s_G] is the potential
+    # sum J_i J'_j D(u - p_i - p'_j - P2 Q1) on the key (P1 + P2, Q1 + Q2),
+    # read off the forms with no table solved, in both orders.  It is
+    # compared with the operator commutator solved as a table and with the
+    # `LeibnizCopy` bracket on `_step_tables` pairs (inner, central and step
+    # parts) and on pure step parts of strides 1 to 4, some ending at 0 (read
+    # by their points) and some not (read by their jumps); step parts on
+    # parallel and on opposite keys bracket to no step part
+    rng = random.Random(37)
+    tables = [d for d, _ in _step_tables(seed=117, count=5)]
+    pure = [_pure_steps(rng, ends_at_zero) for ends_at_zero in [False, True] * 14]
+    pure = [d for d in pure if d.steps]
+    pairs = list(itertools.product(tables, repeat=2))
+    pairs += list(zip(pure, pure[1:])) + list(zip(tables, pure)) + list(zip(pure[::-1], tables))
+    finite, nonzero = 0, 0
+    parallel = [((2, 2), (1, 1)), ((2, 2), (-2, -2)), ((2, -4), (-1, 2)), ((3, 0), (-3, 0))]
+    for keys in parallel:
+        d, p = (
+            derivations._normal(AlgebraElement.zero(H), {}, {
+                H.class_representative((P, Q, 1)): groups._step_part({1: gr(2), 7: gr(-1)})
+            })
+            for P, Q in keys
+        )
+        assert H.bracket_steps(d.steps, p.steps) == {}
+        pairs.append((d, p))
+    for d, p in pairs:
+        assert d.steps and p.steps
+        finite += all(not vals[-1] for _, vals in d.steps.values())
+        solved = _counted(monkeypatch, Heisenberg, "table_form")
+        forward, backward = d.bracket(p), p.bracket(d)
+        assert solved == []
+        monkeypatch.undo()
+        assert forward == _solved(d, p) == backward.scale(-1)
+        reference = LeibnizCopy(H, d.images).bracket(LeibnizCopy(H, p.images))
+        assert forward.images == reference.images
+        nonzero += bool(H.bracket_steps(d.steps, p.steps))
+    assert finite >= 5 and nonzero >= 20
+
+
+def test_step_brackets_on_long_strides_read_few_points():
+    # three members of a line of stride 10^6 against three of one of stride
+    # 999,999: each potential ends at 0 and is read by its points, where the
+    # jumps would read about 10^12 points of E; single jumps on (1000, 0) and
+    # (0, 999) are read as 999 pairs of half-lines, where E's residues mod
+    # lcm(s1, s2) would be 999,000 points; and where every way reads more
+    # than MAX_TERMS points the bracket is refused before any is read
+    a, b = (
+        AlgebraElement.from_terms(H, [(h(P, Q, r * gcd(P, Q)), 1) for r in range(3)])
+        for P, Q in ((10**6, 0), (0, 10**6 - 1))
+    )
+    d, p = Derivation.inner(a), Derivation.inner(b)
+    assert d.steps and p.steps
+    start = time.perf_counter()
+    bracket = d.bracket(p)
+    assert time.perf_counter() - start < 1.0
+    # [inner(a), inner(b)] = inner(b*a - a*b)
+    assert bracket == _solved(d, p) == Derivation.inner(b * a - a * b)
+    assert len(bracket.a) == 18 and not bracket.steps
+
+    def single(P, Q, r, jump):
+        part = {H.class_representative((P, Q, r)): groups._step_part({r: gr(jump)})}
+        return derivations._normal(AlgebraElement.zero(H), {}, part)
+
+    d, p = single(1000, 0, 1, 2), single(0, 999, 2, -1)
+    start = time.perf_counter()
+    bracket = d.bracket(p)
+    assert time.perf_counter() - start < 1.0
+    assert bracket == _solved(d, p) == p.bracket(d).scale(-1)
+    assert sum(len(pos) for pos, _ in bracket.steps.values()) == 1997
+    refused = r"\(1000, 0\) and \(999, 999000\) reads more than MAX_TERMS"
+    with pytest.raises(algebra.TermBudgetError, match=refused):
+        d.bracket(single(999, 999000, 0, 1))
+
+
+def test_step_brackets_agree_with_the_matrix_product_sum():
+    # ROADMAP item 5's check on step parts: `char_bracket_value`, the sum
+    # of chi^d(a, k) chi^p(k, b) - chi^p(a, k) chi^d(k, b) over the terms of
+    # two images, shares no code with `bracket`, and equals the bracket's
+    # character at arrows (e*v, v) with e on the result's classes: at its
+    # inner terms and near its step parts' jump points, for step x step,
+    # central x step and inner x step pairs from `_step_tables`, both orders
+    rng = random.Random(41)
+    sampler = Sampler(H, seed=118, box=3)
+    tables = [d for d, _ in _step_tables(seed=119, count=5)]
+    pairs = list(itertools.permutations(tables, 2))
+    for t in tables:
+        for other in (sampler.central_derivation(), Derivation.inner(sampler.algebra_element())):
+            pairs += [(other, t), (t, other)]
+    values = []
+    for d, p in pairs:
+        bracket = d.bracket(p)
+        points = list(bracket.a._terms)
+        for (P, Q, _), (pos, _) in bracket.steps.items():
+            stride = gcd(P, Q)
+            near = rng.sample(pos, min(3, len(pos)))
+            points += [(P, Q, r + stride * rng.randint(-2, 2)) for r in near]
+        for e in points:
+            v = sampler.element()
+            arrow = Arrow(H.element(e) * v, v)
+            value = char_bracket_value(d, p, arrow)
+            assert value == bracket.character(arrow)
+            values.append(value)
+    assert sum(map(bool, values)) >= 50 and values.count(ZERO) >= 50
+
+
+def _long_run(n, P):
+    """inner(sum_{r<n} (P, 1, r)): one step part, of two jumps, on a line
+    of stride 1."""
+    return Derivation.inner(AlgebraElement.from_terms(H, [(h(P, 1, r), 1) for r in range(n)]))
+
+
+def test_long_step_bracket_is_read_off_the_forms():
+    # [inner(sum_{r<n} (n, 1, r)), x -> x*y] is
+    # inner(-sum_{0<r<2n} min(r, 2n - r) * (n, 2, r)), 2n - 1 terms: checked
+    # against the solved route and `LeibnizCopy` for small n, and at
+    # n = 3,000, where solving it took 24.9 s, within a second
+    growing = growing_derivation()
+    for n in (4, 9, 40, 3000):
+        d = _long_run(n, n)
+        start = time.perf_counter()
+        forward = d.bracket(growing)
+        elapsed = time.perf_counter() - start
+        expected = Derivation.inner(AlgebraElement.from_terms(
+            H, [(h(n, 2, r), -min(r, 2 * n - r)) for r in range(1, 2 * n)]
+        ))
+        assert forward == expected == growing.bracket(d).scale(-1)
+        assert len(forward.a) == 2 * n - 1 and not forward.steps
+        if n < 100:
+            assert forward == _solved(d, growing)
+            reference = LeibnizCopy(H, d.images).bracket(LeibnizCopy(H, growing.images))
+            assert forward.images == reference.images
+    assert elapsed < 1.0
+
+
+def test_step_bracket_past_the_budget_is_refused_by_its_jump_count(monkeypatch):
+    # at n = 60,000 the bracket has 120,000 jumps (119,999 inner terms): it
+    # is refused from the count of its summed runs, before any jump or
+    # payload product is built, in both orders
+    d, growing = _long_run(60000, 60000), growing_derivation()
+    calls = _counted(monkeypatch, Heisenberg, "_mul")
+    for left, right in [(d, growing), (growing, d)]:
+        with pytest.raises(
+            algebra.TermBudgetError, match="has 120000 jumps, over the limit MAX_TERMS = 100000"
+        ):
+            left.bracket(right)
+    assert calls == []
+
+
+def test_step_bracket_on_a_long_key_is_its_closed_form():
+    # inner(sum_{r<1000} (10^6, 1, r)) is F = 1 on [0, 1000), jumps +1 at 0
+    # and -1 at 1000 on (10^6, 1), and x -> x*y is G with the jump -1 at 1
+    # on (0, 1): w = 10^6, P2*Q1 = 0, and the key (10^6, 2) has stride 2.
+    # With s1 = s2 = 1, c(n) = n + 1 for n >= 0, so E(n) = D(n) - D(n - 2)
+    # is 1 at 0 and at w and 2 between, and the jumps are
+    # -E(u - 1) + E(u - 1001): about 2,000 of them, though the bracket's
+    # d(y) has over 2,000,000 terms
+    N, m = 10**6, 1000
+    d, growing = _long_run(m, N), growing_derivation()
+
+    def E(n):
+        return 0 if n < 0 or n > N else 1 if n in (0, N) else 2
+
+    jumps = {}
+    # between the windows both copies are 2 and cancel
+    for u in itertools.chain(range(0, m + 3), range(N, N + m + 3)):
+        if value := E(u - 1 - m) - E(u - 1):
+            jumps.setdefault((N, 2, u % 2), {})[u] = gr(value)
+    expected = {key: groups._step_part(part) for key, part in jumps.items()}
+    forward = d.bracket(growing)
+    assert forward.steps == expected and not (forward.a or forward.taus)
+    assert sum(len(part) for part in jumps.values()) == 2002
+    assert growing.bracket(d) == forward.scale(-1)
+    with pytest.raises(algebra.TermBudgetError, match="at least 2000998 terms"):
+        forward.apply_element(h(0, 1, 0))
 
 
 def _shifted(d, tau, k):
@@ -1829,15 +2043,25 @@ def _callers(module, names):
 
 
 def test_one_path_to_a_form():
-    # a table is solved only in `from_table`, and parts are brought to
-    # normal form only in `_normal`; in the kernels, a step part is built
-    # only by the Heisenberg fold and unpacked only by the `normal_form`
-    # that hands stored parts to it
-    assert _callers(derivations, ["table_form", "normal_form"]) == {
-        "table_form": {"Derivation.from_table"}, "normal_form": {"_normal"},
+    # a table is solved only in `from_table`, which nothing in derivations.py
+    # calls, and parts are brought to normal form only in `_normal`;
+    # `bracket` reads no image.  In the kernels, a step part is built only by
+    # the Heisenberg fold and unpacked only by the `normal_form` that hands
+    # stored parts to it, and by `bracket_steps`, which reads two maps and
+    # builds the bracket's
+    assert _callers(derivations, ["table_form", "normal_form", "from_table"]) == {
+        "table_form": {"Derivation.from_table"}, "normal_form": {"_normal"}, "from_table": set(),
     }
+    tree = ast.parse(Path(derivations.__file__).read_text(encoding="utf-8"))
+    (bracket,) = [
+        node for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Derivation"
+        for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "bracket"
+    ]
+    reads = {node.attr for node in ast.walk(bracket) if isinstance(node, ast.Attribute)}
+    assert "steps" in reads and not reads & {"images", "_images", "_image"}
     assert _callers(groups, ["_step_part", "_jumps"]) == {
-        "_step_part": {"Heisenberg._fold"}, "_jumps": {"Heisenberg.normal_form"},
+        "_step_part": {"Heisenberg._fold", "Heisenberg.bracket_steps"},
+        "_jumps": {"Heisenberg.normal_form", "Heisenberg.bracket_steps"},
     }
 
 
