@@ -59,7 +59,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from itertools import chain, combinations, product
-from math import gcd, lcm
+from math import gcd
 from operator import add, itemgetter, neg, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -640,12 +640,14 @@ class Heisenberg(Group):
         coefficients, constant along each residue mod lcm(s1, s2) but near
         its ends; as (1 - x^s) / (1 - x^s2) times |w| / s1 powers of x^s1; or,
         for a part whose F ends at 0, without (1 - x^s1), that part read by
-        its points.  Each way gives half-lines, summed by a sweep over their
-        starts, and the jumps are counted before any is built."""
+        its points.  Each way gives half-lines of one stride t, summed per
+        output key and t by a sweep over their starts, so no two strides
+        meet at a common period; the jumps are counted before any is built,
+        and those that two strides put on one point are added."""
         from . import algebra  # imported here: algebra imports this module
 
         budget = algebra.MAX_TERMS
-        keys: Dict[tuple, list] = {}
+        sweeps: Dict[tuple, dict] = {}
         for (P1, Q1, _), step1 in steps1.items():
             for (P2, Q2, _), step2 in steps2.items():
                 w = P1 * Q2 - Q1 * P2
@@ -673,7 +675,7 @@ class Heisenberg(Group):
                     )
                 way = min(ways, key=lambda way: way[0] * way[1])[2]
                 terms = jumps1, jumps2
-                # E as half-lines (n, stride, value): value at n, n + stride, ...
+                # E as half-lines of one stride t: (n, value) is value at n, n + t, ...
                 if way == "runs":
                     alpha, beta = s1 // g, s2 // g
                     inverse = pow(alpha, -1, beta)
@@ -686,59 +688,54 @@ class Heisenberg(Group):
                         a = m * inverse % beta
                         return 0 if a * alpha > m else (m - a * alpha) // (alpha * beta) + 1
 
-                    kernel = []
+                    t, kernel = period, []
                     stop = max(0, w) + s
                     for lo, hi, flat in ((start, start + s, False), (start + s, stop - s, True),
                                          (stop - s, stop, False)):
-                        for n in range(lo, min(lo + period, hi) if flat else hi, g):
+                        for n in range(lo, min(lo + t, hi) if flat else hi, g):
                             if value := c(n) - c(n - s) - c(n - w) + c(n - s - w):
-                                end = n + ((hi - n - 1) // period + 1 if flat else 1) * period
-                                kernel += [(n, period, value), (end, period, -value)]
+                                end = n + ((hi - n - 1) // t + 1 if flat else 1) * t
+                                kernel += [(n, value), (end, -value)]
                 elif way == "lines":
-                    big, small = max(s1, s2), min(s1, s2)
+                    big, t = max(s1, s2), min(s1, s2)
                     kernel = [
-                        (start + big * a + shift, small, sign * value)
+                        (start + big * a + shift, sign * value)
                         for a in range(abs(w) // big) for shift, value in ((0, 1), (s, -1))
                     ]
                 else:
-                    step, stride, other = ((step1, s1, s2), (step2, s2, s1))[way]
+                    step, stride, t = ((step1, s1, s2), (step2, s2, s1))[way]
                     points = [(r, v) for lo, end, v in _spans(step) for r in range(lo, end, stride)]
                     terms = (points, jumps2) if way == 0 else (jumps1, points)
                     kernel = [
-                        (start + shift, other, sign * value)
+                        (start + shift, sign * value)
                         for shift, value in ((0, 1), (abs(w), -1), (s, -1), (s + abs(w), 1))
                     ]
-                keys.setdefault((P1 + P2, Q1 + Q2), []).append((terms, P2 * Q1, kernel))
-        runs, count = [], 0
-        for (P, Q), pairs in keys.items():
-            period = lcm(*(t for _, _, kernel in pairs for _, t, _ in kernel))
-            ends: Dict[int, list] = {}
-            for (terms1, terms2), offset, kernel in pairs:
-                for p1, j1 in terms1:
-                    for p2, j2 in terms2:
-                        q, v = p1 + p2 + offset, j1 * j2
-                        for n, t, value in kernel:
+                ends = sweeps.setdefault((P1 + P2, Q1 + Q2, t), {})
+                for p1, j1 in terms[0]:
+                    for p2, j2 in terms[1]:
+                        q, v = p1 + p2 + P2 * Q1, j1 * j2
+                        for n, value in kernel:
                             e = integer_combination((v,), (value,))
-                            # a half-line of stride t as ones of stride `period`
-                            for r in range(n + q, n + q + period, t):
-                                ends.setdefault(r % period, []).append((r, e))
+                            ends.setdefault((n + q) % t, []).append((n + q, e))
+        runs, count = [], 0
+        for (P, Q, t), ends in sweeps.items():
             for at in map(_summed, ends.values()):
                 pos, total = sorted(at), ZERO
                 for r, end in zip(pos, pos[1:]):
                     total = total + at[r]
                     if total:
-                        runs.append((P, Q, r, end, period, total))
-                        count += (end - r) // period
+                        runs.append((P, Q, r, end, t, total))
+                        count += (end - r) // t
         if count > budget:
             raise algebra.TermBudgetError(
                 f"the bracket of the step parts has {count} jumps, over the limit "
                 f"MAX_TERMS = {budget}"
             )
-        jumps: Dict[tuple, dict] = {}
-        for P, Q, lo, end, period, total in runs:
-            for r in range(lo, end, period):
-                jumps.setdefault(self.class_representative((P, Q, r)), {})[r] = total
-        return {key: _step_part(part) for key, part in jumps.items()}
+        jumps: Dict[tuple, list] = {}
+        for P, Q, lo, end, t, total in runs:
+            for r in range(lo, end, t):
+                jumps.setdefault(self.class_representative((P, Q, r)), []).append((r, total))
+        return {key: _step_part(part) for key, rs in jumps.items() if (part := _summed(rs))}
 
     def is_central(self, z: tuple) -> bool:
         return z[0] == 0 and z[1] == 0

@@ -1490,10 +1490,11 @@ def test_step_brackets_on_long_strides_read_few_points():
     # (0, 999) are read as 999 pairs of half-lines, where E's residues mod
     # lcm(s1, s2) would be 999,000 points; and where every way reads more
     # than MAX_TERMS points the bracket is refused before any is read
-    a, b = (
-        AlgebraElement.from_terms(H, [(h(P, Q, r * gcd(P, Q)), 1) for r in range(3)])
-        for P, Q in ((10**6, 0), (0, 10**6 - 1))
-    )
+    def members(P, Q, rs):
+        return AlgebraElement.from_terms(H, [(h(P, Q, r * gcd(P, Q)), 1) for r in rs])
+
+    lines = (10**6, 0), (0, 10**6 - 1)
+    a, b = (members(P, Q, range(3)) for P, Q in lines)
     d, p = Derivation.inner(a), Derivation.inner(b)
     assert d.steps and p.steps
     start = time.perf_counter()
@@ -1502,6 +1503,21 @@ def test_step_brackets_on_long_strides_read_few_points():
     # [inner(a), inner(b)] = inner(b*a - a*b)
     assert bracket == _solved(d, p) == Derivation.inner(b * a - a * b)
     assert len(bracket.a) == 18 and not bracket.steps
+
+    # inner(a + b) puts both pairs of its parts on the key (10^6, 999,999),
+    # read with strides 999,999 and 10^6: each stride is swept apart, where
+    # their common period would be about 10^12 points.  It brackets with
+    # itself to 0, and with inner(a' + b') on the same lines as the solved
+    # route finds, both orders
+    A, B = a + b, members(*lines[0], range(2, 6)) + members(*lines[1], range(-1, 3))
+    d, p = Derivation.inner(A), Derivation.inner(B)
+    assert len(d.steps) == len(p.steps) == 2
+    start = time.perf_counter()
+    same, forward, backward = d.bracket(d), d.bracket(p), p.bracket(d)
+    assert time.perf_counter() - start < 1.0
+    assert same.is_zero() and same == _solved(d, d)
+    assert forward == _solved(d, p) == Derivation.inner(B * A - A * B) == backward.scale(-1)
+    assert forward.a and not forward.steps
 
     def single(P, Q, r, jump):
         part = {H.class_representative((P, Q, r)): groups._step_part({r: gr(jump)})}
