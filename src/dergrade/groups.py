@@ -38,6 +38,8 @@ whose central points are the central parts, all of a Z^n table, and
 `heisenberg` solves for the jumps of a step potential on each non-central
 class, a line that conjugation moves along, and folds them as they are;
 each returns the form in the kernel's one normal form (`Group.normal_form`).
+One routine, `_runs`, walks running sums along residues: for a table's
+jumps, a step part's terms of d(g) and a bracket's jumps.
 Its step parts are read and written here alone: `normal_form` adds them,
 `scale_steps` scales them, `Heisenberg.shift_steps` brackets them with a
 central part and `Heisenberg.bracket_steps` with each other, and
@@ -411,17 +413,28 @@ def _step_part(jumps: dict) -> Tuple[List[int], list]:
     return pos, vals
 
 
-def _step_value(step: Tuple[List[int], list], r: int, move: int):
-    """F(r - move) - F(r) for the step part of F, two reads by bisection."""
-    pos, vals = step
-    return vals[bisect_right(pos, r - move)] - vals[bisect_right(pos, r)]
-
-
 def _spans(step: Tuple[List[int], list]) -> list:
     """(lo, end, v) for each stretch lo <= r < end between two jump points of
     a step part on which its potential is v != 0."""
     pos, vals = step
     return [(lo, end, v) for lo, end, v in zip(pos, pos[1:], vals[1:]) if v]
+
+
+def _runs(ends: Iterable[Tuple[int, object]], t: int) -> list:
+    """(lo, end, v) for each stretch lo <= r < end, end = lo mod t, on which
+    the running sum of the values `ends` = (point, value), summed by point,
+    along each residue mod t is v != 0 (each residue's values sum to 0)."""
+    at, chains = _summed(ends), {}
+    for r in sorted(at):
+        chains.setdefault(r % t, []).append(r)
+    runs = []
+    for rs in chains.values():
+        run = ZERO
+        for r, end in zip(rs, rs[1:]):
+            run = run + at[r]
+            if run:
+                runs.append((r, end, run))
+    return runs
 
 
 def _jumps(step: Tuple[List[int], list]) -> Iterable[Tuple[int, object]]:
@@ -517,20 +530,9 @@ class Heisenberg(Group):
             # f(r) = F(r - move) - F(r) gives each jump J(r) = J(r - move) +
             # f(r - stride) - f(r): the jumps are running sums along each
             # chain r mod move, counted before any is built
-            diff = _summed(chain(
-                ((r, -c) for r, c in f.items()), ((r + stride, c) for r, c in f.items())
-            ))
-            chains: Dict[int, list] = {}
-            for r in sorted(diff):
-                chains.setdefault(r % move, []).append(r)
-            runs = []
-            for rs in chains.values():
-                run = ZERO
-                for r, end in zip(rs, rs[1:]):
-                    run = run + diff[r]
-                    if run:
-                        runs.append((r, end, run))
-                        budget -= (end - r) // move
+            ends = chain.from_iterable(((r, -c), (r + stride, c)) for r, c in f.items())
+            runs = _runs(ends, move)
+            budget -= sum((end - lo) // move for lo, end, _ in runs)
             if budget < 0:
                 raise algebra.TermBudgetError(
                     f"the closed form of the table has more than MAX_TERMS = "
@@ -579,22 +581,20 @@ class Heisenberg(Group):
         """The step terms of d(g), g with payload p, for the step parts
         `steps` of d, with distinct payloads: on the line of each step part,
         which g moves by m, the runs of members (P, Q, r) where
-        F(r - m) - F(r) is one nonzero value, found by a sweep over the jump
-        points r and r + m.  They are counted before any is built, and
-        refused when more than `MAX_TERMS` would be left after every one of
-        the `others` terms of d(g) cancelled one."""
+        F(r - m) - F(r) is one nonzero value, the running sums (`_runs`) of
+        each jump J as -J at its point and J m further.  They are counted
+        before any is built, and refused when more than `MAX_TERMS` would be
+        left after every one of the `others` terms of d(g) cancelled one."""
         from . import algebra  # imported here: algebra imports this module
 
         runs, count = [], 0
         for key, step in steps.items():
             move, stride = self.line(key, p)
             if move:
-                ends = sorted({*step[0], *(r + move for r in step[0])})
-                for lo, hi in zip(ends, ends[1:]):
-                    value = _step_value(step, lo, move)
-                    if value:
-                        runs.append((key[:2], lo, hi, stride, value))
-                        count += (hi - lo) // stride
+                ends = chain.from_iterable(((r, -j), (r + move, j)) for r, j in _jumps(step))
+                for lo, hi, value in _runs(ends, stride):
+                    runs.append((key[:2], lo, hi, stride, value))
+                    count += (hi - lo) // stride
         if count - others > algebra.MAX_TERMS:
             raise algebra.TermBudgetError(
                 f"the image of {self._wrap(p)!r} has at least {count - others} "
@@ -615,7 +615,9 @@ class Heisenberg(Group):
         step = steps.get(key)
         if step is None:
             return ZERO
-        return _step_value(step, e[2], self.line(key, v)[0])
+        pos, vals = step
+        r, move = e[2], self.line(key, v)[0]
+        return vals[bisect_right(pos, r - move)] - vals[bisect_right(pos, r)]
 
     def shift_steps(self, tau, z: tuple, steps: dict) -> dict:
         """The step parts of [c, s], c the central part (tau, z = (0, 0, k)) and
@@ -640,14 +642,15 @@ class Heisenberg(Group):
         coefficients, constant along each residue mod lcm(s1, s2) but near
         its ends; as (1 - x^s) / (1 - x^s2) times |w| / s1 powers of x^s1; or,
         for a part whose F ends at 0, without (1 - x^s1), that part read by
-        its points.  Each way gives half-lines of one stride t, summed per
-        output key and t by a sweep over their starts, so no two strides
-        meet at a common period; the jumps are counted before any is built,
-        and those that two strides put on one point are added."""
+        its points.  E is applied once per exponent of the pair's product
+        series, summed first.  Each way gives half-lines of one stride t,
+        summed per output key and t by `_runs`, so no two strides meet at a
+        common period; the jumps are counted before any is built, and those
+        that two strides put on one point are added."""
         from . import algebra  # imported here: algebra imports this module
 
         budget = algebra.MAX_TERMS
-        sweeps: Dict[tuple, dict] = {}
+        sweeps: Dict[tuple, list] = {}
         for (P1, Q1, _), step1 in steps1.items():
             for (P2, Q2, _), step2 in steps2.items():
                 w = P1 * Q2 - Q1 * P2
@@ -710,31 +713,26 @@ class Heisenberg(Group):
                         (start + shift, sign * value)
                         for shift, value in ((0, 1), (abs(w), -1), (s, -1), (s + abs(w), 1))
                     ]
-                ends = sweeps.setdefault((P1 + P2, Q1 + Q2, t), {})
-                for p1, j1 in terms[0]:
-                    for p2, j2 in terms[1]:
-                        q, v = p1 + p2 + P2 * Q1, j1 * j2
-                        for n, value in kernel:
-                            e = integer_combination((v,), (value,))
-                            ends.setdefault((n + q) % t, []).append((n + q, e))
-        runs, count = [], 0
-        for (P, Q, t), ends in sweeps.items():
-            for at in map(_summed, ends.values()):
-                pos, total = sorted(at), ZERO
-                for r, end in zip(pos, pos[1:]):
-                    total = total + at[r]
-                    if total:
-                        runs.append((P, Q, r, end, t, total))
-                        count += (end - r) // t
+                # the pair's product series, summed by exponent, times E
+                series = _summed(
+                    (p1 + p2 + P2 * Q1, j1 * j2) for p1, j1 in terms[0] for p2, j2 in terms[1]
+                )
+                sweeps.setdefault((P1 + P2, Q1 + Q2, t), []).extend(
+                    (n + q, integer_combination((v,), (value,)))
+                    for q, v in series.items() for n, value in kernel
+                )
+        runs = [(P, Q, t, _runs(ends, t)) for (P, Q, t), ends in sweeps.items()]
+        count = sum((end - lo) // t for _, _, t, found in runs for lo, end, _ in found)
         if count > budget:
             raise algebra.TermBudgetError(
                 f"the bracket of the step parts has {count} jumps, over the limit "
                 f"MAX_TERMS = {budget}"
             )
         jumps: Dict[tuple, list] = {}
-        for P, Q, lo, end, t, total in runs:
-            for r in range(lo, end, t):
-                jumps.setdefault(self.class_representative((P, Q, r)), []).append((r, total))
+        for P, Q, t, found in runs:
+            for lo, end, total in found:
+                for r in range(lo, end, t):
+                    jumps.setdefault(self.class_representative((P, Q, r)), []).append((r, total))
         return {key: _step_part(part) for key, rs in jumps.items() if (part := _summed(rs))}
 
     def is_central(self, z: tuple) -> bool:

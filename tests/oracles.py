@@ -338,6 +338,26 @@ def dense_char_bracket_value(d, p, arrow):
     return total
 
 
+def pointwise_runs(ends, t):
+    """{r: v} for each point r at which the values `ends` = (point, value)
+    have the running sum v != 0 along r's residue mod t, read point by
+    point from each residue's least point up to its greatest: the points
+    that the stretches of `groups._runs` cover, with no sort and no sum by
+    point first."""
+    residues = {}
+    for r, v in ends:
+        residues.setdefault(r % t, {}).setdefault(r, []).append(v)
+    values = {}
+    for at in residues.values():
+        run = GaussianRational(0)
+        for r in range(min(at), max(at), t):
+            for v in at.get(r, ()):
+                run = run + v
+            if run:
+                values[r] = run
+    return values
+
+
 def _solve_rational(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
     """One solution of A x = b over Q by Gaussian elimination, or None."""
     m = [row[:] + [b] for row, b in zip(rows, rhs)]
