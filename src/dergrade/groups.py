@@ -38,8 +38,11 @@ whose central points are the central parts, all of a Z^n table, and
 `heisenberg` solves for the jumps of a step potential on each non-central
 class, a line that conjugation moves along, and folds them as they are;
 each returns the form in the kernel's one normal form (`Group.normal_form`).
+A step part is its jumps, (strictly increasing points, the nonzero jump
+at each), so F(+inf) is the sum of the jumps and nothing unpacks a part.
 One routine, `_runs`, walks running sums along residues: for a table's
-jumps, a step part's terms of d(g) and a bracket's jumps.
+jumps, the fold's choice between inner terms and a step part, a step
+part's terms of d(g) and a bracket's jumps.
 Its step parts are read and written here alone: `normal_form` adds them,
 `scale_steps` scales them, `Heisenberg.shift_steps` brackets them with a
 central part and `Heisenberg.bracket_steps` with each other, and
@@ -62,7 +65,7 @@ from collections import Counter
 from functools import partial
 from itertools import chain, combinations, product
 from math import gcd
-from operator import add, itemgetter, neg, sub
+from operator import add, itemgetter, neg
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .coefficients import ZERO, integer_combination, integer_entries
@@ -404,47 +407,33 @@ def _summed(pairs: Iterable[Tuple[object, object]]) -> dict:
 
 
 def _step_part(jumps: dict) -> Tuple[List[int], list]:
-    """The step part of a potential F with the jumps {point: jump}: the
-    sorted jump points, and F: 0 before the first, then its value after
-    each."""
-    pos, vals = sorted(jumps), [ZERO]
-    for r in pos:
-        vals.append(vals[-1] + jumps[r])
-    return pos, vals
+    """The step part of a potential F with the nonzero jumps {point: jump}:
+    the sorted jump points and the jump at each."""
+    pos = sorted(jumps)
+    return pos, [jumps[r] for r in pos]
 
 
-def _spans(step: Tuple[List[int], list]) -> list:
-    """(lo, end, v) for each stretch lo <= r < end between two jump points of
-    a step part on which its potential is v != 0."""
-    pos, vals = step
-    return [(lo, end, v) for lo, end, v in zip(pos, pos[1:], vals[1:]) if v]
-
-
-def _runs(ends: Iterable[Tuple[int, object]], t: int) -> list:
+def _runs(at: dict, t: int) -> list:
     """(lo, end, v) for each stretch lo <= r < end, end = lo mod t, on which
-    the running sum of the values `ends` = (point, value), summed by point,
-    along each residue mod t is v != 0 (each residue's values sum to 0)."""
-    at, chains = _summed(ends), {}
+    the running sum of the nonzero values `at` = {point: value} along each
+    residue mod t is v != 0; end is None on the stretch after a residue's
+    last point when its values do not sum to 0."""
+    chains: dict = {}
     for r in sorted(at):
         chains.setdefault(r % t, []).append(r)
     runs = []
     for rs in chains.values():
         run = ZERO
-        for r, end in zip(rs, rs[1:]):
+        for r, end in zip(rs, rs[1:] + [None]):
             run = run + at[r]
             if run:
                 runs.append((r, end, run))
     return runs
 
 
-def _jumps(step: Tuple[List[int], list]) -> Iterable[Tuple[int, object]]:
-    """(point, jump) for each jump of a step part."""
-    return zip(step[0], map(sub, step[1][1:], step[1]))
-
-
 def scale_steps(steps: dict, c) -> dict:
     """The step parts `steps` times the nonzero coefficient c."""
-    return {key: (pos, [c * v for v in vals]) for key, (pos, vals) in steps.items()}
+    return {key: (pos, [c * j for j in jumps]) for key, (pos, jumps) in steps.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +520,7 @@ class Heisenberg(Group):
             # f(r - stride) - f(r): the jumps are running sums along each
             # chain r mod move, counted before any is built
             ends = chain.from_iterable(((r, -c), (r + stride, c)) for r, c in f.items())
-            runs = _runs(ends, move)
+            runs = _runs(_summed(ends), move)
             budget -= sum((end - lo) // move for lo, end, _ in runs)
             if budget < 0:
                 raise algebra.TermBudgetError(
@@ -546,7 +535,7 @@ class Heisenberg(Group):
         jumps: Dict[tuple, list] = {}
         for part in steps:
             for key, step in part.items():
-                jumps.setdefault(key, []).extend(_jumps(step))
+                jumps.setdefault(key, []).extend(zip(*step))
         return self._fold(a, jumps)
 
     def _fold(self, a: dict, jumps: Dict[tuple, list]) -> Tuple[dict, dict]:
@@ -567,14 +556,15 @@ class Heisenberg(Group):
                 continue
             stride = gcd(key[0], key[1])
             ends = chain.from_iterable(((t[2], c), (t[2] + stride, -c)) for t, c in terms.items())
-            pos, vals = _step_part(_summed(chain(ends, jumps.get(key, ()))))
-            spans = _spans((pos, vals))
-            if not vals[-1] and sum((end - lo) // stride for lo, end, _ in spans) <= len(pos):
+            at = _summed(chain(ends, jumps.get(key, ())))
+            runs = _runs(at, stride)
+            finite = not runs or runs[-1][1] is not None  # F(+inf) = 0
+            if finite and sum((end - lo) // stride for lo, end, _ in runs) <= len(at):
                 inner.update(
-                    (key[:2] + (r,), v) for lo, end, v in spans for r in range(lo, end, stride)
+                    (key[:2] + (r,), v) for lo, end, v in runs for r in range(lo, end, stride)
                 )
             else:
-                folded[key] = (pos, vals)
+                folded[key] = _step_part(at)
         return inner, folded
 
     def step_terms(self, steps: dict, p: tuple, others: int) -> List[Tuple[tuple, object]]:
@@ -591,8 +581,8 @@ class Heisenberg(Group):
         for key, step in steps.items():
             move, stride = self.line(key, p)
             if move:
-                ends = chain.from_iterable(((r, -j), (r + move, j)) for r, j in _jumps(step))
-                for lo, hi, value in _runs(ends, stride):
+                ends = chain.from_iterable(((r, -j), (r + move, j)) for r, j in zip(*step))
+                for lo, hi, value in _runs(_summed(ends), stride):
                     runs.append((key[:2], lo, hi, stride, value))
                     count += (hi - lo) // stride
         if count - others > algebra.MAX_TERMS:
@@ -610,14 +600,17 @@ class Heisenberg(Group):
     def step_value(self, steps: dict, e: tuple, v: tuple):
         """The coefficient of e*v in the step terms of d(v), for the step
         parts `steps` of d: F(r - m) - F(r) when e = (P, Q, r) lies on a
-        step part's line, which v moves by m, and 0 otherwise."""
+        step part's line, which v moves by m, and 0 otherwise: minus the
+        sum of the jumps in (r - m, r] when m > 0, or the sum of those in
+        (r, r - m] when m < 0."""
         key = self.class_representative(e)
         step = steps.get(key)
         if step is None:
             return ZERO
-        pos, vals = step
+        pos, jumps = step
         r, move = e[2], self.line(key, v)[0]
-        return vals[bisect_right(pos, r - move)] - vals[bisect_right(pos, r)]
+        lo, hi = bisect_right(pos, r - move), bisect_right(pos, r)
+        return -sum(jumps[lo:hi], ZERO) if lo < hi else sum(jumps[hi:lo], ZERO)
 
     def shift_steps(self, tau, z: tuple, steps: dict) -> dict:
         """The step parts of [c, s], c the central part (tau, z = (0, 0, k)) and
@@ -625,8 +618,8 @@ class Heisenberg(Group):
         tau(P, Q) times that of F(r - k) on the class of (P, Q, r0 + k)."""
         k = z[2]
         return {
-            self.class_representative((P, Q, r0 + k)): ([r + k for r in pos], [w * v for v in vals])
-            for (P, Q, r0), (pos, vals) in steps.items() if (w := integer_combination(tau, (P, Q)))
+            self.class_representative((P, Q, r0 + k)): ([r + k for r in pos], [w * j for j in jumps])
+            for (P, Q, r0), (pos, jumps) in steps.items() if (w := integer_combination(tau, (P, Q)))
         }
 
     def bracket_steps(self, steps1: dict, steps2: dict) -> dict:
@@ -659,16 +652,17 @@ class Heisenberg(Group):
                 s, s1, s2 = gcd(P1 + P2, Q1 + Q2), gcd(P1, Q1), gcd(P2, Q2)
                 g, start, sign = gcd(s1, s2), min(0, w), 1 if w > 0 else -1
                 period = s1 * s2 // g
-                jumps1, jumps2 = list(_jumps(step1)), list(_jumps(step2))
+                jumps1, jumps2 = list(zip(*step1)), list(zip(*step2))
                 both = len(jumps1) * len(jumps2)
                 # (points of E read, times the pairs of terms, way): a side's
-                # number is the way that reads that side by its points
+                # number is the way that reads that side by its points, when
+                # its F ends at 0
                 ways = [((2 * s + min(period, abs(w) - s)) // g, both, "runs"),
                         (abs(w) // max(s1, s2), both, "lines")]
-                sides = (step1, s1, jumps2), (step2, s2, jumps1)
-                for side, (step, stride, other) in enumerate(sides):
-                    if not step[1][-1]:
-                        size = sum((end - lo) // stride for lo, end, _ in _spans(step))
+                levels = _runs(dict(jumps1), s1), _runs(dict(jumps2), s2)
+                for side, (found, stride, other) in enumerate(zip(levels, (s1, s2), (jumps2, jumps1))):
+                    if found[-1][1] is not None:
+                        size = sum((end - lo) // stride for lo, end, _ in found)
                         ways.append((size, len(other), side))
                 ways = [way for way in ways if way[0] <= budget]
                 if not ways:
@@ -706,8 +700,8 @@ class Heisenberg(Group):
                         for a in range(abs(w) // big) for shift, value in ((0, 1), (s, -1))
                     ]
                 else:
-                    step, stride, t = ((step1, s1, s2), (step2, s2, s1))[way]
-                    points = [(r, v) for lo, end, v in _spans(step) for r in range(lo, end, stride)]
+                    stride, t = ((s1, s2), (s2, s1))[way]
+                    points = [(r, v) for lo, end, v in levels[way] for r in range(lo, end, stride)]
                     terms = (points, jumps2) if way == 0 else (jumps1, points)
                     kernel = [
                         (start + shift, sign * value)
@@ -721,7 +715,7 @@ class Heisenberg(Group):
                     (n + q, integer_combination((v,), (value,)))
                     for q, v in series.items() for n, value in kernel
                 )
-        runs = [(P, Q, t, _runs(ends, t)) for (P, Q, t), ends in sweeps.items()]
+        runs = [(P, Q, t, _runs(_summed(ends), t)) for (P, Q, t), ends in sweeps.items()]
         count = sum((end - lo) // t for _, _, t, found in runs for lo, end, _ in found)
         if count > budget:
             raise algebra.TermBudgetError(

@@ -371,13 +371,36 @@ PARSE_MESSAGES = {
         *_character({"u": [1, 1, 0], "v": "abc"}),
         "error: bad arrow spec: field 'v': heisenberg element must be a list of 3 "
         "integers [a, b, c], got str\n"),
+    # a job object that lacks a field names the job's shape
+    "apply-without-element": (
+        "apply", {"derivation": inner_spec((1, 0, 0))},
+        "error: apply input must be {'derivation': <spec>, 'element': <algebra>}\n"),
+    "bracket-without-right": (
+        "bracket", {"left": inner_spec((1, 0, 0))},
+        "error: bracket input must be {'left': <spec>, 'right': <spec>}\n"),
+    "character-without-arrow": (
+        "character", {"derivation": inner_spec((1, 0, 0))},
+        "error: character input must be {'derivation': <spec>, 'arrow': {'u','v'}}\n"),
+    "int-spec": (
+        "apply", {"derivation": 5, "element": []},
+        "error: derivation spec must be a JSON object\n"),
+    "unknown-generator": (
+        *_apply_spec({"kind": "table", "images": {"z": []}}),
+        "error: unknown generator name 'z'\n"),
+    # an odd permutation is no element of A4; the job runs on perm:a4
+    "odd-term-on-a4": (
+        *_apply_spec({"kind": "inner", "a": [[[1, 1, 0, 1], [2, 1, 3, 4]]]}),
+        "error: bad derivation spec: field 'a': term 0: (2, 1, 3, 4) is not an element "
+        "of perm:a4\n", "perm:a4"),
 }
 
 
-@pytest.mark.parametrize("command, job, message", PARSE_MESSAGES.values(),
-                         ids=PARSE_MESSAGES.keys())
-def test_parse_error_names_term_and_shape(tmp_path, capsys, command, job, message):
-    argv = [command, "--group", "heisenberg", "--in", write(tmp_path / "j.json", job)]
+@pytest.mark.parametrize("name", PARSE_MESSAGES)
+def test_parse_error_names_term_and_shape(tmp_path, capsys, name):
+    # a row is (command, job, message), run on heisenberg, or on the
+    # selector given as a fourth entry
+    command, job, message, group = (*PARSE_MESSAGES[name], "heisenberg")[:4]
+    argv = [command, "--group", group, "--in", write(tmp_path / "j.json", job)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -753,6 +776,19 @@ def test_malformed_quotient_exit_2(tmp_path, capsys, subgroup):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("subgroup, message", [
+    ([[2, 1, 4, 3]], "subgroup must contain the identity"),
+    ([[1, 2, 3, 4], [1, 2, 3, 5]], "(1, 2, 3, 5) is not an element of perm:s4"),
+], ids=["no-identity", "non-member"])
+def test_quotient_outside_the_group_exit_3(tmp_path, capsys, subgroup, message):
+    # a well-formed quotient file that names no subgroup of the kernel is
+    # refused at setup: exit 3, the reason on stderr, nothing on stdout
+    quotient = write(tmp_path / "q.json", {"subgroup": subgroup})
+    spec = write(tmp_path / "d.json", {"kind": "inner", "a": []})
+    assert main(["decompose", "--group", "perm:s4", "--quotient", quotient, "--in", spec]) == 3
+    assert capsys.readouterr() == ("", f"setup rejected: {message}\n")
 
 
 class TestRoundTrips:

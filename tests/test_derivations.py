@@ -33,7 +33,7 @@ from dergrade import (
 from dergrade import algebra, derivations, groups
 from dergrade.coefficients import ZERO
 from dergrade.sampling import Sampler
-from dergrade.serialization import derivation_from_json
+from dergrade.serialization import SpecError, derivation_from_json
 import oracles
 from oracles import (
     LeibnizCopy, bracket_character, commutator, dense_char_bracket_value, find_inner_witness,
@@ -1012,7 +1012,7 @@ class TestCoefficientBranches:
     """`Derivation._coefficient(u, v)` is the coefficient of u in d(v) on
     each branch of a[v^-1 u] - a[u v^-1]: a holding v^-1 u only, u v^-1
     only, both, neither (commuting u and v included), with a central part
-    at v^-1 u, and with step parts."""
+    at v^-1 u, and with step parts, read in windows of every size."""
 
     @staticmethod
     def _arrows(group, d, sampler):
@@ -1027,6 +1027,19 @@ class TestCoefficientBranches:
             yield Arrow(sampler.element(), v)
             yield Arrow(v, v)
             yield Arrow(v * v, v)
+        for (P, Q, _), (pos, _) in d.steps.items():
+            # v moves the part's line by m strides: by one, by half its span
+            # and past its span, both ways; u v^-1 = (P, Q, r) at each jump
+            # point, one move on from it, and one stride outside either end,
+            # so that an end of the window `step_value` sums, (r - move, r]
+            # or (r, r - move], falls on a jump point
+            stride = gcd(P, Q)
+            a, b = next((a, b) for a in range(-3, 4) for b in range(-3, 4) if a * Q - b * P == stride)
+            k = (pos[-1] - pos[0]) // stride
+            for m in {1, -1, k // 2 + 1, -(k // 2 + 1), k + 2, -(k + 2)}:
+                v = h(m * a, m * b, m)
+                for r in {pos[0] - stride, pos[-1] + stride, *pos, *(p + m * stride for p in pos)}:
+                    yield Arrow(h(P, Q, r) * v, v)
 
     @pytest.mark.parametrize("name", KERNELS)
     def test_each_branch_reads_the_image(self, name):
@@ -1050,6 +1063,12 @@ class TestCoefficientBranches:
                     seen.add("central")
                 if d.steps:
                     seen.add("steps")
+                    step = d.steps.get(H.class_representative(e))
+                    move = H.line(e, v)[0]
+                    if step and move:
+                        window = sorted([e[2] - move, e[2]])
+                        held = sum(window[0] < p <= window[1] for p in step[0])
+                        seen.add(("window", min(held, 2) if held < len(step[0]) else "all"))
         if group.name == "zn:3":
             # every inner part is 0 on an abelian group
             assert seen >= {(False, False), ("commuting", (False, False)), "central"}
@@ -1058,6 +1077,7 @@ class TestCoefficientBranches:
                         ("commuting", (False, False)), ("commuting", (True, True))}
         if group == H:
             assert seen >= {"central", "steps"}
+            assert {("window", n) for n in (0, 1, 2, "all")} <= seen
 
 
 class TestLeibniz:
@@ -1086,6 +1106,19 @@ class TestLeibniz:
         d = Derivation.inner(mono(G.element((2, 1, 3))) + mono(G.element((3, 1, 2)), 2))
         table = Derivation.from_table(G, dict(d.images))
         assert table == d and Derivation.inner(table.a) == d
+
+    def test_table_without_a_generator_is_refused(self):
+        x, _ = H.generators()
+        with pytest.raises(DerivationTableError, match="exactly the generating set"):
+            Derivation.from_table(H, {x: mono(x)})
+
+
+def test_spec_without_a_group_is_refused():
+    # the group comes from the spec or from the call; with neither, the
+    # spec is refused before its kind is read
+    with pytest.raises(SpecError, match="derivation spec is missing a group"):
+        derivation_from_json({"kind": "inner", "a": []})
+    assert derivation_from_json({"kind": "inner", "a": []}, H).is_zero()
 
 
 def leibniz_pair_scan(d, elements):
@@ -1206,6 +1239,13 @@ def _counted(monkeypatch, owner, method):
 
     monkeypatch.setattr(owner, method, counting)
     return calls
+
+
+def _packed(monkeypatch):
+    """The list of the jump maps `groups._step_part` packs from now on."""
+    packed, pack = [], groups._step_part
+    monkeypatch.setattr(groups, "_step_part", lambda jumps: packed.append(jumps) or pack(jumps))
+    return packed
 
 
 def _valid_tables():
@@ -1472,7 +1512,7 @@ def test_step_bracket_matches_the_solved_route_and_leibniz(monkeypatch):
         pairs.append((d, p))
     for d, p in pairs:
         assert d.steps and p.steps
-        finite += all(not vals[-1] for _, vals in d.steps.values())
+        finite += all(not sum(jumps, ZERO) for _, jumps in d.steps.values())
         solved = _counted(monkeypatch, Heisenberg, "table_form")
         forward, backward = d.bracket(p), p.bracket(d)
         assert solved == []
@@ -1513,31 +1553,43 @@ def test_runs_are_the_pointwise_running_sums():
     # `groups._runs` against `pointwise_runs`, which walks each residue mod t
     # point by point: t from 1 to 6, negative points, several residues, a
     # point whose values cancel, and the ends `step_terms` passes, -J at p
-    # and +J at p + m, for moves m of both signs along one residue
+    # and +J at p + m, for moves m of both signs along one residue.  A
+    # residue whose values do not sum to 0, as a step part's whose F(+inf)
+    # is not 0, ends in one stretch with no end, at its total
     rng = random.Random(38)
     values = [gr(v) for v in (-2, -1, 1, 3)] + [GaussianRational(1, 2), GaussianRational(0, -1)]
-    cases = 0
+    cases = opened = 0
     for t in range(1, 7):
         for _ in range(30):
             ends = [(rng.randint(-40, 40), rng.choice(values)) for _ in range(rng.randint(1, 9))]
             r, v = rng.randint(-40, 40), rng.choice(values)
             ends += [(r, v), (r, -v)]
-            # each residue's values sum to 0, as every caller's do
-            totals = {}
+            totals, tops = {}, {}
             for r, v in ends:
                 totals[r % t] = totals.get(r % t, ZERO) + v
+                tops[r % t] = max(tops.get(r % t, r), r)
+            runs = groups._runs(groups._summed(ends), t)
+            covered = {
+                r: v for lo, end, v in runs for r in range(lo, tops[lo % t] if end is None else end, t)
+            }
+            assert covered == pointwise_runs(ends, t)
+            assert {lo % t: v for lo, end, v in runs if end is None} == {
+                k: total for k, total in totals.items() if total
+            }
+            opened += any(end is None for _, end, _ in runs)
+            # each residue's values sum to 0 from here on
             ends += [(rng.randint(-6, 6) * t + k, -total) for k, total in totals.items()]
             r0, move = rng.randrange(t), t * rng.choice([-3, -2, -1, 1, 2, 3])
             jumps = [(r0 + t * k, rng.choice(values)) for k in rng.sample(range(-8, 8), 3)]
             steps = [end for r, j in jumps for end in ((r, -j), (r + move, j))]
             for case in (ends, steps):
-                runs = groups._runs(iter(case), t)
+                runs = groups._runs(groups._summed(case), t)
                 covered = {r: v for lo, end, v in runs for r in range(lo, end, t)}
                 assert covered == pointwise_runs(case, t)
                 assert all(lo < end and (end - lo) % t == 0 for lo, end, _ in runs)
                 assert sum((end - lo) // t for lo, end, _ in runs) == len(covered)
                 cases += len({r % t for r in covered}) > 1
-    assert cases >= 50
+    assert cases >= 50 and opened >= 50
 
 
 def test_step_brackets_on_long_strides_read_few_points():
@@ -1772,7 +1824,7 @@ def test_central_bracket_with_a_long_run_is_one_step_part():
     with pytest.raises(algebra.TermBudgetError, match="at least 120000 terms"):
         d.apply_element(h(0, 1, 0))
     forward, backward = c.bracket(d), d.bracket(c)
-    assert forward.steps == {(60000, 1, 0): ([1, 60001], [gr(0), gr(60002), gr(0)])}
+    assert forward.steps == {(60000, 1, 0): ([1, 60001], [gr(60002), gr(-60002)])}
     assert not (forward.a or forward.taus)
     assert backward == forward.scale(-1) and (forward + backward).is_zero()
 
@@ -2118,12 +2170,13 @@ def _callers(module, names):
 def test_one_path_to_a_form():
     # a table is solved only in `from_table`, which nothing in derivations.py
     # calls, and parts are brought to normal form only in `_normal`;
-    # `bracket` reads no image.  In the kernels, a step part is built only by
-    # the Heisenberg fold and unpacked only by the `normal_form` that hands
-    # stored parts to it, by `step_terms`, which evaluates them, and by
-    # `bracket_steps`, which reads two maps and builds the bracket's.  One
-    # routine, `_runs`, walks running sums along residues: for a table's
-    # jumps, for a step part's terms and for a bracket's jumps
+    # `bracket` reads no image.  In the kernels, a step part is its jumps,
+    # (strictly increasing points, the nonzero jump at each), built only by
+    # the Heisenberg fold and by `bracket_steps`, which reads two maps and
+    # builds the bracket's; nothing unpacks one.  One routine, `_runs`, walks
+    # running sums along residues: for a table's jumps, for the fold's
+    # choice between inner terms and a step part, for a step part's terms
+    # and for a bracket's jumps
     assert _callers(derivations, ["table_form", "normal_form", "from_table"]) == {
         "table_form": {"Derivation.from_table"}, "normal_form": {"_normal"}, "from_table": set(),
     }
@@ -2134,28 +2187,57 @@ def test_one_path_to_a_form():
     ]
     reads = {node.attr for node in ast.walk(bracket) if isinstance(node, ast.Attribute)}
     assert "steps" in reads and not reads & {"images", "_images", "_image"}
-    assert _callers(groups, ["_step_part", "_jumps", "_runs"]) == {
+    assert _callers(groups, ["_step_part", "_runs"]) == {
         "_step_part": {"Heisenberg._fold", "Heisenberg.bracket_steps"},
-        "_jumps": {"Heisenberg.normal_form", "Heisenberg.step_terms", "Heisenberg.bracket_steps"},
-        "_runs": {"Heisenberg.table_form", "Heisenberg.step_terms", "Heisenberg.bracket_steps"},
+        "_runs": {
+            "Heisenberg.table_form", "Heisenberg._fold", "Heisenberg.step_terms",
+            "Heisenberg.bracket_steps",
+        },
     }
-    assert not hasattr(groups, "_step_value")
+    assert not any(hasattr(groups, name) for name in ["_step_value", "_jumps", "_spans"])
+    # inner(sum_{r<50} (1, 0, r)) is F = 1 on [0, 50): jumps 1 at 0 and -1 at 50
+    run = Derivation.inner(AlgebraElement.from_terms(H, [(h(1, 0, r), 1) for r in range(50)]))
+    assert run.steps == {(1, 0, 0): ([0, 50], [gr(1), gr(-1)])}
+    d, p = (d for d, _ in _step_tables(seed=119, count=2))
+    parts = [run.steps, d.steps, p.steps, d.bracket(p).steps, growing_derivation().steps]
+    assert all(parts)
+    for steps in parts:
+        for pos, jumps in steps.values():
+            assert len(pos) == len(jumps) and all(jumps)
+            assert all(r < s for r, s in zip(pos, pos[1:]))
 
 
 def test_table_jumps_go_straight_to_the_fold(monkeypatch):
-    # `Heisenberg.table_form` hands each class's jumps to the fold: no step
-    # part is unpacked, and each class the table moves is packed once, by
-    # the fold, which keeps one as a step part and the other as inner terms
+    # `Heisenberg.table_form` hands each class's jumps to the fold, which
+    # keeps one class the table moves as a step part and the other as inner
+    # terms: only the kept class is packed, once, and no coefficient is
+    # subtracted
     images = derivation_from_json(STEP_TABLE).images
     deltas = [(t * s.inverse()).payload for s, image in images.items() for t in image.support()]
     moved = {H.class_representative(e) for e in deltas if not H.is_central(e)}
-    calls = {"_jumps": 0, "_step_part": 0}
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(groups, name)):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(groups, name, counting)
+    packed = _packed(monkeypatch)
+    subtracted = _counted(monkeypatch, GaussianRational, "__sub__")
     d = derivation_from_json(STEP_TABLE)
     assert len(d.steps) == 1 and d.a and len(moved) == 2
-    assert calls == {"_jumps": 0, "_step_part": len(moved)}
+    assert len(packed) == len(d.steps) and subtracted == []
+
+
+def test_step_parts_are_read_with_no_subtraction(monkeypatch):
+    # a step part is its jumps: `normal_form` hands stored parts, and a
+    # bracket's parts, to the fold as they are, with no coefficient
+    # subtracted, and `bracket_steps` packs each class of its result once.
+    # The bracket is inner(sum_{r<n} (n, 1, r)) with x -> x*y
+    n = 300
+    run = AlgebraElement.from_terms(H, [(h(n, 1, r), 1) for r in range(n)])
+    d, p = Derivation.inner(run), growing_derivation()
+    tables = [t for t, _ in _step_tables(seed=118, count=3)]
+    assert d.steps and p.steps and all(t.steps for t in tables)
+    packed = _packed(monkeypatch)
+    steps = H.bracket_steps(d.steps, p.steps)
+    assert steps and len(packed) == len(steps)
+    subtracted = _counted(monkeypatch, GaussianRational, "__sub__")
+    for parts in [(d.steps, p.steps), (steps,), (steps, d.steps), [t.steps for t in tables]]:
+        H.normal_form({}, *parts)
+    H.normal_form(run._terms, steps)
+    assert subtracted == []
+    assert d.bracket(p) == derivations._normal(AlgebraElement.zero(H), {}, steps)

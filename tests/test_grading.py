@@ -25,6 +25,7 @@ from dergrade import (
 from dergrade import grading
 from dergrade.sampling import Sampler
 from oracles import commutator
+from test_groups import D4
 
 H = Heisenberg()
 Z2 = FreeAbelian(2)
@@ -61,6 +62,15 @@ class TestSupport:
         z = h(0, 0, 1)
         d = Derivation.central(H, [2, 3], z)
         assert support_classes(d) == {z}
+
+    def test_free_abelian_support_classes_are_the_central_points(self):
+        # each class of Z^n is one element: the support classes of a sum of
+        # central derivations are their z's with a nonzero tau
+        Z3 = group_from_name("zn:3")
+        z1, z2, z3 = Z3.element((1, -2, 0)), Z3.element((0, 0, 3)), Z3.element((4, 0, 0))
+        d = (Derivation.central(Z3, [1, 0, 2], z1) + Derivation.central(Z3, [0, 1, 0], z2)
+             + Derivation.central(Z3, [0, 0, 0], z3))
+        assert support_classes(d) == {z1, z2}
 
     @pytest.mark.parametrize("group,setup", [(H, SETUP_H), (Z2, SETUP_Z2)],
                              ids=["heisenberg", "z2"])
@@ -338,6 +348,18 @@ class TestStemLocalisation:
     def test_central_component_key_rejects_noncentral(self):
         with pytest.raises(CentralityError):
             central_component_key([1, 0], h(1, 0, 0), SETUP_H)
+
+    def test_central_component_key_on_a_permutation_group(self):
+        # D4's centre {e, (1 3)(2 4)} is its commutator subgroup, so the
+        # half turn (3, 4, 1, 2) is central and keyed by the identity coset,
+        # and the reflection (3, 2, 1, 4) is not central
+        d4 = PermutationGroup("d4", 4, D4)
+        setup = GradingSetup.default(d4)
+        z = d4.element((3, 4, 1, 2))
+        assert central_component_key([], z, setup) == setup.quotient.key(z.payload)
+        assert central_component_key([], z, setup) == setup.quotient.identity_key()
+        with pytest.raises(CentralityError, match=r"\(3, 2, 1, 4\) is not central in perm:d4"):
+            central_component_key([], d4.element((3, 2, 1, 4)), setup)
 
     def test_heisenberg_central_derivations_localise(self):
         sampler = Sampler(H, seed=59)
