@@ -25,19 +25,21 @@ and JSON algebra terms are read through it with no element built.
 (`_KERNELS`), so a selector builds its kernel once per process.  A
 permutation group keeps its members as payloads; the group and its
 commutator subgroup are grown by whole right cosets (`_extend_subgroup`),
-its conjugacy classes are the trees of its arrow forest, each searched
-once from the element read and listed in member order, its centre is
-solved on the points, its payload products are read from a table of at
-most |G|^2 references, filled on first use, and its inverses from a memo
-of at most |G| entries.  Every kernel checks a derivation table by finding
-its closed form (`Group.table_form`): a permutation group solves for a
-potential on the generator arrows of its conjugation action, built once
-per kernel, which gives the table's inner part; Z^n and `heisenberg` read
-delta(s) = d(s) * s^-1 off a table in one routine (`Group._deltas`),
-whose central points are the central parts, all of a Z^n table, and
-`heisenberg` solves for the jumps of a step potential on each non-central
-class, a line that conjugation moves along, and folds them as they are;
-each returns the form in the kernel's one normal form (`Group.normal_form`).
+one gather per coset, built from its representative, the group from its
+largest-order generator first; its conjugacy classes are the trees of its
+arrow forest, each searched once from the element read and listed in member
+order, its centre is solved on the points, its payload products are read
+from a table of at most |G|^2 references, filled on first use, and its
+inverses from a memo of at most |G| entries.  Every kernel checks a
+derivation table by finding its closed form (`Group.table_form`): a
+permutation group solves for a potential on the generator arrows of its
+conjugation action, built once per kernel, which gives the table's inner
+part; Z^n and `heisenberg` read delta(s) = d(s) * s^-1 off a table in one
+routine (`Group._deltas`), whose central points are the central parts, all
+of a Z^n table, and `heisenberg` solves for the jumps of a step potential on
+each non-central class, a line that conjugation moves along, and folds them
+as they are; each returns the form in the kernel's one normal form
+(`Group.normal_form`).
 A step part is its jumps, (strictly increasing points, the nonzero jump
 at each), so F(+inf) is the sum of the jumps and nothing unpacks a part.
 One routine, `_runs`, walks running sums along residues: for a table's
@@ -64,7 +66,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from itertools import chain, combinations, product
-from math import gcd
+from math import gcd, lcm
 from operator import add, itemgetter, neg
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -885,14 +887,30 @@ def _conjugation(s: tuple):
     return partial(_conjugate, s, _right_mul(_perm_inv(s)))
 
 
+def _order(p: tuple) -> int:
+    """The order of the permutation p: the lcm of its cycle lengths."""
+    order, seen = 1, set()
+    for start in p:
+        if start not in seen:
+            i, length = start, 0
+            while i not in seen:
+                seen.add(i)
+                i, length = p[i - 1], length + 1
+            order = lcm(order, length)
+    return order
+
+
 def _extend_subgroup(members: set, maps: list, c: tuple) -> None:
     """Grow the subgroup H = `members`, closed under the right
     multiplications in `maps`, into the subgroup that H and c generate, and
     add c's to `maps`.  The new subgroup is a union of right cosets H r, and
     such a union is closed under a map once it holds r t for each coset
-    representative r and map t; each new coset H r t is one C-level gather
-    over H, or, when H = {e}, the one element r t."""
+    representative r and map t.  H's members are kept once as (0,) + h,
+    whose entry i is h(i), so h r is `itemgetter(*r)` of it, and each new
+    coset H r t is one C-level gather over H, built from its
+    representative; or, when H = {e}, the one element r t."""
     old = list(members)
+    shifted = [(0,) + h for h in old]
     maps.append(_right_mul(c))
     cosets = old[:1]  # H itself; the list grows as it is read
     for r in cosets:
@@ -902,7 +920,7 @@ def _extend_subgroup(members: set, maps: list, c: tuple) -> None:
                 if len(old) == 1:
                     members.add(rt)
                 else:
-                    members.update(map(_right_mul(rt), old))
+                    members.update(map(itemgetter(*rt), shifted))
                 cosets.append(rt)
 
 
@@ -995,7 +1013,11 @@ class PermutationGroup(Group):
 
     Elements are enumerated at construction time: the closure grows from
     the identity by whole right cosets (`_extend_subgroup`), each generator
-    not yet reached extending the subgroup reached so far.
+    not yet reached extending the subgroup reached so far, one gather per
+    coset.  The generators are taken largest order first (`_order`, ties in
+    their given order), so the first subgroup is as large a cyclic group
+    as they offer and the cosets few: s6 arrives as 120 cosets of the
+    6-cycle's powers.
 
     The group keeps its members as payloads, in sorted order, and builds a
     `GroupElement` only when it hands one out (the generators are built
@@ -1041,13 +1063,14 @@ class PermutationGroup(Group):
         self._conjugations = [(s, _conjugation(s)) for s in self._generator_payloads]
         members = {tuple(range(1, degree + 1))}
         maps: list = []
-        for s in self._generator_payloads:
+        # the largest-order generator first, so that the cosets are large
+        for s in sorted(self._generator_payloads, key=_order, reverse=True):
             if s not in members:
                 _extend_subgroup(members, maps, s)
         # sorted, so the identity comes first
         self._elements = sorted(members)
         self._identity = self._elements[0]
-        self._index = {p: i for i, p in enumerate(self._elements)}
+        self._index = dict(zip(self._elements, range(len(self._elements))))
         self._generators = [self._wrap(p) for p in self._generator_payloads]
         # product payload rows by left factor's position, allocated on first use
         self._products: List[Optional[List[Optional[tuple]]]] = [None] * len(self._elements)

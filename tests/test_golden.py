@@ -103,6 +103,25 @@ JOBS = {
         "a": [[[1, 1, 0, 1], [2, 1, 3, 4]], [[1, 2, -1, 1], [3, 4, 1, 2]],
               [[-2, 1, 0, 1], [1, 2, 4, 3]]],
     }),
+    # past s4, where the member order, the classes and the coset keys depend
+    # on how the closure is grown: two-term inner derivations on s5 and s6,
+    # and an s6 inner derivation entered as a generator table, whose check
+    # completes the arrow forest
+    "decompose-perm-s5.json": (["decompose", "--group", "perm:s5"], {
+        "group": "perm:s5", "kind": "inner",
+        "a": [[[1, 1, 0, 1], [2, 1, 3, 4, 5]], [[-3, 2, 1, 1], [3, 4, 5, 1, 2]]],
+    }),
+    "decompose-perm-s6.json": (["decompose", "--group", "perm:s6"], {
+        "group": "perm:s6", "kind": "inner",
+        "a": [[[1, 1, 0, 1], [2, 3, 1, 4, 5, 6]], [[2, 1, -1, 3], [6, 5, 4, 3, 2, 1]]],
+    }),
+    "decompose-perm-s6-table.json": (["decompose", "--group", "perm:s6"], {
+        "group": "perm:s6", "kind": "table", "images": {
+            "g1": [[[1, 1, 0, 1], [1, 3, 2, 4, 5, 6]], [[-1, 1, 0, 1], [3, 2, 1, 4, 5, 6]]],
+            "g2": [[[-1, 1, 0, 1], [1, 3, 4, 5, 6, 2]], [[-1, 1, 0, 1], [3, 1, 4, 5, 6, 2]],
+                   [[1, 1, 0, 1], [3, 2, 4, 5, 6, 1]], [[1, 1, 0, 1], [3, 4, 2, 5, 6, 1]]],
+        },
+    }),
     "decompose-zn-3.json": (["decompose", "--group", "zn:3"], {
         "group": "zn:3", "kind": "table", "images": {
             "e1": [[[2, 1, 0, 1], [1, 1, 0]], [[-1, 1, 0, 1], [2, 0, -1]]],

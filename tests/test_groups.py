@@ -579,6 +579,35 @@ def test_closure_from_the_identity_adds_one_element_per_coset(monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("name, size, bound", [
+    ("perm:s6", 720, 123), ("perm:a6", 360, 75), ("perm:s5", 120, 27),
+])
+def test_closure_gathers_one_coset_of_the_largest_order_generator_at_a_time(
+        monkeypatch, name, size, bound):
+    # the closure starts from the generator of largest order, a 6-cycle on
+    # s6 and a 5-cycle on a6 and s5, so the second generator adds |G| / 6 or
+    # |G| / 5 cosets, one gather each; with the generator maps and the two
+    # conjugations that is 123, 75 and 27 `itemgetter`s in all; starting
+    # from the order-2 or order-3 generator would build 363, 123 and 63
+    built = []
+    gather = groups.itemgetter
+    monkeypatch.setattr(groups, "itemgetter", lambda *ix: built.append(ix) or gather(*ix))
+    group = fresh_group(name)
+    assert len(group._elements) == size
+    assert len(built) <= bound
+
+
+def test_order_is_sympys():
+    # the lcm of the cycle lengths, against sympy on every member of S6 and
+    # on every odd-shape generator, the one on 28 points of order 2,310
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    members = fresh_group("perm:s6")._elements
+    generators = [s for _, gens in ODD_SHAPES for s in gens]
+    assert groups._order(ODD_SHAPES[ODD_SHAPE_IDS.index("c2310-on-28")][1][0]) == 2310
+    for p in members + generators:
+        assert groups._order(p) == combinatorics.Permutation([i - 1 for i in p]).order(), p
+
+
 class TestSympyOracle:
     @pytest.mark.parametrize("name", PERM_NAMES)
     def test_derived_subgroup_and_center(self, name):
